@@ -670,14 +670,7 @@ let experiment_ablations () =
 (* ------------------------------------------------------------------ *)
 (* E-SIM: simulator backend micro-benchmark (shots/sec, seed vs this PR) *)
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (fun c ->
-         match c with
-         | '"' -> "\\\"" | '\\' -> "\\\\" | '\n' -> "\\n"
-         | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
+let json_escape = Mbu_telemetry.Telemetry.json_escape
 
 (* Shots/sec for one (engine, jobs) configuration on a prepared circuit. *)
 let shots_per_sec ?(engine = Mbu_simulator.Sim.Fast) ~jobs ~shots c ~init () =
@@ -826,8 +819,8 @@ let experiment_build_bench () =
   let results =
     List.map
       (fun (name, n, build) ->
-        let nodes0 = Instr.shared_nodes () in
         Gc.full_major ();
+        let nodes0 = Instr.shared_nodes () in
         let live0 = (Gc.stat ()).Gc.live_words in
         let t0 = Unix.gettimeofday () in
         let c = build () in

@@ -2,7 +2,8 @@ type t = { num_qubits : int; num_bits : int; instrs : Instr.t list }
 
 let make ?(validate = true) ?num_qubits ?num_bits instrs =
   (* One fused traversal: gate validation (when requested) and the wire/bit
-     maxima come out of the same pass, memoized across shared blocks. *)
+     maxima come out of the same pass; shared blocks contribute their
+     nodes' stored summaries and were validated when interned. *)
   let s = Instr.scan ~validate instrs in
   let min_q = s.Instr.max_qubit + 1 and min_b = s.Instr.max_bit + 1 in
   let num_qubits = Option.value num_qubits ~default:min_q in

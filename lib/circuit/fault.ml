@@ -10,57 +10,25 @@ type t =
   | Flip_outcome of { bit : int }
   | Skip_block of { pos : int }
 
-(* Per-node memo tables, keyed by the interned node's process-unique id
-   (same scheme as Instr's summary memoization). [sites] counts the fault
-   sites inside a node, [slots] its instruction positions — they differ
-   because a k-wire gate is one slot but k sites. *)
-let node_sites_tbl : (int, int) Hashtbl.t = Hashtbl.create 64
-let node_slots_tbl : (int, int) Hashtbl.t = Hashtbl.create 64
+(* Site and slot (instruction position) counts of one instruction; a
+   [Call] reads its node's stored summary. They differ because a k-wire
+   gate is one slot but k sites. *)
+let counts_of i =
+  let s = Instr.scan [ i ] in
+  (s.Instr.site_count, s.Instr.instr_count)
 
-let rec sites_in_list l =
-  List.fold_left (fun acc i -> acc + sites_in_instr i) 0 l
-
-and sites_in_instr = function
-  | Instr.Gate g -> List.length (Gate.qubits g)
-  | Instr.Measure _ -> 1
-  | Instr.If_bit { body; _ } -> 1 + sites_in_list body
-  | Instr.Span { body; _ } -> sites_in_list body
-  | Instr.Call n -> (
-      match Hashtbl.find_opt node_sites_tbl n.Instr.id with
-      | Some c -> c
-      | None ->
-          let c = sites_in_list n.Instr.body in
-          Hashtbl.add node_sites_tbl n.Instr.id c;
-          c)
-
-let rec slots_in_list l =
-  List.fold_left (fun acc i -> acc + slots_in_instr i) 0 l
-
-and slots_in_instr = function
-  | Instr.Gate _ | Instr.Measure _ -> 1
-  | Instr.If_bit { body; _ } -> 1 + slots_in_list body
-  | Instr.Span { body; _ } -> slots_in_list body
-  | Instr.Call n -> (
-      match Hashtbl.find_opt node_slots_tbl n.Instr.id with
-      | Some c -> c
-      | None ->
-          let c = slots_in_list n.Instr.body in
-          Hashtbl.add node_slots_tbl n.Instr.id c;
-          c)
-
-let num_sites = sites_in_list
+let num_sites instrs = (Instr.scan instrs).Instr.site_count
 
 let site instrs k0 =
   if k0 < 0 || k0 >= num_sites instrs then
     invalid_arg "Fault.site: index out of range";
-  (* [go] relies on the precondition [k < sites_in_list l], so the
+  (* [go] relies on the precondition [k < num_sites l], so the
      list-exhausted case is unreachable. *)
   let rec go ~pos k = function
     | [] -> assert false
     | i :: rest ->
-        let ns = sites_in_instr i in
-        if k < ns then in_instr ~pos k i
-        else go ~pos:(pos + slots_in_instr i) (k - ns) rest
+        let ns, slots = counts_of i in
+        if k < ns then in_instr ~pos k i else go ~pos:(pos + slots) (k - ns) rest
   and in_instr ~pos k = function
     | Instr.Gate g -> Gate_site { pos; gate = g; qubit = List.nth (Gate.qubits g) k }
     | Instr.Measure { qubit; bit; _ } -> Measure_site { pos; qubit; bit }

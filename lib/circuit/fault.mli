@@ -11,9 +11,10 @@
     simulator tracks the same numbering during execution (taken or not), so
     a site is hit at most once per run regardless of which branches fire.
 
-    Enumeration respects the sharing: per-node site counts are memoized by
-    node id, so finding the [k]-th site of a circuit whose body is a deep
-    DAG descends one path instead of expanding the program. (The site
+    Enumeration respects the sharing: every interned node carries its site
+    count in its [Instr.summary], so finding the [k]-th site of a circuit
+    whose body is a deep DAG descends one path instead of expanding the
+    program. (The site
     {e space} still covers every occurrence: a block called twice
     contributes its sites twice, at different positions.)
 
@@ -48,8 +49,8 @@ type t =
       (** Do not execute the [If_bit] at [pos] even when its guard holds. *)
 
 val num_sites : Instr.t list -> int
-(** Memoized per shared node; O(program) the first time, O(top level)
-    after. *)
+(** [(Instr.scan instrs).site_count]: shared nodes contribute their stored
+    count, so the cost is O(top level). *)
 
 val site : Instr.t list -> int -> site
 (** [site instrs k] is the [k]-th site in program order, found by counted

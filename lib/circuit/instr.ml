@@ -1,3 +1,12 @@
+type summary = {
+  max_qubit : int;
+  max_bit : int;
+  instr_count : int;
+  span_count : int;
+  site_count : int;
+  unitary : bool;
+}
+
 type t =
   | Gate of Gate.t
   | Measure of { qubit : Gate.qubit; bit : int; reset : bool }
@@ -5,14 +14,13 @@ type t =
   | Span of { label : string; peak_ancillas : int; body : t list }
   | Call of node
 
-and node = { id : int; hkey : int; body : t list }
+and node = { id : int; hkey : int; body : t list; summary : summary }
 
 (* ------------------------------------------------------------------ *)
-(* Hash-consing.                                                       *)
-(*                                                                     *)
-(* Nodes are interned bottom-up: the body of a node is built before    *)
-(* the node itself, so any [Call] appearing inside a candidate body    *)
-(* already points at a canonical node. Structural equality of [Call]s  *)
+(* Structural hash and equality of a body's own level. Nodes are       *)
+(* interned bottom-up: the body of a node is built before the node     *)
+(* itself, so any [Call] appearing inside a candidate body already     *)
+(* points at a canonical node. Structural equality of [Call]s          *)
 (* therefore reduces to physical equality of their nodes, which keeps  *)
 (* both hashing and comparison O(size of the body's own level) instead *)
 (* of O(size of the expanded tree).                                    *)
@@ -57,83 +65,44 @@ and equal_body a b =
   | x :: xs, y :: ys -> equal_instr x y && equal_body xs ys
   | _ -> false
 
-module Body_tbl = Hashtbl.Make (struct
-  type nonrec t = t list
-
-  let hash = hash_body
-  let equal = equal_body
-end)
-
-let intern_tbl : node Body_tbl.t = Body_tbl.create 1024
-let next_node_id = ref 0
-
-(* Hash-cons hit rate: interned / (interned + allocated). *)
-let m_nodes_interned =
-  Mbu_telemetry.Telemetry.counter
-    ~help:"share calls resolved to an existing hash-consed node"
-    "mbu_builder_nodes_interned"
-
-let m_nodes_allocated =
-  Mbu_telemetry.Telemetry.counter
-    ~help:"share calls that allocated a fresh hash-consed node"
-    "mbu_builder_nodes_allocated"
-
-let share body =
-  match Body_tbl.find_opt intern_tbl body with
-  | Some n ->
-      Mbu_telemetry.Telemetry.incr m_nodes_interned;
-      Call n
-  | None ->
-      Mbu_telemetry.Telemetry.incr m_nodes_allocated;
-      let n = { id = !next_node_id; hkey = hash_body body; body } in
-      incr next_node_id;
-      Body_tbl.add intern_tbl body n;
-      Call n
-
-let shared_nodes () = Body_tbl.length intern_tbl
-
 (* ------------------------------------------------------------------ *)
-(* Fused scan: one walk computing wire/bit maxima, instruction and     *)
-(* span totals, and unitarity, with optional gate validation. Per-node *)
-(* results are memoized by node id so a shared block is visited once   *)
-(* no matter how many references point at it.                          *)
+(* Fused scan: one walk computing wire/bit maxima, instruction, span   *)
+(* and fault-site totals, and unitarity, with optional gate            *)
+(* validation. A [Call] contributes its node's stored summary, so the  *)
+(* walk never leaves the list's own level.                             *)
 (* ------------------------------------------------------------------ *)
-
-type summary = {
-  max_qubit : int;
-  max_bit : int;
-  instr_count : int;
-  span_count : int;
-  unitary : bool;
-}
 
 type scan_acc = {
   mutable mq : int;
   mutable mb : int;
   mutable ni : int;
   mutable ns : int;
+  mutable nsite : int;
   mutable un : bool;
 }
-
-let summary_tbl : (int, summary) Hashtbl.t = Hashtbl.create 1024
-let validated_tbl : (int, unit) Hashtbl.t = Hashtbl.create 1024
 
 let rec scan_into ~validate acc = function
   | [] -> ()
   | Gate g :: rest ->
       if validate then Gate.validate g;
-      List.iter (fun q -> if q > acc.mq then acc.mq <- q) (Gate.qubits g);
+      List.iter
+        (fun q ->
+          if q > acc.mq then acc.mq <- q;
+          acc.nsite <- acc.nsite + 1)
+        (Gate.qubits g);
       acc.ni <- acc.ni + 1;
       scan_into ~validate acc rest
   | Measure { qubit; bit; _ } :: rest ->
       if qubit > acc.mq then acc.mq <- qubit;
       if bit > acc.mb then acc.mb <- bit;
       acc.ni <- acc.ni + 1;
+      acc.nsite <- acc.nsite + 1;
       acc.un <- false;
       scan_into ~validate acc rest
   | If_bit { bit; body; _ } :: rest ->
       if bit > acc.mb then acc.mb <- bit;
       acc.ni <- acc.ni + 1;
+      acc.nsite <- acc.nsite + 1;
       acc.un <- false;
       scan_into ~validate acc body;
       scan_into ~validate acc rest
@@ -141,58 +110,23 @@ let rec scan_into ~validate acc = function
       acc.ns <- acc.ns + 1;
       scan_into ~validate acc body;
       scan_into ~validate acc rest
-  | Call n :: rest ->
-      let s = node_summary n in
-      if validate then validate_node n;
+  | Call { summary = s; _ } :: rest ->
       if s.max_qubit > acc.mq then acc.mq <- s.max_qubit;
       if s.max_bit > acc.mb then acc.mb <- s.max_bit;
       acc.ni <- acc.ni + s.instr_count;
       acc.ns <- acc.ns + s.span_count;
+      acc.nsite <- acc.nsite + s.site_count;
       acc.un <- acc.un && s.unitary;
       scan_into ~validate acc rest
 
-and node_summary n =
-  match Hashtbl.find_opt summary_tbl n.id with
-  | Some s -> s
-  | None ->
-      let acc = { mq = -1; mb = -1; ni = 0; ns = 0; un = true } in
-      scan_into ~validate:false acc n.body;
-      let s =
-        { max_qubit = acc.mq;
-          max_bit = acc.mb;
-          instr_count = acc.ni;
-          span_count = acc.ns;
-          unitary = acc.un }
-      in
-      Hashtbl.add summary_tbl n.id s;
-      s
-
-and validate_node n =
-  if not (Hashtbl.mem validated_tbl n.id) then begin
-    Hashtbl.add validated_tbl n.id ();
-    validate_body n.body
-  end
-
-and validate_body = function
-  | [] -> ()
-  | Gate g :: rest ->
-      Gate.validate g;
-      validate_body rest
-  | Measure _ :: rest -> validate_body rest
-  | (If_bit { body; _ } | Span { body; _ }) :: rest ->
-      validate_body body;
-      validate_body rest
-  | Call n :: rest ->
-      validate_node n;
-      validate_body rest
-
 let scan ?(validate = false) instrs =
-  let acc = { mq = -1; mb = -1; ni = 0; ns = 0; un = true } in
+  let acc = { mq = -1; mb = -1; ni = 0; ns = 0; nsite = 0; un = true } in
   scan_into ~validate acc instrs;
   { max_qubit = acc.mq;
     max_bit = acc.mb;
     instr_count = acc.ni;
     span_count = acc.ns;
+    site_count = acc.nsite;
     unitary = acc.un }
 
 let max_qubit instrs = (scan instrs).max_qubit
@@ -205,32 +139,85 @@ let count_spans instrs = (scan instrs).span_count
 let is_unitary instrs = (scan instrs).unitary
 
 (* ------------------------------------------------------------------ *)
-(* Adjoint. The adjoint of a shared node is itself shared, and the two *)
-(* nodes cache each other so double-adjoint returns the original node  *)
-(* physically — repeated references cost O(1) after the first.         *)
+(* Hash-consing. The intern set holds its nodes weakly, so a node      *)
+(* lives exactly as long as some circuit references it; one mutex      *)
+(* guards lookup, insertion and the id counter, so domains may build   *)
+(* circuits concurrently. A miss computes the node's summary and       *)
+(* validates its own gates once, so every node is valid by             *)
+(* construction.                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let adjoint_tbl : (int, t) Hashtbl.t = Hashtbl.create 256
+module Node_set = Weak.Make (struct
+  type nonrec t = node
 
-let rec adjoint instrs = List.rev_map adj_one instrs
+  let hash n = n.hkey
+  let equal a b = equal_body a.body b.body
+end)
 
-and adj_one = function
-  | Gate g -> Gate (Gate.adjoint g)
-  | Span { label; peak_ancillas; body } ->
-      Span { label; peak_ancillas; body = adjoint body }
-  | Call n -> (
-      match Hashtbl.find_opt adjoint_tbl n.id with
-      | Some a -> a
+let intern_set = Node_set.create 1024
+let intern_lock = Mutex.create ()
+let next_node_id = ref 0
+
+let with_lock f =
+  Mutex.lock intern_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock intern_lock) f
+
+(* Hash-cons hit rate: interned / (interned + allocated). *)
+let m_nodes_interned =
+  Mbu_telemetry.Telemetry.counter
+    ~help:"share calls resolved to an existing hash-consed node"
+    "mbu_builder_nodes_interned"
+
+let m_nodes_allocated =
+  Mbu_telemetry.Telemetry.counter
+    ~help:"share calls that allocated a fresh hash-consed node"
+    "mbu_builder_nodes_allocated"
+
+(* Lookups go through a probe record: only [hkey] and [body] are read. *)
+let probe_summary = scan []
+
+let share body =
+  let probe = { id = -1; hkey = hash_body body; body; summary = probe_summary } in
+  with_lock (fun () ->
+      match Node_set.find_opt intern_set probe with
+      | Some n ->
+          Mbu_telemetry.Telemetry.incr m_nodes_interned;
+          Call n
       | None ->
-          let a = share (adjoint n.body) in
-          Hashtbl.add adjoint_tbl n.id a;
-          (match a with
-          | Call an when not (Hashtbl.mem adjoint_tbl an.id) ->
-              Hashtbl.add adjoint_tbl an.id (Call n)
-          | _ -> ());
-          a)
-  | Measure _ | If_bit _ ->
-      invalid_arg "Instr.adjoint: circuit contains a measurement"
+          let summary = scan ~validate:true body in
+          Mbu_telemetry.Telemetry.incr m_nodes_allocated;
+          let n = { probe with id = !next_node_id; summary } in
+          incr next_node_id;
+          Node_set.add intern_set n;
+          Call n)
+
+let shared_nodes () = with_lock (fun () -> Node_set.count intern_set)
+
+(* ------------------------------------------------------------------ *)
+(* Adjoint. The adjoint of a shared node is itself shared; a memo      *)
+(* local to the call visits each distinct node once. Double adjoint    *)
+(* returns the original node because interning the re-adjointed body   *)
+(* finds it.                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let adjoint instrs =
+  let memo : (int, t) Hashtbl.t = Hashtbl.create 16 in
+  let rec adj l = List.rev_map adj_one l
+  and adj_one = function
+    | Gate g -> Gate (Gate.adjoint g)
+    | Span { label; peak_ancillas; body } ->
+        Span { label; peak_ancillas; body = adj body }
+    | Call n -> (
+        match Hashtbl.find_opt memo n.id with
+        | Some a -> a
+        | None ->
+            let a = share (adj n.body) in
+            Hashtbl.add memo n.id a;
+            a)
+    | Measure _ | If_bit _ ->
+        invalid_arg "Instr.adjoint: circuit contains a measurement"
+  in
+  adj instrs
 
 let rec iter_gates f = function
   | [] -> ()

@@ -13,6 +13,17 @@
     analysed once. Every consumer treats [Call n] exactly as the inline
     expansion of [n.body]; metric passes memoize per distinct node. *)
 
+type summary = {
+  max_qubit : int;  (** largest wire index touched, or [-1] *)
+  max_bit : int;  (** largest classical bit index used, or [-1] *)
+  instr_count : int;  (** expanded instruction count (spans weightless) *)
+  span_count : int;  (** expanded number of [Span] nodes *)
+  site_count : int;
+      (** expanded number of fault sites (see {!Fault}): one per wire of a
+          gate, one per [Measure], one per [If_bit] plus its body *)
+  unitary : bool;  (** no [Measure]/[If_bit] anywhere *)
+}
+
 type t =
   | Gate of Gate.t
   | Measure of { qubit : Gate.qubit; bit : int; reset : bool }
@@ -36,16 +47,20 @@ type t =
           splicing [node.body] in place. Obtain one with {!share}; never
           construct a node by hand. *)
 
-and node = private { id : int; hkey : int; body : t list }
+and node = private { id : int; hkey : int; body : t list; summary : summary }
 (** An interned block. [id] is a process-unique identifier (memo key for
     metric passes), [hkey] the structural hash under which the body was
-    interned. Structurally equal bodies always yield the physically same
-    node. *)
+    interned, [summary] the {!scan} of [body], computed once when the node
+    is created. Structurally equal bodies always yield the physically same
+    node while it is alive. *)
 
 val share : t list -> t
 (** [share body] interns [body] and returns a [Call] reference to its
     canonical node. Two calls with structurally equal bodies (including
-    [Call] children, which compare by node identity) return the same node. *)
+    [Call] children, which compare by node identity) return the same node.
+    On a miss the body's own gates are checked with [Gate.validate], so
+    every node is valid by construction; raises [Invalid_argument] on an
+    invalid gate. Safe to call from several domains at once. *)
 
 val expand_calls : t list -> t list
 (** Expand every [Call] back into its body, recursively — the materialized
@@ -53,26 +68,21 @@ val expand_calls : t list -> t list
     representation in tests and benchmarks. *)
 
 val shared_nodes : unit -> int
-(** Number of distinct interned nodes in the process-wide table. *)
-
-type summary = {
-  max_qubit : int;  (** largest wire index touched, or [-1] *)
-  max_bit : int;  (** largest classical bit index used, or [-1] *)
-  instr_count : int;  (** expanded instruction count (spans weightless) *)
-  span_count : int;  (** expanded number of [Span] nodes *)
-  unitary : bool;  (** no [Measure]/[If_bit] anywhere *)
-}
+(** Number of interned nodes still alive. The intern set holds nodes
+    weakly: a node no circuit references is reclaimed by the GC and stops
+    being counted (exactly so after a [Gc.full_major]). *)
 
 val scan : ?validate:bool -> t list -> summary
 (** One fused traversal computing the whole {!summary}; when [validate] is
-    set, every gate is checked with [Gate.validate] in the same pass. Work
-    inside shared nodes is memoized by node id (validation included), so a
-    block referenced [k] times is visited once, not [k] times. *)
+    set, every gate outside [Call]s is checked with [Gate.validate] in the
+    same pass (nodes are valid by construction). A [Call] contributes its
+    node's stored summary, so the walk never descends into shared blocks. *)
 
 val adjoint : t list -> t list
 (** Adjoint of a measurement-free instruction sequence. Spans are preserved
     (same label, adjointed body); the adjoint of a shared block is itself
-    shared, and memoized so that double-adjoint returns the original node.
+    shared, each distinct block is adjointed once per call, and
+    double-adjoint returns the original node (interning finds it).
     Raises [Invalid_argument] if the sequence contains [Measure] or [If_bit]
     (remark 2.23: circuits involving a measurement are generally not
     invertible). *)

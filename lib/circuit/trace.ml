@@ -255,20 +255,7 @@ let render ?(merge = true) ?max_depth root =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event JSON *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Mbu_telemetry.Telemetry.json_escape
 
 let jnum v =
   if Float.is_integer v && Float.abs v < 1e15 then

@@ -129,10 +129,6 @@ let run_campaign ?(seed = 0) ?jobs ?engine ?force ?max_terms ?on_progress
     ~plan spec =
   let instrs = spec.circuit.Circuit.instrs in
   let sites = Fault.num_sites instrs in
-  (* Warm the per-node memo tables (site counts, instruction counts) on
-     this thread: the parallel tasks below then only read them, which keeps
-     the shared Hashtbls race-free under OCaml 5 domains. *)
-  ignore (Instr.count_instrs instrs);
   (match classify ?engine ?force ?max_terms ~rng:(run_rng ~seed (-1)) ~faults:[] spec with
   | Correct -> ()
   | o ->

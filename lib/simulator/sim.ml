@@ -155,8 +155,9 @@ let run ?rng ?on_event ?(engine = Fast) ?force ?(faults = []) ?max_terms
       | Fault.Flip_outcome { bit } -> Hashtbl.replace flip_bit bit ()
       | Fault.Skip_block { pos } -> Hashtbl.replace skip_at pos ())
     faults;
-  (* Position tracking costs an [Instr.count_instrs] per untaken branch, so
-     it only runs when a positional fault could fire. *)
+  (* Position tracking costs an [Instr.count_instrs] per untaken branch —
+     a walk of the body's top level, since shared blocks carry their counts
+     — so it only runs when a positional fault could fire. *)
   let need_pos = faults <> [] in
   let injected = ref 0 in
   (* Hoist the hook check out of the per-instruction loop: when no hook is
@@ -386,12 +387,6 @@ let run_shots ?(seed = 0) ?jobs ?stats ?(engine = Fast) ?force ?faults
   let jobs =
     match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
   in
-  (* Position tracking (active only with a fault plan) reads Instr's
-     per-node memo tables; populate them here, on one thread, so the
-     parallel shots below only ever hit the tables read-only. *)
-  (match faults with
-  | Some (_ :: _) -> ignore (Instr.count_instrs c.Circuit.instrs)
-  | Some [] | None -> ());
   let collect = Option.is_some stats in
   let shot i =
     let rng = shot_rng ~seed i in

@@ -100,6 +100,12 @@ val to_json : unit -> string
 (** The same snapshot as a self-contained JSON document
     [{"metrics": [...]}]. *)
 
+val json_escape : string -> string
+(** Escape a string for use inside a JSON string literal: double quote,
+    backslash, newline and tab get their two-character escapes, every other
+    control character a [u]-escape with four hex digits. The one escaper
+    behind every hand-written JSON writer in the repository. *)
+
 val counters_alist : unit -> (string * float) list
 (** Flattened [(name, value)] view of the snapshot — counters as
     [name_total], gauges as [name] and [name_highwater], histograms as

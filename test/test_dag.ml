@@ -13,6 +13,18 @@ let rng = Helpers.rng
 let modulus n =
   (1 lsl (n - 1)) lor (0b1010101 land ((1 lsl (n - 1)) - 1)) lor 1
 
+(* The controlled modular multiply-add: many per-bit shared blocks. *)
+let build_mod_mul n =
+  let p = modulus n in
+  let b = Builder.create () in
+  let c = Builder.fresh_register b "c" 1 in
+  let x = Builder.fresh_register b "x" n in
+  let t = Builder.fresh_register b "t" n in
+  Mod_mul.cmult_add
+    (Mod_mul.ripple_engine ~mbu:true Mod_add.spec_cdkpm)
+    b ~ctrl:(Register.get c 0) ~a:(p / 3) ~p ~x ~target:t;
+  Builder.to_circuit b
+
 (* Every circuit family that emits shared blocks somewhere in its call
    graph: the six Table-1 modular adders, the controlled modular
    multiply-add, QROM lookup/unlookup, and a compiled pebbling strategy. *)
@@ -35,17 +47,7 @@ let circuits () =
   @ modadd "gidney" (fun ~mbu b ~p ~x ~y -> Mod_add.modadd ~mbu Mod_add.spec_gidney b ~p ~x ~y)
   @ modadd "mixed" (fun ~mbu b ~p ~x ~y -> Mod_add.modadd ~mbu Mod_add.spec_mixed b ~p ~x ~y)
   @ modadd "draper" (fun ~mbu b ~p ~x ~y -> Mod_add.modadd_draper ~mbu b ~p ~x ~y)
-  @ [ ( "mod_mul",
-        let n = 8 in
-        let p = modulus n in
-        let b = Builder.create () in
-        let c = Builder.fresh_register b "c" 1 in
-        let x = Builder.fresh_register b "x" n in
-        let t = Builder.fresh_register b "t" n in
-        Mod_mul.cmult_add
-          (Mod_mul.ripple_engine ~mbu:true Mod_add.spec_cdkpm)
-          b ~ctrl:(Register.get c 0) ~a:(p / 3) ~p ~x ~target:t;
-        Builder.to_circuit b );
+  @ [ ("mod_mul", build_mod_mul 8);
       ( "qrom",
         let b = Builder.create () in
         let address = Builder.fresh_register b "a" 3 in
@@ -167,7 +169,7 @@ let test_interning_canonical () =
   | _ -> Alcotest.fail "share did not return Call"
 
 (* adjoint maps shared blocks to shared blocks, and double adjoint returns
-   the original node (the adjoint pair is memoized both ways). *)
+   the original node (interning the re-adjointed body finds it). *)
 let test_adjoint_roundtrip () =
   let body =
     [ Instr.Gate (Gate.H 0); Instr.Gate (Gate.Cnot { control = 0; target = 1 });
@@ -276,6 +278,49 @@ let test_shared_anonymous () =
   Alcotest.(check int) "empty shared emits nothing" 0
     (List.length (Builder.to_circuit b3).Circuit.instrs)
 
+(* The intern set holds nodes weakly: once a circuit is dropped, a full
+   major GC reclaims its nodes, so building and dropping does not grow the
+   live node count. *)
+let test_dropped_nodes_reclaimed () =
+  let[@inline never] build_and_drop () =
+    let c = build_mod_mul 16 in
+    Alcotest.(check bool) "circuit has shared nodes" true
+      (has_call c.Circuit.instrs && Instr.shared_nodes () > 0)
+  in
+  Gc.full_major ();
+  let before = Instr.shared_nodes () in
+  build_and_drop ();
+  Gc.full_major ();
+  let after = Instr.shared_nodes () in
+  if after > before then
+    Alcotest.failf "live nodes grew from %d to %d after the circuit was dropped"
+      before after
+
+(* Every node is valid by construction: share checks the body's own gates. *)
+let test_share_validates () =
+  Alcotest.check_raises "repeated wire rejected"
+    (Invalid_argument "Gate: repeated wire") (fun () ->
+      ignore
+        (Instr.share [ Instr.Gate (Gate.Cnot { control = 3; target = 3 }) ]))
+
+(* Two domains interning the same circuit at once agree on every summary
+   the passes read off the nodes. *)
+let test_parallel_build () =
+  let results =
+    Parallel.map_tasks ~jobs:2 ~tasks:2 (fun _ ->
+        let instrs = (build_mod_mul 8).Circuit.instrs in
+        ( Counts.of_instrs ~mode:(Counts.Expected 0.5) instrs,
+          Fault.num_sites instrs,
+          Instr.count_instrs instrs ))
+  in
+  let c0, s0, i0 = results.(0) and c1, s1, i1 = results.(1) in
+  Alcotest.(check bool) "equal counts" true (c0 = c1);
+  Alcotest.(check int) "equal fault sites" s0 s1;
+  Alcotest.(check int) "equal instruction counts" i0 i1;
+  Alcotest.(check int) "sites match the expanded tree"
+    (List.length (Fault.sites (Instr.expand_calls (build_mod_mul 8).Circuit.instrs)))
+    s0
+
 let suite =
   ( "dag",
     [ Alcotest.test_case "metrics match expanded tree" `Quick
@@ -293,4 +338,8 @@ let suite =
       Alcotest.test_case "repeat references one node" `Quick
         test_repeat_semantics;
       Alcotest.test_case "anonymous shared is invisible" `Quick
-        test_shared_anonymous ] )
+        test_shared_anonymous;
+      Alcotest.test_case "dropped nodes are reclaimed" `Quick
+        test_dropped_nodes_reclaimed;
+      Alcotest.test_case "share validates gates" `Quick test_share_validates;
+      Alcotest.test_case "parallel builds agree" `Quick test_parallel_build ] )

@@ -210,6 +210,37 @@ let test_registry_kind_mismatch () =
        "Telemetry: \"test_reg_dup\" is already registered as another kind")
     (fun () -> ignore (Telemetry.gauge "test_reg_dup"))
 
+(* Both hand-written JSON writers share [Telemetry.json_escape]: a label
+   carrying a quote, a backslash, a newline, a tab and a raw control byte
+   must come back byte for byte through the bench parser. *)
+let test_json_escape_roundtrip () =
+  let label = "q\"b\\n\nt\tc\001." in
+  let strings_at key j =
+    match Bench_compare.member key j with
+    | Some (Bench_compare.Arr items) ->
+        List.filter_map
+          (fun item ->
+            match Bench_compare.member "name" item, Bench_compare.member "help" item with
+            | Some (Bench_compare.Str name), Some (Bench_compare.Str help) ->
+                Some (name ^ "|" ^ help)
+            | Some (Bench_compare.Str name), _ -> Some name
+            | _ -> None)
+          items
+    | _ -> Alcotest.failf "no %s array" key
+  in
+  let root =
+    Trace.profile
+      [ Instr.Span { label; peak_ancillas = 0; body = [ Instr.Gate (Gate.X 0) ] } ]
+  in
+  Alcotest.(check bool) "span label survives Trace.to_json" true
+    (List.mem label
+       (strings_at "traceEvents" (Bench_compare.parse (Trace.to_json root))));
+  Telemetry.reset ();
+  ignore (Telemetry.counter ~help:label "test_json_escape");
+  Alcotest.(check bool) "help text survives Telemetry.to_json" true
+    (List.mem ("test_json_escape|" ^ label)
+       (strings_at "metrics" (Bench_compare.parse (Telemetry.to_json ()))))
+
 (* ------------------------------------------------------------------ *)
 (* Bench comparator *)
 
@@ -324,6 +355,8 @@ let suite =
         test_openmetrics_roundtrip;
       Alcotest.test_case "registry kind mismatch" `Quick
         test_registry_kind_mismatch;
+      Alcotest.test_case "json escape round-trip" `Quick
+        test_json_escape_roundtrip;
       Alcotest.test_case "compare: identical baseline passes" `Quick
         test_compare_identical_passes;
       Alcotest.test_case "compare: degradation flagged" `Quick
