@@ -686,7 +686,7 @@ let experiment_sim_bench () =
   let open Mbu_simulator in
   header "E-SIM: simulator backends, Table-1 Monte-Carlo workload (shots/sec)";
   let shots = 1000 in
-  let jobs = max 4 (Sim.default_jobs ()) in
+  let jobs = Sim.default_jobs () in
   fpf "  %d shots/config, parallel backend = %s, jobs = %d@." shots
     Sim.parallel_backend jobs;
   fpf "  %-15s | %3s | %12s | %12s | %12s | %8s@." "row" "n" "seed (ref)"
@@ -753,7 +753,7 @@ let experiment_sim_bench () =
     rows;
   Printf.fprintf oc "  ]\n}\n";
   close_out oc;
-  fpf "  (seed = rebuild-per-gate Reference engine; fast = classical track@.";
+  fpf "  (seed = rebuild-per-gate Reference engine; fast = Z/X product track@.";
   fpf "   + in-place sparse kernel; written to BENCH_sim.json)@."
 
 (* ------------------------------------------------------------------ *)

@@ -57,10 +57,11 @@ let run_shor ~a ~n_val ~n_bits ~t_bits ~shots =
   let init = Sim.init_registers ~num_qubits:(Builder.num_qubits b) [ (x, 1) ] in
   Printf.printf "  circuit: %d qubits, %d instructions\n"
     circuit.Circuit.num_qubits (Circuit.num_gates circuit);
+  let prog = Sim.compile circuit in
   let found = Hashtbl.create 8 in
   let successes = ref 0 in
   for shot = 1 to shots do
-    let r = Sim.run ~rng:(Random.State.make [| shot; 0x5407 |]) circuit ~init in
+    let r = Sim.run_program ~rng:(Random.State.make [| shot; 0x5407 |]) prog ~init in
     (* the library QFT is the DFT composed with a bit reversal, so the
        standard Fourier outcome is read MSB-at-wire-0 *)
     let m =

@@ -8,8 +8,9 @@
     instruction has in [Instr.count_instrs] order, where [Gate] / [Measure]
     / [If_bit] each occupy one slot, an [If_bit]'s body follows its slot,
     spans are weightless, and a [Call] counts as its inline expansion. The
-    simulator tracks the same numbering during execution (taken or not), so
-    a site is hit at most once per run regardless of which branches fire.
+    simulator's compiled program ([Sim.compile]) has exactly one slot per
+    such position and jumps over the slots of a branch not taken, so a
+    site is hit at most once per run regardless of which branches fire.
 
     Enumeration respects the sharing: every interned node carries its site
     count in its [Instr.summary], so finding the [k]-th site of a circuit

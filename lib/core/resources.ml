@@ -54,9 +54,10 @@ let monte_carlo_toffoli ?(shots = 400) ?rng ?(seed = 0xbca) ?jobs ~build () =
   match rng with
   | Some rng ->
       (* Legacy path: one caller-owned generator shared across shots. *)
+      let prog = Mbu_simulator.Sim.compile circuit in
       let total = ref 0. in
       for _ = 1 to shots do
-        let r = Mbu_simulator.Sim.run ~rng circuit ~init in
+        let r = Mbu_simulator.Sim.run_program ~rng prog ~init in
         total := !total +. r.Mbu_simulator.Sim.executed.Counts.toffoli
       done;
       !total /. float_of_int shots

@@ -56,14 +56,20 @@ let classify_run spec (r : Sim.run) =
   then Correct
   else Silent_corrupt
 
-let classify ?engine ?force ?max_terms ~rng ~faults spec =
+(* Only the errors circuit semantics raise count as detection; anything
+   else (an [Invalid_argument] from a state kernel, say) is a simulator bug
+   and propagates. *)
+let classify_program ?engine ?force ?max_terms ~rng ~faults prog spec =
   match
-    Sim.run ~rng ?engine ?force ~faults ?max_terms spec.circuit
+    Sim.run_program ~rng ?engine ?force ~faults ?max_terms prog
       ~init:spec.init
   with
   | r -> classify_run spec r
   | exception Mbu_error.Error _ -> Detected
-  | exception Invalid_argument _ -> Detected
+
+let classify ?engine ?force ?max_terms ~rng ~faults spec =
+  classify_program ?engine ?force ?max_terms ~rng ~faults
+    (Sim.compile spec.circuit) spec
 
 let oracle_outputs ?engine spec outputs =
   let r = Sim.run ?engine spec.circuit ~init:spec.init in
@@ -129,7 +135,11 @@ let run_campaign ?(seed = 0) ?jobs ?engine ?force ?max_terms ?on_progress
     ~plan spec =
   let instrs = spec.circuit.Circuit.instrs in
   let sites = Fault.num_sites instrs in
-  (match classify ?engine ?force ?max_terms ~rng:(run_rng ~seed (-1)) ~faults:[] spec with
+  let prog = Sim.compile spec.circuit in
+  let classify ~rng ~faults =
+    classify_program ?engine ?force ?max_terms ~rng ~faults prog spec
+  in
+  (match classify ~rng:(run_rng ~seed (-1)) ~faults:[] with
   | Correct -> ()
   | o ->
       Mbu_error.invalid ~subsystem:"Robustness.run_campaign"
@@ -154,8 +164,7 @@ let run_campaign ?(seed = 0) ?jobs ?engine ?force ?max_terms ?on_progress
     Parallel.map_tasks ~jobs ~tasks:total (fun i ->
         let o =
           Telemetry.time m_run_seconds (fun () ->
-              classify ?engine ?force ?max_terms ~rng:(run_rng ~seed i)
-                ~faults:plans.(i) spec)
+              classify ~rng:(run_rng ~seed i) ~faults:plans.(i))
         in
         Telemetry.incr m_runs;
         (match o with
@@ -226,9 +235,10 @@ let check_forced_branches ?engine spec =
         Hashtbl.replace driven (bit, value, taken) ()
     | _ -> ()
   in
+  let prog = Sim.compile spec.circuit in
   let run_forced force =
     match
-      Sim.run ?engine ~on_event:hook ~force spec.circuit ~init:spec.init
+      Sim.run_program ?engine ~on_event:hook ~force prog ~init:spec.init
     with
     | r -> classify_run spec r = Correct
     | exception Mbu_error.Error _ -> false

@@ -12,6 +12,8 @@
       forced zero-probability outcomes and resource limits), a detector
       fired, or an ancilla was left dirty: the fault is visible to checks
       an error-corrected machine (or this test harness) actually performs.
+      Other exceptions are never classified: they propagate out of
+      {!classify} and {!run_campaign}.
     - [Correct] — all output registers match the oracle and every ancilla
       is clean: the fault was absorbed (e.g. a Z on a wire in a basis
       state, or an X in a branch that never ran).
@@ -51,8 +53,10 @@ val classify_run : spec -> Sim.run -> outcome
 val classify :
   ?engine:Sim.engine -> ?force:(int -> bool option) -> ?max_terms:int ->
   rng:Random.State.t -> faults:Fault.t list -> spec -> outcome
-(** One faulty run, never raises: [Mbu_error] / [Invalid_argument] during
-    execution classify as [Detected]. *)
+(** One faulty run. An [Mbu_error] during execution (including a forced
+    zero-probability outcome or a resource limit) classifies as
+    [Detected]; any other exception is a simulator bug, not a detected
+    fault, and propagates. *)
 
 val oracle_outputs :
   ?engine:Sim.engine -> spec -> Register.t list -> (Register.t * int) list

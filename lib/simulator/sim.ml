@@ -70,232 +70,345 @@ let draw_outcome rng p1 =
   else if p1 >= 1.0 -. 1e-12 then true
   else Random.State.float rng 1.0 < p1
 
-(* Mutable gate tally for the run loop: integer bumps instead of a fresh
-   Counts.t record per gate. *)
-type tally = {
-  mutable t_x : int;
-  mutable t_z : int;
-  mutable t_h : int;
-  mutable t_phase : int;
-  mutable t_cnot : int;
-  mutable t_cz : int;
-  mutable t_swap : int;
-  mutable t_toffoli : int;
-  mutable t_cphase : int;
-  mutable t_measure : int;
+(* ------------------------------------------------------------------ *)
+(* The compiled program *)
+
+(* Opcodes. Gate kinds come first, in [Counts] field order, so a gate's
+   opcode indexes the run's tally directly. *)
+let op_x = 0
+let op_z = 1
+let op_h = 2
+let op_phase = 3
+let op_cnot = 4
+let op_cz = 5
+let op_swap = 6
+let op_toffoli = 7
+let op_cphase = 8
+let op_measure = 9
+let op_if = 10
+
+let opcode = function
+  | Gate.X _ -> op_x
+  | Gate.Z _ -> op_z
+  | Gate.H _ -> op_h
+  | Gate.Phase _ -> op_phase
+  | Gate.Cnot _ -> op_cnot
+  | Gate.Cz _ -> op_cz
+  | Gate.Swap _ -> op_swap
+  | Gate.Toffoli _ -> op_toffoli
+  | Gate.Cphase _ -> op_cphase
+
+(* A span boundary, placed before slot [at]. [path] is the span's label
+   path from the root (what its events carry), [after] the enclosing path
+   once the mark has been passed. *)
+type mark = {
+  at : int;
+  label : string;
+  path : string list;
+  after : string list;
+  enter : bool;
 }
 
-let tally_gate t = function
-  | Gate.X _ -> t.t_x <- t.t_x + 1
-  | Gate.Z _ -> t.t_z <- t.t_z + 1
-  | Gate.H _ -> t.t_h <- t.t_h + 1
-  | Gate.Phase _ -> t.t_phase <- t.t_phase + 1
-  | Gate.Cnot _ -> t.t_cnot <- t.t_cnot + 1
-  | Gate.Cz _ -> t.t_cz <- t.t_cz + 1
-  | Gate.Swap _ -> t.t_swap <- t.t_swap + 1
-  | Gate.Toffoli _ -> t.t_toffoli <- t.t_toffoli + 1
-  | Gate.Cphase _ -> t.t_cphase <- t.t_cphase + 1
+(* One slot per static instruction position (Fault's numbering): [Call]s
+   are expanded, spans are weightless marks kept on the side, and an
+   [If_bit]'s body follows its slot.
+   - gate slot: [gates.(i)];
+   - measure slot: [a.(i)] qubit, [b.(i)] bit, [c.(i)] 1 for reset;
+   - if slot: [a.(i)] bit, [b.(i)] 1 when the guard value is true,
+     [c.(i)] the slot one past the body (the jump when not taken), and
+     [skip_mark.(i)] the first mark after the body. *)
+type program = {
+  num_qubits : int;
+  num_bits : int;
+  code : int array;
+  a : int array;
+  b : int array;
+  c : int array;
+  skip_mark : int array;
+  gates : Gate.t array;
+  marks : mark array;
+}
 
-let counts_of_tally t =
-  { Counts.x = float_of_int t.t_x;
-    z = float_of_int t.t_z;
-    h = float_of_int t.t_h;
-    phase = float_of_int t.t_phase;
-    cnot = float_of_int t.t_cnot;
-    cz = float_of_int t.t_cz;
-    swap = float_of_int t.t_swap;
-    toffoli = float_of_int t.t_toffoli;
-    cphase = float_of_int t.t_cphase;
-    measure = float_of_int t.t_measure }
+let no_gate = Gate.X 0
+let no_mark = { at = 0; label = ""; path = []; after = []; enter = false }
 
-let run ?rng ?on_event ?(engine = Fast) ?force ?(faults = []) ?max_terms
-    (c : Circuit.t) ~init =
-  let rng = match rng with Some r -> r | None -> fresh_rng () in
-  if State.num_qubits init < c.num_qubits then
-    Mbu_error.invalid ~subsystem:"Sim.run" "state narrower than circuit";
-  let bits = Array.make (max c.num_bits 1) false in
-  let executed =
-    { t_x = 0; t_z = 0; t_h = 0; t_phase = 0; t_cnot = 0; t_cz = 0;
-      t_swap = 0; t_toffoli = 0; t_cphase = 0; t_measure = 0 }
+let compile (circ : Circuit.t) =
+  let s = Instr.scan circ.instrs in
+  let n = s.Instr.instr_count in
+  let code = Array.make n 0 and a = Array.make n 0 and b = Array.make n 0 in
+  let c = Array.make n 0 and skip_mark = Array.make n 0 in
+  let gates = Array.make n no_gate in
+  let marks = Array.make (2 * s.Instr.span_count) no_mark in
+  let nmarks = ref 0 in
+  let mark m =
+    marks.(!nmarks) <- m;
+    incr nmarks
   in
-  (* The runner owns a private copy, so the fast engines can mutate it in
-     place; [Sparse] and [Reference] pin it to the sparse track. *)
+  (* [emit path pc instrs] lays [instrs] out from slot [pc] and returns
+     the slot one past them. *)
+  let rec emit path pc = function
+    | [] -> pc
+    | Instr.Gate g :: rest ->
+        code.(pc) <- opcode g;
+        gates.(pc) <- g;
+        emit path (pc + 1) rest
+    | Instr.Measure { qubit; bit; reset } :: rest ->
+        code.(pc) <- op_measure;
+        a.(pc) <- qubit;
+        b.(pc) <- bit;
+        c.(pc) <- Bool.to_int reset;
+        emit path (pc + 1) rest
+    | Instr.If_bit { bit; value; body } :: rest ->
+        let stop = emit path (pc + 1) body in
+        code.(pc) <- op_if;
+        a.(pc) <- bit;
+        b.(pc) <- Bool.to_int value;
+        c.(pc) <- stop;
+        skip_mark.(pc) <- !nmarks;
+        emit path stop rest
+    | Instr.Span { label; body; _ } :: rest ->
+        let inner = path @ [ label ] in
+        mark { at = pc; label; path = inner; after = inner; enter = true };
+        let stop = emit inner pc body in
+        mark { at = stop; label; path = inner; after = path; enter = false };
+        emit path stop rest
+    | Instr.Call node :: rest -> emit path (emit path pc node.Instr.body) rest
+  in
+  ignore (emit [] 0 circ.instrs);
+  { num_qubits = circ.num_qubits; num_bits = circ.num_bits; code; a; b; c;
+    skip_mark; gates; marks }
+
+(* A fault plan as patches sorted by slot: the Paulis injected after a
+   gate slot (with the number of faults they stand for) and the skipped
+   [If_bit] slots, plus the misread bits. Its size is the plan's, not the
+   program's, so a campaign run allocates next to nothing for it. Faults at
+   positions the program does not have, or at slots of the wrong kind, are
+   dropped, like a fault in a branch never reached. *)
+type patches = {
+  slots : int array;
+  counts : int array;
+  paulis : Gate.t list array;
+  flips : int list;
+}
+
+let no_patches = { slots = [||]; counts = [||]; paulis = [||]; flips = [] }
+
+let patches_of prog faults =
+  let n = Array.length prog.code in
+  let at pos = pos >= 0 && pos < n in
+  let entries =
+    List.filter_map
+      (function
+        | Fault.Pauli_after { pos; qubit; pauli }
+          when at pos && prog.code.(pos) < op_measure ->
+            Some (pos, Fault.pauli_gates pauli qubit)
+        | Fault.Skip_block { pos } when at pos && prog.code.(pos) = op_if ->
+            Some (pos, [])
+        | Fault.Pauli_after _ | Fault.Skip_block _ | Fault.Flip_outcome _ -> None)
+      faults
+    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+  in
+  (* Merge entries on one slot, keeping plan order. *)
+  let merged =
+    List.fold_left
+      (fun acc (pos, gs) ->
+        match acc with
+        | (p, k, gs0) :: rest when p = pos -> (p, k + 1, gs0 @ gs) :: rest
+        | _ -> (pos, 1, gs) :: acc)
+      [] entries
+    |> List.rev |> Array.of_list
+  in
+  { slots = Array.map (fun (p, _, _) -> p) merged;
+    counts = Array.map (fun (_, k, _) -> k) merged;
+    paulis = Array.map (fun (_, _, gs) -> gs) merged;
+    flips =
+      List.filter_map
+        (function Fault.Flip_outcome { bit } -> Some bit | _ -> None)
+        faults }
+
+let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = [])
+    ?max_terms prog ~init =
+  let rng = match rng with Some r -> r | None -> fresh_rng () in
+  if State.num_qubits init < prog.num_qubits then
+    Mbu_error.invalid ~subsystem:"Sim.run" "state narrower than circuit";
+  let t_start = Telemetry.now () in
+  let minor0, _, major0 = Gc.counters () in
+  let bits = Array.make (max prog.num_bits 1) false in
+  (* Gate kinds by opcode, then measurements. *)
+  let tally = Array.make (op_measure + 1) 0 in
+  (* The runner owns a private copy, so the in-place kernels may mutate
+     it; [Sparse] and [Reference] pin it to the sparse track. *)
   let state = ref (State.copy init) in
   if engine <> Fast then State.force_sparse !state;
+  let reference = engine = Reference in
   let apply_gate g =
-    match engine with
-    | Fast | Sparse -> State.apply_gate_inplace !state g
-    | Reference -> state := State.Reference.apply_gate !state g
+    if reference then state := State.Reference.apply_gate !state g
+    else State.apply_gate_inplace !state g
   in
-  let project ~qubit ~value =
-    match engine with
-    | Fast | Sparse -> State.project_inplace !state ~qubit ~value
-    | Reference -> state := State.Reference.project !state ~qubit ~value
-  in
-  let set_bit_zero ~qubit =
-    match engine with
-    | Fast | Sparse -> State.set_bit_zero_inplace !state ~qubit
-    | Reference -> state := State.Reference.set_bit_zero !state ~qubit
-  in
-  (* Fault plan, indexed for O(1) lookup during execution. Pauli and skip
-     faults key on the static instruction position (Fault's site
-     numbering, which matches [Instr.count_instrs]); outcome flips key on
-     the classical bit, which is unique per measurement. *)
-  let pauli_at : (int, int * Gate.t list) Hashtbl.t = Hashtbl.create 8 in
-  let flip_bit : (int, unit) Hashtbl.t = Hashtbl.create 4 in
-  let skip_at : (int, unit) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (function
-      | Fault.Pauli_after { pos; qubit; pauli } ->
-          let n, gs =
-            Option.value (Hashtbl.find_opt pauli_at pos) ~default:(0, [])
-          in
-          Hashtbl.replace pauli_at pos
-            (n + 1, gs @ Fault.pauli_gates pauli qubit)
-      | Fault.Flip_outcome { bit } -> Hashtbl.replace flip_bit bit ()
-      | Fault.Skip_block { pos } -> Hashtbl.replace skip_at pos ())
-    faults;
-  (* Position tracking costs an [Instr.count_instrs] per untaken branch —
-     a walk of the body's top level, since shared blocks carry their counts
-     — so it only runs when a positional fault could fire. *)
-  let need_pos = faults <> [] in
+  let patch = if faults = [] then no_patches else patches_of prog faults in
   let injected = ref 0 in
-  (* Hoist the hook check out of the per-instruction loop: when no hook is
-     installed, every event site below is a single always-false branch on
-     an immutable bool (and no event block is ever allocated) instead of a
-     per-event option match. *)
+  (* Patches, like marks, are visited through a cursor: [next_patch] is the
+     slot of the next patch not yet passed ([max_int] when there is none),
+     and [patched i] says whether slot [i] carries one, passing over the
+     patches of bodies that were jumped. *)
+  let npatches = Array.length patch.slots in
+  let patch_cursor = ref 0 in
+  let next_patch = ref (if npatches > 0 then patch.slots.(0) else max_int) in
+  let patched i =
+    while !patch_cursor < npatches && patch.slots.(!patch_cursor) < i do
+      incr patch_cursor
+    done;
+    next_patch :=
+      if !patch_cursor < npatches then patch.slots.(!patch_cursor) else max_int;
+    !next_patch = i
+  in
+  (* Event blocks are allocated only when a hook is installed. *)
   let hooked, emit =
     match on_event with Some f -> (true, f) | None -> (false, ignore)
   in
-  let track_path = hooked || Option.is_some max_terms in
-  let t_start = Telemetry.now () in
-  let gc_start = Gc.quick_stat () in
-  let branches = ref 0 in
-  let branches_taken = ref 0 in
+  let budget = Option.value max_terms ~default:max_int in
+  (* Span marks are only read when a hook or the budget's error path needs
+     the enclosing spans; otherwise [next_mark] never comes due. *)
+  let marks = prog.marks in
+  let nmarks = Array.length marks in
+  let track = hooked || Option.is_some max_terms in
+  let path = ref [] in
+  let cursor = ref 0 in
+  let next_mark = ref max_int in
+  let seek k =
+    cursor := k;
+    next_mark := if k < nmarks then marks.(k).at else max_int
+  in
+  if track then seek 0;
+  let pass_marks pc =
+    while !cursor < nmarks && marks.(!cursor).at <= pc do
+      let m = marks.(!cursor) in
+      path := m.after;
+      if hooked then
+        emit
+          (if m.enter then Span_enter { label = m.label; path = m.path }
+           else Span_exit { label = m.label; path = m.path });
+      incr cursor
+    done;
+    seek !cursor
+  in
+  let branches = ref 0 and branches_taken = ref 0 in
   let peak_terms = ref (State.support_size !state) in
-  let check_budget path =
-    match max_terms with
-    | Some limit ->
-        let actual = State.support_size !state in
-        if actual > limit then
-          Mbu_error.resource_limit ~path ~limit ~actual ~subsystem:"Sim.run"
-            "sparse state exceeds the term budget"
-    | None -> ()
-  in
-  (* [exec path pos instrs] returns the static position one past [instrs].
-     Event blocks are allocated only when a hook is installed. *)
-  let rec exec path pos = function
-    | [] -> pos
-    | Instr.Gate g :: rest ->
-        apply_gate g;
-        tally_gate executed g;
-        if hooked then emit (Gate_applied g);
-        (if need_pos then
-           match Hashtbl.find_opt pauli_at pos with
-           | Some (n, gs) ->
-               (* Injected Paulis are faults, not program gates: applied
-                  through the engine but never tallied. *)
-               List.iter apply_gate gs;
-               injected := !injected + n
-           | None -> ());
-        check_budget path;
-        exec path (pos + 1) rest
-    | Instr.Measure { qubit; bit; reset } :: rest ->
-        (* Support size peaks just before a measurement collapses the
-           state, so sampling here (O(1)) catches the run's high-water
-           without a per-gate probe. *)
-        let terms = State.support_size !state in
-        if terms > !peak_terms then peak_terms := terms;
-        let p1 = State.prob_bit_one !state qubit in
-        let outcome =
-          match force with
-          | Some f -> (
-              match f bit with
-              | Some v ->
-                  if (if v then p1 <= 1e-12 else p1 >= 1.0 -. 1e-12) then
-                    Mbu_error.invalid ~subsystem:"Sim.run" ~qubit ~bit ~path
-                      (Printf.sprintf
-                         "forced outcome %b has probability zero"
-                         v)
-                  else v
-              | None -> draw_outcome rng p1)
-          | None -> draw_outcome rng p1
-        in
-        project ~qubit ~value:outcome;
-        let recorded =
-          if need_pos && Hashtbl.mem flip_bit bit then begin
-            incr injected;
-            not outcome
-          end
-          else outcome
-        in
-        bits.(bit) <- recorded;
-        (* Reset is an X conditioned on the *recorded* outcome, so a
-           misread fault leaves the qubit physically wrong — exactly the
-           failure mode the campaigns probe. *)
-        if reset && recorded then
-          if outcome then set_bit_zero ~qubit else apply_gate (Gate.X qubit);
-        executed.t_measure <- executed.t_measure + 1;
-        if hooked then emit (Measured { qubit; bit; outcome = recorded });
-        exec path (pos + 1) rest
-    | Instr.If_bit { bit; value; body } :: rest ->
-        let taken = bits.(bit) = value in
-        let taken =
-          if need_pos && Hashtbl.mem skip_at pos then begin
-            if taken then incr injected;
-            false
-          end
-          else taken
-        in
-        incr branches;
-        if taken then incr branches_taken;
-        if hooked then emit (Branch { bit; value; taken });
-        let pos_end =
-          if taken then exec path (pos + 1) body
-          else if need_pos then pos + 1 + Instr.count_instrs body
-          else pos
-        in
-        exec path pos_end rest
-    | Instr.Span { label; body; _ } :: rest ->
-        let pos =
-          if track_path then begin
-            let spath = path @ [ label ] in
-            if hooked then emit (Span_enter { label; path = spath });
-            let p = exec spath pos body in
-            if hooked then emit (Span_exit { label; path = spath });
-            p
-          end
-          else exec path pos body
-        in
-        exec path pos rest
-    | Instr.Call { body; _ } :: rest ->
-        (* Lazy expansion: a reference executes its body in place; nothing
-           is materialized, so sharing is free at simulation time too. *)
-        let pos = exec path pos body in
-        exec path pos rest
-  in
-  ignore (exec [] 0 c.instrs);
-  (* Per-run telemetry lands once per run, not per instruction, so the
-     hot loop above pays nothing for it. GC deltas use [Gc.quick_stat]
-     (cheap, and per-domain on OCaml 5, so a shot's delta is its own
-     allocation even under the parallel runner). *)
+  let code = prog.code and n = Array.length prog.code in
+  let pc = ref 0 in
+  while !pc < n do
+    let i = !pc in
+    if i >= !next_mark then pass_marks i;
+    let op = code.(i) in
+    if op < op_measure then begin
+      let g = prog.gates.(i) in
+      apply_gate g;
+      tally.(op) <- tally.(op) + 1;
+      if hooked then emit (Gate_applied g);
+      if i >= !next_patch && patched i then begin
+        (* Injected Paulis are faults, not program gates: applied through
+           the engine but never tallied. *)
+        List.iter apply_gate patch.paulis.(!patch_cursor);
+        injected := !injected + patch.counts.(!patch_cursor)
+      end;
+      (if budget < max_int then
+         let actual = State.support_size !state in
+         if actual > budget then
+           Mbu_error.resource_limit ~path:!path ~limit:budget ~actual
+             ~subsystem:"Sim.run" "sparse state exceeds the term budget");
+      pc := i + 1
+    end
+    else if op = op_measure then begin
+      let qubit = prog.a.(i) and bit = prog.b.(i) in
+      (* Support size peaks just before a measurement collapses the state,
+         so sampling here (O(1)) catches the run's high-water without a
+         per-gate probe. *)
+      let terms = State.support_size !state in
+      if terms > !peak_terms then peak_terms := terms;
+      let p1 = State.prob_bit_one !state qubit in
+      let forced = match force with Some f -> f bit | None -> None in
+      let outcome =
+        match forced with
+        | Some v ->
+            if if v then p1 <= 1e-12 else p1 >= 1.0 -. 1e-12 then
+              Mbu_error.invalid ~subsystem:"Sim.run" ~qubit ~bit ~path:!path
+                (Printf.sprintf "forced outcome %b has probability zero" v)
+            else v
+        | None -> draw_outcome rng p1
+      in
+      if reference then
+        state := State.Reference.project !state ~qubit ~value:outcome
+      else State.project_inplace !state ~qubit ~value:outcome;
+      let recorded =
+        if patch.flips <> [] && List.mem bit patch.flips then begin
+          incr injected;
+          not outcome
+        end
+        else outcome
+      in
+      bits.(bit) <- recorded;
+      (* Reset is an X conditioned on the *recorded* outcome, so a misread
+         fault leaves the qubit physically wrong — exactly the failure mode
+         the campaigns probe. *)
+      if prog.c.(i) = 1 && recorded then
+        if not outcome then apply_gate (Gate.X qubit)
+        else if reference then
+          state := State.Reference.set_bit_zero !state ~qubit
+        else State.set_bit_zero_inplace !state ~qubit;
+      tally.(op_measure) <- tally.(op_measure) + 1;
+      if hooked then emit (Measured { qubit; bit; outcome = recorded });
+      pc := i + 1
+    end
+    else begin
+      let bit = prog.a.(i) and value = prog.b.(i) = 1 in
+      let guard = bits.(bit) = value in
+      let taken =
+        if i >= !next_patch && patched i then begin
+          if guard then incr injected;
+          false
+        end
+        else guard
+      in
+      incr branches;
+      if taken then incr branches_taken;
+      if hooked then emit (Branch { bit; value; taken });
+      if taken then pc := i + 1
+      else begin
+        pc := prog.c.(i);
+        if track then seek prog.skip_mark.(i)
+      end
+    end
+  done;
+  if track then pass_marks n;
+  (* Per-run telemetry lands once per run, not per instruction. The GC
+     deltas read [Gc.counters] (per-domain on OCaml 5, so a shot's delta is
+     its own allocation even under the parallel runner). *)
+  let minor1, _, major1 = Gc.counters () in
   Telemetry.incr m_runs;
   Telemetry.observe m_run_seconds (Telemetry.now () -. t_start);
-  let gc_end = Gc.quick_stat () in
-  Telemetry.add m_gc_minor_words
-    (max 0 (int_of_float (gc_end.Gc.minor_words -. gc_start.Gc.minor_words)));
-  Telemetry.add m_gc_major_words
-    (max 0 (int_of_float (gc_end.Gc.major_words -. gc_start.Gc.major_words)));
-  Telemetry.add m_gates
-    (executed.t_x + executed.t_z + executed.t_h + executed.t_phase
-   + executed.t_cnot + executed.t_cz + executed.t_swap + executed.t_toffoli
-   + executed.t_cphase);
-  Telemetry.add m_measurements executed.t_measure;
+  Telemetry.add m_gc_minor_words (max 0 (int_of_float (minor1 -. minor0)));
+  Telemetry.add m_gc_major_words (max 0 (int_of_float (major1 -. major0)));
+  let gates = ref 0 in
+  for k = 0 to op_measure - 1 do
+    gates := !gates + tally.(k)
+  done;
+  Telemetry.add m_gates !gates;
+  Telemetry.add m_measurements tally.(op_measure);
   Telemetry.add m_branches !branches;
   Telemetry.add m_branches_taken !branches_taken;
   Telemetry.observe_max m_peak_terms !peak_terms;
-  { state = !state; bits; executed = counts_of_tally executed;
-    injected = !injected }
+  let count op = float_of_int tally.(op) in
+  let executed =
+    { Counts.x = count op_x; z = count op_z; h = count op_h;
+      phase = count op_phase; cnot = count op_cnot; cz = count op_cz;
+      swap = count op_swap; toffoli = count op_toffoli;
+      cphase = count op_cphase; measure = count op_measure }
+  in
+  { state = !state; bits; executed; injected = !injected }
+
+let run ?rng ?on_event ?engine ?force ?faults ?max_terms c ~init =
+  run_program ?rng ?on_event ?engine ?force ?faults ?max_terms (compile c)
+    ~init
 
 let init_registers ~num_qubits assignments =
   let idx = ref 0 in
@@ -388,18 +501,19 @@ let run_shots ?(seed = 0) ?jobs ?stats ?(engine = Fast) ?force ?faults
     match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
   in
   let collect = Option.is_some stats in
+  let prog = compile c in
   let shot i =
     let rng = shot_rng ~seed i in
     if collect then begin
       let st = new_stats () in
       let r =
-        run ~rng ~on_event:(stats_hook st) ~engine ?force ?faults ?max_terms c
-          ~init
+        run_program ~rng ~on_event:(stats_hook st) ~engine ?force ?faults
+          ?max_terms prog ~init
       in
       record_run st;
       (r, Some st)
     end
-    else (run ~rng ~engine ?force ?faults ?max_terms c ~init, None)
+    else (run_program ~rng ~engine ?force ?faults ?max_terms prog ~init, None)
   in
   let results = Parallel.map_tasks ~jobs ~tasks:shots shot in
   (match stats with
@@ -436,14 +550,15 @@ let register_value_exn state reg =
         (Printf.sprintf "%s is in superposition" (Register.name reg))
 
 let wires_zero state ~except =
-  let marked = Hashtbl.create 64 in
-  List.iter
-    (fun r -> Array.iter (fun q -> Hashtbl.replace marked q ()) (Register.qubits r))
-    except;
   let n = State.num_qubits state in
+  let marked = Array.make n false in
+  List.iter
+    (fun r ->
+      Array.iter (fun q -> if q < n then marked.(q) <- true) (Register.qubits r))
+    except;
   let rec check q =
     if q >= n then true
-    else if Hashtbl.mem marked q then check (q + 1)
+    else if marked.(q) then check (q + 1)
     else
       match State.bit_value state q with
       | Some false -> check (q + 1)
@@ -476,13 +591,14 @@ let tally_of_values values =
          if a <> b then compare b a else compare va vb)
 
 let sample_register ?rng ?(seed = 0) ?jobs ~shots c ~init reg =
+  let prog = compile c in
   match rng with
   | Some rng ->
       (* Legacy sequential path: a caller-supplied generator is shared
          across shots, so the shots must run in order on one thread. *)
       let values = Array.make shots 0 in
       for i = 0 to shots - 1 do
-        let r = run ~rng c ~init in
+        let r = run_program ~rng prog ~init in
         values.(i) <- measure_register rng r.state reg
       done;
       tally_of_values values
@@ -493,7 +609,7 @@ let sample_register ?rng ?(seed = 0) ?jobs ~shots c ~init reg =
       let values =
         Parallel.map_tasks ~jobs ~tasks:shots (fun i ->
             let rng = shot_rng ~seed i in
-            let r = run ~rng c ~init in
+            let r = run_program ~rng prog ~init in
             measure_register rng r.state reg)
       in
       tally_of_values values
@@ -514,13 +630,19 @@ let circuits_equal_unitary ?dim_qubits a b =
     Circuit.make ~num_qubits:n ~num_bits:c.Circuit.num_bits c.Circuit.instrs
   in
   let a = widen a and b = widen b in
+  if not (Circuit.is_unitary a && Circuit.is_unitary b) then
+    invalid_arg "Sim.unitary_column: circuit contains measurements";
+  let pa = compile a and pb = compile b in
+  let column prog j =
+    (run_program prog ~init:(State.basis ~num_qubits:n j)).state
+  in
   (* Columns must match up to a single global phase shared across all
      columns. Compare the relative phase of each column against column 0 by
      checking U_a |+...+> against U_b |+...+> as well as each basis state. *)
   let dim = 1 lsl n in
   let col_ok = ref true in
   for j = 0 to dim - 1 do
-    if State.fidelity (unitary_column a j) (unitary_column b j) < 1. -. 1e-9 then
+    if State.fidelity (column pa j) (column pb j) < 1. -. 1e-9 then
       col_ok := false
   done;
   (* catching relative-phase differences between columns: feed the uniform
@@ -529,5 +651,5 @@ let circuits_equal_unitary ?dim_qubits a b =
     let amp : Complex.t = { re = 1.0 /. sqrt (float_of_int dim); im = 0.0 } in
     State.of_alist ~num_qubits:n (List.init dim (fun j -> (j, amp)))
   in
-  let through (c : Circuit.t) = (run c ~init:uniform).state in
-  !col_ok && State.fidelity (through a) (through b) > 1. -. 1e-9
+  let through prog = (run_program prog ~init:uniform).state in
+  !col_ok && State.fidelity (through pa) (through pb) > 1. -. 1e-9

@@ -40,11 +40,16 @@ type event =
     backend-equivalence property tests enforce this); they differ only in
     speed.
 
-    - [Fast] (default): classical track for single-basis-vector states
-      (O(1) permutation gates, zero allocation) with automatic promotion to
-      the in-place sparse kernel under superposition and demotion back.
+    - [Fast] (default): the product track for products of Z-basis and
+      X-basis wires (O(1) mask updates for X, Z, H, Swap, CZ and CNOT /
+      Toffoli with Z-basis controls, an exact coin flip for measuring an
+      X-basis wire, no allocation). An operation that needs the amplitudes
+      of an X-basis wire (a control on it, a phase rotation on it) promotes
+      the state to the in-place sparse kernel, and a sparse state that
+      collapses to one basis vector demotes back. MBU circuits on basis
+      inputs stay on the product track.
     - [Sparse]: pin the state to the in-place sparse kernel for the whole
-      run, even where the classical track would apply.
+      run, even where the product track would apply.
     - [Reference]: the seed simulator's pure rebuild-per-gate algorithms —
       the oracle for equivalence tests and the benchmark baseline. *)
 type engine = Fast | Sparse | Reference
@@ -74,11 +79,34 @@ val run :
     keys on the recorded value) follow the fault. Injected Paulis are not
     counted in [executed].
 
-    [max_terms] bounds the state's sparse support; the first gate that
-    leaves more than this many table entries raises a
-    [Mbu_error.Resource_limit] carrying the enclosing span path — a clean
-    failure instead of thrashing toward OOM on an accidentally dense
-    circuit. *)
+    [max_terms] bounds the state's support ({!State.support_size}: the
+    basis terms a product-track state denotes, 2{^k} for k X-basis wires,
+    or the sparse table's entries); the first gate that leaves more than
+    this many raises a [Mbu_error.Resource_limit] carrying the enclosing
+    span path — a clean failure instead of thrashing toward OOM on an
+    accidentally dense circuit. *)
+
+(** {1 Compiled programs}
+
+    [run] lowers its circuit to a flat program on every call. Callers that
+    run one circuit many times compile it once: {!run_shots},
+    {!sample_register}, {!circuits_equal_unitary} and the robustness
+    campaigns do. *)
+
+type program
+(** A circuit lowered to int arrays: one slot per static instruction
+    position ([Call]s expanded, so fault sites index slots directly),
+    [If_bit] as a forward jump past its body, and span boundaries as
+    weightless marks read only when a hook or [max_terms] observes them. *)
+
+val compile : Circuit.t -> program
+
+val run_program :
+  ?rng:Random.State.t -> ?on_event:(event -> unit) -> ?engine:engine ->
+  ?force:(int -> bool option) -> ?faults:Fault.t list -> ?max_terms:int ->
+  program -> init:State.t -> run
+(** [run] on a compiled circuit: [run c] is [run_program (compile c)], with
+    the same results. *)
 
 val init_registers : num_qubits:int -> (Register.t * int) list -> State.t
 (** Basis state with each register holding the given unsigned value (LSB

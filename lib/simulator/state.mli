@@ -1,20 +1,27 @@
-(** Sparse state vectors with a classical fast track.
+(** Sparse state vectors with a Z/X product fast track.
 
     A state over [num_qubits] wires (at most 62) is a finite map from basis
     indices to complex amplitudes; basis index bit [i] is the value of wire
     [i]. Sparsity is what makes simulating the ripple-carry circuits cheap:
     a computational-basis input stays a single basis state under X / CNOT /
-    Toffoli, and the measurement-based blocks only ever put one ancilla at a
-    time into superposition.
+    Toffoli, and the measurement-based blocks only ever put a few ancillas
+    into |+> or |->.
 
-    Internally a state rides one of two tracks. The {e classical} track
-    stores a single basis vector as a plain [int] (plus its global-phase
-    amplitude) and applies permutation gates in O(1) with zero allocation.
-    H promotes to the {e sparse} track — a hash table mutated in place for
-    permutation and diagonal gates, double-buffered only for H — and the
-    state demotes back to classical as soon as the support collapses to one
-    term. Dense states (QFT circuits) are still exact, just limited to
-    small wire counts.
+    Internally a state rides one of two tracks. The {e product} track
+    stores a product of Z-basis wires (an [int] of bits) and X-basis wires
+    (a mask of wires in |+> or |-> and a mask of the |-> ones), plus a
+    global-phase amplitude. X, Z, H, Swap, CZ and CNOT / Toffoli whose
+    controls are Z-basis wires are O(1) mask updates with zero allocation,
+    and measuring an X-basis wire has probability exactly 1/2 — which
+    covers MBU's H.U_g.H.X correction (the garbage qubit is only ever a
+    target while in |->) and the H-measure AND erasure. An operation that
+    needs an X-basis wire's amplitudes — a control on it, a [Phase] or
+    [Cphase] on it, a CZ between two X-basis wires, clearing it — promotes
+    the state to the {e sparse} track holding the 2{^k} terms it denotes: a
+    hash table mutated in place for permutation and diagonal gates,
+    double-buffered only for H. A sparse state demotes back to the product
+    track as soon as its support collapses to one term. Dense states (QFT
+    circuits) are still exact, just limited to small wire counts.
 
     The [*_inplace] operations mutate the state; the same-named pure
     functions copy first and are safe to use on shared states. *)
@@ -38,10 +45,11 @@ val to_alist : t -> (int * Complex.t) list
 val num_terms : t -> int
 
 val support_size : t -> int
-(** Number of stored amplitude entries — 1 on the classical track, the raw
-    hash-table size on the sparse track (negligible amplitudes included,
-    unlike {!num_terms}). O(1); this is the memory-cost figure the
-    [Sim.run ?max_terms] budget compares against. *)
+(** Number of basis terms the state holds: 2{^k} on the product track with
+    k X-basis wires, the raw hash-table size on the sparse track
+    (negligible amplitudes included, unlike {!num_terms}). O(1); this is
+    the size figure the [Sim.run ?max_terms] budget compares against, and
+    the same number the sparse table would hold for that state. *)
 
 val norm : t -> float
 val normalize : t -> t
@@ -51,13 +59,15 @@ val copy : t -> t
     the original. *)
 
 val is_classical : t -> bool
-(** True while the state is on the classical (single basis vector) track. *)
+(** True while the state is a single basis vector on the product track (no
+    X-basis wire). *)
 
 val force_sparse : t -> unit
 (** Move the state to the sparse track and pin it there: it will not demote
-    back to the classical track even when the support is a single term.
+    back to the product track even when the support is a single term.
     Used by tests and benchmarks to exercise the sparse kernel on circuits
-    that would otherwise stay classical. Copies inherit the pin. *)
+    that would otherwise stay on the product track. Copies inherit the
+    pin. *)
 
 val apply_gate : t -> Gate.t -> t
 val apply_gate_inplace : t -> Gate.t -> unit

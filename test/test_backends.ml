@@ -192,6 +192,164 @@ let test_sample_register_jobs_independent () =
   Alcotest.(check int) "total shots" 64
     (List.fold_left (fun acc (_, k) -> acc + k) 0 t1)
 
+(* The product track against the oracle on random adaptive programs over
+   6 wires: gates, measurements (with and without reset) and conditionals
+   on earlier outcomes, from basis inputs. Besides single gates the
+   generator emits motifs that put a wire in |+>/|-> and then use it as a
+   control or under a phase (promoting to the sparse table) before undoing
+   both (demoting back), so runs cross between the tracks. *)
+type raw =
+  | Raw_gate of Gate.t
+  | Raw_measure of Gate.qubit * bool
+  | Raw_if of int * bool * Gate.t list
+  | Raw_motif of Gate.t list
+
+let gen_adaptive =
+  QCheck.Gen.(
+    let nq = 6 in
+    let wire = int_range 0 (nq - 1) in
+    (* Three distinct wires. *)
+    let wires3 =
+      wire >>= fun a ->
+      int_range 1 (nq - 1) >>= fun db ->
+      int_range 1 (nq - 2) >>= fun dc ->
+      let b = (a + db) mod nq in
+      let c =
+        let rec skip c = if c = a || c = b then skip ((c + 1) mod nq) else c in
+        skip ((b + dc) mod nq)
+      in
+      return (a, b, c)
+    in
+    let gate =
+      int_range 0 7 >>= fun kind ->
+      wires3 >>= fun (a, b, c) ->
+      return
+        (match kind with
+        | 0 -> Gate.X a
+        | 1 -> Gate.Z a
+        | 2 -> Gate.H a
+        | 3 -> Gate.Cnot { control = a; target = b }
+        | 4 -> Gate.Cz (a, b)
+        | 5 -> Gate.Toffoli { c1 = a; c2 = b; target = c }
+        | 6 -> Gate.Swap (a, b)
+        | _ -> Gate.Phase (a, Phase.theta (2 + (c mod 2))))
+    in
+    let motif =
+      wires3 >>= fun (a, b, _) ->
+      oneofl
+        [ [ Gate.H a; Gate.Cnot { control = a; target = b };
+            Gate.Cnot { control = a; target = b }; Gate.H a ];
+          [ Gate.H a; Gate.Phase (a, Phase.theta 3);
+            Gate.Phase (a, Phase.neg (Phase.theta 3)); Gate.H a ];
+          [ Gate.H a; Gate.H b; Gate.Cz (a, b); Gate.Cz (a, b); Gate.H b;
+            Gate.H a ] ]
+    in
+    let raw =
+      frequency
+        [ (8, map (fun g -> Raw_gate g) gate);
+          (2, map2 (fun q r -> Raw_measure (q, r)) wire bool);
+          (2, map3 (fun k v body -> Raw_if (k, v, body)) nat bool
+                (list_size (int_range 0 4) gate));
+          (2, map (fun gs -> Raw_motif gs) motif) ]
+    in
+    triple (list_size (int_range 1 40) raw) (int_range 0 ((1 lsl nq) - 1)) nat)
+
+(* Measurements write fresh bits in order; a conditional reads one of the
+   bits written before it (bit 0, never written, when there is none). *)
+let program_of_raw raws =
+  let bits = ref 0 in
+  let gates = List.map (fun g -> Instr.Gate g) in
+  let instrs =
+    List.concat_map
+      (function
+        | Raw_gate g -> [ Instr.Gate g ]
+        | Raw_motif gs -> gates gs
+        | Raw_measure (qubit, reset) ->
+            let bit = !bits in
+            incr bits;
+            [ Instr.Measure { qubit; bit; reset } ]
+        | Raw_if (k, value, body) ->
+            [ Instr.If_bit
+                { bit = (if !bits = 0 then 0 else k mod !bits); value;
+                  body = gates body } ])
+      raws
+  in
+  Circuit.make ~num_qubits:6 ~num_bits:(max 1 !bits) instrs
+
+let arb_adaptive =
+  QCheck.make gen_adaptive ~print:(fun (raws, idx, seed) ->
+      Format.asprintf "init=%d seed=%d@.%a" idx seed Circuit.pp
+        (program_of_raw raws))
+
+let prop_product_track_matches_reference =
+  QCheck.Test.make ~name:"product track = oracle on adaptive programs"
+    ~count:300 arb_adaptive (fun (raws, idx, seed) ->
+      let c = program_of_raw raws in
+      let init = State.basis ~num_qubits:6 idx in
+      let rf = run_engine Sim.Fast ~seed c ~init in
+      let rr = run_engine Sim.Reference ~seed c ~init in
+      rf.Sim.bits = rr.Sim.bits
+      && Counts.approx_equal rf.Sim.executed rr.Sim.executed
+      && State.fidelity rf.Sim.state rr.Sim.state > 1. -. 1e-9)
+
+(* The motifs really leave the product track and come back. *)
+let test_motifs_promote_and_demote () =
+  let s = State.basis ~num_qubits:2 0b10 in
+  let step g =
+    State.apply_gate_inplace s g;
+    (State.is_classical s, State.support_size s)
+  in
+  Alcotest.(check (pair bool int)) "H: X-basis wire" (false, 2) (step (Gate.H 0));
+  Alcotest.(check (pair bool int))
+    "control on it: Bell pair on the sparse table" (false, 2)
+    (step (Gate.Cnot { control = 0; target = 1 }));
+  ignore (step (Gate.Cnot { control = 0; target = 1 }));
+  Alcotest.(check (pair bool int)) "H again: one basis vector" (true, 1)
+    (step (Gate.H 0));
+  Alcotest.(check (option int)) "value restored" (Some 0b10)
+    (State.classical_value s)
+
+(* The five ripple rows of the Monte-Carlo workload at their widths: the
+   product track must draw the same outcomes as the pinned sparse kernel,
+   shot for shot (the VBE rows are outside [prop_engines_agree]). *)
+let test_montecarlo_rows_fast_eq_sparse () =
+  let modadd spec b ~p ~x ~y = Mod_add.modadd ~mbu:true spec b ~p ~x ~y in
+  let rows =
+    [ ("vbe5", 15, Mod_add.modadd_vbe_5adder ~mbu:true);
+      ("vbe4", 15, Mod_add.modadd_vbe_4adder ~mbu:true);
+      ("cdkpm", 16, modadd Mod_add.spec_cdkpm);
+      ("cdkpm+gidney", 16, modadd Mod_add.spec_mixed);
+      ("gidney", 14, modadd Mod_add.spec_gidney) ]
+  in
+  List.iter
+    (fun (name, n, build) ->
+      let p = (1 lsl (n - 1)) lor 0x2b5 in
+      let b = Builder.create () in
+      let x = Builder.fresh_register b "x" n in
+      let y = Builder.fresh_register b "y" n in
+      build b ~p ~x ~y;
+      let c = Builder.to_circuit b in
+      let xv = p - 2 and yv = p / 3 in
+      let init =
+        Sim.init_registers ~num_qubits:(Builder.num_qubits b)
+          [ (x, xv); (y, yv) ]
+      in
+      let shots engine =
+        Sim.run_shots ~seed:11 ~jobs:1 ~engine ~shots:200 c ~init
+      in
+      let fast = shots Sim.Fast and sparse = shots Sim.Sparse in
+      Alcotest.(check bool) (name ^ ": same bits every shot") true
+        (Array.for_all2
+           (fun (a : Sim.run) (b : Sim.run) -> a.Sim.bits = b.Sim.bits)
+           fast sparse);
+      Alcotest.(check bool) (name ^ ": oracle holds") true
+        (Array.for_all
+           (fun (r : Sim.run) ->
+             Sim.register_value r.Sim.state y = Some ((xv + yv) mod p)
+             && Sim.wires_zero r.Sim.state ~except:[ x; y ])
+           fast))
+    rows
+
 let suite =
   ( "backends",
     [ qtest prop_engines_agree;
@@ -200,4 +358,9 @@ let suite =
       Alcotest.test_case "run_shots stats = sequential stats" `Quick
         test_run_shots_stats_match_sequential;
       Alcotest.test_case "sample_register jobs-independent" `Quick
-        test_sample_register_jobs_independent ] )
+        test_sample_register_jobs_independent;
+      qtest prop_product_track_matches_reference;
+      Alcotest.test_case "motifs promote and demote" `Quick
+        test_motifs_promote_and_demote;
+      Alcotest.test_case "Table-1 rows: Fast = Sparse per shot" `Quick
+        test_montecarlo_rows_fast_eq_sparse ] )

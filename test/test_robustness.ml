@@ -213,6 +213,75 @@ let test_flip_outcome_always_detected () =
         [ true; false ])
     bits
 
+(* Faults through the compiled program: slots are fault positions, so on
+   CDKPM at n = 3 every single-X plan (and one plan skipping every
+   conditional) must classify and count injections identically on the
+   product track and the oracle engine. *)
+let test_compiled_faults_fast_eq_reference () =
+  let spec = (Option.get (Catalogue.find "cdkpm")).Catalogue.make ~n:3 ~p:5 in
+  let c = spec.Engine.circuit in
+  let sites = Fault.sites c.Circuit.instrs in
+  let agree name ~seeds faults =
+    List.iter
+      (fun seed ->
+        let rng () = Random.State.make [| 41; seed |] in
+        let classify engine =
+          Engine.classify ~engine ~rng:(rng ()) ~faults spec
+        in
+        let injected engine =
+          let r = Sim.run ~rng:(rng ()) ~engine ~faults c ~init:spec.Engine.init in
+          r.Sim.injected
+        in
+        Alcotest.check outcome
+          (Printf.sprintf "%s, seed %d: classification" name seed)
+          (classify Sim.Reference) (classify Sim.Fast);
+        Alcotest.(check int)
+          (Printf.sprintf "%s, seed %d: injected" name seed)
+          (injected Sim.Reference) (injected Sim.Fast))
+      seeds
+  in
+  List.iteri
+    (fun k site ->
+      agree (Printf.sprintf "site %d" k) ~seeds:[ 0; 1 ]
+        [ Fault.of_site ~pauli:Fault.X site ])
+    sites;
+  let skips =
+    List.filter_map
+      (function
+        | Fault.Branch_site { pos; _ } -> Some (Fault.Skip_block { pos })
+        | Fault.Gate_site _ | Fault.Measure_site _ -> None)
+      sites
+  in
+  Alcotest.(check bool) "has conditionals" true (skips <> []);
+  agree "skip every If_bit" ~seeds:(List.init 8 Fun.id) skips
+
+(* Only [Mbu_error] means "detected": an [Invalid_argument] from a state
+   kernel (here: measuring a zero-amplitude state) is a simulator bug and
+   must escape classification and campaigns instead of counting as a
+   detected fault. *)
+let test_classify_propagates_kernel_errors () =
+  let circuit =
+    Circuit.make ~num_qubits:1 ~num_bits:1
+      [ Instr.Measure { qubit = 0; bit = 0; reset = false } ]
+  in
+  let spec =
+    { Engine.name = "zero-amplitude"; circuit;
+      init = State.of_alist ~num_qubits:1 [ (0, Complex.zero) ];
+      keep = []; expect = []; detectors = [] }
+  in
+  (match Engine.classify ~rng:(Random.State.make [| 1 |]) ~faults:[] spec with
+  | o ->
+      Alcotest.failf "classify: expected Invalid_argument, got %s"
+        (Engine.outcome_name o)
+  | exception Invalid_argument _ -> ());
+  match
+    Engine.run_campaign ~jobs:1
+      ~plan:(Engine.Random { runs = 2; faults_per_run = 1 })
+      spec
+  with
+  | _ -> Alcotest.fail "run_campaign: expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   ( "robustness",
     [ Alcotest.test_case "site enumeration consistent" `Quick
@@ -231,4 +300,8 @@ let suite =
         test_force_zero_probability_rejected;
       Alcotest.test_case "injected counter" `Quick test_injected_counter;
       Alcotest.test_case "outcome misread always detected" `Quick
-        test_flip_outcome_always_detected ] )
+        test_flip_outcome_always_detected;
+      Alcotest.test_case "compiled faults: Fast = Reference" `Quick
+        test_compiled_faults_fast_eq_reference;
+      Alcotest.test_case "kernel errors are not detections" `Quick
+        test_classify_propagates_kernel_errors ] )

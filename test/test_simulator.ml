@@ -226,9 +226,10 @@ let test_init_registers_wide_guard () =
   check_rejected "oversize rejected (narrow)" ~register:"s" (fun () ->
       ignore (Sim.init_registers ~num_qubits:3 [ (s, 8) ]))
 
-(* The classical track: permutation and diagonal gates keep a basis state
-   on the int representation; H promotes to sparse and recombination
-   demotes back; force_sparse pins the sparse kernel. *)
+(* The product track: permutation and diagonal gates keep a basis state a
+   single basis vector; H on |1> makes the wire |-> (two terms, still on
+   the product track) and a second H returns it; force_sparse pins the
+   sparse kernel. *)
 let test_classical_track_promotion () =
   let s = State.basis ~num_qubits:3 0b001 in
   check_bool "basis is classical" true (State.is_classical s);
@@ -240,10 +241,13 @@ let test_classical_track_promotion () =
   in
   check_bool "permutation/diagonal stay classical" true (State.is_classical s);
   let s = State.apply_gate s (Gate.H 0) in
-  check_bool "H promotes to sparse" false (State.is_classical s);
+  check_bool "H|1>: not a basis vector" false (State.is_classical s);
   check_int "two terms" 2 (State.num_terms s);
+  check_int "support size" 2 (State.support_size s);
+  Alcotest.(check (float 0.)) "exact coin" 0.5 (State.prob_bit_one s 0);
   let s = State.apply_gate s (Gate.H 0) in
-  check_bool "HH demotes back to classical" true (State.is_classical s);
+  check_bool "HH: a basis vector again" true (State.is_classical s);
+  check_int "HH|1> = |1>" 0b011 (classical_exn s);
   let pinned = State.copy s in
   State.force_sparse pinned;
   let pinned = State.apply_gate (State.apply_gate pinned (Gate.H 0)) (Gate.H 0) in
