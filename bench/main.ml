@@ -784,9 +784,9 @@ let experiment_build_bench () =
   fpf "  tree = pre-PR representation (Instr.expand_calls, every shared@.";
   fpf "  block inlined); dag = hash-consed IR. The p/dag and p/tree columns@.";
   fpf "  run the profiler with span_depth:false on both sides (conservative@.";
-  fpf "  same-methodology comparison); pre-PR is the profiler exactly as@.";
-  fpf "  pre-PR callers ran it — on the tree, per-span isolated ASAP depth@.";
-  fpf "  included, with no way to opt out.@.@.";
+  fpf "  same-methodology comparison); pre-PR is the profiler as pre-DAG@.";
+  fpf "  callers ran it — on the tree, per-span isolated ASAP depth@.";
+  fpf "  included (now one Depth.spans walk, no longer a walk per span).@.@.";
   let t1_rows =
     List.map
       (fun (name, build) ->
@@ -845,9 +845,8 @@ let experiment_build_bench () =
         let profile_tree_ms =
           time_ms (fun () -> ignore (Trace.profile ~mode ~span_depth:false tree))
         in
-        (* the profiler exactly as pre-PR callers invoked it: tree
-           representation, per-span isolated depth always on (one rep — the
-           big rows take hundreds of ms) *)
+        (* the profiler as pre-DAG callers invoked it: tree representation,
+           per-span isolated depth on (one rep) *)
         let t0 = Unix.gettimeofday () in
         ignore (Trace.profile ~mode ~span_depth:true tree);
         let profile_pre_pr_ms = (Unix.gettimeofday () -. t0) *. 1000. in

@@ -203,10 +203,7 @@ let counts_cmd =
     in
     let c = Builder.to_circuit builder in
     let counts = Circuit.counts ~mode c in
-    let depth_mode =
-      match mode with Counts.Worst -> `Worst | _ -> `Expected 0.5
-    in
-    let d = Depth.of_circuit ~mode:depth_mode c in
+    let d = Depth.of_circuit ~mode:(Depth.of_counts_mode mode) c in
     Format.printf "circuit     : %s (%s%s), n = %d@." circuit
       (Adder.style_name style) (if mbu then ", MBU" else "") n;
     Format.printf "qubits      : %d (%d inputs + %d ancillas)@."

@@ -17,5 +17,27 @@
 
 type r = { total : float; toffoli : float }
 
+type mode = [ `Worst | `Expected of float ]
+
+val of_counts_mode : Counts.mode -> mode
+(** The one mapping from a counting mode to a depth mode: [Worst] is
+    [`Worst], [Best] is [`Expected 0.] (conditional bodies add no layers) and
+    [Expected p] is [`Expected p]. *)
+
 val of_instrs : mode:[ `Worst | `Expected of float ] -> Instr.t list -> r
+(** One walk of the expansion ([Call]s walked in full, since depth is not
+    compositional), with per-wire and per-bit fronts in arrays sized by
+    {!Instr.scan}: O(expanded instructions). *)
+
 val of_circuit : mode:[ `Worst | `Expected of float ] -> Circuit.t -> r
+
+val spans : mode -> Instr.t list -> r array
+(** [spans mode instrs] scores the root and every {!Instr.Span} in one walk.
+    Index 0 is [of_instrs ~mode instrs]; index [i >= 1] is the isolated
+    depth of the [i]-th span in expanded pre-order ([Call]s expanded, spans
+    inside conditional bodies included), equal to [of_instrs ~mode] of that
+    span's body: the span's own branch weight starts at 1 and it sees no
+    wire, bit or conditional outside it. The array has
+    [(Instr.scan instrs).span_count + 1] entries. Every gate advances the
+    fronts of each span enclosing it, so the cost is O(expanded
+    instructions x span nesting). *)

@@ -14,11 +14,6 @@ type entry = {
 
 let root_label = "(root)"
 
-let depth_mode = function
-  | Counts.Worst -> `Worst
-  | Counts.Best -> `Expected 0.
-  | Counts.Expected p -> `Expected p
-
 let cum_of flat children =
   List.fold_left (fun acc e -> Counts.add acc e.cum) flat children
 
@@ -39,14 +34,17 @@ let profile ?(mode = Counts.Expected 0.5) ?(span_depth = true) instrs =
   let branch_weight =
     match mode with Counts.Worst -> 1. | Best -> 0. | Expected p -> p
   in
-  let depth_of body =
-    (* Per-span isolated ASAP depth is the one metric that cannot be
-       memoized across contexts cheaply (ancestor spans re-walk their whole
-       expansion); [~span_depth:false] skips it for cryptographic-scale
-       sweeps where only counts/attribution matter. *)
-    if span_depth then Depth.of_instrs ~mode:(depth_mode mode) body
-    else { Depth.total = 0.; toffoli = 0. }
+  (* Isolated depths of the root and of every span, in expanded pre-order,
+     from one walk; [ix] is the pre-order index of the last span entered.
+     Isolated depth does not depend on context, so a memoized subtree keeps
+     the depths of its first visit and a later reference only skips its
+     node's spans. *)
+  let depths =
+    if span_depth then Depth.spans (Depth.of_counts_mode mode) instrs
+    else
+      Array.make ((Instr.scan instrs).span_count + 1) { Depth.total = 0.; toffoli = 0. }
   in
+  let ix = ref 0 in
   (* [clock] is the running weighted instruction count — the span timeline's
      time axis; a gate or measurement under branch probability [w] advances
      it by [w]. *)
@@ -108,8 +106,9 @@ let profile ?(mode = Counts.Expected 0.5) ?(span_depth = true) instrs =
           | Instr.Span { label; peak_ancillas; body } ->
               let start = clock.c in
               let cpath = path @ [ label ] in
+              incr ix;
+              let d = depths.(!ix) in
               let bflat, bkids = walk cpath w body in
-              let d = depth_of body in
               let e =
                 { label; path = cpath; start; dur = clock.c -. start;
                   flat = bflat; cum = cum_of bflat bkids; peak_ancillas;
@@ -141,7 +140,9 @@ let profile ?(mode = Counts.Expected 0.5) ?(span_depth = true) instrs =
     (flat, List.rev rev_children)
   and memo_of node =
     match Hashtbl.find_opt memo node.Instr.id with
-    | Some m -> m
+    | Some m ->
+        ix := !ix + node.Instr.summary.span_count;
+        m
     | None ->
         let saved = clock.c in
         clock.c <- 0.;
@@ -152,10 +153,7 @@ let profile ?(mode = Counts.Expected 0.5) ?(span_depth = true) instrs =
         m
   in
   let flat, children = walk [] 1. instrs in
-  let d =
-    if span_depth then Depth.of_instrs ~mode:(depth_mode mode) instrs
-    else { Depth.total = 0.; toffoli = 0. }
-  in
+  let d = depths.(0) in
   let peak =
     List.fold_left (fun m e -> max m e.peak_ancillas) 0 children
   in

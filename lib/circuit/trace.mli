@@ -26,7 +26,8 @@ type entry = {
   cum : Counts.t;  (** flat + sum of children's [cum] *)
   peak_ancillas : int;
       (** high-water mark of live builder ancillas while the span was open *)
-  total_depth : float;  (** ASAP depth of the span's body, per {!Depth} *)
+  total_depth : float;
+      (** isolated ASAP depth of the span's body, per {!Depth.spans} *)
   toffoli_depth : float;
   calls : int;
       (** 1 for entries from {!profile}; >1 after {!render}'s sibling
@@ -48,11 +49,13 @@ val profile : ?mode:Counts.mode -> ?span_depth:bool -> Instr.t list -> entry
     to profiling the expanded tree.
 
     [span_depth] (default [true]) controls the per-span isolated ASAP depth
-    columns ([total_depth]/[toffoli_depth]). They are the one metric that
-    defeats memoization — an ancestor span's depth walks its entire
-    expansion — so cryptographic-scale sweeps that only need counts and
-    attribution can pass [~span_depth:false], which reports those two fields
-    as [0.] and skips the walks. *)
+    columns ([total_depth]/[toffoli_depth]). They come from one
+    {!Depth.spans} walk of the whole expansion, which scores the root and
+    every span at once: O(expanded instructions x span nesting), the one
+    part of the profile that does not shrink with sharing. Isolated depth
+    does not depend on context, so memoized subtrees keep their depths.
+    [~span_depth:false] skips that walk and reports the two fields as [0.],
+    for sweeps that only need counts and attribution. *)
 
 val of_circuit : ?mode:Counts.mode -> ?span_depth:bool -> Circuit.t -> entry
 
@@ -70,7 +73,10 @@ val render : ?merge:bool -> ?max_depth:int -> entry -> string
 (** Fixed-width tree table (span, calls, flat/cum Toffoli, CNOT+CZ, X,
     ancillas, Toffoli-depth, total gates). [merge] (default [true]) collapses
     same-labelled siblings into one row with a call count — without it a
-    Gidney adder prints one row per bit position. [max_depth] prunes the tree
+    Gidney adder prints one row per bit position. A merged row sums its
+    instances' counts, durations and depths (ancilla peaks take the max), so
+    its depth is the serial sum of per-instance isolated depths, an upper
+    bound on the depth of the instances together. [max_depth] prunes the tree
     below the given nesting level. *)
 
 val to_json : ?counters:(string * float) list -> entry -> string

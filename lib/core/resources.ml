@@ -22,13 +22,7 @@ let measure ?(mode = Counts.Expected 0.5) ~n ~build () =
   build b;
   let circuit = Builder.to_circuit b in
   let c = Circuit.counts ~mode circuit in
-  let depth_mode =
-    match mode with
-    | Counts.Worst -> `Worst
-    | Counts.Best -> `Expected 0.
-    | Counts.Expected p -> `Expected p
-  in
-  let d = Depth.of_circuit ~mode:depth_mode circuit in
+  let d = Depth.of_circuit ~mode:(Depth.of_counts_mode mode) circuit in
   { toffoli = c.Counts.toffoli;
     cnot = c.Counts.cnot;
     cz = c.Counts.cz;

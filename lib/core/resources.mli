@@ -27,8 +27,8 @@ val measure :
 (** [measure ~mode ~n ~build ()] runs [build] on a fresh builder — [build]
     allocates its own input registers — and extracts counts and ASAP depths.
     [mode] defaults to [Counts.Expected 0.5] (the paper's accounting);
-    [qft_units] is normalized by [QFT_{n+1}]. Depths use [`Worst] for
-    [Counts.Worst] and [`Expected p] otherwise. *)
+    [qft_units] is normalized by [QFT_{n+1}]. Depths use
+    [Depth.of_counts_mode mode]. *)
 
 val monte_carlo_toffoli :
   ?shots:int ->

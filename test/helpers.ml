@@ -189,3 +189,61 @@ let check_adder_superposition ~name build n y0 =
     (Printf.sprintf "%s n=%d superposition fidelity %.6f" name n f)
     true
     (f > 1.0 -. 1e-9)
+
+(* Reference ASAP depth: a hash table of fronts per wire and per bit, each
+   gate's wires read through [Gate.qubits], and the result folded out of the
+   tables at the end. Independent of [Depth]'s array kernel, which must
+   agree with it bit for bit in every mode. *)
+let reference_depth ~mode instrs =
+  let weight = match mode with `Worst -> 1. | `Expected p -> p in
+  let qdepth = Hashtbl.create 64 and qtof = Hashtbl.create 64 in
+  let bdepth = Hashtbl.create 8 and btof = Hashtbl.create 8 in
+  let get tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:0. in
+  (* [w] is the product of branch probabilities enclosing the current
+     instruction; a gate in such a context advances the front by [w]. *)
+  let rec exec w extra_total extra_tof = function
+    | [] -> ()
+    | Instr.Gate g :: rest ->
+        let qs = Gate.qubits g in
+        let front tbl = List.fold_left (fun m q -> Float.max m (get tbl q)) 0. qs in
+        let t = Float.max (front qdepth) extra_total +. w in
+        let tof_step = if Gate.is_toffoli g then w else 0. in
+        let tt = Float.max (front qtof) extra_tof +. tof_step in
+        List.iter (fun q -> Hashtbl.replace qdepth q t) qs;
+        List.iter (fun q -> Hashtbl.replace qtof q tt) qs;
+        exec w extra_total extra_tof rest
+    | Instr.Measure { qubit; bit; _ } :: rest ->
+        let t = Float.max (get qdepth qubit) extra_total +. w in
+        let tt = Float.max (get qtof qubit) extra_tof in
+        Hashtbl.replace qdepth qubit t;
+        Hashtbl.replace bdepth bit t;
+        Hashtbl.replace qtof qubit tt;
+        Hashtbl.replace btof bit tt;
+        exec w extra_total extra_tof rest
+    | Instr.If_bit { bit; body; _ } :: rest ->
+        exec (w *. weight)
+          (Float.max extra_total (get bdepth bit))
+          (Float.max extra_tof (get btof bit))
+          body;
+        exec w extra_total extra_tof rest
+    | (Instr.Span { body; _ } | Instr.Call { body; _ }) :: rest ->
+        exec w extra_total extra_tof body;
+        exec w extra_total extra_tof rest
+  in
+  exec 1. 0. 0. instrs;
+  let max_of tbl = Hashtbl.fold (fun _ v m -> Float.max v m) tbl 0. in
+  { Depth.total = Float.max (max_of qdepth) (max_of bdepth);
+    toffoli = Float.max (max_of qtof) (max_of btof) }
+
+(* The body of every [Span] in expanded pre-order ([Call]s expanded,
+   conditional bodies included): the order of [Trace.flatten] after the
+   root, and of [Depth.spans] after index 0. *)
+let span_bodies instrs =
+  let rec go acc = function
+    | [] -> acc
+    | Instr.Gate _ :: rest | Instr.Measure _ :: rest -> go acc rest
+    | Instr.Span { body; _ } :: rest -> go (go (body :: acc) body) rest
+    | (Instr.If_bit { body; _ } | Instr.Call { body; _ }) :: rest ->
+        go (go acc body) rest
+  in
+  List.rev (go [] instrs)
