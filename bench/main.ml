@@ -8,6 +8,7 @@
 
 open Mbu_circuit
 open Mbu_core
+open Mbu_robustness
 
 let fpf = Format.printf
 
@@ -25,24 +26,12 @@ let pv v = if Float.is_nan v then "      -" else Printf.sprintf "%7.1f" v
 (* ------------------------------------------------------------------ *)
 (* Table 1 *)
 
-type t1_builder = mbu:bool -> p:int -> n:int -> Builder.t -> unit
+(* Table-1 rows come from the circuit catalogue ([Catalogue.table1] is
+   table 1's row order). *)
+let t1_row id = Option.get (Catalogue.find id)
 
-let modadd_builder f : t1_builder =
- fun ~mbu ~p ~n b ->
-  let x = Builder.fresh_register b "x" n in
-  let y = Builder.fresh_register b "y" n in
-  f ~mbu b ~p ~x ~y
-
-let t1_builders : (string * t1_builder) list =
-  [ ("(5 adder) VBE", modadd_builder (fun ~mbu b ~p ~x ~y -> Mod_add.modadd_vbe_5adder ~mbu b ~p ~x ~y));
-    ("(4 adder) VBE", modadd_builder (fun ~mbu b ~p ~x ~y -> Mod_add.modadd_vbe_4adder ~mbu b ~p ~x ~y));
-    ("CDKPM", modadd_builder (fun ~mbu b ~p ~x ~y -> Mod_add.modadd ~mbu Mod_add.spec_cdkpm b ~p ~x ~y));
-    ("Gidney", modadd_builder (fun ~mbu b ~p ~x ~y -> Mod_add.modadd ~mbu Mod_add.spec_gidney b ~p ~x ~y));
-    ("CDKPM+Gidney", modadd_builder (fun ~mbu b ~p ~x ~y -> Mod_add.modadd ~mbu Mod_add.spec_mixed b ~p ~x ~y));
-    ("Draper", modadd_builder (fun ~mbu b ~p ~x ~y -> Mod_add.modadd_draper ~mbu b ~p ~x ~y)) ]
-
-let measure_t1 (build : t1_builder) ~mbu ~n ~p =
-  Resources.measure ~n ~build:(fun b -> build ~mbu ~p ~n b) ()
+let measure_t1 e ~mbu ~n ~p =
+  Resources.measure ~n ~build:(fun b -> ignore (Catalogue.emit e ~mbu ~n ~p b)) ()
 
 let table1 () =
   header "Table 1 - modular addition: paper formulas vs measured circuits";
@@ -58,12 +47,13 @@ let table1 () =
         "" "" "paper" "meas" "paper" "meas" "paper" "meas" "paper" "meas"
         "paper" "meas";
       List.iter2
-        (fun (name, build) (row : Formulas.t1_row) ->
+        (fun (e : Catalogue.entry) (row : Formulas.t1_row) ->
+          let name = e.title in
           assert (row.Formulas.t1_name = name);
           List.iter
             (fun mbu ->
               let paper = row.Formulas.t1_cost ~mbu params in
-              let m = measure_t1 build ~mbu ~n ~p in
+              let m = measure_t1 e ~mbu ~n ~p in
               fpf "  %-15s %-4s | %s %s | %s %s | %s %s | %s %s | %6s %6.2f@."
                 (if mbu then "" else name)
                 (if mbu then "yes" else "no")
@@ -76,14 +66,14 @@ let table1 () =
                  else Printf.sprintf "%6.1f" paper.Formulas.qft_units)
                 m.Resources.qft_units)
             [ false; true ])
-        t1_builders
+        Catalogue.table1
         (List.filteri (fun i _ -> i < 6) Formulas.table1);
       (* Draper (expect): amortize away the opening QFT and closing IQFT. *)
       let expect_row = List.nth Formulas.table1 6 in
       List.iter
         (fun mbu ->
           let paper = expect_row.Formulas.t1_cost ~mbu params in
-          let m = measure_t1 (List.assoc "Draper" t1_builders) ~mbu ~n ~p in
+          let m = measure_t1 (t1_row "draper") ~mbu ~n ~p in
           fpf "  %-15s %-4s | %39s amortized | %7s | %6.1f %6.2f@."
             (if mbu then "" else "Draper (expect)")
             (if mbu then "yes" else "no") ""
@@ -120,6 +110,12 @@ let print_small_table ~title ~rows ~builders ~ns ~params_of =
     ns
 
 let measure_build ~n build = Resources.measure ~n ~build ()
+
+(* A catalogue family at width n, modulus [modulus n]. *)
+let measure_family ?(mbu = false) ?(a = 0) name style n =
+  let f = Catalogue.family name in
+  measure_build ~n (fun b ->
+      ignore (f.build b { style; mbu; n; p = modulus n; a; x = 0; y = 0 }))
 
 (* Table 1 at widths the int-constant API cannot reach: Bitstring moduli. *)
 let table1_big () =
@@ -161,12 +157,7 @@ let table1_big () =
 
 
 let table2 () =
-  let adder style n =
-    measure_build ~n (fun b ->
-        let x = Builder.fresh_register b "x" n in
-        let y = Builder.fresh_register b "y" (n + 1) in
-        Adder.add style b ~x ~y)
-  in
+  let adder = measure_family "adder" in
   print_small_table ~title:"Table 2 - plain adders"
     ~rows:Formulas.table2_plain_adders
     ~builders:
@@ -176,13 +167,7 @@ let table2 () =
     ~params_of:(fun n -> Formulas.{ n; hp = 0; ha = 0 })
 
 let table3 () =
-  let cadder style n =
-    measure_build ~n (fun b ->
-        let c = Builder.fresh_register b "c" 1 in
-        let x = Builder.fresh_register b "x" n in
-        let y = Builder.fresh_register b "y" (n + 1) in
-        Adder.add_controlled style b ~ctrl:(Register.get c 0) ~x ~y)
-  in
+  let cadder = measure_family "cadder" in
   print_small_table ~title:"Table 3 - controlled adders"
     ~rows:Formulas.table3_controlled_adders
     ~builders:
@@ -192,11 +177,7 @@ let table3 () =
     ~params_of:(fun n -> Formulas.{ n; hp = 0; ha = 0 })
 
 let table4 () =
-  let cadder style n =
-    measure_build ~n (fun b ->
-        let y = Builder.fresh_register b "y" (n + 1) in
-        Adder.add_const style b ~a:(modulus n / 3) ~y)
-  in
+  let cadder style n = measure_family ~a:(modulus n / 3) "adder-const" style n in
   print_small_table ~title:"Table 4 - adders by a constant"
     ~rows:Formulas.table4_const_adders
     ~builders:
@@ -226,13 +207,7 @@ let table5 () =
                  ha = Mbu_bitstring.Bitstring.hamming_weight_int (modulus n / 3) })
 
 let table6 () =
-  let cmp style n =
-    measure_build ~n (fun b ->
-        let x = Builder.fresh_register b "x" n in
-        let y = Builder.fresh_register b "y" n in
-        let t = Builder.fresh_register b "t" 1 in
-        Adder.compare style b ~x ~y ~target:(Register.get t 0))
-  in
+  let cmp = measure_family "compare" in
   print_small_table ~title:"Table 6 - comparators"
     ~rows:Formulas.table6_comparators
     ~builders:
@@ -255,22 +230,14 @@ let experiment_monte_carlo () =
     fpf "  %-22s %8.2f   %8.2f                %6.3f@." name analytic empirical
       (Float.abs (empirical -. analytic) /. Float.max analytic 1.)
   in
-  let p = 13 in
   List.iter
-    (fun (name, spec) ->
+    (fun id ->
+      let emit b = Catalogue.emit ~x:7 ~y:11 (t1_row id) ~mbu:true ~n:4 ~p:13 b in
       run
-        (Printf.sprintf "modadd %s + mbu" name)
-        (fun b ->
-          let x = Builder.fresh_register b "x" 4 in
-          let y = Builder.fresh_register b "y" 4 in
-          Mod_add.modadd ~mbu:true spec b ~p ~x ~y)
-        (fun b ->
-          let x = Builder.fresh_register b "x" 4 in
-          let y = Builder.fresh_register b "y" 4 in
-          Mod_add.modadd ~mbu:true spec b ~p ~x ~y;
-          [ (x, 7); (y, 11) ]))
-    [ ("cdkpm", Mod_add.spec_cdkpm); ("gidney", Mod_add.spec_gidney);
-      ("mixed", Mod_add.spec_mixed) ];
+        (Printf.sprintf "modadd %s + mbu" id)
+        (fun b -> ignore (emit b))
+        (fun b -> (emit b).Catalogue.inits))
+    [ "cdkpm"; "gidney"; "mixed" ];
   run "gidney plain adder"
     (fun b ->
       let x = Builder.fresh_register b "x" 4 in
@@ -292,11 +259,12 @@ let experiment_savings () =
   fpf "  %-15s | %9s %9s %7s | %9s %9s %7s@." "modular adder" "Tof" "Tof+MBU"
     "saved" "TofDepth" "TD+MBU" "saved";
   List.iter
-    (fun (name, build) ->
-      let m mbu = measure_t1 build ~mbu ~n ~p in
+    (fun (e : Catalogue.entry) ->
+      let name = e.title in
+      let m mbu = measure_t1 e ~mbu ~n ~p in
       let a = m false and b' = m true in
       let pc x y = 100. *. (x -. y) /. x in
-      if name = "Draper" then
+      if e.name = "draper" then
         (* QFT-based: the cost unit is rotations, reported in QFT units. *)
         fpf "  %-15s | %8.1fu %8.1fu %6.1f%% | %9s %9s %7s@." name
           a.Resources.qft_units b'.Resources.qft_units
@@ -308,7 +276,7 @@ let experiment_savings () =
           (pc a.Resources.toffoli b'.Resources.toffoli)
           a.Resources.toffoli_depth b'.Resources.toffoli_depth
           (pc a.Resources.toffoli_depth b'.Resources.toffoli_depth))
-    t1_builders;
+    Catalogue.table1;
   fpf "@.  Paper's claim: 10-15%% for the VBE-architecture rows, ~25%% for@.";
   fpf "  the Beauregard-style circuits (QFT-unit content, see table 1).@."
 
@@ -321,14 +289,7 @@ let experiment_two_sided () =
     "meas+MBU" "saved";
   List.iter
     (fun n ->
-      let build mbu =
-        measure_build ~n (fun b ->
-            let x = Builder.fresh_register b "x" n in
-            let y = Builder.fresh_register b "y" n in
-            let z = Builder.fresh_register b "z" n in
-            let t = Builder.fresh_register b "t" 1 in
-            Mbu.in_range ~mbu Adder.Cdkpm b ~x ~y ~z ~target:(Register.get t 0))
-      in
+      let build mbu = measure_family ~mbu "in-range" Adder.Cdkpm n in
       let params = Formulas.{ n; hp = 0; ha = 0 } in
       let fp mbu = (Formulas.in_range ~mbu params).Formulas.toffoli in
       let a = build false and b' = build true in
@@ -444,9 +405,7 @@ let experiment_coset () =
           .Resources.toffoli
       in
       let direct =
-        (measure_build ~n (fun b ->
-             let x = Builder.fresh_register b "x" n in
-             Mod_add.modadd_const ~mbu:true Mod_add.spec_cdkpm b ~p ~a:(p / 3) ~x))
+        (measure_family ~mbu:true ~a:(p / 3) "modadd-const" Adder.Cdkpm n)
           .Resources.toffoli
       in
       fpf "  %4d %4d | %12.1f | %14.1f | %14.1f@." n pad prep enc_add direct)
@@ -698,30 +657,18 @@ let experiment_sim_bench () =
      workload from the permutation-dominated Monte-Carlo the tables use.
      Rows whose total width would exceed the simulator's 62-qubit cap at
      n = 16 run at the largest n that fits (shown in the n column). *)
-  let sim_rows =
-    [ ("(5 adder) VBE", 15,
-       fun b ~p ~x ~y -> Mod_add.modadd_vbe_5adder ~mbu:true b ~p ~x ~y);
-      ("(4 adder) VBE", 15,
-       fun b ~p ~x ~y -> Mod_add.modadd_vbe_4adder ~mbu:true b ~p ~x ~y);
-      ("CDKPM", 16,
-       fun b ~p ~x ~y -> Mod_add.modadd ~mbu:true Mod_add.spec_cdkpm b ~p ~x ~y);
-      ("Gidney", 14,
-       fun b ~p ~x ~y -> Mod_add.modadd ~mbu:true Mod_add.spec_gidney b ~p ~x ~y);
-      ("CDKPM+Gidney", 16,
-       fun b ~p ~x ~y -> Mod_add.modadd ~mbu:true Mod_add.spec_mixed b ~p ~x ~y) ]
-  in
   let rows =
     List.map
-      (fun (name, n, build) ->
+      (fun (id, n) ->
+        let e = t1_row id in
+        let name = e.title in
         let p = modulus n in
         let b = Builder.create () in
-        let x = Builder.fresh_register b "x" n in
-        let y = Builder.fresh_register b "y" n in
-        build b ~p ~x ~y;
+        let built = Catalogue.emit ~x:17 ~y:25 e ~mbu:true ~n ~p b in
         let c = Builder.to_circuit b in
         let init =
           Sim.init_registers ~num_qubits:(Builder.num_qubits b)
-            [ (x, 17 mod p); (y, 25 mod p) ]
+            built.Catalogue.inits
         in
         let reference =
           shots_per_sec ~engine:Sim.Reference ~jobs:1 ~shots c ~init ()
@@ -732,7 +679,7 @@ let experiment_sim_bench () =
         fpf "  %-15s | %3d | %12.0f | %12.0f | %12.0f | %7.1fx@." name n
           reference fast_seq fast_par (best /. reference);
         (name, n, reference, fast_seq, fast_par))
-      sim_rows
+      [ ("vbe5", 15); ("vbe4", 15); ("cdkpm", 16); ("gidney", 14); ("mixed", 16) ]
   in
   (* machine-readable output for the CI artifact and the README table *)
   let oc = open_out "BENCH_sim.json" in
@@ -789,25 +736,23 @@ let experiment_build_bench () =
   fpf "  included (now one Depth.spans walk, no longer a walk per span).@.@.";
   let t1_rows =
     List.map
-      (fun (name, build) ->
-        ( name, 32,
+      (fun (e : Catalogue.entry) ->
+        ( e.title, 32,
           fun () ->
             let b = Builder.create () in
-            build ~mbu:true ~p:(modulus 32) ~n:32 b;
+            ignore
+              (Catalogue.emit e ~mbu:true ~n:32 ~p:(modulus 32) b);
             Builder.to_circuit b ))
-      t1_builders
+      Catalogue.table1
   in
   let modmul_row n =
     ( "mod_mul cmult_add", n,
       fun () ->
         let b = Builder.create () in
         let p = modulus n in
-        let c = Builder.fresh_register b "c" 1 in
-        let x = Builder.fresh_register b "x" n in
-        let t = Builder.fresh_register b "t" n in
-        Mod_mul.cmult_add
-          (Mod_mul.ripple_engine ~mbu:true Mod_add.spec_cdkpm)
-          b ~ctrl:(Register.get c 0) ~a:(p / 3) ~p ~x ~target:t;
+        ignore
+          ((Catalogue.family "cmult").build b
+             { style = Adder.Cdkpm; mbu = true; n; p; a = p / 3; x = 0; y = 0 });
         Builder.to_circuit b )
   in
   let rows_spec = t1_rows @ List.map modmul_row [ 16; 32; 60 ] in
@@ -899,7 +844,6 @@ let experiment_build_bench () =
 (* E-FAULT: fault-injection campaigns, forced branches, invariant lint *)
 
 let experiment_faults () =
-  let open Mbu_robustness in
   header "E-FAULT: fault injection / forced branches / invariant linting";
   let n = 5 in
   let p = modulus n in
@@ -997,32 +941,13 @@ let bechamel_tests () =
   let open Bechamel in
   let t1 () =
     ignore
-      (measure_t1 (List.assoc "CDKPM" t1_builders) ~mbu:true ~n:16 ~p:(modulus 16))
+      (measure_t1 (t1_row "cdkpm") ~mbu:true ~n:16 ~p:(modulus 16))
   in
   let t2 () =
-    List.iter
-      (fun style ->
-        ignore
-          (measure_build ~n:16 (fun b ->
-               let x = Builder.fresh_register b "x" 16 in
-               let y = Builder.fresh_register b "y" 17 in
-               Adder.add style b ~x ~y)))
-      Adder.all_styles
+    List.iter (fun style -> ignore (measure_family "adder" style 16)) Adder.all_styles
   in
-  let t3 () =
-    ignore
-      (measure_build ~n:16 (fun b ->
-           let c = Builder.fresh_register b "c" 1 in
-           let x = Builder.fresh_register b "x" 16 in
-           let y = Builder.fresh_register b "y" 17 in
-           Adder.add_controlled Adder.Gidney b ~ctrl:(Register.get c 0) ~x ~y))
-  in
-  let t4 () =
-    ignore
-      (measure_build ~n:16 (fun b ->
-           let y = Builder.fresh_register b "y" 17 in
-           Adder.add_const Adder.Cdkpm b ~a:1234 ~y))
-  in
+  let t3 () = ignore (measure_family "cadder" Adder.Gidney 16) in
+  let t4 () = ignore (measure_family ~a:1234 "adder-const" Adder.Cdkpm 16) in
   let t5 () =
     ignore
       (measure_build ~n:16 (fun b ->
@@ -1031,33 +956,16 @@ let bechamel_tests () =
            Adder.add_const_controlled Adder.Cdkpm b ~ctrl:(Register.get c 0)
              ~a:1234 ~y))
   in
-  let t6 () =
-    ignore
-      (measure_build ~n:16 (fun b ->
-           let x = Builder.fresh_register b "x" 16 in
-           let y = Builder.fresh_register b "y" 16 in
-           let t = Builder.fresh_register b "t" 1 in
-           Adder.compare Adder.Cdkpm b ~x ~y ~target:(Register.get t 0)))
-  in
+  let t6 () = ignore (measure_family "compare" Adder.Cdkpm 16) in
   let mc () =
     ignore
       (Resources.monte_carlo_toffoli ~shots:1
          ~build:(fun b ->
-           let x = Builder.fresh_register b "x" 4 in
-           let y = Builder.fresh_register b "y" 4 in
-           Mod_add.modadd ~mbu:true Mod_add.spec_cdkpm b ~p:13 ~x ~y;
-           [ (x, 7); (y, 11) ])
+           (Catalogue.emit ~x:7 ~y:11 (t1_row "cdkpm") ~mbu:true ~n:4 ~p:13 b)
+             .Catalogue.inits)
          ())
   in
-  let two_sided () =
-    ignore
-      (measure_build ~n:16 (fun b ->
-           let x = Builder.fresh_register b "x" 16 in
-           let y = Builder.fresh_register b "y" 16 in
-           let z = Builder.fresh_register b "z" 16 in
-           let t = Builder.fresh_register b "t" 1 in
-           Mbu.in_range Adder.Cdkpm b ~x ~y ~z ~target:(Register.get t 0)))
-  in
+  let two_sided () = ignore (measure_family ~mbu:true "in-range" Adder.Cdkpm 16) in
   let modmul () =
     ignore
       (measure_build ~n:8 (fun b ->

@@ -7,189 +7,103 @@
 
 open Mbu_circuit
 open Mbu_core
+open Mbu_robustness
 open Cmdliner
 
 (* ------------------------------------------------------------------ *)
-(* Circuit construction shared by all subcommands *)
+(* Circuit selection shared by all subcommands *)
 
-type built = {
-  builder : Builder.t;
-  registers : Register.t list;  (* for drawing labels / initialization *)
-  inits : (Register.t * int) list;
-  outputs : Register.t list;  (* registers to print after simulation *)
-}
+(* [-s]: an adder style, or "mixed" (None), the paper's theorem-3.6
+   Gidney+CDKPM spec, which only [modadd] has: it selects [modadd-mixed]. *)
+let style_label = Option.fold ~none:"mixed" ~some:Adder.style_name
 
 let style_conv =
+  let labels = List.map (fun s -> Some s) Adder.all_styles @ [ None ] in
   let parse s =
-    match String.lowercase_ascii s with
-    | "vbe" -> Ok Adder.Vbe
-    | "cdkpm" -> Ok Adder.Cdkpm
-    | "gidney" -> Ok Adder.Gidney
-    | "draper" -> Ok Adder.Draper
-    | _ -> Error (`Msg "style must be vbe | cdkpm | gidney | draper")
+    let s = String.lowercase_ascii s in
+    match List.find_opt (fun l -> style_label l = s) labels with
+    | Some style -> Ok style
+    | None -> Error (`Msg "style must be vbe | cdkpm | gidney | draper | mixed")
   in
-  Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (Adder.style_name s))
+  Arg.conv (parse, fun fmt l -> Format.pp_print_string fmt (style_label l))
 
-let spec_of_style = function
-  | Adder.Cdkpm -> Mod_add.spec_cdkpm
-  | Adder.Gidney -> Mod_add.spec_gidney
-  | Adder.Vbe ->
-      Mod_add.{ q_add = Adder.Vbe; q_comp_const = Adder.Vbe;
-                c_q_sub_const = Adder.Vbe; q_comp = Adder.Vbe }
-  | Adder.Draper ->
-      Mod_add.{ q_add = Adder.Draper; q_comp_const = Adder.Draper;
-                c_q_sub_const = Adder.Draper; q_comp = Adder.Draper }
+(* A resolved circuit family with every argument but the input values. *)
+type request = {
+  family : Catalogue.family;
+  label : string;  (* the style as given, printed in headers *)
+  args : Catalogue.args;
+}
 
-let default_p n = (1 lsl n) - 1
+let request =
+  let names = List.map (fun (f : Catalogue.family) -> f.name) Catalogue.families in
+  let circuit_arg =
+    Arg.(value
+         & opt (enum (List.map (fun s -> (s, s)) names)) "modadd"
+         & info [ "c"; "circuit" ] ~docv:"NAME"
+             ~doc:("Circuit family: " ^ String.concat " | " names ^ "."))
+  in
+  let style_arg =
+    Arg.(value & opt style_conv (Some Adder.Cdkpm)
+         & info [ "s"; "style" ] ~docv:"STYLE"
+             ~doc:"Adder family: vbe | cdkpm | gidney | draper, or mixed \
+                   (Gidney+CDKPM, for --circuit modadd only).")
+  in
+  let mbu_arg =
+    Arg.(value & flag & info [ "mbu" ] ~doc:"Use measurement-based uncomputation.")
+  in
+  let n_arg = Arg.(value & opt int 8 & info [ "n" ] ~doc:"Register width in qubits.") in
+  let p_arg =
+    Arg.(value & opt (some int) None & info [ "p" ] ~doc:"Modulus (default 2^n - 1).")
+  in
+  let a_arg = Arg.(value & opt (some int) None & info [ "a" ] ~doc:"Classical constant.") in
+  let resolve name label mbu n p a =
+    let p = Option.value p ~default:((1 lsl n) - 1) in
+    let a = Option.value a ~default:(p / 3) in
+    let ok name style =
+      Ok { family = Catalogue.family name; label = style_label label;
+           args = { style; mbu; n; p; a; x = 0; y = 0 } }
+    in
+    match (name, label) with
+    | _, Some style -> ok name style
+    | "modadd", None -> ok "modadd-mixed" Adder.Cdkpm
+    | _, None -> Error "--style mixed is only defined for --circuit modadd"
+  in
+  Term.(cli_parse_result'
+          (const resolve $ circuit_arg $ style_arg $ mbu_arg $ n_arg $ p_arg
+           $ a_arg))
 
-let build_circuit ~circuit ~style ~mbu ~n ~p ~a ~x_val ~y_val =
+let build ?(x = 0) ?(y = 0) r =
   let b = Builder.create () in
-  let p = match p with Some p -> p | None -> default_p n in
-  let a = match a with Some a -> a | None -> p / 3 in
-  let reg name len = Builder.fresh_register b name len in
-  match circuit with
-  | "adder" ->
-      let x = reg "x" n and y = reg "y" (n + 1) in
-      Adder.add style b ~x ~y;
-      { builder = b; registers = [ x; y ]; inits = [ (x, x_val); (y, y_val) ];
-        outputs = [ y ] }
-  | "sub" ->
-      let x = reg "x" n and y = reg "y" (n + 1) in
-      Adder.sub style b ~x ~y;
-      { builder = b; registers = [ x; y ]; inits = [ (x, x_val); (y, y_val) ];
-        outputs = [ y ] }
-  | "cadder" ->
-      let c = reg "c" 1 and x = reg "x" n and y = reg "y" (n + 1) in
-      Adder.add_controlled style b ~ctrl:(Register.get c 0) ~x ~y;
-      { builder = b; registers = [ c; x; y ];
-        inits = [ (c, 1); (x, x_val); (y, y_val) ]; outputs = [ y ] }
-  | "adder-const" ->
-      let y = reg "y" (n + 1) in
-      Adder.add_const style b ~a ~y;
-      { builder = b; registers = [ y ]; inits = [ (y, y_val) ]; outputs = [ y ] }
-  | "compare" ->
-      let x = reg "x" n and y = reg "y" n and t = reg "t" 1 in
-      Adder.compare style b ~x ~y ~target:(Register.get t 0);
-      { builder = b; registers = [ x; y; t ];
-        inits = [ (x, x_val); (y, y_val); (t, 0) ]; outputs = [ t ] }
-  | "compare-const" ->
-      let x = reg "x" n and t = reg "t" 1 in
-      Adder.compare_const style b ~a ~x ~target:(Register.get t 0);
-      { builder = b; registers = [ x; t ]; inits = [ (x, x_val); (t, 0) ];
-        outputs = [ t ] }
-  | "modadd" ->
-      let x = reg "x" n and y = reg "y" n in
-      (if style = Adder.Draper then Mod_add.modadd_draper ~mbu b ~p ~x ~y
-       else Mod_add.modadd ~mbu (spec_of_style style) b ~p ~x ~y);
-      { builder = b; registers = [ x; y ];
-        inits = [ (x, x_val mod p); (y, y_val mod p) ]; outputs = [ y ] }
-  | "modadd-mixed" ->
-      let x = reg "x" n and y = reg "y" n in
-      Mod_add.modadd ~mbu Mod_add.spec_mixed b ~p ~x ~y;
-      { builder = b; registers = [ x; y ];
-        inits = [ (x, x_val mod p); (y, y_val mod p) ]; outputs = [ y ] }
-  | "cmodadd" ->
-      let c = reg "c" 1 and x = reg "x" n and y = reg "y" n in
-      Mod_add.modadd_controlled ~mbu (spec_of_style style) b
-        ~ctrl:(Register.get c 0) ~p ~x ~y;
-      { builder = b; registers = [ c; x; y ];
-        inits = [ (c, 1); (x, x_val mod p); (y, y_val mod p) ]; outputs = [ y ] }
-  | "modadd-const" ->
-      let x = reg "x" n in
-      (if style = Adder.Draper then
-         Mod_add.modadd_const_draper ~mbu b ~p ~a:(a mod p) ~x
-       else Mod_add.modadd_const ~mbu (spec_of_style style) b ~p ~a:(a mod p) ~x);
-      { builder = b; registers = [ x ]; inits = [ (x, x_val mod p) ]; outputs = [ x ] }
-  | "takahashi" ->
-      let x = reg "x" n in
-      Mod_add.modadd_const_takahashi ~mbu (spec_of_style style) b ~p ~a:(a mod p) ~x;
-      { builder = b; registers = [ x ]; inits = [ (x, x_val mod p) ]; outputs = [ x ] }
-  | "in-range" ->
-      let x = reg "x" n and y = reg "y" n and z = reg "z" n and t = reg "t" 1 in
-      Mbu.in_range ~mbu style b ~x ~y ~z ~target:(Register.get t 0);
-      { builder = b; registers = [ x; y; z; t ];
-        inits = [ (x, x_val); (y, y_val); (z, a); (t, 0) ]; outputs = [ t ] }
-  | "cmult" ->
-      let c = reg "c" 1 and x = reg "x" n and t = reg "t" n in
-      let engine =
-        if style = Adder.Draper then Mod_mul.draper_engine ~mbu ()
-        else Mod_mul.ripple_engine ~mbu (spec_of_style style)
-      in
-      Mod_mul.cmult_add engine b ~ctrl:(Register.get c 0) ~a ~p ~x ~target:t;
-      { builder = b; registers = [ c; x; t ];
-        inits = [ (c, 1); (x, x_val mod p); (t, y_val mod p) ]; outputs = [ t ] }
-  | "adder-cla" ->
-      let x = reg "x" n and y = reg "y" (n + 1) in
-      Adder_cla.add ~mbu b ~x ~y;
-      { builder = b; registers = [ x; y ]; inits = [ (x, x_val); (y, y_val) ];
-        outputs = [ y ] }
-  | "increment" ->
-      let y = reg "y" n in
-      Increment.apply b y;
-      { builder = b; registers = [ y ]; inits = [ (y, y_val) ]; outputs = [ y ] }
-  | "modsub" ->
-      let x = reg "x" n and y = reg "y" n in
-      Mod_add.modsub ~mbu (spec_of_style style) b ~p ~x ~y;
-      { builder = b; registers = [ x; y ];
-        inits = [ (x, x_val mod p); (y, y_val mod p) ]; outputs = [ y ] }
-  | "lookup" ->
-      let k = min n 10 in
-      let address = reg "a" k and target = reg "t" (max 1 (min n 8)) in
-      let data =
-        Array.init (1 lsl k) (fun i -> (i * 37 + 5) land ((1 lsl Register.length target) - 1))
-      in
-      Qrom.lookup b ~address ~target ~data;
-      if mbu then Qrom.unlookup b ~address ~target ~data;
-      { builder = b; registers = [ address; target ];
-        inits = [ (address, x_val land ((1 lsl k) - 1)) ]; outputs = [ target ] }
-  | "cmult-windowed" ->
-      let c = reg "c" 1 and x = reg "x" n and t = reg "t" n in
-      Mod_mul.cmult_add_windowed ~mbu (spec_of_style style) b
-        ~ctrl:(Register.get c 0) ~a ~p ~x ~target:t;
-      { builder = b; registers = [ c; x; t ];
-        inits = [ (c, 1); (x, x_val mod p); (t, y_val mod p) ]; outputs = [ t ] }
-  | other -> failwith (Printf.sprintf "unknown circuit %S" other)
+  (b, r.family.build b { r.args with x; y })
 
-let circuits =
-  [ "adder"; "sub"; "cadder"; "adder-const"; "compare"; "compare-const";
-    "modadd"; "modadd-mixed"; "cmodadd"; "modadd-const"; "takahashi";
-    "in-range"; "cmult"; "adder-cla"; "increment"; "modsub"; "lookup";
-    "cmult-windowed" ]
+let print_header r =
+  Format.printf "circuit     : %s (%s%s), n = %d@." r.family.name r.label
+    (if r.args.mbu then ", MBU" else "") r.args.n
+
+let print_qubits b =
+  Format.printf "qubits      : %d (%d inputs + %d ancillas)@."
+    (Builder.num_qubits b) (Builder.input_qubits b) (Builder.ancilla_qubits b)
 
 (* ------------------------------------------------------------------ *)
 (* Common arguments *)
 
-let circuit_arg =
-  let doc =
-    Printf.sprintf "Circuit family: %s." (String.concat " | " circuits)
-  in
-  Arg.(value & opt string "modadd" & info [ "c"; "circuit" ] ~docv:"NAME" ~doc)
-
-let style_arg =
-  Arg.(value & opt style_conv Adder.Cdkpm
-       & info [ "s"; "style" ] ~docv:"STYLE" ~doc:"Adder family.")
-
-let n_arg = Arg.(value & opt int 8 & info [ "n" ] ~doc:"Register width in qubits.")
-let p_arg = Arg.(value & opt (some int) None & info [ "p" ] ~doc:"Modulus (default 2^n - 1).")
-let a_arg = Arg.(value & opt (some int) None & info [ "a" ] ~doc:"Classical constant.")
-let mbu_arg = Arg.(value & flag & info [ "mbu" ] ~doc:"Use measurement-based uncomputation.")
 let x_arg = Arg.(value & opt int 3 & info [ "x" ] ~doc:"Value of register x.")
 let y_arg = Arg.(value & opt int 5 & info [ "y" ] ~doc:"Value of register y.")
 
+let mode_conv =
+  Arg.conv
+    ( (fun s ->
+        match String.lowercase_ascii s with
+        | "worst" -> Ok Counts.Worst
+        | "best" -> Ok Counts.Best
+        | "expected" -> Ok (Counts.Expected 0.5)
+        | _ -> Error (`Msg "mode must be worst | best | expected")),
+      fun fmt -> function
+        | Counts.Worst -> Format.pp_print_string fmt "worst"
+        | Counts.Best -> Format.pp_print_string fmt "best"
+        | Counts.Expected p -> Format.fprintf fmt "expected(%g)" p )
+
 let mode_arg =
-  let mode_conv =
-    Arg.conv
-      ( (fun s ->
-          match String.lowercase_ascii s with
-          | "worst" -> Ok Counts.Worst
-          | "best" -> Ok Counts.Best
-          | "expected" -> Ok (Counts.Expected 0.5)
-          | _ -> Error (`Msg "mode must be worst | best | expected")),
-        fun fmt -> function
-          | Counts.Worst -> Format.pp_print_string fmt "worst"
-          | Counts.Best -> Format.pp_print_string fmt "best"
-          | Counts.Expected p -> Format.fprintf fmt "expected(%g)" p )
-  in
   Arg.(value & opt mode_conv (Counts.Expected 0.5)
        & info [ "mode" ] ~doc:"Counting mode: worst | best | expected.")
 
@@ -197,18 +111,14 @@ let mode_arg =
 (* Subcommands *)
 
 let counts_cmd =
-  let run circuit style mbu n p a mode =
-    let { builder; _ } =
-      build_circuit ~circuit ~style ~mbu ~n ~p ~a ~x_val:0 ~y_val:0
-    in
-    let c = Builder.to_circuit builder in
+  let run r mode =
+    let b, _ = build r in
+    let n = r.args.n in
+    let c = Builder.to_circuit b in
     let counts = Circuit.counts ~mode c in
     let d = Depth.of_circuit ~mode:(Depth.of_counts_mode mode) c in
-    Format.printf "circuit     : %s (%s%s), n = %d@." circuit
-      (Adder.style_name style) (if mbu then ", MBU" else "") n;
-    Format.printf "qubits      : %d (%d inputs + %d ancillas)@."
-      (Builder.num_qubits builder) (Builder.input_qubits builder)
-      (Builder.ancilla_qubits builder);
+    print_header r;
+    print_qubits b;
     Format.printf "counts      : %a@." Counts.pp counts;
     Format.printf "CNOT+CZ     : %g@." (Counts.cnot_cz counts);
     Format.printf "QFT units   : %.2f (of QFT_%d)@."
@@ -216,28 +126,24 @@ let counts_cmd =
     Format.printf "depth       : %.1f (Toffoli depth %.1f)@." d.Depth.total
       d.Depth.toffoli
   in
-  let term = Term.(const run $ circuit_arg $ style_arg $ mbu_arg $ n_arg $ p_arg $ a_arg $ mode_arg) in
+  let term = Term.(const run $ request $ mode_arg) in
   Cmd.v (Cmd.info "counts" ~doc:"Print resource counts for a circuit family.") term
 
 let draw_cmd =
-  let run circuit style mbu n p a =
-    let { builder; registers; _ } =
-      build_circuit ~circuit ~style ~mbu ~n ~p ~a ~x_val:0 ~y_val:0
-    in
-    print_string (Draw.render_registers registers (Builder.to_circuit builder))
+  let run r =
+    let b, built = build r in
+    print_string (Draw.render_registers built.registers (Builder.to_circuit b))
   in
-  let term = Term.(const run $ circuit_arg $ style_arg $ mbu_arg $ n_arg $ p_arg $ a_arg) in
+  let term = Term.(const run $ request) in
   Cmd.v
     (Cmd.info "draw" ~doc:"Render a small circuit as ASCII art (keep n <= 4).")
     term
 
 let simulate_cmd =
-  let run circuit style mbu n p a x_val y_val seed =
-    let { builder; inits; outputs; _ } =
-      build_circuit ~circuit ~style ~mbu ~n ~p ~a ~x_val ~y_val
-    in
+  let run r x y seed =
+    let b, { Catalogue.inits; outputs; _ } = build ~x ~y r in
     let rng = Random.State.make [| seed |] in
-    let r = Mbu_simulator.Sim.run_builder ~rng builder ~inits in
+    let r = Mbu_simulator.Sim.run_builder ~rng b ~inits in
     List.iter
       (fun (reg, v) -> Format.printf "in  %-4s = %d@." (Register.name reg) v)
       inits;
@@ -251,18 +157,15 @@ let simulate_cmd =
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"RNG seed.") in
   let term =
-    Term.(const run $ circuit_arg $ style_arg $ mbu_arg $ n_arg $ p_arg $ a_arg
-          $ x_arg $ y_arg $ seed_arg)
+    Term.(const run $ request $ x_arg $ y_arg $ seed_arg)
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Run a circuit on the sparse simulator.") term
 
 
 let qasm_cmd =
-  let run circuit style mbu n p a optimize =
-    let { builder; _ } =
-      build_circuit ~circuit ~style ~mbu ~n ~p ~a ~x_val:0 ~y_val:0
-    in
-    let c = Builder.to_circuit builder in
+  let run r optimize =
+    let b, _ = build r in
+    let c = Builder.to_circuit b in
     let c = if optimize then Optimize.circuit c else c in
     print_string (Qasm.to_string c)
   in
@@ -271,38 +174,19 @@ let qasm_cmd =
          & info [ "O"; "optimize" ] ~doc:"Run the peephole optimizer first.")
   in
   let term =
-    Term.(const run $ circuit_arg $ style_arg $ mbu_arg $ n_arg $ p_arg $ a_arg
-          $ optimize_arg)
+    Term.(const run $ request $ optimize_arg)
   in
   Cmd.v (Cmd.info "qasm" ~doc:"Export a circuit as OpenQASM 3.") term
 
 let profile_cmd =
-  let run circuit style_s mbu n p a mode json shots jobs max_depth no_merge seed
-      =
-    (* The profile subcommand also accepts the paper's mixed Gidney+CDKPM
-       spec (theorem 3.6) as a pseudo-style. *)
-    let circuit, style =
-      match style_s with
-      | "mixed" ->
-          if circuit <> "modadd" then
-            failwith "--style mixed is only defined for --circuit modadd";
-          ("modadd-mixed", Adder.Cdkpm)
-      | "vbe" -> (circuit, Adder.Vbe)
-      | "gidney" -> (circuit, Adder.Gidney)
-      | "draper" -> (circuit, Adder.Draper)
-      | _ -> (circuit, Adder.Cdkpm)
-    in
-    let { builder; inits; _ } =
-      build_circuit ~circuit ~style ~mbu ~n ~p ~a ~x_val:3 ~y_val:5
-    in
-    let c = Builder.to_circuit builder in
+  let run r mode json shots jobs max_depth no_merge seed =
+    let b, { Catalogue.inits; _ } = build ~x:3 ~y:5 r in
+    let c = Builder.to_circuit b in
     let root = Trace.of_circuit ~mode c in
     let run_shots_now () =
       let open Mbu_simulator in
       let st = Sim.new_stats () in
-      let init =
-        Sim.init_registers ~num_qubits:(Builder.num_qubits builder) inits
-      in
+      let init = Sim.init_registers ~num_qubits:(Builder.num_qubits b) inits in
       let jobs = match jobs with Some j -> j | None -> Sim.default_jobs () in
       let t0 = Unix.gettimeofday () in
       ignore (Sim.run_shots ~seed ~jobs ~stats:st ~shots c ~init);
@@ -318,18 +202,10 @@ let profile_cmd =
            root)
     end
     else begin
-      Format.printf "circuit     : %s (%s%s), n = %d@." circuit style_s
-        (if mbu then ", MBU" else "") n;
-      Format.printf "qubits      : %d (%d inputs + %d ancillas)@."
-        (Builder.num_qubits builder) (Builder.input_qubits builder)
-        (Builder.ancilla_qubits builder);
+      print_header r;
+      print_qubits b;
       Format.printf "spans       : %d@." (Instr.count_spans c.Circuit.instrs);
-      Format.printf "mode        : %a@.@."
-        (fun fmt -> function
-          | Counts.Worst -> Format.pp_print_string fmt "worst"
-          | Counts.Best -> Format.pp_print_string fmt "best"
-          | Counts.Expected pr -> Format.fprintf fmt "expected(%g)" pr)
-        mode;
+      Format.printf "mode        : %a@.@." (Arg.conv_printer mode_conv) mode;
       print_string (Trace.render ~merge:(not no_merge) ?max_depth root);
       if shots > 0 then begin
         let open Mbu_simulator in
@@ -361,19 +237,6 @@ let profile_cmd =
       end
     end
   in
-  let style_arg =
-    let pstyle_conv =
-      let parse s =
-        match String.lowercase_ascii s with
-        | ("vbe" | "cdkpm" | "gidney" | "draper" | "mixed") as s -> Ok s
-        | _ -> Error (`Msg "style must be vbe | cdkpm | gidney | draper | mixed")
-      in
-      Arg.conv (parse, Format.pp_print_string)
-    in
-    Arg.(value & opt pstyle_conv "cdkpm"
-         & info [ "s"; "style" ] ~docv:"STYLE"
-             ~doc:"Adder family: vbe | cdkpm | gidney | draper | mixed.")
-  in
   let json_arg =
     Arg.(value & flag
          & info [ "json" ]
@@ -403,9 +266,8 @@ let profile_cmd =
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"RNG seed.") in
   let term =
-    Term.(const run $ circuit_arg $ style_arg $ mbu_arg $ n_arg $ p_arg $ a_arg
-          $ mode_arg $ json_arg $ shots_arg $ jobs_arg $ max_depth_arg
-          $ no_merge_arg $ seed_arg)
+    Term.(const run $ request $ mode_arg $ json_arg $ shots_arg $ jobs_arg
+          $ max_depth_arg $ no_merge_arg $ seed_arg)
   in
   Cmd.v
     (Cmd.info "profile"
@@ -416,30 +278,10 @@ let profile_cmd =
 (* ------------------------------------------------------------------ *)
 (* Fault injection and linting *)
 
-(* Inputs and oracle for a robustness spec of any CLI circuit family: the
-   declared output registers of a fault-free run are the reference (valid
-   because healthy outputs are outcome-independent), and every input
-   register must come back unchanged unless it is also an output. *)
-let spec_of_built ~name (built : built) =
-  let open Mbu_robustness in
-  let base =
-    Engine.spec_of_builder ~name built.builder ~inits:built.inits
-      ~keep:built.registers ~expect:[]
-  in
-  let unchanged =
-    List.filter
-      (fun (reg, _) -> not (List.memq reg built.outputs))
-      built.inits
-  in
-  let expect = unchanged @ Engine.oracle_outputs base built.outputs in
-  { base with Engine.expect }
-
 let inject_cmd =
-  let run circuit style mbu n p a x_val y_val runs faults_per_run seed jobs
-      exhaustive progress =
-    let built = build_circuit ~circuit ~style ~mbu ~n ~p ~a ~x_val ~y_val in
-    let spec = spec_of_built ~name:circuit built in
-    let open Mbu_robustness in
+  let run req x y runs faults_per_run seed jobs exhaustive progress =
+    let b, built = build ~x ~y req in
+    let spec = Catalogue.spec ~name:req.family.name b built in
     let plan =
       if exhaustive then Engine.Exhaustive { paulis = [ Fault.X; Fault.Y; Fault.Z ] }
       else Engine.Random { runs; faults_per_run }
@@ -456,8 +298,7 @@ let inject_cmd =
                 total)
     in
     let r = Engine.run_campaign ~seed ?jobs ?on_progress ~plan spec in
-    Format.printf "circuit     : %s (%s%s), n = %d@." circuit
-      (Adder.style_name style) (if mbu then ", MBU" else "") n;
+    print_header req;
     Format.printf "fault sites : %d (%s campaign, %d runs, seed %d)@." r.Engine.sites
       (if exhaustive then "exhaustive" else
          Printf.sprintf "random, %d fault%s/run" faults_per_run
@@ -502,9 +343,8 @@ let inject_cmd =
                    (0 disables).")
   in
   let term =
-    Term.(const run $ circuit_arg $ style_arg $ mbu_arg $ n_arg $ p_arg $ a_arg
-          $ x_arg $ y_arg $ runs_arg $ faults_arg $ seed_arg $ jobs_arg
-          $ exhaustive_arg $ progress_arg)
+    Term.(const run $ request $ x_arg $ y_arg $ runs_arg $ faults_arg $ seed_arg
+          $ jobs_arg $ exhaustive_arg $ progress_arg)
   in
   Cmd.v
     (Cmd.info "inject"
@@ -513,26 +353,23 @@ let inject_cmd =
     term
 
 let metrics_cmd =
-  let run circuit style mbu n p a x_val y_val shots runs seed jobs format =
+  let run req x y shots runs seed jobs format =
     let open Mbu_telemetry in
     (* Fresh slate so the exposition covers exactly this invocation's
        build + simulate + campaign, not other module-init noise. *)
     Telemetry.reset ();
-    let built = build_circuit ~circuit ~style ~mbu ~n ~p ~a ~x_val ~y_val in
+    let b, built = build ~x ~y req in
     let open Mbu_simulator in
-    let c = Builder.to_circuit built.builder in
+    let c = Builder.to_circuit b in
     let init =
-      Sim.init_registers ~num_qubits:(Builder.num_qubits built.builder)
-        built.inits
+      Sim.init_registers ~num_qubits:(Builder.num_qubits b) built.Catalogue.inits
     in
     if shots > 0 then ignore (Sim.run_shots ~seed ?jobs ~shots c ~init);
-    if runs > 0 then begin
-      let spec = spec_of_built ~name:circuit built in
+    if runs > 0 then
       ignore
-        (Mbu_robustness.Engine.run_campaign ~seed ?jobs
-           ~plan:(Mbu_robustness.Engine.Random { runs; faults_per_run = 1 })
-           spec)
-    end;
+        (Engine.run_campaign ~seed ?jobs
+           ~plan:(Engine.Random { runs; faults_per_run = 1 })
+           (Catalogue.spec ~name:req.family.name b built));
     print_string
       (match format with
       | "json" -> Telemetry.to_json ()
@@ -570,9 +407,8 @@ let metrics_cmd =
              ~doc:"Exposition format: openmetrics | json.")
   in
   let term =
-    Term.(const run $ circuit_arg $ style_arg $ mbu_arg $ n_arg $ p_arg $ a_arg
-          $ x_arg $ y_arg $ shots_arg $ runs_arg $ seed_arg $ jobs_arg
-          $ format_arg)
+    Term.(const run $ request $ x_arg $ y_arg $ shots_arg $ runs_arg $ seed_arg
+          $ jobs_arg $ format_arg)
   in
   Cmd.v
     (Cmd.info "metrics"
@@ -582,19 +418,16 @@ let metrics_cmd =
     term
 
 let lint_cmd =
-  let run circuit style mbu n p a =
-    let { builder; _ } =
-      build_circuit ~circuit ~style ~mbu ~n ~p ~a ~x_val:0 ~y_val:0
-    in
+  let run req =
+    let b, _ = build req in
     let report =
-      Lint.check ~input_qubits:(Builder.input_qubits builder)
-        (Builder.to_circuit builder)
+      Lint.check ~input_qubits:(Builder.input_qubits b) (Builder.to_circuit b)
     in
     print_string (Lint.to_string report);
     if not (Lint.is_clean report) then exit 1
   in
   let term =
-    Term.(const run $ circuit_arg $ style_arg $ mbu_arg $ n_arg $ p_arg $ a_arg)
+    Term.(const run $ request)
   in
   Cmd.v
     (Cmd.info "lint"

@@ -40,9 +40,11 @@ let compare_with_modulus style b ~p ~sum ~target =
       Adder.compare_const style b ~a:p ~x:sum ~target
 
 let check_modulus name ~p ~n =
-  if n <= 0 || n >= 62 then invalid_arg (name ^ ": register width out of range");
+  if n <= 0 || n >= 62 then
+    Mbu_error.invalid ~subsystem:name "register width out of range";
   if p <= 0 || p lsr n <> 0 then
-    invalid_arg (Printf.sprintf "%s: modulus %d does not fit %d qubits" name p n)
+    Mbu_error.invalid ~subsystem:name
+      (Printf.sprintf "modulus %d does not fit %d qubits" p n)
 
 let uncompute ~mbu b ~garbage ~ug =
   if mbu then Mbu.uncompute_bit b ~garbage ~ug else ug ()

@@ -8,7 +8,9 @@
     variants (theorems 4.2--4.12) replace that final erasing comparison with
     the MBU lemma, halving its cost in expectation.
 
-    The [mbu] flag (default [false]) selects the MBU variant everywhere. *)
+    The [mbu] flag (default [false]) selects the MBU variant everywhere.
+    Every [int]-modulus constructor raises [Mbu_error.Error] (kind
+    [Invalid]) when [n] is outside [1, 61] or [p] outside [1, 2^n). *)
 
 open Mbu_circuit
 

@@ -8,6 +8,7 @@
 open Mbu_circuit
 open Mbu_simulator
 open Mbu_core
+open Mbu_robustness
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -313,26 +314,20 @@ let test_motifs_promote_and_demote () =
    product track must draw the same outcomes as the pinned sparse kernel,
    shot for shot (the VBE rows are outside [prop_engines_agree]). *)
 let test_montecarlo_rows_fast_eq_sparse () =
-  let modadd spec b ~p ~x ~y = Mod_add.modadd ~mbu:true spec b ~p ~x ~y in
-  let rows =
-    [ ("vbe5", 15, Mod_add.modadd_vbe_5adder ~mbu:true);
-      ("vbe4", 15, Mod_add.modadd_vbe_4adder ~mbu:true);
-      ("cdkpm", 16, modadd Mod_add.spec_cdkpm);
-      ("cdkpm+gidney", 16, modadd Mod_add.spec_mixed);
-      ("gidney", 14, modadd Mod_add.spec_gidney) ]
-  in
   List.iter
-    (fun (name, n, build) ->
+    (fun (name, n) ->
       let p = (1 lsl (n - 1)) lor 0x2b5 in
-      let b = Builder.create () in
-      let x = Builder.fresh_register b "x" n in
-      let y = Builder.fresh_register b "y" n in
-      build b ~p ~x ~y;
-      let c = Builder.to_circuit b in
       let xv = p - 2 and yv = p / 3 in
+      let b = Builder.create () in
+      let built =
+        Catalogue.emit ~x:xv ~y:yv (Option.get (Catalogue.find name)) ~mbu:true
+          ~n ~p b
+      in
+      Alcotest.(check (list int)) (name ^ ": oracle is x, (x + y) mod p")
+        [ xv; (xv + yv) mod p ] (List.map snd built.expect);
+      let c = Builder.to_circuit b in
       let init =
-        Sim.init_registers ~num_qubits:(Builder.num_qubits b)
-          [ (x, xv); (y, yv) ]
+        Sim.init_registers ~num_qubits:(Builder.num_qubits b) built.inits
       in
       let shots engine =
         Sim.run_shots ~seed:11 ~jobs:1 ~engine ~shots:200 c ~init
@@ -345,10 +340,12 @@ let test_montecarlo_rows_fast_eq_sparse () =
       Alcotest.(check bool) (name ^ ": oracle holds") true
         (Array.for_all
            (fun (r : Sim.run) ->
-             Sim.register_value r.Sim.state y = Some ((xv + yv) mod p)
-             && Sim.wires_zero r.Sim.state ~except:[ x; y ])
+             List.for_all
+               (fun (reg, v) -> Sim.register_value r.Sim.state reg = Some v)
+               built.expect
+             && Sim.wires_zero r.Sim.state ~except:built.registers)
            fast))
-    rows
+    [ ("vbe5", 15); ("vbe4", 15); ("cdkpm", 16); ("mixed", 16); ("gidney", 14) ]
 
 let suite =
   ( "backends",

@@ -7,6 +7,7 @@
 open Mbu_circuit
 open Mbu_simulator
 open Mbu_core
+open Mbu_robustness
 
 let rng = Helpers.rng
 
@@ -29,24 +30,16 @@ let build_mod_mul n =
    graph: the six Table-1 modular adders, the controlled modular
    multiply-add, QROM lookup/unlookup, and a compiled pebbling strategy. *)
 let circuits () =
-  let modadd name f =
-    List.concat_map
-      (fun mbu ->
-        let n = 8 in
-        let p = modulus n in
-        let b = Builder.create () in
-        let x = Builder.fresh_register b "x" n in
-        let y = Builder.fresh_register b "y" n in
-        f ~mbu b ~p ~x ~y;
-        [ (Printf.sprintf "%s mbu:%b" name mbu, Builder.to_circuit b) ])
-      [ true; false ]
-  in
-  modadd "vbe5" (fun ~mbu b ~p ~x ~y -> Mod_add.modadd_vbe_5adder ~mbu b ~p ~x ~y)
-  @ modadd "vbe4" (fun ~mbu b ~p ~x ~y -> Mod_add.modadd_vbe_4adder ~mbu b ~p ~x ~y)
-  @ modadd "cdkpm" (fun ~mbu b ~p ~x ~y -> Mod_add.modadd ~mbu Mod_add.spec_cdkpm b ~p ~x ~y)
-  @ modadd "gidney" (fun ~mbu b ~p ~x ~y -> Mod_add.modadd ~mbu Mod_add.spec_gidney b ~p ~x ~y)
-  @ modadd "mixed" (fun ~mbu b ~p ~x ~y -> Mod_add.modadd ~mbu Mod_add.spec_mixed b ~p ~x ~y)
-  @ modadd "draper" (fun ~mbu b ~p ~x ~y -> Mod_add.modadd_draper ~mbu b ~p ~x ~y)
+  List.concat_map
+    (fun (e : Catalogue.entry) ->
+      List.map
+        (fun mbu ->
+          let n = 8 in
+          let b = Builder.create () in
+          ignore (Catalogue.emit e ~mbu ~n ~p:(modulus n) b);
+          (Printf.sprintf "%s mbu:%b" e.name mbu, Builder.to_circuit b))
+        [ true; false ])
+    Catalogue.table1
   @ [ ("mod_mul", build_mod_mul 8);
       ( "qrom",
         let b = Builder.create () in

@@ -361,6 +361,22 @@ let test_modadd_near_simulator_limit () =
   Alcotest.(check int) "wide modadd" ((x_val + y_val) mod p)
     (value r.Sim.state y)
 
+(* An out-of-range width or modulus is a structured [Invalid] error (what
+   mbu-cli prints as one line), not a bare [Invalid_argument]. *)
+let test_modulus_out_of_range () =
+  let raises_invalid what ~n ~p =
+    let b = Builder.create () in
+    let x = Builder.fresh_register b "x" n in
+    let y = Builder.fresh_register b "y" n in
+    match Mod_add.modadd Mod_add.spec_cdkpm b ~p ~x ~y with
+    | () -> Alcotest.failf "%s: expected Mbu_error" what
+    | exception Mbu_error.Error { kind = Mbu_error.Invalid; subsystem; _ } ->
+        Alcotest.(check string) (what ^ ": subsystem") "Mod_add.modadd" subsystem
+  in
+  raises_invalid "n = 0" ~n:0 ~p:1;
+  raises_invalid "p = 2^n" ~n:4 ~p:16;
+  raises_invalid "p > 2^n" ~n:4 ~p:40
+
 let suite =
   ( "mod-add",
     [ Alcotest.test_case "modadd all specs (props 3.4-3.6, thms 4.3-4.5)" `Quick
@@ -387,4 +403,6 @@ let suite =
       Alcotest.test_case "all-VBE subroutine spec" `Quick
         test_modadd_all_vbe_spec;
       Alcotest.test_case "exhaustive n=4 sweep" `Quick test_modadd_exhaustive_n4;
-      Alcotest.test_case "spec names" `Quick test_spec_names ] )
+      Alcotest.test_case "spec names" `Quick test_spec_names;
+      Alcotest.test_case "out-of-range modulus is an Mbu_error" `Quick
+        test_modulus_out_of_range ] )

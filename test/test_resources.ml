@@ -3,76 +3,53 @@
    test_adders), the MBU savings, and Monte-Carlo validation that the
    "in expectation" numbers are the true mean over measurement outcomes. *)
 
-open Mbu_circuit
 open Mbu_core
+open Mbu_robustness
 
 let check_float = Alcotest.(check (float 1e-6))
 
-(* Toffoli count of a modular adder at width n under expected accounting. *)
-let modadd_toffoli ~mbu build n =
-  let r =
-    Resources.measure ~n
-      ~build:(fun b ->
-        let x = Builder.fresh_register b "x" n in
-        let y = Builder.fresh_register b "y" n in
-        build ~mbu b ~p:((1 lsl n) - 1) ~x ~y)
-      ()
-  in
-  r.Resources.toffoli
+(* Resources of a Table-1 catalogue row at width n (modulus 2^n - 1 by
+   default) under expected accounting. *)
+let measure_row ?p id ~mbu n =
+  let p = Option.value p ~default:((1 lsl n) - 1) in
+  let e = Option.get (Catalogue.find id) in
+  Resources.measure ~n ~build:(fun b -> ignore (Catalogue.emit e ~mbu ~n ~p b)) ()
+
+(* The same for any catalogue family, at modulus 2^n - 1. *)
+let family_toffoli ?(style = Adder.Cdkpm) ?(a = 0) name ~mbu n =
+  let f = Catalogue.family name in
+  let args = Catalogue.{ style; mbu; n; p = (1 lsl n) - 1; a; x = 0; y = 0 } in
+  (Resources.measure ~n ~build:(fun b -> ignore (f.build b args)) ())
+    .Resources.toffoli
+
+let modadd_toffoli ~mbu id n = (measure_row id ~mbu n).Resources.toffoli
 
 (* Leading coefficient via a two-point fit. *)
 let slope f n1 n2 = (f n2 -. f n1) /. float_of_int (n2 - n1)
 
 let test_table1_toffoli_slopes () =
   let cases =
-    [ ("cdkpm", (fun ~mbu b ~p ~x ~y -> Mod_add.modadd ~mbu Mod_add.spec_cdkpm b ~p ~x ~y), 8., 7.);
-      ("gidney", (fun ~mbu b ~p ~x ~y -> Mod_add.modadd ~mbu Mod_add.spec_gidney b ~p ~x ~y), 4., 3.5);
-      ("mixed", (fun ~mbu b ~p ~x ~y -> Mod_add.modadd ~mbu Mod_add.spec_mixed b ~p ~x ~y), 6., 5.5);
-      ("vbe5", (fun ~mbu b ~p ~x ~y -> Mod_add.modadd_vbe_5adder ~mbu b ~p ~x ~y), 20., 16.);
-      ("vbe4", (fun ~mbu b ~p ~x ~y -> Mod_add.modadd_vbe_4adder ~mbu b ~p ~x ~y), 16., 14.) ]
+    [ ("cdkpm", 8., 7.); ("gidney", 4., 3.5); ("mixed", 6., 5.5);
+      ("vbe5", 20., 16.); ("vbe4", 16., 14.) ]
   in
   List.iter
-    (fun (name, build, plain_slope, mbu_slope) ->
-      let f mbu n = modadd_toffoli ~mbu (fun ~mbu b ~p ~x ~y -> build ~mbu b ~p ~x ~y) n in
+    (fun (name, plain_slope, mbu_slope) ->
+      let f mbu n = modadd_toffoli ~mbu name n in
       check_float (name ^ " toffoli/n without mbu") plain_slope (slope (f false) 8 16);
       check_float (name ^ " toffoli/n with mbu") mbu_slope (slope (f true) 8 16))
     cases
 
 let test_controlled_modadd_slopes () =
-  let ctrl_toffoli ~mbu spec n =
-    let r =
-      Resources.measure ~n
-        ~build:(fun b ->
-          let c = Builder.fresh_register b "c" 1 in
-          let x = Builder.fresh_register b "x" n in
-          let y = Builder.fresh_register b "y" n in
-          Mod_add.modadd_controlled ~mbu spec b ~ctrl:(Register.get c 0)
-            ~p:((1 lsl n) - 1) ~x ~y)
-        ()
-    in
-    r.Resources.toffoli
-  in
+  let ctrl_toffoli ~mbu style = family_toffoli ~style "cmodadd" ~mbu in
   (* props 3.10/3.11, thms 4.8/4.9: 9n+1 -> 8n+0.5 and 5n+1 -> 4.5n+0.5 *)
-  check_float "cdkpm controlled slope" 9. (slope (ctrl_toffoli ~mbu:false Mod_add.spec_cdkpm) 8 16);
-  check_float "cdkpm controlled+mbu slope" 8. (slope (ctrl_toffoli ~mbu:true Mod_add.spec_cdkpm) 8 16);
-  check_float "gidney controlled slope" 5. (slope (ctrl_toffoli ~mbu:false Mod_add.spec_gidney) 8 16);
-  check_float "gidney controlled+mbu slope" 4.5 (slope (ctrl_toffoli ~mbu:true Mod_add.spec_gidney) 8 16)
+  check_float "cdkpm controlled slope" 9. (slope (ctrl_toffoli ~mbu:false Adder.Cdkpm) 8 16);
+  check_float "cdkpm controlled+mbu slope" 8. (slope (ctrl_toffoli ~mbu:true Adder.Cdkpm) 8 16);
+  check_float "gidney controlled slope" 5. (slope (ctrl_toffoli ~mbu:false Adder.Gidney) 8 16);
+  check_float "gidney controlled+mbu slope" 4.5 (slope (ctrl_toffoli ~mbu:true Adder.Gidney) 8 16)
 
 let test_takahashi_slopes () =
   (* prop 3.15 / thm 4.11 with CDKPM subroutines: 6n -> 5n. *)
-  let tak ~mbu n =
-    let r =
-      Resources.measure ~n
-        ~build:(fun b ->
-          let x = Builder.fresh_register b "x" n in
-          Mod_add.modadd_const_takahashi ~mbu Mod_add.spec_cdkpm b
-            ~p:((1 lsl n) - 1)
-            ~a:((1 lsl (n - 1)) + 1)
-            ~x)
-        ()
-    in
-    r.Resources.toffoli
-  in
+  let tak ~mbu n = family_toffoli ~a:((1 lsl (n - 1)) + 1) "takahashi" ~mbu n in
   check_float "takahashi slope" 6. (slope (tak ~mbu:false) 8 16);
   check_float "takahashi+mbu slope" 5. (slope (tak ~mbu:true) 8 16)
 
@@ -82,33 +59,19 @@ let test_mbu_savings_headline () =
   let n = 16 in
   let saving without with_mbu = (without -. with_mbu) /. without in
   List.iter
-    (fun (name, build, lo, hi) ->
+    (fun (name, lo, hi) ->
       let s =
-        saving (modadd_toffoli ~mbu:false build n) (modadd_toffoli ~mbu:true build n)
+        saving (modadd_toffoli ~mbu:false name n) (modadd_toffoli ~mbu:true name n)
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s saving %.3f in [%.2f, %.2f]" name s lo hi)
         true
         (s >= lo && s <= hi))
-    [ ("cdkpm", (fun ~mbu b ~p ~x ~y -> Mod_add.modadd ~mbu Mod_add.spec_cdkpm b ~p ~x ~y), 0.10, 0.15);
-      ("gidney", (fun ~mbu b ~p ~x ~y -> Mod_add.modadd ~mbu Mod_add.spec_gidney b ~p ~x ~y), 0.10, 0.15);
-      ("vbe5", (fun ~mbu b ~p ~x ~y -> Mod_add.modadd_vbe_5adder ~mbu b ~p ~x ~y), 0.15, 0.25) ];
+    [ ("cdkpm", 0.10, 0.15); ("gidney", 0.10, 0.15); ("vbe5", 0.15, 0.25) ];
   (* two-sided comparator: 2r+r' = 6n+1 -> 1.5r+r' = 5n+1: ~16% Toffoli, but
      the paper's "almost 25%" counts the savable share of the comparator
      cost; check both the Toffoli saving and the savable-share ratio. *)
-  let in_range_toffoli mbu =
-    let r =
-      Resources.measure ~n
-        ~build:(fun b ->
-          let x = Builder.fresh_register b "x" n in
-          let y = Builder.fresh_register b "y" n in
-          let z = Builder.fresh_register b "z" n in
-          let t = Builder.fresh_register b "t" 1 in
-          Mbu.in_range ~mbu Adder.Cdkpm b ~x ~y ~z ~target:(Register.get t 0))
-        ()
-    in
-    r.Resources.toffoli
-  in
+  let in_range_toffoli mbu = family_toffoli "in-range" ~mbu n in
   let s = saving (in_range_toffoli false) (in_range_toffoli true) in
   Alcotest.(check bool)
     (Printf.sprintf "two-sided comparator saving %.3f ~ 1/6" s)
@@ -117,17 +80,7 @@ let test_mbu_savings_headline () =
 
 let test_draper_qft_units () =
   let n = 24 in
-  let units mbu =
-    let r =
-      Resources.measure ~n
-        ~build:(fun b ->
-          let x = Builder.fresh_register b "x" n in
-          let y = Builder.fresh_register b "y" n in
-          Mod_add.modadd_draper ~mbu b ~p:((1 lsl n) - 1) ~x ~y)
-        ()
-    in
-    r.Resources.qft_units
-  in
+  let units mbu = (measure_row "draper" ~mbu n).Resources.qft_units in
   let without = units false and with_mbu = units true in
   (* The paper counts 10 blocks without MBU and 8 with; measured gate
      content is slightly below the block count because the constant-rotation
@@ -148,17 +101,7 @@ let test_draper_qft_units () =
 
 let test_mbu_reduces_toffoli_depth () =
   let n = 12 in
-  let depth mbu =
-    let r =
-      Resources.measure ~n
-        ~build:(fun b ->
-          let x = Builder.fresh_register b "x" n in
-          let y = Builder.fresh_register b "y" n in
-          Mod_add.modadd ~mbu Mod_add.spec_cdkpm b ~p:((1 lsl n) - 1) ~x ~y)
-        ()
-    in
-    r.Resources.toffoli_depth
-  in
+  let depth mbu = (measure_row "cdkpm" ~mbu n).Resources.toffoli_depth in
   let without = depth false and with_mbu = depth true in
   let s = (without -. with_mbu) /. without in
   Alcotest.(check bool)
@@ -170,22 +113,13 @@ let test_mbu_reduces_toffoli_depth () =
    empirical mean of executed Toffolis over simulator shots. *)
 let test_monte_carlo_matches_expectation () =
   let n = 4 and p = 13 in
-  let analytic =
-    (Resources.measure ~n
-       ~build:(fun b ->
-         let x = Builder.fresh_register b "x" n in
-         let y = Builder.fresh_register b "y" n in
-         Mod_add.modadd ~mbu:true Mod_add.spec_cdkpm b ~p ~x ~y)
-       ())
-      .Resources.toffoli
-  in
+  let analytic = (measure_row ~p "cdkpm" ~mbu:true n).Resources.toffoli in
   let empirical =
     Resources.monte_carlo_toffoli ~shots:1500
       ~build:(fun b ->
-        let x = Builder.fresh_register b "x" n in
-        let y = Builder.fresh_register b "y" n in
-        Mod_add.modadd ~mbu:true Mod_add.spec_cdkpm b ~p ~x ~y;
-        [ (x, 7); (y, 11) ])
+        (Catalogue.emit ~x:7 ~y:11 (Option.get (Catalogue.find "cdkpm"))
+           ~mbu:true ~n ~p b)
+          .Catalogue.inits)
       ()
   in
   let rel = Float.abs (empirical -. analytic) /. analytic in
@@ -217,11 +151,7 @@ let test_formula_vs_measured_gap () =
   List.iter
     (fun mbu ->
       let paper = (Formulas.modadd_cdkpm ~mbu params).Formulas.toffoli in
-      let measured =
-        modadd_toffoli ~mbu
-          (fun ~mbu b ~p ~x ~y -> Mod_add.modadd ~mbu Mod_add.spec_cdkpm b ~p ~x ~y)
-          n
-      in
+      let measured = modadd_toffoli ~mbu "cdkpm" n in
       Alcotest.(check bool)
         (Printf.sprintf "cdkpm mbu=%b paper %.1f vs measured %.1f" mbu paper measured)
         true
