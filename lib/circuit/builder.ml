@@ -12,17 +12,19 @@ type t = {
   mutable next_bit : int;
   mutable input_qubits : int;
   mutable free_pool : Gate.qubit list;
-  free_set : (Gate.qubit, unit) Hashtbl.t;  (* membership mirror of free_pool *)
+  mutable is_free : bool array;  (* per wire: in [free_pool]; grown with
+                                     [next_qubit] *)
   mutable live_ancillas : int;
   mutable peak_live : int;  (* high-water of live_ancillas since the innermost
                                open span began (see [with_span]) *)
-  mutable stack : Instr.t list list;  (* accumulators, innermost first, reversed *)
+  mutable top : Instr.t list;  (* innermost accumulator, reversed *)
+  mutable outer : Instr.t list list;  (* enclosing accumulators, innermost first *)
 }
 
 let create () =
   { next_qubit = 0; next_bit = 0; input_qubits = 0; free_pool = [];
-    free_set = Hashtbl.create 64; live_ancillas = 0; peak_live = 0;
-    stack = [ [] ] }
+    is_free = Array.make 64 false; live_ancillas = 0; peak_live = 0;
+    top = []; outer = [] }
 
 let fresh_qubit b =
   if b.live_ancillas > 0 || b.free_pool <> [] then
@@ -48,20 +50,32 @@ let alloc_ancilla b =
   match b.free_pool with
   | q :: rest ->
       b.free_pool <- rest;
-      Hashtbl.remove b.free_set q;
+      b.is_free.(q) <- false;
       q
   | [] ->
       let q = b.next_qubit in
       b.next_qubit <- q + 1;
+      let cap = Array.length b.is_free in
+      if q >= cap then begin
+        let grown = Array.make (max (2 * cap) (q + 1)) false in
+        Array.blit b.is_free 0 grown 0 cap;
+        b.is_free <- grown
+      end;
       q
 
+let reject_free q msg =
+  Mbu_error.invalid ~subsystem:"Builder.free_ancilla" ~qubit:q msg
+
+(* Inputs come first ([fresh_qubit] refuses them after any ancilla), so a
+   live ancilla is a wire in [input_qubits, next_qubit) that is not free. *)
 let free_ancilla b q =
-  if Hashtbl.mem b.free_set q then
-    Mbu_error.invalid ~subsystem:"Builder.free_ancilla" ~qubit:q "double free";
+  if q < 0 || q >= b.next_qubit then reject_free q "wire was never allocated";
+  if q < b.input_qubits then reject_free q "wire is an input, not an ancilla";
+  if b.is_free.(q) then reject_free q "double free";
   b.live_ancillas <- b.live_ancillas - 1;
   Telemetry.set_gauge m_ancilla_live b.live_ancillas;
   b.free_pool <- q :: b.free_pool;
-  Hashtbl.replace b.free_set q ()
+  b.is_free.(q) <- true
 
 let alloc_ancilla_register b name n =
   Register.make ~name (Array.init n (fun _ -> alloc_ancilla b))
@@ -89,10 +103,7 @@ let num_qubits b = b.next_qubit
 let input_qubits b = b.input_qubits
 let ancilla_qubits b = b.next_qubit - b.input_qubits
 
-let push b i =
-  match b.stack with
-  | top :: rest -> b.stack <- (i :: top) :: rest
-  | [] -> assert false
+let push b i = b.top <- i :: b.top
 
 let gate b g =
   Gate.validate g;
@@ -113,13 +124,17 @@ let measure ?(reset = false) b q =
   push b (Instr.Measure { qubit = q; bit; reset });
   bit
 
-let enter b = b.stack <- [] :: b.stack
+let enter b =
+  b.outer <- b.top :: b.outer;
+  b.top <- []
 
 let leave b =
-  match b.stack with
-  | top :: rest ->
-      b.stack <- rest;
-      List.rev top
+  match b.outer with
+  | o :: rest ->
+      let body = List.rev b.top in
+      b.top <- o;
+      b.outer <- rest;
+      body
   | [] -> assert false
 
 let if_bit ?(value = true) b bit f =
@@ -162,9 +177,7 @@ let capture b f =
 
 let emit b instrs =
   (* Splice in one rev-append instead of pushing instr-by-instr. *)
-  match b.stack with
-  | top :: rest -> b.stack <- List.rev_append instrs top :: rest
-  | [] -> assert false
+  b.top <- List.rev_append instrs b.top
 
 let emit_adjoint b f =
   let (), instrs = capture b f in
@@ -237,12 +250,12 @@ let repeat ?label b ~times f =
       raise e
 
 let to_circuit b =
-  match b.stack with
-  | [ top ] ->
+  match b.outer with
+  | [] ->
       (* Every gate was validated by [gate] on emission, so construction
          takes the trusted path. *)
       Circuit.make ~validate:false ~num_qubits:b.next_qubit
-        ~num_bits:b.next_bit (List.rev top)
-  | _ ->
+        ~num_bits:b.next_bit (List.rev b.top)
+  | _ :: _ ->
       Mbu_error.invalid ~subsystem:"Builder.to_circuit"
         "unbalanced capture/if block"

@@ -14,9 +14,13 @@
     returns to |0> (this is checked at simulation time by
     [Sim.run_on_basis ~check_ancillas]).
 
-    Misuse (double free, inputs allocated after ancillas, repeating a
-    measuring body, unbalanced capture) raises {!Mbu_error.Error} with the
-    offending wire attached. *)
+    Misuse (freeing a wire that is not a live ancilla, inputs allocated
+    after ancillas, repeating a measuring body, unbalanced capture) raises
+    {!Mbu_error.Error} with the offending wire attached.
+
+    Emitting a gate allocates only the gate, its [Instr.Gate] box and one
+    list cell: validation matches on the constructor and the innermost open
+    block is a mutable list head. *)
 
 type t
 
@@ -30,6 +34,9 @@ val fresh_bit : t -> int
 
 val alloc_ancilla : t -> Gate.qubit
 val free_ancilla : t -> Gate.qubit -> unit
+(** Returns a live ancilla to the pool. Raises {!Mbu_error.Error} (subsystem
+    ["Builder.free_ancilla"], the wire attached) if the wire was never
+    allocated, is an input wire, or is already free (double free). *)
 
 val alloc_ancilla_register : t -> string -> int -> Register.t
 val free_ancilla_register : t -> Register.t -> unit

@@ -28,16 +28,73 @@ let scale k a =
     cnot = k *. a.cnot; cz = k *. a.cz; swap = k *. a.swap;
     toffoli = k *. a.toffoli; cphase = k *. a.cphase; measure = k *. a.measure }
 
-let of_gate = function
-  | Gate.X _ -> { zero with x = 1. }
-  | Gate.Z _ -> { zero with z = 1. }
-  | Gate.H _ -> { zero with h = 1. }
-  | Gate.Phase _ -> { zero with phase = 1. }
-  | Gate.Cnot _ -> { zero with cnot = 1. }
-  | Gate.Cz _ -> { zero with cz = 1. }
-  | Gate.Swap _ -> { zero with swap = 1. }
-  | Gate.Toffoli _ -> { zero with toffoli = 1. }
-  | Gate.Cphase _ -> { zero with cphase = 1. }
+(* A mutable all-float record is stored flat, so updating a field or the
+   weight boxes nothing. Each update adds to a field exactly what the
+   record-building [add]/[scale] folds added to it: a gate's unit times the
+   weight to its own field (the other fields gained an exact [0.]), and
+   [weight *. k] per field for a block total [k]. *)
+type acc = {
+  mutable ax : float;
+  mutable az : float;
+  mutable ah : float;
+  mutable aphase : float;
+  mutable acnot : float;
+  mutable acz : float;
+  mutable aswap : float;
+  mutable atoffoli : float;
+  mutable acphase : float;
+  mutable ameasure : float;
+  mutable weight : float;
+}
+
+let acc weight =
+  { ax = 0.; az = 0.; ah = 0.; aphase = 0.; acnot = 0.; acz = 0.; aswap = 0.;
+    atoffoli = 0.; acphase = 0.; ameasure = 0.; weight }
+
+let add_gate a g =
+  let w = a.weight in
+  match g with
+  | Gate.X _ -> a.ax <- a.ax +. w
+  | Gate.Z _ -> a.az <- a.az +. w
+  | Gate.H _ -> a.ah <- a.ah +. w
+  | Gate.Phase _ -> a.aphase <- a.aphase +. w
+  | Gate.Cnot _ -> a.acnot <- a.acnot +. w
+  | Gate.Cz _ -> a.acz <- a.acz +. w
+  | Gate.Swap _ -> a.aswap <- a.aswap +. w
+  | Gate.Toffoli _ -> a.atoffoli <- a.atoffoli +. w
+  | Gate.Cphase _ -> a.acphase <- a.acphase +. w
+
+let add_measure a = a.ameasure <- a.ameasure +. a.weight
+
+let add_scaled a c =
+  let w = a.weight in
+  a.ax <- a.ax +. (w *. c.x);
+  a.az <- a.az +. (w *. c.z);
+  a.ah <- a.ah +. (w *. c.h);
+  a.aphase <- a.aphase +. (w *. c.phase);
+  a.acnot <- a.acnot +. (w *. c.cnot);
+  a.acz <- a.acz +. (w *. c.cz);
+  a.aswap <- a.aswap +. (w *. c.swap);
+  a.atoffoli <- a.atoffoli +. (w *. c.toffoli);
+  a.acphase <- a.acphase +. (w *. c.cphase);
+  a.ameasure <- a.ameasure +. (w *. c.measure)
+
+let add_acc a b =
+  a.ax <- a.ax +. b.ax;
+  a.az <- a.az +. b.az;
+  a.ah <- a.ah +. b.ah;
+  a.aphase <- a.aphase +. b.aphase;
+  a.acnot <- a.acnot +. b.acnot;
+  a.acz <- a.acz +. b.acz;
+  a.aswap <- a.aswap +. b.aswap;
+  a.atoffoli <- a.atoffoli +. b.atoffoli;
+  a.acphase <- a.acphase +. b.acphase;
+  a.ameasure <- a.ameasure +. b.ameasure
+
+let of_acc a =
+  { x = a.ax; z = a.az; h = a.ah; phase = a.aphase; cnot = a.acnot; cz = a.acz;
+    swap = a.aswap; toffoli = a.atoffoli; cphase = a.acphase;
+    measure = a.ameasure }
 
 let of_instrs ~mode instrs =
   let branch_weight =
@@ -56,34 +113,44 @@ let of_instrs ~mode instrs =
      back to the inline walk throughout. *)
   let memo : (int, t) Hashtbl.t = Hashtbl.create 64 in
   let use_memo = branch_weight = 0. || fst (Float.frexp branch_weight) = 0.5 in
-  let rec count weight acc = function
-    | [] -> acc
-    | Instr.Gate g :: rest -> count weight (add acc (scale weight (of_gate g))) rest
+  (* One accumulator for the whole walk; a conditional body multiplies its
+     weight in place and restores it on exit. *)
+  let rec count a = function
+    | [] -> ()
+    | Instr.Gate g :: rest ->
+        add_gate a g;
+        count a rest
     | Instr.Measure _ :: rest ->
-        count weight (add acc (scale weight { zero with measure = 1. })) rest
+        add_measure a;
+        count a rest
     | Instr.If_bit { body; _ } :: rest ->
-        let acc = count (weight *. branch_weight) acc body in
-        count weight acc rest
+        let w = a.weight in
+        a.weight <- w *. branch_weight;
+        count a body;
+        a.weight <- w;
+        count a rest
     | Instr.Span { body; _ } :: rest ->
-        let acc = count weight acc body in
-        count weight acc rest
+        count a body;
+        count a rest
     | Instr.Call node :: rest ->
-        if use_memo then
-          let c =
-            match Hashtbl.find_opt memo node.Instr.id with
-            | Some c -> c
-            | None ->
-                let c = count 1. zero node.Instr.body in
-                Hashtbl.add memo node.Instr.id c;
-                c
-          in
-          let c = if weight = 1. then c else scale weight c in
-          count weight (add acc c) rest
-        else
-          let acc = count weight acc node.Instr.body in
-          count weight acc rest
+        (if use_memo then
+           let c =
+             match Hashtbl.find_opt memo node.Instr.id with
+             | Some c -> c
+             | None ->
+                 let na = acc 1. in
+                 count na node.Instr.body;
+                 let c = of_acc na in
+                 Hashtbl.add memo node.Instr.id c;
+                 c
+           in
+           add_scaled a c
+         else count a node.Instr.body);
+        count a rest
   in
-  count 1. zero instrs
+  let a = acc 1. in
+  count a instrs;
+  of_acc a
 
 let cnot_cz c = c.cnot +. c.cz
 let two_qubit c = c.cnot +. c.cz +. c.swap +. c.cphase

@@ -31,12 +31,38 @@ type mode =
 val zero : t
 val add : t -> t -> t
 val scale : float -> t -> t
-val of_gate : Gate.t -> t
 
 val of_instrs : mode:mode -> Instr.t list -> t
 (** Count the gates of a program. Measurements count in [measure] only; the
     outcome-conditioned reset X of a [Measure ~reset:true] is not counted as
-    a gate. *)
+    a gate. The walk allocates one {!acc}, plus one [t] per distinct shared
+    node in the dyadic modes: nothing per gate. *)
+
+(** {1 Accumulators}
+
+    A mutable tally for per-gate walks ({!of_instrs}, [Trace.profile]).
+    Its fields are all floats, so adding a gate allocates nothing. Every
+    operation adds to each field what the equivalent {!add}/{!scale}
+    expression would, in the same order, so a walk that mirrors a
+    record-building fold gets bit-identical sums. *)
+
+type acc
+
+val acc : float -> acc
+(** [acc w]: zero counts; every gate added counts [w]. *)
+
+val add_gate : acc -> Gate.t -> unit
+(** Adds the weight to the gate's field. *)
+
+val add_measure : acc -> unit
+
+val add_scaled : acc -> t -> unit
+(** Adds [scale w c], field by field, where [w] is the accumulator's weight. *)
+
+val add_acc : acc -> acc -> unit
+(** [add_acc a b] adds [b]'s counts to [a], unscaled. *)
+
+val of_acc : acc -> t
 
 val cnot_cz : t -> float
 (** The paper's combined "CNOT,CZ" column of table 1. *)

@@ -13,9 +13,11 @@ type t =
 (* Site and slot (instruction position) counts of one instruction; a
    [Call] reads its node's stored summary. They differ because a k-wire
    gate is one slot but k sites. *)
-let counts_of i =
-  let s = Instr.scan [ i ] in
-  (s.Instr.site_count, s.Instr.instr_count)
+let counts_of = function
+  | Instr.Gate g -> (Gate.arity g, 1)
+  | i ->
+      let s = Instr.scan [ i ] in
+      (s.Instr.site_count, s.Instr.instr_count)
 
 let num_sites instrs = (Instr.scan instrs).Instr.site_count
 
@@ -30,7 +32,7 @@ let site instrs k0 =
         let ns, slots = counts_of i in
         if k < ns then in_instr ~pos k i else go ~pos:(pos + slots) (k - ns) rest
   and in_instr ~pos k = function
-    | Instr.Gate g -> Gate_site { pos; gate = g; qubit = List.nth (Gate.qubits g) k }
+    | Instr.Gate g -> Gate_site { pos; gate = g; qubit = Gate.qubit g k }
     | Instr.Measure { qubit; bit; _ } -> Measure_site { pos; qubit; bit }
     | Instr.If_bit { bit; value; body } ->
         if k = 0 then Branch_site { pos; bit; value }
@@ -45,9 +47,9 @@ let sites instrs =
   let rec walk pos l = List.fold_left walk_instr pos l
   and walk_instr pos = function
     | Instr.Gate g ->
-        List.iter
-          (fun q -> acc := Gate_site { pos; gate = g; qubit = q } :: !acc)
-          (Gate.qubits g);
+        for k = 0 to Gate.arity g - 1 do
+          acc := Gate_site { pos; gate = g; qubit = Gate.qubit g k } :: !acc
+        done;
         pos + 1
     | Instr.Measure { qubit; bit; _ } ->
         acc := Measure_site { pos; qubit; bit } :: !acc;

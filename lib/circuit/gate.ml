@@ -18,6 +18,22 @@ let qubits = function
   | Toffoli { c1; c2; target } -> [ c1; c2; target ]
   | Cphase { control; target; _ } -> [ control; target ]
 
+let arity = function
+  | X _ | Z _ | H _ | Phase _ -> 1
+  | Cnot _ | Cz _ | Swap _ | Cphase _ -> 2
+  | Toffoli _ -> 3
+
+let qubit g k =
+  match (g, k) with
+  | (X q | Z q | H q | Phase (q, _)), 0 -> q
+  | (Cnot { control = q; _ } | Cz (q, _) | Swap (q, _) | Cphase { control = q; _ }), 0
+  | (Cnot { target = q; _ } | Cz (_, q) | Swap (_, q) | Cphase { target = q; _ }), 1
+  | Toffoli { c1 = q; _ }, 0
+  | Toffoli { c2 = q; _ }, 1
+  | Toffoli { target = q; _ }, 2 ->
+      q
+  | _ -> invalid_arg "Gate.qubit: operand index out of range"
+
 let adjoint = function
   | (X _ | Z _ | H _ | Cnot _ | Cz _ | Swap _ | Toffoli _) as g -> g
   | Phase (q, p) -> Phase (q, Phase.neg p)
@@ -36,11 +52,22 @@ let map_qubits f = function
   | Cphase { control; target; phase } ->
       Cphase { control = f control; target = f target; phase }
 
+(* Matched on the constructor, so validating a gate allocates nothing. A
+   negative wire is reported before a repeated one. *)
 let validate g =
-  let qs = qubits g in
-  if List.exists (fun q -> q < 0) qs then invalid_arg "Gate: negative wire";
-  let sorted = List.sort_uniq Stdlib.compare qs in
-  if List.length sorted <> List.length qs then invalid_arg "Gate: repeated wire"
+  let negative () = invalid_arg "Gate: negative wire" in
+  let repeated () = invalid_arg "Gate: repeated wire" in
+  match g with
+  | X q | Z q | H q | Phase (q, _) -> if q < 0 then negative ()
+  | Cnot { control = a; target = b }
+  | Cz (a, b)
+  | Swap (a, b)
+  | Cphase { control = a; target = b; _ } ->
+      if a < 0 || b < 0 then negative ();
+      if a = b then repeated ()
+  | Toffoli { c1; c2; target } ->
+      if c1 < 0 || c2 < 0 || target < 0 then negative ();
+      if c1 = c2 || c1 = target || c2 = target then repeated ()
 
 let is_toffoli = function Toffoli _ -> true | _ -> false
 

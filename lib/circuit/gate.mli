@@ -22,7 +22,16 @@ type t =
           control and target. *)
 
 val qubits : t -> qubit list
-(** The distinct wires the gate touches. *)
+(** The distinct wires the gate touches. Builds a list: per-gate passes use
+    {!arity} and {!qubit} instead. *)
+
+val arity : t -> int
+(** Number of wires the gate touches: 1, 2 or 3. *)
+
+val qubit : t -> int -> qubit
+(** [qubit g k] is the [k]-th element of [qubits g] (controls before the
+    target), for [0 <= k < arity g], read off the constructor without
+    allocating. Raises [Invalid_argument] for any other [k]. *)
 
 val adjoint : t -> t
 (** Every gate in the set is either self-adjoint or has its adjoint in the
@@ -31,8 +40,10 @@ val adjoint : t -> t
 val map_qubits : (qubit -> qubit) -> t -> t
 
 val validate : t -> unit
-(** Raises [Invalid_argument] if the gate touches a negative wire or reuses
-    the same wire twice (e.g. a CNOT with control = target). *)
+(** Raises [Invalid_argument "Gate: negative wire"] if the gate touches a
+    negative wire, otherwise [Invalid_argument "Gate: repeated wire"] if it
+    reuses the same wire twice (e.g. a CNOT with control = target).
+    Allocates nothing on a valid gate. *)
 
 val is_toffoli : t -> bool
 

@@ -81,15 +81,31 @@ type scan_acc = {
   mutable un : bool;
 }
 
+let note_wire acc q = if q > acc.mq then acc.mq <- q
+
+(* One site per wire; the widest wire read off the constructor. *)
+let scan_gate acc = function
+  | Gate.X q | Gate.Z q | Gate.H q | Gate.Phase (q, _) ->
+      note_wire acc q;
+      acc.nsite <- acc.nsite + 1
+  | Gate.Cnot { control = a; target = b }
+  | Gate.Cz (a, b)
+  | Gate.Swap (a, b)
+  | Gate.Cphase { control = a; target = b; _ } ->
+      note_wire acc a;
+      note_wire acc b;
+      acc.nsite <- acc.nsite + 2
+  | Gate.Toffoli { c1; c2; target } ->
+      note_wire acc c1;
+      note_wire acc c2;
+      note_wire acc target;
+      acc.nsite <- acc.nsite + 3
+
 let rec scan_into ~validate acc = function
   | [] -> ()
   | Gate g :: rest ->
       if validate then Gate.validate g;
-      List.iter
-        (fun q ->
-          if q > acc.mq then acc.mq <- q;
-          acc.nsite <- acc.nsite + 1)
-        (Gate.qubits g);
+      scan_gate acc g;
       acc.ni <- acc.ni + 1;
       scan_into ~validate acc rest
   | Measure { qubit; bit; _ } :: rest ->

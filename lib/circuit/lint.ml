@@ -104,8 +104,13 @@ let check_instrs ?input_qubits ~num_qubits ~num_bits instrs =
       | _ -> ()
   in
   let apply_gate ctx g =
-    List.iter (use ctx) (Gate.qubits g);
-    if List.for_all (fun q -> q >= 0 && q < num_qubits) (Gate.qubits g) then
+    let in_range = ref true in
+    for k = 0 to Gate.arity g - 1 do
+      let q = Gate.qubit g k in
+      use ctx q;
+      if q < 0 || q >= num_qubits then in_range := false
+    done;
+    if !in_range then
       match g with
       | Gate.X q -> set q (neg (get q))
       | Gate.Z _ | Gate.Phase _ | Gate.Cz _ | Gate.Cphase _ -> ()

@@ -1,6 +1,11 @@
 let disjoint g h =
-  let qs = Gate.qubits g in
-  List.for_all (fun q -> not (List.mem q qs)) (Gate.qubits h)
+  let shared = ref false in
+  for i = 0 to Gate.arity g - 1 do
+    for j = 0 to Gate.arity h - 1 do
+      if Gate.qubit g i = Gate.qubit h j then shared := true
+    done
+  done;
+  not !shared
 
 (* Try to fuse [g] with an earlier gate, walking back through gates on
    disjoint wires. Gates carry their span path (a list of span instances,

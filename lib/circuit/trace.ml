@@ -30,6 +30,9 @@ type node_memo = { m_flat : Counts.t; m_dur : float; m_children : entry list }
 
 type clock = { mutable c : float }
 
+(* The children of the span being walked, in reverse emission order. *)
+type frame = { mutable kids : entry list }
+
 let profile ?(mode = Counts.Expected 0.5) ?(span_depth = true) instrs =
   let branch_weight =
     match mode with Counts.Worst -> 1. | Best -> 0. | Expected p -> p
@@ -85,59 +88,63 @@ let profile ?(mode = Counts.Expected 0.5) ?(span_depth = true) instrs =
         cum = Counts.scale w e.cum;
         children = List.map (rebase ~w ~at ~path) e.children }
   in
-  (* returns (flat counts, children in emission order) for one block *)
-  let rec walk path w instrs =
-    let flat, rev_children =
-      List.fold_left
-        (fun (flat, kids) i ->
-          match i with
-          | Instr.Gate g ->
-              clock.c <- clock.c +. w;
-              (Counts.add flat (Counts.scale w (Counts.of_gate g)), kids)
-          | Instr.Measure _ ->
-              clock.c <- clock.c +. w;
-              (Counts.add flat (Counts.scale w { Counts.zero with measure = 1. }),
-               kids)
-          | Instr.If_bit { body; _ } ->
-              (* a conditional block is not a span: its contents attribute to
-                 the enclosing span, discounted by the branch probability *)
-              let bflat, bkids = walk path (w *. branch_weight) body in
-              (Counts.add flat bflat, List.rev_append bkids kids)
-          | Instr.Span { label; peak_ancillas; body } ->
-              let start = clock.c in
-              let cpath = path @ [ label ] in
-              incr ix;
-              let d = depths.(!ix) in
-              let bflat, bkids = walk cpath w body in
-              let e =
-                { label; path = cpath; start; dur = clock.c -. start;
-                  flat = bflat; cum = cum_of bflat bkids; peak_ancillas;
-                  total_depth = d.Depth.total; toffoli_depth = d.Depth.toffoli;
-                  calls = 1; children = bkids }
-              in
-              (flat, e :: kids)
-          | Instr.Call node ->
-              if
-                use_memo
-                && (try Hashtbl.find occurrences node.Instr.id
-                    with Not_found -> 0)
-                   > 1
-              then begin
-                let m = memo_of node in
-                let at = clock.c in
-                clock.c <- at +. (w *. m.m_dur);
-                let bkids = List.map (rebase ~w ~at ~path) m.m_children in
-                let mflat =
-                  if w = 1. then m.m_flat else Counts.scale w m.m_flat
-                in
-                (Counts.add flat mflat, List.rev_append bkids kids)
-              end
-              else
-                let bflat, bkids = walk path w node.Instr.body in
-                (Counts.add flat bflat, List.rev_append bkids kids))
-        (Counts.zero, []) instrs
-    in
-    (flat, List.rev rev_children)
+  (* One [Counts.acc] per block: a span's body, a conditional body and an
+     inlined [Call] are each tallied on their own, then added to the
+     enclosing block's tally. Non-dyadic modes (e.g. [Expected 0.3]) round
+     differently under any other association. [frame] collects the children
+     of the innermost span (reversed); conditionals and inlined [Call]s push
+     into their enclosing span's frame. *)
+  let rec walk path w tally frame = function
+    | [] -> ()
+    | Instr.Gate g :: rest ->
+        clock.c <- clock.c +. w;
+        Counts.add_gate tally g;
+        walk path w tally frame rest
+    | Instr.Measure _ :: rest ->
+        clock.c <- clock.c +. w;
+        Counts.add_measure tally;
+        walk path w tally frame rest
+    | Instr.If_bit { body; _ } :: rest ->
+        (* a conditional block is not a span: its contents attribute to
+           the enclosing span, discounted by the branch probability *)
+        let bw = w *. branch_weight in
+        let btally = Counts.acc bw in
+        walk path bw btally frame body;
+        Counts.add_acc tally btally;
+        walk path w tally frame rest
+    | Instr.Span { label; peak_ancillas; body } :: rest ->
+        let start = clock.c in
+        let cpath = path @ [ label ] in
+        incr ix;
+        let d = depths.(!ix) in
+        let btally = Counts.acc w and bframe = { kids = [] } in
+        walk cpath w btally bframe body;
+        let bflat = Counts.of_acc btally and bkids = List.rev bframe.kids in
+        frame.kids <-
+          { label; path = cpath; start; dur = clock.c -. start; flat = bflat;
+            cum = cum_of bflat bkids; peak_ancillas;
+            total_depth = d.Depth.total; toffoli_depth = d.Depth.toffoli;
+            calls = 1; children = bkids }
+          :: frame.kids;
+        walk path w tally frame rest
+    | Instr.Call node :: rest ->
+        if
+          use_memo
+          && (try Hashtbl.find occurrences node.Instr.id with Not_found -> 0) > 1
+        then begin
+          let m = memo_of node in
+          let at = clock.c in
+          clock.c <- at +. (w *. m.m_dur);
+          frame.kids <-
+            List.rev_append (List.map (rebase ~w ~at ~path) m.m_children) frame.kids;
+          Counts.add_scaled tally m.m_flat
+        end
+        else begin
+          let btally = Counts.acc w in
+          walk path w btally frame node.Instr.body;
+          Counts.add_acc tally btally
+        end;
+        walk path w tally frame rest
   and memo_of node =
     match Hashtbl.find_opt memo node.Instr.id with
     | Some m ->
@@ -146,13 +153,19 @@ let profile ?(mode = Counts.Expected 0.5) ?(span_depth = true) instrs =
     | None ->
         let saved = clock.c in
         clock.c <- 0.;
-        let flat, children = walk [] 1. node.Instr.body in
-        let m = { m_flat = flat; m_dur = clock.c; m_children = children } in
+        let tally = Counts.acc 1. and frame = { kids = [] } in
+        walk [] 1. tally frame node.Instr.body;
+        let m =
+          { m_flat = Counts.of_acc tally; m_dur = clock.c;
+            m_children = List.rev frame.kids }
+        in
         clock.c <- saved;
         Hashtbl.add memo node.Instr.id m;
         m
   in
-  let flat, children = walk [] 1. instrs in
+  let tally = Counts.acc 1. and frame = { kids = [] } in
+  walk [] 1. tally frame instrs;
+  let flat = Counts.of_acc tally and children = List.rev frame.kids in
   let d = depths.(0) in
   let peak =
     List.fold_left (fun m e -> max m e.peak_ancillas) 0 children

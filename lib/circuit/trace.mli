@@ -55,7 +55,13 @@ val profile : ?mode:Counts.mode -> ?span_depth:bool -> Instr.t list -> entry
     part of the profile that does not shrink with sharing. Isolated depth
     does not depend on context, so memoized subtrees keep their depths.
     [~span_depth:false] skips that walk and reports the two fields as [0.],
-    for sweeps that only need counts and attribution. *)
+    for sweeps that only need counts and attribution.
+
+    The walk allocates per block, not per gate: one {!Counts.acc} per span,
+    conditional body and inlined shared block, plus the entries themselves.
+    Each block's tally is added to its enclosing block's in the order of
+    the record-building fold it replaced, so counts are bit-identical in
+    every mode, [Expected 0.3] included. *)
 
 val of_circuit : ?mode:Counts.mode -> ?span_depth:bool -> Circuit.t -> entry
 

@@ -247,3 +247,161 @@ let span_bodies instrs =
         go (go acc body) rest
   in
   List.rev (go [] instrs)
+
+(* The list-based gate validation that [Gate.validate] replaced: every wire
+   collected and [List.sort_uniq]ed. *)
+let reference_validate g =
+  let qs = Gate.qubits g in
+  if List.exists (fun q -> q < 0) qs then invalid_arg "Gate: negative wire";
+  let sorted = List.sort_uniq Stdlib.compare qs in
+  if List.length sorted <> List.length qs then invalid_arg "Gate: repeated wire"
+
+let counts_of_gate g =
+  let z = Counts.zero in
+  match g with
+  | Gate.X _ -> { z with x = 1. }
+  | Gate.Z _ -> { z with z = 1. }
+  | Gate.H _ -> { z with h = 1. }
+  | Gate.Phase _ -> { z with phase = 1. }
+  | Gate.Cnot _ -> { z with cnot = 1. }
+  | Gate.Cz _ -> { z with cz = 1. }
+  | Gate.Swap _ -> { z with swap = 1. }
+  | Gate.Toffoli _ -> { z with toffoli = 1. }
+  | Gate.Cphase _ -> { z with cphase = 1. }
+
+(* The record-building count that [Counts.of_instrs] replaced: a fresh
+   [Counts.t] per gate, scaled and added, a shared node counted once at
+   weight 1 in the dyadic modes. Its addition order is the one the
+   accumulator walk must keep. *)
+let reference_counts ~mode instrs =
+  let branch_weight =
+    match mode with Counts.Worst -> 1. | Best -> 0. | Expected p -> p
+  in
+  let memo : (int, Counts.t) Hashtbl.t = Hashtbl.create 64 in
+  let use_memo = branch_weight = 0. || fst (Float.frexp branch_weight) = 0.5 in
+  let rec count weight acc = function
+    | [] -> acc
+    | Instr.Gate g :: rest ->
+        count weight (Counts.add acc (Counts.scale weight (counts_of_gate g))) rest
+    | Instr.Measure _ :: rest ->
+        count weight
+          (Counts.add acc (Counts.scale weight { Counts.zero with measure = 1. }))
+          rest
+    | Instr.If_bit { body; _ } :: rest ->
+        count weight (count (weight *. branch_weight) acc body) rest
+    | Instr.Span { body; _ } :: rest -> count weight (count weight acc body) rest
+    | Instr.Call node :: rest ->
+        if use_memo then
+          let c =
+            match Hashtbl.find_opt memo node.Instr.id with
+            | Some c -> c
+            | None ->
+                let c = count 1. Counts.zero node.Instr.body in
+                Hashtbl.add memo node.Instr.id c;
+                c
+          in
+          let c = if weight = 1. then c else Counts.scale weight c in
+          count weight (Counts.add acc c) rest
+        else count weight (count weight acc node.Instr.body) rest
+  in
+  count 1. Counts.zero instrs
+
+(* The fold-based span walk that [Trace.profile] replaced, without depths
+   (compare with [~span_depth:false]): each block returns its own
+   [(flat, children)] pair, which the enclosing block adds to its own. *)
+let reference_profile ~mode instrs =
+  let branch_weight =
+    match mode with Counts.Worst -> 1. | Best -> 0. | Expected p -> p
+  in
+  let cum_of flat children =
+    List.fold_left (fun acc e -> Counts.add acc e.Trace.cum) flat children
+  in
+  let clock = ref 0. in
+  let memo = Hashtbl.create 64 in
+  let use_memo = branch_weight = 0. || fst (Float.frexp branch_weight) = 0.5 in
+  let occurrences = Hashtbl.create 64 in
+  let rec count_sites = function
+    | Instr.Gate _ | Instr.Measure _ -> ()
+    | Instr.If_bit { body; _ } | Instr.Span { body; _ } -> List.iter count_sites body
+    | Instr.Call node ->
+        let n = Option.value (Hashtbl.find_opt occurrences node.Instr.id) ~default:0 in
+        Hashtbl.replace occurrences node.Instr.id (n + 1);
+        if n = 0 then List.iter count_sites node.Instr.body
+  in
+  if use_memo then List.iter count_sites instrs;
+  let rec rebase ~w ~at ~path (e : Trace.entry) =
+    if w = 1. then
+      { e with
+        path = path @ e.path;
+        start = at +. e.start;
+        children = List.map (rebase ~w ~at ~path) e.children }
+    else
+      { e with
+        path = path @ e.path;
+        start = at +. (w *. e.start);
+        dur = w *. e.dur;
+        flat = Counts.scale w e.flat;
+        cum = Counts.scale w e.cum;
+        children = List.map (rebase ~w ~at ~path) e.children }
+  in
+  let rec walk path w instrs =
+    let flat, rev_children =
+      List.fold_left
+        (fun (flat, kids) i ->
+          match i with
+          | Instr.Gate g ->
+              clock := !clock +. w;
+              (Counts.add flat (Counts.scale w (counts_of_gate g)), kids)
+          | Instr.Measure _ ->
+              clock := !clock +. w;
+              (Counts.add flat (Counts.scale w { Counts.zero with measure = 1. }), kids)
+          | Instr.If_bit { body; _ } ->
+              let bflat, bkids = walk path (w *. branch_weight) body in
+              (Counts.add flat bflat, List.rev_append bkids kids)
+          | Instr.Span { label; peak_ancillas; body } ->
+              let start = !clock in
+              let cpath = path @ [ label ] in
+              let bflat, bkids = walk cpath w body in
+              let e =
+                { Trace.label; path = cpath; start; dur = !clock -. start;
+                  flat = bflat; cum = cum_of bflat bkids; peak_ancillas;
+                  total_depth = 0.; toffoli_depth = 0.; calls = 1;
+                  children = bkids }
+              in
+              (flat, e :: kids)
+          | Instr.Call node ->
+              if
+                use_memo
+                && Option.value (Hashtbl.find_opt occurrences node.Instr.id) ~default:0
+                   > 1
+              then begin
+                let m_flat, m_dur, m_children = memo_of node in
+                let at = !clock in
+                clock := at +. (w *. m_dur);
+                let bkids = List.map (rebase ~w ~at ~path) m_children in
+                let mflat = if w = 1. then m_flat else Counts.scale w m_flat in
+                (Counts.add flat mflat, List.rev_append bkids kids)
+              end
+              else
+                let bflat, bkids = walk path w node.Instr.body in
+                (Counts.add flat bflat, List.rev_append bkids kids))
+        (Counts.zero, []) instrs
+    in
+    (flat, List.rev rev_children)
+  and memo_of node =
+    match Hashtbl.find_opt memo node.Instr.id with
+    | Some m -> m
+    | None ->
+        let saved = !clock in
+        clock := 0.;
+        let flat, children = walk [] 1. node.Instr.body in
+        let m = (flat, !clock, children) in
+        clock := saved;
+        Hashtbl.add memo node.Instr.id m;
+        m
+  in
+  let flat, children = walk [] 1. instrs in
+  { Trace.label = Trace.root_label; path = []; start = 0.; dur = !clock; flat;
+    cum = cum_of flat children;
+    peak_ancillas = List.fold_left (fun m e -> max m e.Trace.peak_ancillas) 0 children;
+    total_depth = 0.; toffoli_depth = 0.; calls = 1; children }

@@ -22,6 +22,28 @@ let test_double_free_rejected () =
   check_mbu_error "double free" ~subsystem:"Builder.free_ancilla" ~qubit:a
     (fun () -> Builder.free_ancilla b a)
 
+(* Freeing an input wire used to put it in the pool, so the next ancilla
+   aliased the input. *)
+let test_free_input_rejected () =
+  let b = Builder.create () in
+  let q = Builder.fresh_qubit b in
+  check_mbu_error "free of an input" ~subsystem:"Builder.free_ancilla" ~qubit:q
+    (fun () -> Builder.free_ancilla b q);
+  Alcotest.(check bool) "next ancilla is a new wire" true
+    (Builder.alloc_ancilla b <> q)
+
+(* Freeing a wire the builder never handed out used to be accepted, and
+   [to_circuit] failed late on the width. *)
+let test_free_unallocated_rejected () =
+  let b = Builder.create () in
+  let _q = Builder.fresh_qubit b in
+  check_mbu_error "free of wire 7" ~subsystem:"Builder.free_ancilla" ~qubit:7
+    (fun () -> Builder.free_ancilla b 7);
+  let a = Builder.alloc_ancilla b in
+  Builder.x b a;
+  Builder.free_ancilla b a;
+  Alcotest.(check int) "width" 2 (Builder.to_circuit b).Circuit.num_qubits
+
 let test_inputs_before_ancillas () =
   let b = Builder.create () in
   let _a = Builder.alloc_ancilla b in
@@ -85,6 +107,9 @@ let test_builder_gate_validation () =
 let suite =
   ( "builder-edge",
     [ Alcotest.test_case "double free rejected" `Quick test_double_free_rejected;
+      Alcotest.test_case "free of an input rejected" `Quick test_free_input_rejected;
+      Alcotest.test_case "free of an unallocated wire rejected" `Quick
+        test_free_unallocated_rejected;
       Alcotest.test_case "inputs before ancillas" `Quick test_inputs_before_ancillas;
       Alcotest.test_case "capture unwinds on exception" `Quick test_unbalanced_capture;
       Alcotest.test_case "ancilla register pool reuse" `Quick

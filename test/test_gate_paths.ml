@@ -1,0 +1,137 @@
+(* The allocation-free gate paths against the list- and record-based walks
+   they replaced (kept in [Helpers]): gate validation, [Counts.of_instrs]
+   and [Trace.profile] agree bit for bit on [Test_depth]'s random programs
+   in every mode, and minor-heap allocation stays within a per-instruction
+   budget. *)
+
+open Mbu_circuit
+open Mbu_core
+module Bitstring = Mbu_bitstring.Bitstring
+
+let modes =
+  [ Counts.Worst; Counts.Best; Counts.Expected 0.5; Counts.Expected 0.3 ]
+
+(* {1 Oracles} *)
+
+(* Any constructor on wires in [-2, 3], so negative and repeated wires, and
+   both at once, all occur. *)
+let arb_gate =
+  let open QCheck.Gen in
+  let w = int_range (-2) 3 in
+  let gen =
+    let* k = int_bound 8 and* a = w and* b = w and* c = w and* ph = int_range 1 4 in
+    return
+      (match k with
+      | 0 -> Gate.X a
+      | 1 -> Gate.Z a
+      | 2 -> Gate.H a
+      | 3 -> Gate.Phase (a, Phase.theta ph)
+      | 4 -> Gate.Cnot { control = a; target = b }
+      | 5 -> Gate.Cz (a, b)
+      | 6 -> Gate.Swap (a, b)
+      | 7 -> Gate.Cphase { control = a; target = b; phase = Phase.theta ph }
+      | _ -> Gate.Toffoli { c1 = a; c2 = b; target = c })
+  in
+  QCheck.make gen ~print:(Format.asprintf "%a" Gate.pp)
+
+let outcome f = match f () with () -> None | exception e -> Some e
+
+let prop_validate =
+  QCheck.Test.make ~name:"validate raises what the list walk raises" ~count:1000
+    arb_gate (fun g ->
+      outcome (fun () -> Gate.validate g) = outcome (fun () -> Helpers.reference_validate g))
+
+let prop_operands =
+  QCheck.Test.make ~name:"arity and qubit read off qubits" ~count:300 arb_gate
+    (fun g ->
+      List.init (Gate.arity g) (Gate.qubit g) = Gate.qubits g
+      && outcome (fun () -> ignore (Gate.qubit g (Gate.arity g)))
+         <> None)
+
+let prop_counts =
+  QCheck.Test.make ~name:"counts = record fold, all modes" ~count:400
+    Test_depth.arb_program (fun prog ->
+      List.for_all
+        (fun mode -> Counts.of_instrs ~mode prog = Helpers.reference_counts ~mode prog)
+        modes)
+
+(* Every entry's counts, clock and path, compared with [=]. *)
+let prop_profile =
+  QCheck.Test.make ~name:"profile = fold walk, all modes" ~count:400
+    Test_depth.arb_program (fun prog ->
+      List.for_all
+        (fun mode ->
+          Trace.profile ~mode ~span_depth:false prog
+          = Helpers.reference_profile ~mode prog)
+        modes)
+
+(* {1 Allocation budgets}
+
+   Minor words are a deterministic count for a given compiler, so these
+   bounds hold on any machine; they leave room for OCaml 4.14. *)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. w0)
+
+let check_budget msg ~per_instr ~instrs words =
+  let got = words /. float_of_int instrs in
+  if got > per_instr then
+    Alcotest.failf "%s: %.2f words per instruction, budget %.2f" msg got per_instr
+
+(* Each emitted gate costs its constructor, its [Instr.Gate] box and one list
+   cell: about 8 words. *)
+let test_bare_loop () =
+  let b = Builder.create () in
+  let q = Array.init 8 (fun _ -> Builder.fresh_qubit b) in
+  let (), words =
+    minor_words (fun () ->
+        for i = 0 to 19_999 do
+          let a = q.(i land 7) and c = q.((i + 1) land 7) and d = q.((i + 2) land 7) in
+          Builder.toffoli b ~c1:a ~c2:c ~target:d;
+          Builder.cnot b ~control:a ~target:c;
+          Builder.x b d
+        done)
+  in
+  check_budget "60 000 emitted gates" ~per_instr:12. ~instrs:60_000 words
+
+(* CDKPM [modadd_big] with MBU at n = 256: 7 535 instructions in 7 spans. *)
+let modadd_cdkpm_256 =
+  lazy
+    (let n = 256 in
+     let p = Bitstring.init n (fun i -> i = 0 || i = n - 1 || i mod 3 = 1) in
+     let b = Builder.create () in
+     let x = Builder.fresh_register b "x" n in
+     let y = Builder.fresh_register b "y" n in
+     Mod_add.modadd_big ~mbu:true Mod_add.spec_cdkpm b ~p ~x ~y;
+     (Builder.to_circuit b).Circuit.instrs)
+
+let test_scan_counts () =
+  let prog = Lazy.force modadd_cdkpm_256 in
+  let instrs = Instr.count_instrs prog in
+  let _, words = minor_words (fun () -> Instr.scan prog) in
+  check_budget "Instr.scan" ~per_instr:0.5 ~instrs words;
+  List.iter
+    (fun mode ->
+      let _, words = minor_words (fun () -> Counts.of_instrs ~mode prog) in
+      check_budget "Counts.of_instrs" ~per_instr:0.5 ~instrs words)
+    modes
+
+let test_profile_walk () =
+  let prog = Lazy.force modadd_cdkpm_256 in
+  let instrs = Instr.count_instrs prog in
+  let _, words = minor_words (fun () -> Trace.profile ~span_depth:false prog) in
+  check_budget "Trace.profile walk" ~per_instr:3. ~instrs words
+
+let suite =
+  ( "gate-paths",
+    [ QCheck_alcotest.to_alcotest prop_validate;
+      QCheck_alcotest.to_alcotest prop_operands;
+      QCheck_alcotest.to_alcotest prop_counts;
+      QCheck_alcotest.to_alcotest prop_profile;
+      Alcotest.test_case "emission budget: bare gate loop" `Quick test_bare_loop;
+      Alcotest.test_case "scan and counts budget: modadd_big n=256" `Quick
+        test_scan_counts;
+      Alcotest.test_case "profile walk budget: modadd_big n=256" `Quick
+        test_profile_walk ] )
