@@ -194,7 +194,7 @@ let table5 () =
         let c = Builder.fresh_register b "c" 1 in
         let y = Builder.fresh_register b "y" (n + 1) in
         Adder.add_const_controlled style b ~ctrl:(Register.get c 0)
-          ~a:(modulus n / 3) ~y)
+          ~a:(Mbu_bitstring.Bitstring.of_int ~width:n (modulus n / 3)) ~y)
   in
   print_small_table ~title:"Table 5 - controlled adders by a constant"
     ~rows:Formulas.table5_controlled_const_adders
@@ -954,7 +954,7 @@ let bechamel_tests () =
            let c = Builder.fresh_register b "c" 1 in
            let y = Builder.fresh_register b "y" 17 in
            Adder.add_const_controlled Adder.Cdkpm b ~ctrl:(Register.get c 0)
-             ~a:1234 ~y))
+             ~a:(Mbu_bitstring.Bitstring.of_int ~width:16 1234) ~y))
   in
   let t6 () = ignore (measure_family "compare" Adder.Cdkpm 16) in
   let mc () =

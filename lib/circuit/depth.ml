@@ -136,6 +136,12 @@ let open_level s =
   s.open_levels <- s.open_levels + 1;
   lv
 
+(* Calls are transparent: [\[Call n\]] is [n]'s body. *)
+let rec single_span = function
+  | [ Instr.Span _ ] -> true
+  | [ Instr.Call { body; _ } ] -> single_span body
+  | _ -> false
+
 let rec exec s = function
   | [] -> ()
   | Instr.Gate g :: rest ->
@@ -168,10 +174,19 @@ let rec exec s = function
   | Instr.Span { body; _ } :: rest when s.track ->
       let ix = s.next in
       s.next <- ix + 1;
-      let lv = open_level s in
-      exec s body;
-      s.results.(ix) <- { total = lv.sc.(max_total); toffoli = lv.sc.(max_tof) };
-      s.open_levels <- s.open_levels - 1;
+      if single_span body then begin
+        (* A span around exactly one span (a stage wrapping one adder, the
+           root around one constructor) has that span's isolated depth,
+           and that span is the next in pre-order: no level of its own. *)
+        exec s body;
+        s.results.(ix) <- s.results.(ix + 1)
+      end
+      else begin
+        let lv = open_level s in
+        exec s body;
+        s.results.(ix) <- { total = lv.sc.(max_total); toffoli = lv.sc.(max_tof) };
+        s.open_levels <- s.open_levels - 1
+      end;
       exec s rest
   | (Instr.Span { body; _ } | Instr.Call { body; _ }) :: rest ->
       (* Depth is not compositional (the per-wire fronts couple a block to
@@ -183,8 +198,10 @@ let run ~track (mode : mode) instrs =
   let weight = match mode with `Worst -> 1. | `Expected p -> p in
   let sm = Instr.scan instrs in
   let nq = sm.max_qubit + 1 and nb = sm.max_bit + 1 in
+  let root_alias = track && single_span instrs in
   let s =
-    { weight; nq; nb; track; levels = [| new_level nq nb |]; open_levels = 1;
+    { weight; nq; nb; track; levels = [| new_level nq nb |];
+      open_levels = (if root_alias then 0 else 1);
       epochs = 0; saved = [||]; sp = 0;
       results =
         Array.make
@@ -193,8 +210,10 @@ let run ~track (mode : mode) instrs =
       next = 1 }
   in
   exec s instrs;
-  let sc = s.levels.(0).sc in
-  s.results.(0) <- { total = sc.(max_total); toffoli = sc.(max_tof) };
+  (if root_alias then s.results.(0) <- s.results.(1)
+   else
+     let sc = s.levels.(0).sc in
+     s.results.(0) <- { total = sc.(max_total); toffoli = sc.(max_tof) });
   s.results
 
 let of_instrs ~mode instrs = (run ~track:false mode instrs).(0)

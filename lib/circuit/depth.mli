@@ -40,4 +40,6 @@ val spans : mode -> Instr.t list -> r array
     wire, bit or conditional outside it. The array has
     [(Instr.scan instrs).span_count + 1] entries. Every gate advances the
     fronts of each span enclosing it, so the cost is O(expanded
-    instructions x span nesting). *)
+    instructions x span nesting). A span (or the root) whose body is
+    exactly one span, through [Call]s, takes that span's score and adds
+    no nesting. *)

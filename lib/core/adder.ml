@@ -1,4 +1,5 @@
 open Mbu_circuit
+open Mbu_bitstring
 
 type style = Vbe | Cdkpm | Gidney | Draper
 
@@ -51,28 +52,33 @@ let sub style b ~x ~y =
 (* ------------------------------------------------------------------ *)
 (* Constant loading *)
 
-let check_const name ~a reg =
-  let n = Register.length reg in
-  if a < 0 || (n < 62 && a lsr n <> 0) then
-    invalid_arg (Printf.sprintf "%s: constant %d does not fit %d qubits" name a n)
+(* The one fit check of every constant entry point, Draper included: a set
+   bit at or above the register width [w] is an error. *)
+let check_const name ~a w =
+  for i = w to Bitstring.length a - 1 do
+    if Bitstring.get a i then
+      Mbu_error.invalid ~subsystem:name
+        (Printf.sprintf "constant does not fit %d qubits" w)
+  done
+
+let bit a i = i < Bitstring.length a && Bitstring.get a i
 
 (* Load layers are anonymous shared blocks: every constant op emits its
    load twice (loads are self-inverse X/CNOT layers), and a product loop's
    add/compare pair loads the same addend four times onto pool-stable
    wires, so interning collapses them to one node each. *)
 let load_const b ~a reg =
-  check_const "Adder.load_const" ~a reg;
+  check_const "Adder.load_const" ~a (Register.length reg);
   Builder.shared b @@ fun () ->
   for i = 0 to Register.length reg - 1 do
-    if (a lsr i) land 1 = 1 then Builder.x b (Register.get reg i)
+    if bit a i then Builder.x b (Register.get reg i)
   done
 
 let load_const_controlled b ~ctrl ~a reg =
-  check_const "Adder.load_const_controlled" ~a reg;
+  check_const "Adder.load_const_controlled" ~a (Register.length reg);
   Builder.shared b @@ fun () ->
   for i = 0 to Register.length reg - 1 do
-    if (a lsr i) land 1 = 1 then
-      Builder.cnot b ~control:ctrl ~target:(Register.get reg i)
+    if bit a i then Builder.cnot b ~control:ctrl ~target:(Register.get reg i)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -134,67 +140,60 @@ let sub_controlled style b ~ctrl ~x ~y =
 (* ------------------------------------------------------------------ *)
 (* Constants *)
 
+let with_loaded b name n ~load f =
+  Builder.with_ancilla_register b name n (fun k ->
+      load k;
+      f k;
+      load k)
+
 let add_const style b ~a ~y =
-  spanned b "adder.add_const" style @@ fun () ->
   let n = Register.length y - 1 in
+  check_const "Adder.add_const" ~a n;
+  spanned b "adder.add_const" style @@ fun () ->
   match style with
   | Draper -> Adder_draper.add_const b ~a ~y
   | Vbe | Cdkpm | Gidney ->
-      Builder.with_ancilla_register b "ka" n (fun ka ->
-          check_const "Adder.add_const" ~a ka;
-          load_const b ~a ka;
-          add style b ~x:ka ~y;
-          load_const b ~a ka)
+      with_loaded b "ka" n ~load:(load_const b ~a) (fun ka -> add style b ~x:ka ~y)
 
 let sub_const style b ~a ~y =
-  spanned b "adder.sub_const" style @@ fun () ->
   let n = Register.length y - 1 in
+  check_const "Adder.sub_const" ~a n;
+  spanned b "adder.sub_const" style @@ fun () ->
   match style with
   | Draper ->
       Qft.apply b y;
       Adder_draper.phi_sub_const b ~a ~phi_y:y;
       Qft.apply_inverse b y
   | Vbe | Cdkpm ->
-      Builder.with_ancilla_register b "ka" n (fun ka ->
-          check_const "Adder.sub_const" ~a ka;
-          load_const b ~a ka;
-          sub style b ~x:ka ~y;
-          load_const b ~a ka)
+      with_loaded b "ka" n ~load:(load_const b ~a) (fun ka -> sub style b ~x:ka ~y)
   | Gidney ->
-      Builder.with_ancilla_register b "ka" n (fun ka ->
-          check_const "Adder.sub_const" ~a ka;
-          load_const b ~a ka;
-          sub_via_complement Gidney b ~x:ka ~y;
-          load_const b ~a ka)
+      with_loaded b "ka" n ~load:(load_const b ~a) (fun ka ->
+          sub_via_complement Gidney b ~x:ka ~y)
 
 let add_const_controlled style b ~ctrl ~a ~y =
-  spanned b "adder.cadd_const" style @@ fun () ->
   let n = Register.length y - 1 in
+  check_const "Adder.add_const_controlled" ~a n;
+  spanned b "adder.cadd_const" style @@ fun () ->
   match style with
   | Draper -> Adder_draper.add_const_controlled b ~ctrl ~a ~y
   | Vbe | Cdkpm | Gidney ->
-      Builder.with_ancilla_register b "ka" n (fun ka ->
-          check_const "Adder.add_const_controlled" ~a ka;
-          load_const_controlled b ~ctrl ~a ka;
-          add style b ~x:ka ~y;
-          load_const_controlled b ~ctrl ~a ka)
+      with_loaded b "ka" n ~load:(load_const_controlled b ~ctrl ~a) (fun ka ->
+          add style b ~x:ka ~y)
 
 let sub_const_controlled style b ~ctrl ~a ~y =
-  spanned b "adder.csub_const" style @@ fun () ->
   let n = Register.length y - 1 in
+  check_const "Adder.sub_const_controlled" ~a n;
+  spanned b "adder.csub_const" style @@ fun () ->
   match style with
   | Draper ->
       Qft.apply b y;
       Adder_draper.c_phi_sub_const b ~ctrl ~a ~phi_y:y;
       Qft.apply_inverse b y
   | Vbe | Cdkpm | Gidney ->
-      Builder.with_ancilla_register b "ka" n (fun ka ->
-          check_const "Adder.sub_const_controlled" ~a ka;
-          load_const_controlled b ~ctrl ~a ka;
-          (if is_unitary_style style then
-             Builder.emit_adjoint b (fun () -> add style b ~x:ka ~y)
-           else sub_via_complement style b ~x:ka ~y);
-          load_const_controlled b ~ctrl ~a ka)
+      with_loaded b "ka" n ~load:(load_const_controlled b ~ctrl ~a) (fun ka ->
+          if is_unitary_style style then
+            Builder.emit_adjoint b (fun () -> add style b ~x:ka ~y)
+          else sub_via_complement style b ~x:ka ~y)
 
 (* ------------------------------------------------------------------ *)
 (* Comparators *)
@@ -231,16 +230,15 @@ let compare_controlled style b ~ctrl ~x ~y ~target =
           compare style b ~x ~y ~target:t)
 
 let compare_const style b ~a ~x ~target =
+  let n = Register.length x in
+  check_const "Adder.compare_const" ~a n;
   spanned b "adder.compare_const" style @@ fun () ->
   match style with
   | Draper -> Adder_draper.compare_const b ~a ~x ~target
   | Vbe | Cdkpm | Gidney ->
       (* Proposition 2.34: load a, then 1[x < a] = 1[a > x]. *)
-      Builder.with_ancilla_register b "kc" (Register.length x) (fun ka ->
-          check_const "Adder.compare_const" ~a ka;
-          load_const b ~a ka;
-          compare style b ~x:ka ~y:x ~target;
-          load_const b ~a ka)
+      with_loaded b "kc" n ~load:(load_const b ~a) (fun ka ->
+          compare style b ~x:ka ~y:x ~target)
 
 (* Theorem 2.35: sign of x - a is 1[x < a]. *)
 let compare_const_via_sub style b ~a ~x ~target =
@@ -252,12 +250,11 @@ let compare_const_via_sub style b ~a ~x ~target =
 
 (* Definition 2.37 / theorem 2.38: 1[x < c.a] via a controlled load. *)
 let compare_const_controlled style b ~ctrl ~a ~x ~target =
+  let n = Register.length x in
+  check_const "Adder.compare_const_controlled" ~a n;
   spanned b "adder.ccompare_const" style @@ fun () ->
-  Builder.with_ancilla_register b "kc" (Register.length x) (fun ka ->
-      check_const "Adder.compare_const_controlled" ~a ka;
-      load_const_controlled b ~ctrl ~a ka;
-      compare style b ~x:ka ~y:x ~target;
-      load_const_controlled b ~ctrl ~a ka)
+  with_loaded b "kc" n ~load:(load_const_controlled b ~ctrl ~a) (fun ka ->
+      compare style b ~x:ka ~y:x ~target)
 
 let compare_ge_const style b ~a ~x ~target =
   compare_const style b ~a ~x ~target;
@@ -272,34 +269,30 @@ let add_mod style b ~x ~y =
   | Draper -> Adder_draper.add_mod b ~x ~y
 
 let add_const_mod style b ~a ~y =
-  spanned b "adder.add_const_mod" style @@ fun () ->
   let m = Register.length y in
+  check_const "Adder.add_const_mod" ~a m;
+  spanned b "adder.add_const_mod" style @@ fun () ->
   match style with
   | Draper ->
       Qft.apply b y;
       Adder_draper.phi_add_const b ~a ~phi_y:y;
       Qft.apply_inverse b y
   | Vbe | Cdkpm | Gidney ->
-      Builder.with_ancilla_register b "km" m (fun ka ->
-          check_const "Adder.add_const_mod" ~a ka;
-          load_const b ~a ka;
-          add_mod style b ~x:ka ~y;
-          load_const b ~a ka)
+      with_loaded b "km" m ~load:(load_const b ~a) (fun ka ->
+          add_mod style b ~x:ka ~y)
 
 let add_const_mod_controlled style b ~ctrl ~a ~y =
-  spanned b "adder.cadd_const_mod" style @@ fun () ->
   let m = Register.length y in
+  check_const "Adder.add_const_mod_controlled" ~a m;
+  spanned b "adder.cadd_const_mod" style @@ fun () ->
   match style with
   | Draper ->
       Qft.apply b y;
       Adder_draper.c_phi_add_const b ~ctrl ~a ~phi_y:y;
       Qft.apply_inverse b y
   | Vbe | Cdkpm | Gidney ->
-      Builder.with_ancilla_register b "km" m (fun ka ->
-          check_const "Adder.add_const_mod_controlled" ~a ka;
-          load_const_controlled b ~ctrl ~a ka;
-          add_mod style b ~x:ka ~y;
-          load_const_controlled b ~ctrl ~a ka)
+      with_loaded b "km" m ~load:(load_const_controlled b ~ctrl ~a) (fun ka ->
+          add_mod style b ~x:ka ~y)
 
 (* Theorem 2.22, circuit (9): y + twos_complement(x) = y - x. The addend
    register is zero-extended so its 2's complement spans n+1 bits, then

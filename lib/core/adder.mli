@@ -5,11 +5,22 @@
 
     Register conventions: addition targets are [(n+1)]-qubit registers whose
     most significant qubit starts at |0> (definition 2.1); comparators take
-    equal-length registers and a single target qubit. Classical constants are
-    non-negative OCaml [int]s that must fit the register they are combined
-    with. *)
+    equal-length registers and a single target qubit.
+
+    Classical constants are {!Mbu_bitstring.Bitstring.t}s of any length, so
+    the same constructions serve a 3-qubit test and an RSA-2048-sized
+    modulus. A constant must fit the register it is combined with: every
+    entry point below, Draper included, raises [Mbu_error.Error] (kind
+    [Invalid]) when the constant has a set bit at or above that width; its
+    subsystem names the entry point that checked, e.g. ["Adder.add_const"]
+    ({!compare_ge_const} and {!compare_const_via_sub} delegate the check).
+    An [int] constant enters through
+    [Bitstring.of_int]; convert it at a width no narrower than the value
+    (62 keeps every bit of any non-negative [int]), or the conversion
+    itself drops the bits the check would have caught. *)
 
 open Mbu_circuit
+open Mbu_bitstring
 
 type style = Vbe | Cdkpm | Gidney | Draper
 
@@ -49,19 +60,19 @@ val sub_controlled :
 
 (** {1 Arithmetic by classical constants (sections 2.2--2.3)} *)
 
-val add_const : style -> Builder.t -> a:int -> y:Register.t -> unit
+val add_const : style -> Builder.t -> a:Bitstring.t -> y:Register.t -> unit
 (** [y <- y + a] (definition 2.15, proposition 2.16 / 2.17). [y] has [n+1]
-    qubits (MSB initially 0) and [0 <= a < 2^n]. *)
+    qubits (MSB initially 0) and [a < 2^n]. *)
 
-val sub_const : style -> Builder.t -> a:int -> y:Register.t -> unit
+val sub_const : style -> Builder.t -> a:Bitstring.t -> y:Register.t -> unit
 (** [y <- y - a] modulo [2^(n+1)] on the whole [(n+1)]-qubit register. *)
 
 val add_const_controlled :
-  style -> Builder.t -> ctrl:Gate.qubit -> a:int -> y:Register.t -> unit
+  style -> Builder.t -> ctrl:Gate.qubit -> a:Bitstring.t -> y:Register.t -> unit
 (** [y <- y + ctrl.a] (definition 2.18, propositions 2.19 / 2.20). *)
 
 val sub_const_controlled :
-  style -> Builder.t -> ctrl:Gate.qubit -> a:int -> y:Register.t -> unit
+  style -> Builder.t -> ctrl:Gate.qubit -> a:Bitstring.t -> y:Register.t -> unit
 
 (** {1 Comparators (section 2.5)} *)
 
@@ -82,43 +93,51 @@ val compare_controlled :
     2.30 / 2.31). *)
 
 val compare_const :
-  style -> Builder.t -> a:int -> x:Register.t -> target:Gate.qubit -> unit
+  style -> Builder.t -> a:Bitstring.t -> x:Register.t -> target:Gate.qubit -> unit
 (** [target XOR= 1\[x < a\]] (definition 2.33): proposition 2.34 (load [a],
     compare) for the ripple families, proposition 2.36 for Draper.
-    [0 <= a < 2^(length x)]. *)
+    [a < 2^(length x)]. *)
 
 val compare_const_via_sub :
-  style -> Builder.t -> a:int -> x:Register.t -> target:Gate.qubit -> unit
+  style -> Builder.t -> a:Bitstring.t -> x:Register.t -> target:Gate.qubit -> unit
 (** Theorem 2.35: comparator by constant from a constant subtractor and a
     constant adder, reading the sign qubit in between. *)
 
 val compare_const_controlled :
   style -> Builder.t ->
-  ctrl:Gate.qubit -> a:int -> x:Register.t -> target:Gate.qubit -> unit
+  ctrl:Gate.qubit -> a:Bitstring.t -> x:Register.t -> target:Gate.qubit -> unit
 (** [target XOR= 1\[x < ctrl.a\]] (definition 2.37, theorem 2.38). *)
 
 val compare_ge_const :
-  style -> Builder.t -> a:int -> x:Register.t -> target:Gate.qubit -> unit
+  style -> Builder.t -> a:Bitstring.t -> x:Register.t -> target:Gate.qubit -> unit
 (** [target XOR= 1\[x >= a\]] — remark 2.39's postcomposed X. *)
 
 (** {1 Constant loading helpers} *)
 
-val load_const : Builder.t -> a:int -> Register.t -> unit
-(** [|a|] X gates, one per set bit (used by propositions 2.16 / 2.34). *)
+val load_const : Builder.t -> a:Bitstring.t -> Register.t -> unit
+(** [|a|] X gates, one per set bit (used by propositions 2.16 / 2.34);
+    [a < 2^(length reg)]. *)
 
-val load_const_controlled : Builder.t -> ctrl:Gate.qubit -> a:int -> Register.t -> unit
+val load_const_controlled :
+  Builder.t -> ctrl:Gate.qubit -> a:Bitstring.t -> Register.t -> unit
 (** [|a|] CNOTs (propositions 2.19, theorem 2.38). *)
+
+val with_loaded :
+  Builder.t -> string -> int -> load:(Register.t -> unit) -> (Register.t -> unit) -> unit
+(** [with_loaded b name n ~load f] runs [load], [f] and [load] again on a
+    fresh [n]-qubit ancilla register [name]: a constant loaded around [f]
+    by a self-inverse load layer. *)
 
 (** {1 Equal-length modular-[2^m] addition} *)
 
 val add_mod : style -> Builder.t -> x:Register.t -> y:Register.t -> unit
 (** [y <- (x + y) mod 2^m] on two [m]-qubit registers (no overflow qubit). *)
 
-val add_const_mod : style -> Builder.t -> a:int -> y:Register.t -> unit
+val add_const_mod : style -> Builder.t -> a:Bitstring.t -> y:Register.t -> unit
 (** [y <- (y + a) mod 2^m] on an [m]-qubit register. *)
 
 val add_const_mod_controlled :
-  style -> Builder.t -> ctrl:Gate.qubit -> a:int -> y:Register.t -> unit
+  style -> Builder.t -> ctrl:Gate.qubit -> a:Bitstring.t -> y:Register.t -> unit
 (** [y <- (y + ctrl.a) mod 2^m] — the conditional re-addition of the modulus
     in Takahashi's constant modular adder (proposition 3.15). *)
 

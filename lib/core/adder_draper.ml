@@ -1,4 +1,5 @@
 open Mbu_circuit
+open Mbu_bitstring
 
 let phi_add b ~x ~phi_y =
   let n = Register.length x in
@@ -11,27 +12,34 @@ let phi_add b ~x ~phi_y =
     done
   done
 
-(* Equation (7): qubit i turns by (a mod 2^{i+1}) / 2^{i+1} of a turn. *)
-let phi_add_const b ~a ~phi_y =
+(* Equation (7): qubit i turns by (a mod 2^{i+1}) / 2^{i+1} of a turn, the
+   constant's low i+1 bits over 2^{i+1}, or the opposite way when [neg].
+   [rotate] emits each nonzero phase; bits of [a] at or above the register
+   width turn nothing. *)
+let const_phases name ~neg ~a ~phi_y rotate =
   let m = Register.length phi_y in
-  if m > 61 then invalid_arg "Adder_draper.phi_add_const: register too wide";
+  if m > 61 then invalid_arg (name ^ ": register too wide");
+  let low = ref 0 in
   for i = 0 to m - 1 do
-    let p = Phase.make ~num:a ~log2_den:(i + 1) in
-    if not (Phase.is_zero p) then Builder.phase b (Register.get phi_y i) p
+    if i < Bitstring.length a && Bitstring.get a i then low := !low lor (1 lsl i);
+    let p = Phase.make ~num:!low ~log2_den:(i + 1) in
+    let p = if neg then Phase.neg p else p in
+    if not (Phase.is_zero p) then rotate (Register.get phi_y i) p
   done
 
-let phi_sub_const b ~a ~phi_y = phi_add_const b ~a:(-a) ~phi_y
+let phi_add_const b ~a ~phi_y =
+  const_phases "Adder_draper.phi_add_const" ~neg:false ~a ~phi_y (Builder.phase b)
+
+let phi_sub_const b ~a ~phi_y =
+  const_phases "Adder_draper.phi_add_const" ~neg:true ~a ~phi_y (Builder.phase b)
 
 let c_phi_add_const b ~ctrl ~a ~phi_y =
-  let m = Register.length phi_y in
-  if m > 61 then invalid_arg "Adder_draper.c_phi_add_const: register too wide";
-  for i = 0 to m - 1 do
-    let p = Phase.make ~num:a ~log2_den:(i + 1) in
-    if not (Phase.is_zero p) then
-      Builder.cphase b ~control:ctrl ~target:(Register.get phi_y i) p
-  done
+  const_phases "Adder_draper.c_phi_add_const" ~neg:false ~a ~phi_y (fun q p ->
+      Builder.cphase b ~control:ctrl ~target:q p)
 
-let c_phi_sub_const b ~ctrl ~a ~phi_y = c_phi_add_const b ~ctrl ~a:(-a) ~phi_y
+let c_phi_sub_const b ~ctrl ~a ~phi_y =
+  const_phases "Adder_draper.c_phi_add_const" ~neg:true ~a ~phi_y (fun q p ->
+      Builder.cphase b ~control:ctrl ~target:q p)
 
 (* Theorem 2.14: all rotations of Phi_ADD commute, so group the ones
    controlled by x_j, replace their control with AND(ctrl, x_j) held in one

@@ -4,28 +4,37 @@
     The "phi" entry points act on a register already mapped into the Fourier
     encoding by {!Qft.apply}: after [Qft.apply b phi_y], qubit [i] of [phi_y]
     holds [|0> + exp(2 i pi y / 2^{i+1}) |1>]. The full adders wrap them in
-    QFT / IQFT pairs. All phase angles are exact dyadic rationals. *)
+    QFT / IQFT pairs. All phase angles are exact dyadic rationals.
+
+    Classical constants are {!Mbu_bitstring.Bitstring.t}s: qubit [i] turns
+    by the constant's low [i+1] bits over [2^(i+1)] of a turn, so a
+    constant acts modulo [2^m] on an [m]-qubit register and its higher bits
+    are ignored ({!Adder} rejects a constant that does not fit). The phase
+    denominators cap every constant entry point at 61 wires; a wider
+    register raises [Invalid_argument]. *)
 
 open Mbu_circuit
+open Mbu_bitstring
 
 val phi_add : Builder.t -> x:Register.t -> phi_y:Register.t -> unit
 (** Proposition 2.5 ([Phi_ADD], figure 14): [|x>|phi(y)> -> |x>|phi(x+y)>].
     [phi_y] must have [length x + 1] qubits. No ancillas. *)
 
-val phi_add_const : Builder.t -> a:int -> phi_y:Register.t -> unit
+val phi_add_const : Builder.t -> a:Bitstring.t -> phi_y:Register.t -> unit
 (** Proposition 2.17 ([Phi_ADD(a)], figure 19, equation (7)): adds the
     classical constant [a] in the Fourier basis with one single-qubit
     rotation per qubit — the paper's "partially classical QFT" (PCQFT)
-    gates. [a] may be any integer; it is taken modulo [2^m]. *)
+    gates. [a] is taken modulo [2^m]. *)
 
-val phi_sub_const : Builder.t -> a:int -> phi_y:Register.t -> unit
+val phi_sub_const : Builder.t -> a:Bitstring.t -> phi_y:Register.t -> unit
+(** [Phi_ADD(-a)]: each rotation of {!phi_add_const} negated. *)
 
 val c_phi_add_const :
-  Builder.t -> ctrl:Gate.qubit -> a:int -> phi_y:Register.t -> unit
+  Builder.t -> ctrl:Gate.qubit -> a:Bitstring.t -> phi_y:Register.t -> unit
 (** Proposition 2.20 ([C-Phi_ADD(a)]): every rotation gains the control. *)
 
 val c_phi_sub_const :
-  Builder.t -> ctrl:Gate.qubit -> a:int -> phi_y:Register.t -> unit
+  Builder.t -> ctrl:Gate.qubit -> a:Bitstring.t -> phi_y:Register.t -> unit
 
 val c_phi_add :
   Builder.t -> ctrl:Gate.qubit -> x:Register.t -> phi_y:Register.t -> unit
@@ -41,11 +50,11 @@ val add_controlled :
   Builder.t -> ctrl:Gate.qubit -> x:Register.t -> y:Register.t -> unit
 (** Theorems 2.13 + 2.14: only the central [Phi_ADD] is controlled. *)
 
-val add_const : Builder.t -> a:int -> y:Register.t -> unit
+val add_const : Builder.t -> a:Bitstring.t -> y:Register.t -> unit
 (** QFT, [Phi_ADD(a)], IQFT on an (n+1)-qubit register (MSB initially 0). *)
 
 val add_const_controlled :
-  Builder.t -> ctrl:Gate.qubit -> a:int -> y:Register.t -> unit
+  Builder.t -> ctrl:Gate.qubit -> a:Bitstring.t -> y:Register.t -> unit
 
 val compare :
   Builder.t -> x:Register.t -> y:Register.t -> target:Gate.qubit -> unit
@@ -54,7 +63,7 @@ val compare :
     the sign bit. [x] and [y] of equal length [n]; both restored. *)
 
 val compare_const :
-  Builder.t -> a:int -> x:Register.t -> target:Gate.qubit -> unit
+  Builder.t -> a:Bitstring.t -> x:Register.t -> target:Gate.qubit -> unit
 (** Proposition 2.36: [target XOR= 1\[x < a\]]. *)
 
 val phi_add_equal : Builder.t -> x:Register.t -> phi_y:Register.t -> unit
@@ -65,7 +74,7 @@ val add_mod : Builder.t -> x:Register.t -> y:Register.t -> unit
 (** Equal-length addition modulo [2^m]: QFT, {!phi_add_equal}, IQFT. *)
 
 val compare_const_msb :
-  Builder.t -> a:int -> x:Register.t -> target:Gate.qubit -> unit
+  Builder.t -> a:Bitstring.t -> x:Register.t -> target:Gate.qubit -> unit
 (** [target XOR= 1\[x < a\]] using the register's own most significant qubit
     as the sign of [x - a] — no ancilla, so adjacent QFT/IQFT pairs cancel
     against neighbouring Fourier blocks (the composition trick of

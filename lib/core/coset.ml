@@ -1,10 +1,12 @@
 open Mbu_circuit
+open Mbu_bitstring
 
 (* One padding step: before step j the register value is below p 2^j, so
    the branch that received the conditional +p 2^j is identified by
-   [value >= p 2^j] — which is what the outcome-1 phase fix conditions on. *)
+   [value >= p 2^j] — which is what the outcome-1 phase fix conditions on.
+   [prepare]'s check keeps [p 2^j] below [2^(length reg)]. *)
 let pad_step style b ~p ~j reg =
-  let s = p lsl j in
+  let s = Bitstring.of_int ~width:(Register.length reg) (p lsl j) in
   Builder.with_ancilla b (fun u ->
       Builder.h b u;
       Adder.add_const_mod_controlled style b ~ctrl:u ~a:s ~y:reg;
@@ -26,6 +28,9 @@ let prepare style b ~p ~pad reg =
     pad_step style b ~p ~j reg
   done
 
-let add_const style b ~a reg = Adder.add_const_mod style b ~a ~y:reg
+(* 62 bits keep every bit of [a], so an oversize addend reaches Adder's
+   fit check instead of being truncated here. *)
+let add_const style b ~a reg =
+  Adder.add_const_mod style b ~a:(Bitstring.of_int ~width:62 a) ~y:reg
 
 let decode ~value ~p = value mod p

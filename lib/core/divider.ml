@@ -1,4 +1,5 @@
 open Mbu_circuit
+open Mbu_bitstring
 
 let divmod_const style b ~d ~x ~quotient =
   let n = Register.length x in
@@ -10,7 +11,7 @@ let divmod_const style b ~d ~x ~quotient =
   Builder.with_ancilla b (fun pad ->
       let xs = Register.extend x pad in
       for i = k - 1 downto 0 do
-        let s = d lsl i in
+        let s = Bitstring.of_int ~width:n (d lsl i) in
         let qi = Register.get quotient i in
         (* q_i = [remainder >= s]; then subtract q_i . s — by construction
            the subtraction never underflows, so the pad stays |0>. *)

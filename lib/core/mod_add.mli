@@ -9,10 +9,20 @@
     the MBU lemma, halving its cost in expectation.
 
     The [mbu] flag (default [false]) selects the MBU variant everywhere.
-    Every [int]-modulus constructor raises [Mbu_error.Error] (kind
-    [Invalid]) when [n] is outside [1, 61] or [p] outside [1, 2^n). *)
+
+    Constants are bit strings underneath. {!modadd_big},
+    {!modadd_controlled_big} and {!modadd_const_big} are the bodies of the
+    three VBE-architecture adders and take {!Mbu_bitstring.Bitstring.t}
+    moduli and addends of any width; {!modadd}, {!modadd_controlled} and
+    {!modadd_const} are [int] wrappers over them, capped at 61 bits, that
+    emit the same circuit with the same span tree. Every other constructor
+    takes [int]s and converts them once at entry. Every [int]-modulus
+    constructor raises [Mbu_error.Error] (kind [Invalid]) when [n] is
+    outside [1, 61] or [p] outside [1, 2^n); the bodies raise it when [n]
+    is not positive or [p] is zero or does not fit [n] bits. *)
 
 open Mbu_circuit
+open Mbu_bitstring
 
 (** Which adder family implements each of the four subroutines of
     proposition 3.2 (Q_ADD, Q_COMP(p), C-Q_SUB(p), Q'_COMP). *)
@@ -139,24 +149,24 @@ val modadd_const_double_controlled_draper :
     temporary logical-AND of the controls (erased by MBU) driving
     {!modadd_const_controlled_draper}. *)
 
-(** {1 Arbitrary-width moduli}
+(** {1 Bit-string bodies}
 
-    [int] constants cap the moduli above at 61 bits; these variants take the
-    modulus and addend as {!Mbu_bitstring.Bitstring.t}, enabling
-    cryptographic widths (ripple subroutine styles only). *)
+    The three constructors above with the modulus and addend as bit
+    strings, for cryptographic widths (RSA-2048-sized moduli). Any style
+    works; a Draper stage is still capped at 61 wires by its phases. *)
 
 val modadd_big :
   ?mbu:bool ->
-  spec -> Builder.t ->
-  p:Mbu_bitstring.Bitstring.t -> x:Register.t -> y:Register.t -> unit
+  spec -> Builder.t -> p:Bitstring.t -> x:Register.t -> y:Register.t -> unit
+(** {!modadd}'s body. *)
 
 val modadd_const_big :
   ?mbu:bool ->
-  spec -> Builder.t ->
-  p:Mbu_bitstring.Bitstring.t -> a:Mbu_bitstring.Bitstring.t -> x:Register.t -> unit
+  spec -> Builder.t -> p:Bitstring.t -> a:Bitstring.t -> x:Register.t -> unit
+(** {!modadd_const}'s body; raises [Invalid_argument] unless [a < p]. *)
 
 val modadd_controlled_big :
   ?mbu:bool ->
   spec -> Builder.t ->
-  ctrl:Gate.qubit ->
-  p:Mbu_bitstring.Bitstring.t -> x:Register.t -> y:Register.t -> unit
+  ctrl:Gate.qubit -> p:Bitstring.t -> x:Register.t -> y:Register.t -> unit
+(** {!modadd_controlled}'s body. *)

@@ -32,14 +32,15 @@ let modinv ~a ~p =
 
 let check_mul name ~p ~x ~target =
   let n = Register.length x in
-  if Register.length target <> n then invalid_arg (name ^ ": unequal lengths");
+  if Register.length target <> n then
+    Mbu_error.invalid ~subsystem:name "unequal lengths";
   if n <= 0 || n >= 62 || p <= 0 || p lsr n <> 0 then
-    invalid_arg (name ^ ": modulus out of range")
+    Mbu_error.invalid ~subsystem:name "modulus out of range"
 
 (* target += ctrl.a.x mod p: one doubly controlled constant modular addition
    per bit of x, the double control held in a logical-AND ancilla that MBU
    erases for free half the time. *)
-let cmult_gen engine b ~ctrl ~a ~p ~x ~target =
+let cmult_add engine b ~ctrl ~a ~p ~x ~target =
   check_mul "Mod_mul.cmult_add" ~p ~x ~target;
   Builder.with_span b (Printf.sprintf "cmult[%s]" engine.name) @@ fun () ->
   let n = Register.length x in
@@ -56,11 +57,9 @@ let cmult_gen engine b ~ctrl ~a ~p ~x ~target =
         ai := !ai * 2 mod p
       done)
 
-let cmult_add engine b ~ctrl ~a ~p ~x ~target =
-  cmult_gen engine b ~ctrl ~a:(((a mod p) + p) mod p) ~p ~x ~target
-
 let cmult_sub engine b ~ctrl ~a ~p ~x ~target =
-  cmult_gen engine b ~ctrl ~a:((p - (a mod p)) mod p) ~p ~x ~target
+  check_mul "Mod_mul.cmult_add" ~p ~x ~target;
+  cmult_add engine b ~ctrl ~a:((p - (a mod p)) mod p) ~p ~x ~target
 
 let controlled_swap b ~ctrl ~x ~t =
   (* Shared: modexp swaps the same register pair under a different control

@@ -13,7 +13,11 @@
     and in-place multiplication conjugates that with a controlled swap and
     the inverse multiplication by [a^{-1} mod p] (requires [gcd(a,p) = 1]).
     Modular exponentiation applies one in-place controlled multiplication
-    per exponent bit. *)
+    per exponent bit.
+
+    The multipliers raise [Mbu_error.Error] (kind [Invalid]) when [x] and
+    [target] differ in length or when [n] is outside [1, 61] or [p]
+    outside [1, 2^n). *)
 
 open Mbu_circuit
 

@@ -1,4 +1,5 @@
 open Mbu_circuit
+open Mbu_bitstring
 
 (* Loop invariant: the accumulator value t is < 2p and lives in the current
    (n+2)-wire window. One step with multiplier bit x_i:
@@ -16,6 +17,8 @@ let mul_const_redc style b ~a ~p ~x ~acc ~quotient =
     invalid_arg "Montgomery.mul_const_redc: acc needs n+2 wires";
   if Register.length quotient <> n then
     invalid_arg "Montgomery.mul_const_redc: quotient needs n wires";
+  let half = Bitstring.of_int ~width:n ((p + 1) / 2) in
+  let a = Bitstring.of_int ~width:n a in
   let window = ref (Register.qubits acc) in
   for i = 0 to n - 1 do
     let reg = Register.make ~name:"acc" !window in
@@ -29,6 +32,6 @@ let mul_const_redc style b ~a ~p ~x ~acc ~quotient =
     let rotated = Array.append (Array.sub !window 1 (n + 1)) [| w0 |] in
     window := rotated;
     let reg = Register.make ~name:"acc" rotated in
-    Adder.add_const_mod_controlled style b ~ctrl:qi ~a:((p + 1) / 2) ~y:reg
+    Adder.add_const_mod_controlled style b ~ctrl:qi ~a:half ~y:reg
   done;
   Register.make ~name:"mont" !window

@@ -1,3 +1,4 @@
+open Mbu_bitstring
 open Mbu_circuit
 open Mbu_core
 
@@ -93,6 +94,15 @@ let controlled_mult name emit =
       built [ c; x; t ] [ (c, 1); (x, xv); (t, tv) ]
         [ (t, (tv + mulmod g.a xv g.p) mod g.p) ])
 
+(* A CLI constant as a bit string. 62 bits keep every bit of a
+   non-negative int, so an oversize constant reaches Adder's fit check
+   instead of being truncated here. *)
+let const a =
+  if a < 0 then
+    Mbu_error.invalid ~subsystem:"Catalogue"
+      (Printf.sprintf "constant %d is negative" a);
+  Bitstring.of_int ~width:62 a
+
 let add x y = x + y
 let sub x y = y - x
 
@@ -108,7 +118,7 @@ let families =
           [ (y, pmod (g.x + g.y) (1 lsl (g.n + 1))) ]);
     family "adder-const" (fun b g ->
         let y = reg b "y" (g.n + 1) in
-        Adder.add_const g.style b ~a:g.a ~y;
+        Adder.add_const g.style b ~a:(const g.a) ~y;
         built [ y ] [ (y, g.y) ] [ (y, pmod (g.y + g.a) (1 lsl (g.n + 1))) ]);
     family "compare" (fun b g ->
         let x = reg b "x" g.n in
@@ -120,7 +130,7 @@ let families =
     family "compare-const" (fun b g ->
         let x = reg b "x" g.n in
         let t = reg b "t" 1 in
-        Adder.compare_const g.style b ~a:g.a ~x ~target:(Register.get t 0);
+        Adder.compare_const g.style b ~a:(const g.a) ~x ~target:(Register.get t 0);
         built [ x; t ] [ (x, g.x); (t, 0) ] [ (t, Bool.to_int (g.x < g.a)) ]);
     modular "modadd" ~oracle:add (fun b g ~x ~y ->
         if g.style = Adder.Draper then

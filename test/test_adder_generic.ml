@@ -4,6 +4,7 @@
    (propositions 2.25, 2.34--2.38). Each construction is validated for every
    adder style it supports. *)
 
+open Mbu_bitstring
 open Mbu_circuit
 open Mbu_simulator
 open Mbu_core
@@ -13,6 +14,8 @@ let rng = Helpers.rng
 let value st reg = Sim.register_value_exn st reg
 
 let name_of style tag = Printf.sprintf "%s-%s" (Adder.style_name style) tag
+
+let bits n a = Bitstring.of_int ~width:n a
 
 (* ------------------------------------------------------------------ *)
 (* Subtraction: y <- y - x in (n+1)-bit 2's complement (definition 2.21). *)
@@ -124,7 +127,7 @@ let test_add_const () =
         for v = 0 to (1 lsl n) - 1 do
           let b = Builder.create () in
           let y = Builder.fresh_register b "y" (n + 1) in
-          Adder.add_const style b ~a ~y;
+          Adder.add_const style b ~a:(bits n a) ~y;
           let r = Sim.run_builder ~rng b ~inits:[ (y, v) ] in
           Alcotest.(check int)
             (Printf.sprintf "%s a=%d v=%d" (name_of style "addc") a v)
@@ -147,7 +150,7 @@ let test_sub_const () =
         for v = 0 to (1 lsl (n + 1)) - 1 do
           let b = Builder.create () in
           let y = Builder.fresh_register b "y" (n + 1) in
-          Adder.sub_const style b ~a ~y;
+          Adder.sub_const style b ~a:(bits n a) ~y;
           let r = Sim.run_builder ~rng b ~inits:[ (y, v) ] in
           Alcotest.(check int)
             (Printf.sprintf "%s a=%d v=%d" (name_of style "subc") a v)
@@ -167,7 +170,8 @@ let test_const_controlled () =
             let badd = Builder.create () in
             let c = Builder.fresh_register badd "c" 1 in
             let y = Builder.fresh_register badd "y" (n + 1) in
-            Adder.add_const_controlled style badd ~ctrl:(Register.get c 0) ~a ~y;
+            Adder.add_const_controlled style badd ~ctrl:(Register.get c 0)
+              ~a:(bits n a) ~y;
             let r = Sim.run_builder ~rng badd ~inits:[ (c, ctrl_val); (y, v) ] in
             Alcotest.(check int)
               (Printf.sprintf "%s c=%d a=%d v=%d" (name_of style "caddc")
@@ -177,7 +181,8 @@ let test_const_controlled () =
             let bsub = Builder.create () in
             let c = Builder.fresh_register bsub "c" 1 in
             let y = Builder.fresh_register bsub "y" (n + 1) in
-            Adder.sub_const_controlled style bsub ~ctrl:(Register.get c 0) ~a ~y;
+            Adder.sub_const_controlled style bsub ~ctrl:(Register.get c 0)
+              ~a:(bits n a) ~y;
             let r = Sim.run_builder ~rng bsub ~inits:[ (c, ctrl_val); (y, v) ] in
             Alcotest.(check int)
               (Printf.sprintf "%s c=%d a=%d v=%d" (name_of style "csubc")
@@ -208,7 +213,7 @@ let check_compare_const ~name cmp n =
         let b = Builder.create () in
         let x = Builder.fresh_register b "x" n in
         let t = Builder.fresh_register b "t" 1 in
-        cmp b ~a ~x ~target:(Register.get t 0);
+        cmp b ~a:(bits n a) ~x ~target:(Register.get t 0);
         let r = Sim.run_builder ~rng b ~inits:[ (x, v); (t, t_val) ] in
         Alcotest.(check int)
           (Printf.sprintf "%s a=%d v=%d t=%d" name a v t_val)
@@ -250,7 +255,8 @@ let test_compare_const_controlled () =
             let c = Builder.fresh_register b "c" 1 in
             let x = Builder.fresh_register b "x" n in
             let t = Builder.fresh_register b "t" 1 in
-            Adder.compare_const_controlled style b ~ctrl:(Register.get c 0) ~a ~x
+            Adder.compare_const_controlled style b ~ctrl:(Register.get c 0)
+              ~a:(bits n a) ~x
               ~target:(Register.get t 0);
             let r =
               Sim.run_builder ~rng b ~inits:[ (c, ctrl_val); (x, v); (t, 0) ]
@@ -273,7 +279,7 @@ let test_compare_ge_const () =
     let b = Builder.create () in
     let x = Builder.fresh_register b "x" n in
     let t = Builder.fresh_register b "t" 1 in
-    Adder.compare_ge_const Cdkpm b ~a ~x ~target:(Register.get t 0);
+    Adder.compare_ge_const Cdkpm b ~a:(bits n a) ~x ~target:(Register.get t 0);
     let r = Sim.run_builder ~rng b ~inits:[ (x, v); (t, 0) ] in
     Alcotest.(check int)
       (Printf.sprintf "ge a=%d v=%d" a v)

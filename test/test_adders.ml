@@ -175,7 +175,7 @@ let test_phi_add_const_roundtrip () =
       for v = 0 to (1 lsl n) - 1 do
         let b = Builder.create () in
         let y = Builder.fresh_register b "y" (n + 1) in
-        Adder_draper.add_const b ~a ~y;
+        Adder_draper.add_const b ~a:(Mbu_bitstring.Bitstring.of_int ~width:n a) ~y;
         let r = Mbu_simulator.Sim.run_builder ~rng:Helpers.rng b ~inits:[ (y, v) ] in
         Alcotest.(check int)
           (Printf.sprintf "add_const n=%d a=%d v=%d" n a v)
@@ -192,7 +192,8 @@ let test_const_comparator_draper () =
         let b = Builder.create () in
         let x = Builder.fresh_register b "x" n in
         let t = Builder.fresh_register b "t" 1 in
-        Adder_draper.compare_const b ~a ~x ~target:(Register.get t 0);
+        Adder_draper.compare_const b ~a:(Mbu_bitstring.Bitstring.of_int ~width:n a) ~x
+          ~target:(Register.get t 0);
         let r =
           Mbu_simulator.Sim.run_builder ~rng:Helpers.rng b
             ~inits:[ (x, v); (t, 0) ]
@@ -218,7 +219,8 @@ let test_add_const_controlled_draper () =
       let b = Builder.create () in
       let c = Builder.fresh_register b "c" 1 in
       let y = Builder.fresh_register b "y" (n + 1) in
-      Adder_draper.add_const_controlled b ~ctrl:(Register.get c 0) ~a ~y;
+      Adder_draper.add_const_controlled b ~ctrl:(Register.get c 0)
+        ~a:(Mbu_bitstring.Bitstring.of_int ~width:n a) ~y;
       let r =
         Mbu_simulator.Sim.run_builder ~rng:Helpers.rng b
           ~inits:[ (c, ctrl_val); (y, v) ]

@@ -98,15 +98,16 @@ let test_sabotaged_adder_caught () =
    of a modular adder's comparator erasure. *)
 let test_sabotaged_mbu_lemma_caught () =
   let n = 3 and p = 7 in
+  let pb = Mbu_bitstring.Bitstring.of_int ~width:n p in
   let build ~sabotage b ~x ~y =
     let open Mbu_circuit in
     Builder.with_ancilla b (fun high ->
         let ys = Register.extend y high in
         Adder_cdkpm.add b ~x ~y:ys;
         Builder.with_ancilla b (fun t ->
-            Adder.compare_const Adder.Cdkpm b ~a:p ~x:ys ~target:t;
+            Adder.compare_const Adder.Cdkpm b ~a:pb ~x:ys ~target:t;
             Builder.x b t;
-            Adder.sub_const_controlled Adder.Cdkpm b ~ctrl:t ~a:p ~y:ys;
+            Adder.sub_const_controlled Adder.Cdkpm b ~ctrl:t ~a:pb ~y:ys;
             let ug () = Adder_cdkpm.compare b ~x ~y ~target:t in
             if sabotage then begin
               (* broken figure 24: measure, but never run U_g *)

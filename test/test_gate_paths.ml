@@ -96,7 +96,7 @@ let test_bare_loop () =
   in
   check_budget "60 000 emitted gates" ~per_instr:12. ~instrs:60_000 words
 
-(* CDKPM [modadd_big] with MBU at n = 256: 7 535 instructions in 7 spans. *)
+(* CDKPM [modadd_big] with MBU at n = 256: 7 535 instructions in 12 spans. *)
 let modadd_cdkpm_256 =
   lazy
     (let n = 256 in

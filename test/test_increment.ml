@@ -101,7 +101,7 @@ let test_increment_toffoli_count () =
   (* against the generic constant adder: 2m *)
   let b2 = Builder.create () in
   let y2 = Builder.fresh_register b2 "y" (m + 1) in
-  Adder.add_const Adder.Cdkpm b2 ~a:1 ~y:y2;
+  Adder.add_const Adder.Cdkpm b2 ~a:(Mbu_bitstring.Bitstring.of_int ~width:m 1) ~y:y2;
   let c2 = Circuit.counts ~mode:Counts.Worst (Builder.to_circuit b2) in
   Alcotest.(check bool) "cheaper than generic add_const 1" true
     (c.Counts.toffoli < c2.Counts.toffoli /. 2.)

@@ -289,6 +289,32 @@ let test_mul_register_superposition () =
   Alcotest.(check bool) "entangled product" true
     (State.fidelity res.Sim.state expected > 1. -. 1e-9)
 
+(* A modulus or width out of range is a structured [Invalid] error, which
+   mbu-cli prints as one line, for the bitwise and windowed multipliers. *)
+let test_out_of_range () =
+  let raises what subsystem ~n ~p f =
+    let b = Builder.create () in
+    let c = Builder.fresh_register b "c" 1 in
+    let x = Builder.fresh_register b "x" n in
+    let t = Builder.fresh_register b "t" n in
+    match f b ~ctrl:(Register.get c 0) ~p ~x ~target:t with
+    | () -> Alcotest.failf "%s: expected Mbu_error" what
+    | exception Mbu_error.Error { kind = Mbu_error.Invalid; subsystem = s; _ } ->
+        Alcotest.(check string) (what ^ ": subsystem") subsystem s
+  in
+  let engine = Mod_mul.ripple_engine ~mbu:true Mod_add.spec_cdkpm in
+  let cmult b ~ctrl ~p ~x ~target = Mod_mul.cmult_add engine b ~ctrl ~a:3 ~p ~x ~target in
+  let windowed b ~ctrl ~p ~x ~target =
+    Mod_mul.cmult_add_windowed ~mbu:true Mod_add.spec_cdkpm b ~ctrl ~a:3 ~p ~x ~target
+  in
+  List.iter
+    (fun (name, subsystem, f) ->
+      raises (name ^ " n = 62") subsystem ~n:62 ~p:5 f;
+      raises (name ^ " p = 2^n") subsystem ~n:4 ~p:16 f;
+      raises (name ^ " p = 0") subsystem ~n:4 ~p:0 f)
+    [ ("cmult", "Mod_mul.cmult_add", cmult);
+      ("windowed", "Mod_mul.cmult_add_windowed", windowed) ]
+
 let suite =
   ( "mod-mul",
     [ Alcotest.test_case "modular inverse" `Quick test_modinv;
@@ -304,4 +330,6 @@ let suite =
       Alcotest.test_case "uncontrolled in-place multiply" `Quick test_mult_inplace;
       Alcotest.test_case "register-register multiply" `Quick test_mul_register;
       Alcotest.test_case "register multiply superposition" `Quick
-        test_mul_register_superposition ] )
+        test_mul_register_superposition;
+      Alcotest.test_case "out-of-range modulus is an Mbu_error" `Quick
+        test_out_of_range ] )
