@@ -629,7 +629,19 @@ let experiment_ablations () =
 (* ------------------------------------------------------------------ *)
 (* E-SIM: simulator backend micro-benchmark (shots/sec, seed vs this PR) *)
 
-let json_escape = Mbu_telemetry.Telemetry.json_escape
+module Json = Mbu_telemetry.Json
+
+(* The BENCH files are [Json] documents, written by the printer the gate
+   parses them with. A column is rounded to its table precision as a
+   value, so every run prints the same number of digits. *)
+let write_json path doc =
+  Out_channel.with_open_bin path (fun oc -> output_string oc (Json.to_string doc))
+
+let fixed digits v =
+  let scale = 10. ** float_of_int digits in
+  Json.Num (Float.round (v *. scale) /. scale)
+
+let int i = Json.Num (float_of_int i)
 
 (* Shots/sec for one (engine, jobs) configuration on a prepared circuit. *)
 let shots_per_sec ?(engine = Mbu_simulator.Sim.Fast) ~jobs ~shots c ~init () =
@@ -678,28 +690,22 @@ let experiment_sim_bench () =
         let best = Float.max fast_seq fast_par in
         fpf "  %-15s | %3d | %12.0f | %12.0f | %12.0f | %7.1fx@." name n
           reference fast_seq fast_par (best /. reference);
-        (name, n, reference, fast_seq, fast_par))
+        Json.(
+          Obj
+            [ ("row", Str name); ("n", int n);
+              ("seed_shots_per_sec", fixed 1 reference);
+              ("fast_seq_shots_per_sec", fixed 1 fast_seq);
+              ("fast_par_shots_per_sec", fixed 1 fast_par);
+              ("speedup", fixed 2 (best /. reference)) ]))
       [ ("vbe5", 15); ("vbe4", 15); ("cdkpm", 16); ("gidney", 14); ("mixed", 16) ]
   in
   (* machine-readable output for the CI artifact and the README table *)
-  let oc = open_out "BENCH_sim.json" in
-  Printf.fprintf oc "{\n  \"workload\": \"table1-modadd-montecarlo\",\n";
-  Printf.fprintf oc "  \"shots\": %d,\n" shots;
-  Printf.fprintf oc "  \"parallel_backend\": %S,\n  \"jobs\": %d,\n"
-    Sim.parallel_backend jobs;
-  Printf.fprintf oc "  \"rows\": [\n";
-  List.iteri
-    (fun i (name, n, reference, fast_seq, fast_par) ->
-      Printf.fprintf oc
-        "    {\"row\": \"%s\", \"n\": %d, \"seed_shots_per_sec\": %.1f, \
-         \"fast_seq_shots_per_sec\": %.1f, \"fast_par_shots_per_sec\": %.1f, \
-         \"speedup\": %.2f}%s\n"
-        (json_escape name) n reference fast_seq fast_par
-        (Float.max fast_seq fast_par /. reference)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
+  write_json "BENCH_sim.json"
+    Json.(
+      Obj
+        [ ("workload", Str "table1-modadd-montecarlo"); ("shots", int shots);
+          ("parallel_backend", Str Sim.parallel_backend); ("jobs", int jobs);
+          ("rows", Arr rows) ]);
   fpf "  (seed = rebuild-per-gate Reference engine; fast = Z/X product track@.";
   fpf "   + in-place sparse kernel; written to BENCH_sim.json)@."
 
@@ -728,12 +734,9 @@ let time_ms f =
 let experiment_build_bench () =
   header
     "E-BUILD: hash-consed DAG build + memoized counts/profile (wall-clock)";
-  fpf "  tree = pre-PR representation (Instr.expand_calls, every shared@.";
-  fpf "  block inlined); dag = hash-consed IR. The p/dag and p/tree columns@.";
-  fpf "  run the profiler with span_depth:false on both sides (conservative@.";
-  fpf "  same-methodology comparison); pre-PR is the profiler as pre-DAG@.";
-  fpf "  callers ran it — on the tree, per-span isolated ASAP depth@.";
-  fpf "  included (now one Depth.spans walk, no longer a walk per span).@.@.";
+  fpf "  tree = every shared block inlined (Instr.expand_calls); dag =@.";
+  fpf "  hash-consed IR. The prof/dag and prof/tre columns run the profiler@.";
+  fpf "  with span_depth:false on both sides.@.@.";
   let t1_rows =
     List.map
       (fun (e : Catalogue.entry) ->
@@ -757,10 +760,9 @@ let experiment_build_bench () =
   in
   let rows_spec = t1_rows @ List.map modmul_row [ 16; 32; 60 ] in
   fpf
-    "  %-18s | %3s | %8s | %9s | %6s | %9s | %9s | %7s | %9s | %9s | %7s | \
-     %9s | %8s@."
+    "  %-18s | %3s | %8s | %9s | %6s | %9s | %9s | %7s | %9s | %9s | %7s@."
     "row" "n" "build ms" "live Mw" "nodes" "count/dag" "count/tre" "speedup"
-    "prof/dag" "prof/tre" "speedup" "pre-PR ms" "speedup";
+    "prof/dag" "prof/tre" "speedup";
   let results =
     List.map
       (fun (name, n, build) ->
@@ -782,7 +784,7 @@ let experiment_build_bench () =
         let profile_dag_ms =
           time_ms (fun () -> ignore (Trace.profile ~mode ~span_depth:false instrs))
         in
-        (* the pre-PR tree: every Call inlined *)
+        (* the tree: every Call inlined *)
         let tree = Instr.expand_calls instrs in
         let counts_tree_ms =
           time_ms (fun () -> ignore (Counts.of_instrs ~mode tree))
@@ -790,54 +792,33 @@ let experiment_build_bench () =
         let profile_tree_ms =
           time_ms (fun () -> ignore (Trace.profile ~mode ~span_depth:false tree))
         in
-        (* the profiler as pre-DAG callers invoked it: tree representation,
-           per-span isolated depth on (one rep) *)
-        let t0 = Unix.gettimeofday () in
-        ignore (Trace.profile ~mode ~span_depth:true tree);
-        let profile_pre_pr_ms = (Unix.gettimeofday () -. t0) *. 1000. in
         let c_speed = counts_tree_ms /. Float.max counts_dag_ms 1e-9 in
         let p_speed = profile_tree_ms /. Float.max profile_dag_ms 1e-9 in
-        let pre_speed = profile_pre_pr_ms /. Float.max profile_dag_ms 1e-9 in
         fpf
           "  %-18s | %3d | %8.2f | %9.3f | %6d | %9.4f | %9.4f | %6.1fx | \
-           %9.4f | %9.4f | %6.1fx | %9.2f | %7.0fx@."
+           %9.4f | %9.4f | %6.1fx@."
           name n build_ms
           (float_of_int live_words /. 1e6)
           shared counts_dag_ms counts_tree_ms c_speed profile_dag_ms
-          profile_tree_ms p_speed profile_pre_pr_ms pre_speed;
-        ( name, n, build_ms, live_words, gates, shared, counts_dag_ms,
-          counts_tree_ms, profile_dag_ms, profile_tree_ms, profile_pre_pr_ms ))
+          profile_tree_ms p_speed;
+        Json.(
+          Obj
+            [ ("row", Str name); ("n", int n); ("build_ms", fixed 3 build_ms);
+              ("live_words", int live_words); ("gates", Num gates);
+              ("shared_nodes", int shared);
+              ("counts_dag_ms", fixed 4 counts_dag_ms);
+              ("counts_tree_ms", fixed 4 counts_tree_ms);
+              ("counts_speedup", fixed 2 c_speed);
+              ("profile_dag_ms", fixed 4 profile_dag_ms);
+              ("profile_tree_ms", fixed 4 profile_tree_ms);
+              ("profile_speedup_same_methodology", fixed 2 p_speed) ]))
       rows_spec
   in
-  let oc = open_out "BENCH_build.json" in
-  Printf.fprintf oc "{\n  \"workload\": \"table1+modmul-dag-build\",\n";
-  Printf.fprintf oc "  \"profile_span_depth\": false,\n";
-  Printf.fprintf oc "  \"rows\": [\n";
-  List.iteri
-    (fun i
-         ( name, n, build_ms, live_words, gates, shared, counts_dag_ms,
-           counts_tree_ms, profile_dag_ms, profile_tree_ms, profile_pre_pr_ms ) ->
-      Printf.fprintf oc
-        "    {\"row\": \"%s\", \"n\": %d, \"build_ms\": %.3f, \
-         \"live_words\": %d, \"gates\": %.0f, \"shared_nodes\": %d, \
-         \"counts_dag_ms\": %.4f, \"counts_tree_ms\": %.4f, \
-         \"counts_speedup\": %.2f, \"profile_dag_ms\": %.4f, \
-         \"profile_tree_ms\": %.4f, \"profile_speedup_same_methodology\": \
-         %.2f, \"profile_pre_pr_ms\": %.4f, \"profile_speedup_vs_pre_pr\": \
-         %.1f, \"metrics_speedup_vs_pre_pr\": %.1f}%s\n"
-        (json_escape name) n build_ms live_words gates shared counts_dag_ms
-        counts_tree_ms
-        (counts_tree_ms /. Float.max counts_dag_ms 1e-9)
-        profile_dag_ms profile_tree_ms
-        (profile_tree_ms /. Float.max profile_dag_ms 1e-9)
-        profile_pre_pr_ms
-        (profile_pre_pr_ms /. Float.max profile_dag_ms 1e-9)
-        ((counts_tree_ms +. profile_pre_pr_ms)
-        /. Float.max (counts_dag_ms +. profile_dag_ms) 1e-9)
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
+  write_json "BENCH_build.json"
+    Json.(
+      Obj
+        [ ("workload", Str "table1+modmul-dag-build");
+          ("profile_span_depth", Bool false); ("rows", Arr results) ]);
   fpf "  (written to BENCH_build.json)@."
 
 (* ------------------------------------------------------------------ *)
@@ -854,6 +835,10 @@ let experiment_faults () =
     n p runs seed;
   fpf "  %-22s | %5s | %4s | %7s %7s %7s | %9s %7s@." "family" "sites" "arms"
     "correct" "detect" "silent" "detection" "silent%";
+  let tally (r : Engine.result) =
+    [ ("sites", int r.sites); ("runs", int r.runs); ("correct", int r.correct);
+      ("detected", int r.detected); ("silent", int r.silent) ]
+  in
   let rows =
     List.map
       (fun e ->
@@ -889,7 +874,11 @@ let experiment_faults () =
           r.Engine.correct r.Engine.detected r.Engine.silent
           (Engine.detection_rate r)
           (100. *. Engine.silent_rate r);
-        (e, r))
+        Json.(
+          Obj
+            ((("family", Str e.Catalogue.title) :: tally r)
+            @ [ ("detection_rate", fixed 4 (Engine.detection_rate r));
+                ("silent_rate", fixed 4 (Engine.silent_rate r)) ])))
       Catalogue.all
   in
   (* Acceptance probe: every single-X fault site of a VBE modular adder —
@@ -905,30 +894,13 @@ let experiment_faults () =
        (%d correct / %d detected / %d silent)@."
     vbe.Catalogue.title rx.Engine.runs rx.Engine.sites rx.Engine.correct
     rx.Engine.detected rx.Engine.silent;
-  let oc = open_out "BENCH_faults.json" in
-  Printf.fprintf oc "{\n  \"workload\": \"catalogue-fault-campaigns\",\n";
-  Printf.fprintf oc "  \"n\": %d,\n  \"p\": %d,\n  \"runs_per_family\": %d,\n"
-    n p runs;
-  Printf.fprintf oc "  \"seed\": %d,\n  \"lint_clean\": true,\n" seed;
-  Printf.fprintf oc
-    "  \"exhaustive_x_vbe\": {\"sites\": %d, \"runs\": %d, \"correct\": %d, \
-     \"detected\": %d, \"silent\": %d},\n"
-    rx.Engine.sites rx.Engine.runs rx.Engine.correct rx.Engine.detected
-    rx.Engine.silent;
-  Printf.fprintf oc "  \"families\": [\n";
-  List.iteri
-    (fun i (e, r) ->
-      Printf.fprintf oc
-        "    {\"family\": \"%s\", \"sites\": %d, \"runs\": %d, \"correct\": \
-         %d, \"detected\": %d, \"silent\": %d, \"detection_rate\": %.4f, \
-         \"silent_rate\": %.4f}%s\n"
-        (json_escape e.Catalogue.title)
-        r.Engine.sites r.Engine.runs r.Engine.correct r.Engine.detected
-        r.Engine.silent (Engine.detection_rate r) (Engine.silent_rate r)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
+  write_json "BENCH_faults.json"
+    Json.(
+      Obj
+        [ ("workload", Str "catalogue-fault-campaigns"); ("n", int n);
+          ("p", int p); ("runs_per_family", int runs); ("seed", int seed);
+          ("lint_clean", Bool true); ("exhaustive_x_vbe", Obj (tally rx));
+          ("families", Arr rows) ]);
   fpf "  (correct = fault absorbed; detected = clean error, dirty ancilla \
        or detector;@.";
   fpf "   silent = wrong output with nothing noticed; written to \
@@ -1084,11 +1056,7 @@ let report_phase_times () =
 
 module BC = Mbu_telemetry.Bench_compare
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let compare_paths () =
   let acc = ref [] in
@@ -1112,7 +1080,7 @@ let run_compare paths =
   let failed = ref false in
   List.iter
     (fun path ->
-      match BC.parse_result (read_file path) with
+      match Json.parse_result (read_file path) with
       | exception Sys_error e ->
           fpf "  cannot read baseline %s: %s@." path e;
           failed := true
@@ -1129,16 +1097,15 @@ let run_compare paths =
               timed name experiment;
               let report =
                 BC.compare_json ~baseline
-                  ~current:(BC.parse (read_file fresh_path))
+                  ~current:(Json.parse (read_file fresh_path))
               in
               fpf "@.";
               print_string (BC.render report);
               if report.BC.regressions <> [] then failed := true))
     paths;
   (* Telemetry of the gate runs themselves rides along as a CI artifact. *)
-  let oc = open_out "METRICS.json" in
-  output_string oc (Mbu_telemetry.Telemetry.to_json ());
-  close_out oc;
+  Out_channel.with_open_bin "METRICS.json" (fun oc ->
+      output_string oc (Mbu_telemetry.Telemetry.to_json ()));
   fpf "@.telemetry written to METRICS.json@.";
   if !failed then begin
     fpf "@.REGRESSION GATE FAILED@.";

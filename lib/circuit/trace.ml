@@ -266,56 +266,37 @@ let render ?(merge = true) ?max_depth root =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event JSON *)
 
-let json_escape = Mbu_telemetry.Telemetry.json_escape
-
-let jnum v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%g" v
-
 (* One complete ("ph":"X") event per span, on a weighted-gate-count time
    axis; loads directly into chrome://tracing / Perfetto / speedscope.
    [counters] (e.g. [Telemetry.counters_alist ()]) are appended as counter
    ("ph":"C") events pinned to the root span's end, so runtime metrics
    overlay the span timeline in the same viewer. *)
 let to_json ?(counters = []) root =
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  let first = ref true in
-  let rec emit e =
-    if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_string buf
-      (Printf.sprintf
-         "\n{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\
-          \"ts\":%s,\"dur\":%s,\"args\":{\
-          \"path\":\"%s\",\
-          \"toffoli\":%s,\"cnot_cz\":%s,\"x\":%s,\"measure\":%s,\
-          \"flat_toffoli\":%s,\"flat_cnot_cz\":%s,\
-          \"peak_ancillas\":%d,\"toffoli_depth\":%s,\"total_depth\":%s}}"
-         (json_escape e.label)
-         (jnum e.start) (jnum e.dur)
-         (json_escape (String.concat "/" e.path))
-         (jnum e.cum.Counts.toffoli)
-         (jnum (Counts.cnot_cz e.cum))
-         (jnum e.cum.Counts.x)
-         (jnum e.cum.Counts.measure)
-         (jnum e.flat.Counts.toffoli)
-         (jnum (Counts.cnot_cz e.flat))
-         e.peak_ancillas
-         (jnum e.toffoli_depth)
-         (jnum e.total_depth));
-    List.iter emit e.children
+  let open Mbu_telemetry.Json in
+  let span e =
+    Obj
+      [ ("name", Str e.label); ("cat", Str "span"); ("ph", Str "X");
+        ("pid", Num 1.); ("tid", Num 1.); ("ts", Num e.start); ("dur", Num e.dur);
+        ( "args",
+          Obj
+            [ ("path", Str (String.concat "/" e.path));
+              ("toffoli", Num e.cum.Counts.toffoli);
+              ("cnot_cz", Num (Counts.cnot_cz e.cum));
+              ("x", Num e.cum.Counts.x);
+              ("measure", Num e.cum.Counts.measure);
+              ("flat_toffoli", Num e.flat.Counts.toffoli);
+              ("flat_cnot_cz", Num (Counts.cnot_cz e.flat));
+              ("peak_ancillas", Num (float_of_int e.peak_ancillas));
+              ("toffoli_depth", Num e.toffoli_depth);
+              ("total_depth", Num e.total_depth) ] ) ]
   in
-  emit root;
-  let ts = jnum (root.start +. root.dur) in
-  List.iter
-    (fun (name, v) ->
-      if !first then first := false else Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n{\"name\":\"%s\",\"cat\":\"telemetry\",\"ph\":\"C\",\"pid\":1,\
-            \"tid\":1,\"ts\":%s,\"args\":{\"value\":%s}}"
-           (json_escape name) ts (jnum v)))
-    counters;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  let counter (name, v) =
+    Obj
+      [ ("name", Str name); ("cat", Str "telemetry"); ("ph", Str "C");
+        ("pid", Num 1.); ("tid", Num 1.); ("ts", Num (root.start +. root.dur));
+        ("args", Obj [ ("value", Num v) ]) ]
+  in
+  to_string
+    (Obj
+       [ ("displayTimeUnit", Str "ms");
+         ("traceEvents", Arr (List.map span (flatten root) @ List.map counter counters)) ])

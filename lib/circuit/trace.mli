@@ -91,4 +91,6 @@ val to_json : ?counters:(string * float) list -> entry -> string
     Perfetto or speedscope; per-span counts ride in ["args"]. [counters]
     (e.g. [Telemetry.counters_alist ()]) are appended as counter ["ph":"C"]
     events pinned to the root span's end, overlaying runtime metrics on the
-    same timeline. *)
+    same timeline. Numbers are exact: every [ts], [dur] and [args] number
+    reads back equal to the entry's field, fractional in-expectation costs
+    included. One event per line ({!Mbu_telemetry.Json.to_string}). *)

@@ -1,15 +1,8 @@
-(* Bench-regression gate: diff a fresh BENCH_*.json against a committed
-   baseline with per-metric thresholds.
+(* Bench-regression gate: diff a fresh BENCH_*.json (a [Json.t], printed
+   and parsed by [Json]) against a committed baseline with per-metric
+   thresholds. *)
 
-   The container has no JSON library, so this carries a minimal
-   recursive-descent parser sufficient for the bench files (and any
-   sane JSON): it is strict about structure but does not validate
-   Unicode escapes beyond copying them through. *)
-
-(* ------------------------------------------------------------------ *)
-(* JSON *)
-
-type json =
+type json = Json.t =
   | Null
   | Bool of bool
   | Num of float
@@ -17,146 +10,9 @@ type json =
   | Arr of json list
   | Obj of (string * json) list
 
-exception Parse_error of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then (pos := !pos + l; v)
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' ->
-          (if !pos >= n then fail "unterminated escape";
-           let e = s.[!pos] in
-           advance ();
-           match e with
-           | '"' -> Buffer.add_char buf '"'
-           | '\\' -> Buffer.add_char buf '\\'
-           | '/' -> Buffer.add_char buf '/'
-           | 'n' -> Buffer.add_char buf '\n'
-           | 't' -> Buffer.add_char buf '\t'
-           | 'r' -> Buffer.add_char buf '\r'
-           | 'b' -> Buffer.add_char buf '\b'
-           | 'f' -> Buffer.add_char buf '\012'
-           | 'u' ->
-               if !pos + 4 > n then fail "truncated \\u escape";
-               let hex = String.sub s !pos 4 in
-               pos := !pos + 4;
-               let code =
-                 try int_of_string ("0x" ^ hex)
-                 with _ -> fail "bad \\u escape"
-               in
-               (* Keep it simple: BMP code points only, encoded as UTF-8. *)
-               if code < 0x80 then Buffer.add_char buf (Char.chr code)
-               else if code < 0x800 then begin
-                 Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                 Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-               end
-               else begin
-                 Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                 Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                 Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-               end
-           | _ -> fail "unknown escape");
-          loop ()
-      | c -> Buffer.add_char buf c; loop ()
-    in
-    loop ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    let tok = String.sub s start (!pos - start) in
-    match float_of_string_opt tok with
-    | Some f -> Num f
-    | None -> fail (Printf.sprintf "bad number %S" tok)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); Obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((k, v) :: acc)
-            | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected , or } in object"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); Arr [])
-        else
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); elements (v :: acc)
-            | Some ']' -> advance (); Arr (List.rev (v :: acc))
-            | _ -> fail "expected , or ] in array"
-          in
-          elements []
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let parse_result s =
-  match parse s with
-  | v -> Ok v
-  | exception Parse_error msg -> Error msg
-
-let member k = function
-  | Obj kvs -> List.assoc_opt k kvs
-  | _ -> None
+let parse = Json.parse
+let parse_result = Json.parse_result
+let member = Json.member
 
 let workload j =
   match member "workload" j with Some (Str w) -> Some w | _ -> None

@@ -2,9 +2,7 @@
     baseline with per-metric directional thresholds, render a delta table,
     and report regressions for the CLI to turn into a non-zero exit. *)
 
-(** {1 Minimal JSON} *)
-
-type json =
+type json = Json.t =
   | Null
   | Bool of bool
   | Num of float
@@ -12,10 +10,7 @@ type json =
   | Arr of json list
   | Obj of (string * json) list
 
-exception Parse_error of string
-
 val parse : string -> json
-(** Raises {!Parse_error} on malformed input. *)
 
 val parse_result : string -> (json, string) result
 val member : string -> json -> json option

@@ -231,10 +231,6 @@ let reset () =
 (* ------------------------------------------------------------------ *)
 (* Exposition *)
 
-let fmt_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%g" v
-
 let fmt_le le = if le = Float.infinity then "+Inf" else Printf.sprintf "%g" le
 
 (* OpenMetrics text format. Counters expose [name_total] under a [# TYPE
@@ -242,8 +238,14 @@ let fmt_le le = if le = Float.infinity then "+Inf" else Printf.sprintf "%g" le
    [name_highwater]. Terminated by the mandatory [# EOF]. *)
 let to_openmetrics () =
   let buf = Buffer.create 4096 in
+  (* the format escapes backslash and newline in HELP text *)
+  let escape_help help =
+    String.split_on_char '\\' help |> String.concat "\\\\"
+    |> String.split_on_char '\n' |> String.concat "\\n"
+  in
   let family name kind help =
-    if help <> "" then Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
+    if help <> "" then
+      Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name (escape_help help));
     Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
   in
   List.iter
@@ -262,68 +264,33 @@ let to_openmetrics () =
           Array.iter
             (fun (le, cum) ->
               Buffer.add_string buf
-                (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" name (fmt_le le) cum))
+                (Printf.sprintf "%s_bucket{le=%S} %d\n" name (fmt_le le) cum))
             buckets;
           Buffer.add_string buf
-            (Printf.sprintf "%s_sum %s\n" name (fmt_float sum));
+            (Printf.sprintf "%s_sum %s\n" name (Json.number sum));
           Buffer.add_string buf (Printf.sprintf "%s_count %d\n" name count))
     (snapshot ());
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json () =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"metrics\": [\n";
-  let samples = snapshot () in
-  List.iteri
-    (fun i s ->
-      let sep = if i = List.length samples - 1 then "" else "," in
-      (match s with
-      | Counter_sample { name; help; value } ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "    {\"name\": \"%s\", \"kind\": \"counter\", \"help\": \
-                \"%s\", \"value\": %d}"
-               (json_escape name) (json_escape help) value)
-      | Gauge_sample { name; help; value; highwater } ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "    {\"name\": \"%s\", \"kind\": \"gauge\", \"help\": \"%s\", \
-                \"value\": %d, \"highwater\": %d}"
-               (json_escape name) (json_escape help) value highwater)
-      | Histogram_sample { name; help; count; sum; buckets } ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "    {\"name\": \"%s\", \"kind\": \"histogram\", \"help\": \
-                \"%s\", \"count\": %d, \"sum\": %s, \"buckets\": ["
-               (json_escape name) (json_escape help) count (fmt_float sum));
-          Array.iteri
-            (fun j (le, cum) ->
-              Buffer.add_string buf
-                (Printf.sprintf "%s{\"le\": \"%s\", \"count\": %d}"
-                   (if j = 0 then "" else ", ")
-                   (fmt_le le) cum))
-            buckets;
-          Buffer.add_string buf "]}");
-      Buffer.add_string buf (sep ^ "\n"))
-    samples;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+  let open Json in
+  let int i = Num (float_of_int i) in
+  let metric kind name help fields =
+    Obj ([ ("name", Str name); ("kind", Str kind); ("help", Str help) ] @ fields)
+  in
+  let bucket (le, cum) = Obj [ ("le", Str (fmt_le le)); ("count", int cum) ] in
+  let sample = function
+    | Counter_sample { name; help; value } ->
+        metric "counter" name help [ ("value", int value) ]
+    | Gauge_sample { name; help; value; highwater } ->
+        metric "gauge" name help [ ("value", int value); ("highwater", int highwater) ]
+    | Histogram_sample { name; help; count; sum; buckets } ->
+        metric "histogram" name help
+          [ ("count", int count); ("sum", Num sum);
+            ("buckets", Arr (Array.to_list (Array.map bucket buckets))) ]
+  in
+  to_string (Obj [ ("metrics", Arr (List.map sample (snapshot ()))) ])
 
 (* Flat (name, value) pairs — the shape Chrome trace counter events and
    quick assertions want. *)

@@ -94,17 +94,13 @@ val to_openmetrics : unit -> string
 (** OpenMetrics text exposition: counters as [name_total], histograms as
     cumulative [name_bucket{le="..."}] plus [name_sum]/[name_count],
     gauges as [name] plus a separate [name_highwater] gauge family;
-    terminated by [# EOF]. *)
+    terminated by [# EOF]. [name_sum] prints in {!Json.number}'s exact
+    format; HELP text escapes backslash and newline. *)
 
 val to_json : unit -> string
 (** The same snapshot as a self-contained JSON document
-    [{"metrics": [...]}]. *)
-
-val json_escape : string -> string
-(** Escape a string for use inside a JSON string literal: double quote,
-    backslash, newline and tab get their two-character escapes, every other
-    control character a [u]-escape with four hex digits. The one escaper
-    behind every hand-written JSON writer in the repository. *)
+    [{"metrics": [...]}], printed by {!Json.to_string}: one metric per
+    line, numbers exact. *)
 
 val counters_alist : unit -> (string * float) list
 (** Flattened [(name, value)] view of the snapshot — counters as

@@ -210,20 +210,21 @@ let test_registry_kind_mismatch () =
        "Telemetry: \"test_reg_dup\" is already registered as another kind")
     (fun () -> ignore (Telemetry.gauge "test_reg_dup"))
 
-(* Both hand-written JSON writers share [Telemetry.json_escape]: a label
-   carrying a quote, a backslash, a newline, a tab and a raw control byte
-   must come back byte for byte through the bench parser. *)
+(* Both JSON writers print through [Json]: a label carrying a quote, a
+   backslash, a newline, a tab and a raw control byte must come back byte
+   for byte through the parser, end to end. [prop_json_roundtrip] covers
+   the escaper itself. *)
 let test_json_escape_roundtrip () =
   let label = "q\"b\\n\nt\tc\001." in
   let strings_at key j =
-    match Bench_compare.member key j with
-    | Some (Bench_compare.Arr items) ->
+    match Json.member key j with
+    | Some (Json.Arr items) ->
         List.filter_map
           (fun item ->
-            match Bench_compare.member "name" item, Bench_compare.member "help" item with
-            | Some (Bench_compare.Str name), Some (Bench_compare.Str help) ->
+            match Json.member "name" item, Json.member "help" item with
+            | Some (Json.Str name), Some (Json.Str help) ->
                 Some (name ^ "|" ^ help)
-            | Some (Bench_compare.Str name), _ -> Some name
+            | Some (Json.Str name), _ -> Some name
             | _ -> None)
           items
     | _ -> Alcotest.failf "no %s array" key
@@ -234,12 +235,118 @@ let test_json_escape_roundtrip () =
   in
   Alcotest.(check bool) "span label survives Trace.to_json" true
     (List.mem label
-       (strings_at "traceEvents" (Bench_compare.parse (Trace.to_json root))));
+       (strings_at "traceEvents" (Json.parse (Trace.to_json root))));
   Telemetry.reset ();
   ignore (Telemetry.counter ~help:label "test_json_escape");
   Alcotest.(check bool) "help text survives Telemetry.to_json" true
     (List.mem ("test_json_escape|" ^ label)
-       (strings_at "metrics" (Bench_compare.parse (Telemetry.to_json ()))))
+       (strings_at "metrics" (Json.parse (Telemetry.to_json ()))));
+  Alcotest.(check bool) "help text keeps OpenMetrics one sample per line"
+    true
+    (List.mem_assoc "test_json_escape_total"
+       (Telemetry.parse_openmetrics (Telemetry.to_openmetrics ())))
+
+(* A histogram sum prints exactly in both expositions: 0.1 + 0.2 is not
+   0.3, and neither output may round it to 0.3. *)
+let test_histogram_sum_exact () =
+  Telemetry.reset ();
+  let h = Telemetry.histogram "test_sum_exact" in
+  Telemetry.observe h 0.1;
+  Telemetry.observe h 0.2;
+  let sum = Telemetry.histogram_sum h in
+  Alcotest.(check (float 0.)) "histogram_sum" 0.30000000000000004 sum;
+  let json_sum =
+    match Json.member "metrics" (Json.parse (Telemetry.to_json ())) with
+    | Some (Json.Arr ms) ->
+        List.find_map
+          (fun m ->
+            match (Json.member "name" m, Json.member "sum" m) with
+            | Some (Json.Str "test_sum_exact"), Some (Json.Num v) -> Some v
+            | _ -> None)
+          ms
+    | _ -> None
+  in
+  Alcotest.(check (option (float 0.))) "to_json sum" (Some sum) json_sum;
+  Alcotest.(check (option (float 0.))) "openmetrics _sum" (Some sum)
+    (List.assoc_opt "test_sum_exact_sum"
+       (Telemetry.parse_openmetrics (Telemetry.to_openmetrics ())))
+
+(* ------------------------------------------------------------------ *)
+(* Json *)
+
+let gen_json_string =
+  let open QCheck.Gen in
+  let piece =
+    oneof
+      [ oneofl [ "\""; "\\"; "\x7f"; "\xc3\xa9"; "\xe2\x86\x92"; "\xf0\x9f\x98\x80" ];
+        map (fun i -> String.make 1 (Char.chr i)) (int_range 0 0x1f);
+        string_size ~gen:printable (int_range 0 6) ]
+  in
+  map (String.concat "") (list_size (int_range 0 6) piece)
+
+(* Finite floats only: JSON has no NaN or infinity, and [Json] prints them
+   as [null]. *)
+let gen_json_float =
+  let open QCheck.Gen in
+  let finite f = if Float.is_finite f then f else 0. in
+  oneof
+    [ map float_of_int (int_range (-1_000_000) 1_000_000);
+      (* integers at and above 1e15 leave the integer path *)
+      map (fun (i, e) -> Float.ldexp (float_of_int i) e)
+        (pair (int_range (-(1 lsl 30)) (1 lsl 30)) (int_range 20 80));
+      (* subnormals of either sign *)
+      map (fun b -> Int64.float_of_bits (Int64.logand b 0x800F_FFFF_FFFF_FFFFL)) ui64;
+      map (fun b -> finite (Int64.float_of_bits b)) ui64;
+      map finite float ]
+
+let gen_json =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [ return Json.Null; map (fun b -> Json.Bool b) bool;
+        map (fun f -> Json.Num f) gen_json_float;
+        map (fun s -> Json.Str s) gen_json_string ]
+  in
+  let value =
+    sized
+    @@ fix (fun self n ->
+           if n <= 1 then leaf
+           else
+             let items = list_size (int_range 0 4) (self (n / 3)) in
+             frequency
+               [ (2, leaf); (1, map (fun l -> Json.Arr l) items);
+                 ( 1,
+                   map (fun l -> Json.Obj l)
+                     (list_size (int_range 0 4)
+                        (pair gen_json_string (self (n / 3)))) ) ])
+  in
+  (* top-level objects with arrays inside take the multi-line layout *)
+  oneof
+    [ value;
+      map (fun l -> Json.Obj l) (list_size (int_range 0 5) (pair gen_json_string value)) ]
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json: parse (to_string v) = v" ~count:500
+    (QCheck.make gen_json ~print:Json.to_string)
+    (fun v ->
+      let s = Json.to_string v in
+      let v' = Json.parse s in
+      v' = v && Json.to_string v' = s)
+
+(* Path of a committed baseline: [dune runtest] runs in [test/], with the
+   baselines copied one level up; [dune exec] runs from the root. *)
+let bench_file name =
+  if Sys.file_exists (Filename.concat ".." name) then Filename.concat ".." name
+  else name
+
+(* The committed baselines are exactly what the bench writers print, so a
+   fresh run diffs only where a number changed. *)
+let test_bench_files_are_printer_output () =
+  List.iter
+    (fun name ->
+      let text = In_channel.with_open_bin (bench_file name) In_channel.input_all in
+      Alcotest.(check string) name text (Json.to_string (Json.parse text)))
+    [ "BENCH_sim.json"; "BENCH_build.json"; "BENCH_faults.json" ]
 
 (* ------------------------------------------------------------------ *)
 (* Bench comparator *)
@@ -357,6 +464,11 @@ let suite =
         test_registry_kind_mismatch;
       Alcotest.test_case "json escape round-trip" `Quick
         test_json_escape_roundtrip;
+      Alcotest.test_case "histogram sum exact in both expositions" `Quick
+        test_histogram_sum_exact;
+      qtest prop_json_roundtrip;
+      Alcotest.test_case "json: BENCH files are printer output" `Quick
+        test_bench_files_are_printer_output;
       Alcotest.test_case "compare: identical baseline passes" `Quick
         test_compare_identical_passes;
       Alcotest.test_case "compare: degradation flagged" `Quick

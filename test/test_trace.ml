@@ -117,7 +117,60 @@ let test_render_and_json () =
   List.iter
     (fun needle ->
       Alcotest.(check bool) (needle ^ " in json") true (contains json needle))
-    [ "traceEvents"; "\"ph\":\"X\""; "toffoli"; "peak_ancillas" ]
+    [ "traceEvents"; "\"ph\": \"X\""; "toffoli"; "peak_ancillas" ]
+
+(* Every number of a span event reads back as its entry's field, in a
+   non-dyadic mode where starts and costs are no short decimals: after a
+   measurement and three conditional X gates at weight 0.3, span "s"
+   starts at 1 + 0.3 + 0.3 + 0.3 = 1.9000000000000001, not 1.9. *)
+let test_json_numbers_exact () =
+  let module Json = Mbu_telemetry.Json in
+  let num ev path =
+    match
+      List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some ev) path
+    with
+    | Some (Json.Num v) -> v
+    | _ -> Alcotest.failf "no number at %s" (String.concat "." path)
+  in
+  let check_events root =
+    let events =
+      match Json.member "traceEvents" (Json.parse (Trace.to_json root)) with
+      | Some (Json.Arr evs) -> evs
+      | _ -> Alcotest.fail "no traceEvents array"
+    in
+    List.iter2
+      (fun (e : Trace.entry) ev ->
+        List.iter
+          (fun (path, want) ->
+            Alcotest.(check (float 0.))
+              (e.label ^ " " ^ String.concat "." path)
+              want (num ev path))
+          [ ([ "ts" ], e.start); ([ "dur" ], e.dur);
+            ([ "args"; "toffoli" ], e.cum.Counts.toffoli);
+            ([ "args"; "cnot_cz" ], Counts.cnot_cz e.cum);
+            ([ "args"; "x" ], e.cum.Counts.x);
+            ([ "args"; "measure" ], e.cum.Counts.measure);
+            ([ "args"; "flat_toffoli" ], e.flat.Counts.toffoli);
+            ([ "args"; "flat_cnot_cz" ], Counts.cnot_cz e.flat);
+            ([ "args"; "peak_ancillas" ], float_of_int e.peak_ancillas);
+            ([ "args"; "toffoli_depth" ], e.toffoli_depth);
+            ([ "args"; "total_depth" ], e.total_depth) ])
+      (Trace.flatten root) events
+  in
+  let mode = Counts.Expected 0.3 in
+  let cond =
+    Instr.If_bit { bit = 0; value = true; body = [ Instr.Gate (Gate.X 1) ] }
+  in
+  let root =
+    Trace.profile ~mode
+      [ Instr.Measure { qubit = 0; bit = 0; reset = false }; cond; cond; cond;
+        Instr.Span { label = "s"; peak_ancillas = 0; body = [ Instr.Gate (Gate.X 1) ] } ]
+  in
+  Alcotest.(check (option (float 0.))) "start of s" (Some 1.9000000000000001)
+    (Option.map (fun e -> e.Trace.start) (Trace.find root "s"));
+  check_events root;
+  let b, _, _, _ = table1_circuit 8 in
+  check_events (Trace.of_circuit ~mode (Builder.to_circuit b))
 
 (* The acceptance experiment: a superposed input to an MBU modular adder,
    >= 400 shots, each run hitting exactly one measurement-conditioned
@@ -219,6 +272,8 @@ let suite =
       Alcotest.test_case "qasm round-trip keeps spans" `Quick
         test_qasm_roundtrip_keeps_spans;
       Alcotest.test_case "render and json" `Quick test_render_and_json;
+      Alcotest.test_case "json numbers exact (Expected 0.3)" `Quick
+        test_json_numbers_exact;
       Alcotest.test_case "mbu branch frequency 0.5 +- 0.05" `Quick
         test_mbu_branch_frequency;
       Alcotest.test_case "mbu branch frequency via run_shots" `Quick
