@@ -77,8 +77,7 @@ let () =
       in
       let shots = 400 in
       let counts =
-        Sim.sample_register ~rng:(Random.State.make [| iters; 11 |]) ~shots c
-          ~init x
+        Sim.sample_register ~seed:iters ~shots c ~init x
       in
       let hit =
         List.fold_left

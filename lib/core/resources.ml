@@ -38,27 +38,16 @@ let measure ?(mode = Counts.Expected 0.5) ~n ~build () =
     total_depth = d.Depth.total;
     toffoli_depth = d.Depth.toffoli }
 
-let monte_carlo_toffoli ?(shots = 400) ?rng ?(seed = 0xbca) ?jobs ~build () =
+let monte_carlo_toffoli ?(shots = 400) ?(seed = 0xbca) ?jobs ~build () =
+  if shots < 1 then
+    Mbu_error.invalid ~subsystem:"Resources.monte_carlo_toffoli"
+      (Printf.sprintf "%d shots: the mean needs at least one" shots);
   let b = Builder.create () in
   let inits = build b in
-  let circuit = Builder.to_circuit b in
-  let init =
-    Mbu_simulator.Sim.init_registers ~num_qubits:(Builder.num_qubits b) inits
-  in
-  match rng with
-  | Some rng ->
-      (* Legacy path: one caller-owned generator shared across shots. *)
-      let prog = Mbu_simulator.Sim.compile circuit in
-      let total = ref 0. in
-      for _ = 1 to shots do
-        let r = Mbu_simulator.Sim.run_program ~rng prog ~init in
-        total := !total +. r.Mbu_simulator.Sim.executed.Counts.toffoli
-      done;
-      !total /. float_of_int shots
-  | None ->
-      let runs = Mbu_simulator.Sim.run_shots ~seed ?jobs ~shots circuit ~init in
-      Array.fold_left
-        (fun acc (r : Mbu_simulator.Sim.run) ->
-          acc +. r.Mbu_simulator.Sim.executed.Counts.toffoli)
-        0. runs
-      /. float_of_int shots
+  let open Mbu_simulator in
+  let init = Sim.init_registers ~num_qubits:(Builder.num_qubits b) inits in
+  Sim.fold_shots ~seed ?jobs ~shots (Builder.to_circuit b) ~init
+    ~empty:(fun () -> 0.)
+    ~step:(fun total _ _ r -> total +. r.Sim.executed.Counts.toffoli)
+    ~merge:( +. )
+  /. float_of_int shots

@@ -32,14 +32,13 @@ val measure :
 
 val monte_carlo_toffoli :
   ?shots:int ->
-  ?rng:Random.State.t ->
   ?seed:int ->
   ?jobs:int ->
   build:(Builder.t -> (Mbu_circuit.Register.t * int) list) -> unit -> float
-(** Average {e executed} Toffoli count over simulator runs: [build] returns
-    the register initialization; measurement outcomes vary per shot. Used to
-    validate that the analytic "in expectation" numbers are the true mean.
-    Without [?rng] the shots go through the parallel multi-shot runner with
-    deterministic per-shot seeds derived from [seed] ([jobs] defaults to
-    {!Mbu_simulator.Sim.default_jobs}); passing [?rng] keeps the legacy
-    sequential shared-generator path. *)
+(** Average {e executed} Toffoli count over [shots] (default 400) simulator
+    runs: [build] returns the register initialization; measurement outcomes
+    vary per shot. Used to validate that the analytic "in expectation"
+    numbers are the true mean. One {!Mbu_simulator.Sim.fold_shots}, so the
+    answer depends on [seed] only, not on [jobs]. Executed counts are whole
+    numbers, so the float sum is exact in any order. Raises
+    {!Mbu_circuit.Mbu_error.Error} if [shots < 1]. *)

@@ -133,8 +133,24 @@ let exhaustive_plans ~paulis instrs =
 
 let run_campaign ?(seed = 0) ?jobs ?engine ?force ?max_terms ?on_progress
     ~plan spec =
+  let invalid msg = Mbu_error.invalid ~subsystem:"Robustness.run_campaign" msg in
   let instrs = spec.circuit.Circuit.instrs in
   let sites = Fault.num_sites instrs in
+  let total, plan_of =
+    match plan with
+    | Exhaustive { paulis } ->
+        let plans = Array.of_list (exhaustive_plans ~paulis instrs) in
+        (Array.length plans, Array.get plans)
+    | Random { runs; faults_per_run } when runs < 0 || faults_per_run < 0 ->
+        invalid
+          (Printf.sprintf "runs %d and faults per run %d must not be negative"
+             runs faults_per_run)
+    | Random { runs; faults_per_run } ->
+        ( runs,
+          fun i ->
+            random_plan ~num_sites:sites ~faults_per_run instrs
+              (plan_rng ~seed i) )
+  in
   let prog = Sim.compile spec.circuit in
   let classify ~rng ~faults =
     classify_program ?engine ?force ?max_terms ~rng ~faults prog spec
@@ -142,57 +158,50 @@ let run_campaign ?(seed = 0) ?jobs ?engine ?force ?max_terms ?on_progress
   (match classify ~rng:(run_rng ~seed (-1)) ~faults:[] with
   | Correct -> ()
   | o ->
-      Mbu_error.invalid ~subsystem:"Robustness.run_campaign"
+      invalid
         (Printf.sprintf
            "fault-free baseline of %s classifies as %s — oracle or keep-list \
             is wrong"
            spec.name (outcome_name o)));
-  let plans =
-    match plan with
-    | Exhaustive { paulis } -> Array.of_list (exhaustive_plans ~paulis instrs)
-    | Random { runs; faults_per_run } ->
-        Array.init runs (fun i ->
-            random_plan ~num_sites:sites ~faults_per_run instrs
-              (plan_rng ~seed i))
-  in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
-  in
-  let total = Array.length plans in
   let completed = Atomic.make 0 in
-  let outcomes =
-    Parallel.map_tasks ~jobs ~tasks:total (fun i ->
-        let o =
-          Telemetry.time m_run_seconds (fun () ->
-              classify ~rng:(run_rng ~seed i) ~faults:plans.(i))
-        in
-        Telemetry.incr m_runs;
-        (match o with
-        | Correct -> Telemetry.incr m_correct
-        | Detected -> Telemetry.incr m_detected
-        | Silent_corrupt -> Telemetry.incr m_silent);
-        (* The heartbeat sees a monotone completion count; under parallel
-           jobs it may fire from any domain, so callbacks must be
-           thread-safe (printing a line is). *)
-        (match on_progress with
-        | Some f -> f ~completed:(1 + Atomic.fetch_and_add completed 1) ~total
-        | None -> ());
-        o)
+  let first_8 = List.filteri (fun k _ -> k < 8) in
+  let step r i =
+    let faults = plan_of i in
+    let o =
+      Telemetry.time m_run_seconds (fun () ->
+          classify ~rng:(run_rng ~seed i) ~faults)
+    in
+    Telemetry.incr m_runs;
+    (* The heartbeat sees a monotone completion count; under parallel jobs
+       it may fire from any domain, so callbacks must be thread-safe
+       (printing a line is). *)
+    (match on_progress with
+    | Some f -> f ~completed:(1 + Atomic.fetch_and_add completed 1) ~total
+    | None -> ());
+    match o with
+    | Correct ->
+        Telemetry.incr m_correct;
+        { r with correct = r.correct + 1 }
+    | Detected ->
+        Telemetry.incr m_detected;
+        { r with detected = r.detected + 1 }
+    | Silent_corrupt ->
+        Telemetry.incr m_silent;
+        { r with silent = r.silent + 1;
+          silent_examples = first_8 (r.silent_examples @ [ faults ]) }
   in
-  let correct = ref 0 and detected = ref 0 and silent = ref 0 in
-  let silent_examples = ref [] in
-  Array.iteri
-    (fun i o ->
-      match o with
-      | Correct -> incr correct
-      | Detected -> incr detected
-      | Silent_corrupt ->
-          incr silent;
-          if !silent < 8 then silent_examples := plans.(i) :: !silent_examples)
-    outcomes;
-  { spec_name = spec.name; sites; runs = total;
-    correct = !correct; detected = !detected; silent = !silent;
-    silent_examples = List.rev !silent_examples }
+  (* Each worker tallies a block of runs and the blocks merge in run order,
+     so the examples are the campaign's first silent plans. *)
+  let merge a b =
+    { a with correct = a.correct + b.correct;
+      detected = a.detected + b.detected; silent = a.silent + b.silent;
+      silent_examples = first_8 (a.silent_examples @ b.silent_examples) }
+  in
+  Parallel.fold ?jobs ~tasks:total
+    ~init:(fun () ->
+      { spec_name = spec.name; sites; runs = total; correct = 0; detected = 0;
+        silent = 0; silent_examples = [] })
+    ~step ~merge
 
 let detection_rate r =
   if r.detected + r.silent = 0 then 1.0

@@ -83,7 +83,8 @@ type result = {
   correct : int;
   detected : int;
   silent : int;
-  silent_examples : Fault.t list list;  (** plans of up to 8 silent runs *)
+  silent_examples : Fault.t list list;
+      (** plans of the first 8 silent runs, in run order *)
 }
 
 val run_campaign :
@@ -91,9 +92,10 @@ val run_campaign :
   ?force:(int -> bool option) -> ?max_terms:int ->
   ?on_progress:(completed:int -> total:int -> unit) ->
   plan:plan -> spec -> result
-(** Checks first that the fault-free baseline classifies [Correct] (raising
-    [Mbu_error] otherwise — a broken spec would classify everything), then
-    runs the campaign in parallel. [on_progress] fires after every
+(** Checks first that the plan's counts are not negative and that the
+    fault-free baseline classifies [Correct] (raising [Mbu_error] otherwise
+    — a broken spec would classify everything), then runs the campaign as
+    one [Parallel.fold] over the runs. [on_progress] fires after every
     completed run with a monotone completion count; under parallel jobs it
     may be called from any worker domain, so it must be thread-safe. *)
 

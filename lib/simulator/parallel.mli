@@ -1,25 +1,28 @@
-(** Task fan-out for the multi-shot runner.
-
-    The implementation is selected at build time: on OCaml >= 5.0 tasks are
-    spread across [Domain]s; on 4.14 the same API runs everything
-    sequentially on the calling thread. Callers must make [f] results
-    independent of execution order (the shot runner does this by deriving
-    each shot's RNG from the shot index), so output is identical whichever
-    implementation — and whatever [jobs] — is used. *)
+(** Task fan-out for the Monte-Carlo loops: blocks of tasks on [Domain]s on
+    OCaml >= 5.0, one block on the calling thread on 4.14 (selected at build
+    time). A fold whose tasks depend only on their index gives the same
+    answer on either, at any [jobs]. *)
 
 val backend : string
 (** ["domains"] or ["sequential"], for display and benchmark metadata. *)
-
-val is_parallel : bool
-(** Whether [map_tasks] can actually run tasks concurrently. *)
 
 val default_jobs : unit -> int
 (** Recommended fan-out: the domain count the runtime suggests on OCaml 5,
     1 on the sequential fallback. *)
 
-val map_tasks : jobs:int -> tasks:int -> (int -> 'a) -> 'a array
-(** [map_tasks ~jobs ~tasks f] computes [f i] for every [i] in
-    [0 .. tasks-1] using at most [jobs] workers and returns the results in
-    index order. [f] must be safe to call from another domain (no shared
-    mutable state). Exceptions raised by any task are re-raised after all
-    workers finish. *)
+val fold :
+  ?jobs:int -> tasks:int -> init:(unit -> 'acc) -> step:('acc -> int -> 'acc) ->
+  merge:('acc -> 'acc -> 'acc) -> 'acc
+(** [fold ~jobs ~tasks ~init ~step ~merge] folds [step] over the indices
+    [0 .. tasks-1] with [j = max 1 (min jobs tasks)] workers ([jobs]
+    defaults to {!default_jobs}; the sequential fallback runs one).
+    - Worker [k] folds the contiguous indices [[k*tasks/j, (k+1)*tasks/j)]
+      in increasing order, starting from its own [init ()]. [init] and
+      [step] run on other domains: only the accumulator is the worker's own.
+    - The workers' results merge left to right in block order, so a
+      [merge] that is associative with unit [init ()] gives the sequential
+      answer at every [jobs].
+    - If tasks raise, the exception of the lowest failing index is
+      re-raised once every worker has finished.
+
+    Raises [Invalid_argument] if [tasks] is negative. *)

@@ -457,17 +457,20 @@ let stats_hook st = function
 let record_run st = st.runs <- st.runs + 1
 let runs st = st.runs
 
-let merge_stats ~into src =
-  into.runs <- into.runs + src.runs;
-  let merge dst tbl =
-    Hashtbl.iter
-      (fun k (a, b) ->
-        let a0, b0 = Option.value (Hashtbl.find_opt dst k) ~default:(0, 0) in
-        Hashtbl.replace dst k (a0 + a, b0 + b))
-      tbl
-  in
-  merge into.branch src.branch;
-  merge into.outcome src.outcome
+let merge_stats into src =
+  match (into, src) with
+  | Some into, Some src ->
+      into.runs <- into.runs + src.runs;
+      let merge dst tbl =
+        Hashtbl.iter
+          (fun k (a, b) ->
+            let a0, b0 = Option.value (Hashtbl.find_opt dst k) ~default:(0, 0) in
+            Hashtbl.replace dst k (a0 + a, b0 + b))
+          tbl
+      in
+      merge into.branch src.branch;
+      merge into.outcome src.outcome
+  | _ -> ()
 
 let freq = function
   | _, 0 -> None
@@ -488,47 +491,53 @@ let measured_one_frequency st bit =
 let branch_bits st = Hashtbl.fold (fun k _ acc -> k :: acc) st.branch [] |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
-(* Parallel multi-shot runner *)
+(* Multi-shot runner *)
 
 let default_jobs = Parallel.default_jobs
 let parallel_backend = Parallel.backend
 
-let run_shots ?(seed = 0) ?jobs ?stats ?(engine = Fast) ?force ?faults
-    ?max_terms ~shots c ~init =
+(* The one Monte-Carlo loop. The circuit compiles once; shot [i] runs it
+   with [shot_rng ~seed i] inside [Parallel.fold], and each worker keeps
+   one branch tally when [stats] is asked for, merged into it at the end. *)
+let fold_shots ?(seed = 0) ?jobs ?stats ?(engine = Fast) ?force ?faults
+    ?max_terms ~shots c ~init ~empty ~step ~merge =
   if shots < 0 then
-    Mbu_error.invalid ~subsystem:"Sim.run_shots" "negative shot count";
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
-  in
-  let collect = Option.is_some stats in
+    Mbu_error.invalid ~subsystem:"Sim.fold_shots" "negative shot count";
   let prog = compile c in
-  let shot i =
-    let rng = shot_rng ~seed i in
-    if collect then begin
-      let st = new_stats () in
-      let r =
-        run_program ~rng ~on_event:(stats_hook st) ~engine ?force ?faults
-          ?max_terms prog ~init
-      in
-      record_run st;
-      (r, Some st)
-    end
-    else (run_program ~rng ~engine ?force ?faults ?max_terms prog ~init, None)
+  let worker () =
+    let st = Option.map (fun _ -> new_stats ()) stats in
+    (st, Option.map stats_hook st, ref (empty ()))
   in
-  let results = Parallel.map_tasks ~jobs ~tasks:shots shot in
-  (match stats with
-  | Some acc ->
-      Array.iter
-        (fun (_, st) -> Option.iter (fun st -> merge_stats ~into:acc st) st)
-        results
-  | None -> ());
-  Array.map fst results
+  let shot ((st, on_event, acc) as w) i =
+    let rng = shot_rng ~seed i in
+    let r =
+      run_program ~rng ?on_event ~engine ?force ?faults ?max_terms prog ~init
+    in
+    Option.iter record_run st;
+    acc := step !acc i rng r;
+    w
+  in
+  let merge_workers ((st, _, acc) as w) (st', _, acc') =
+    merge_stats st st';
+    acc := merge !acc !acc';
+    w
+  in
+  let st, _, acc =
+    Parallel.fold ?jobs ~tasks:shots ~init:worker ~step:shot
+      ~merge:merge_workers
+  in
+  merge_stats stats st;
+  !acc
 
-let run_shots_builder ?seed ?jobs ?stats ?engine ?force ?faults ?max_terms
-    ~shots b ~inits =
-  let c = Builder.to_circuit b in
-  let init = init_registers ~num_qubits:(Builder.num_qubits b) inits in
-  run_shots ?seed ?jobs ?stats ?engine ?force ?faults ?max_terms ~shots c ~init
+let run_shots ?seed ?jobs ?stats ?engine ?force ?faults ?max_terms ~shots c
+    ~init =
+  let blank = { state = init; bits = [||]; executed = Counts.zero; injected = 0 } in
+  let runs = Array.make (max 0 shots) blank in
+  fold_shots ?seed ?jobs ?stats ?engine ?force ?faults ?max_terms ~shots c
+    ~init ~empty:ignore
+    ~step:(fun () i _ r -> runs.(i) <- r)
+    ~merge:(fun () () -> ());
+  runs
 
 let register_value state reg =
   (* Accumulate from the MSB down so bit i lands at weight 2^i. *)
@@ -579,40 +588,21 @@ let measure_register rng state reg =
   done;
   !v
 
-let tally_of_values values =
-  let tally = Hashtbl.create 16 in
-  Array.iter
-    (fun v ->
-      Hashtbl.replace tally v
-        (1 + Option.value (Hashtbl.find_opt tally v) ~default:0))
-    values;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tally []
+let sample_register ?seed ?jobs ~shots c ~init reg =
+  let add tally v k =
+    Hashtbl.replace tally v (k + Option.value (Hashtbl.find_opt tally v) ~default:0)
+  in
+  fold_shots ?seed ?jobs ~shots c ~init
+    ~empty:(fun () -> Hashtbl.create 16)
+    ~step:(fun tally _ rng r ->
+      add tally (measure_register rng r.state reg) 1;
+      tally)
+    ~merge:(fun a b ->
+      Hashtbl.iter (add a) b;
+      a)
+  |> Hashtbl.to_seq |> List.of_seq
   |> List.sort (fun (va, a) (vb, b) ->
          if a <> b then compare b a else compare va vb)
-
-let sample_register ?rng ?(seed = 0) ?jobs ~shots c ~init reg =
-  let prog = compile c in
-  match rng with
-  | Some rng ->
-      (* Legacy sequential path: a caller-supplied generator is shared
-         across shots, so the shots must run in order on one thread. *)
-      let values = Array.make shots 0 in
-      for i = 0 to shots - 1 do
-        let r = run_program ~rng prog ~init in
-        values.(i) <- measure_register rng r.state reg
-      done;
-      tally_of_values values
-  | None ->
-      let jobs =
-        match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
-      in
-      let values =
-        Parallel.map_tasks ~jobs ~tasks:shots (fun i ->
-            let rng = shot_rng ~seed i in
-            let r = run_program ~rng prog ~init in
-            measure_register rng r.state reg)
-      in
-      tally_of_values values
 
 let unitary_column (c : Circuit.t) j =
   if not (Circuit.is_unitary c) then

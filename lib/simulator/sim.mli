@@ -89,9 +89,9 @@ val run :
 (** {1 Compiled programs}
 
     [run] lowers its circuit to a flat program on every call. Callers that
-    run one circuit many times compile it once: {!run_shots},
-    {!sample_register}, {!circuits_equal_unitary} and the robustness
-    campaigns do. *)
+    run one circuit many times compile it once: the shot loop
+    {!fold_shots}, {!circuits_equal_unitary} and the robustness campaigns
+    do. *)
 
 type program
 (** A circuit lowered to int arrays: one slot per static instruction
@@ -140,10 +140,6 @@ val stats_hook : stats -> event -> unit
 val record_run : stats -> unit
 val runs : stats -> int
 
-val merge_stats : into:stats -> stats -> unit
-(** Add the counters of the second tally into [into]. Used by the parallel
-    runner to combine per-shot tallies; merging is order-independent. *)
-
 val taken_frequency : stats -> float option
 (** Fraction of all conditional blocks (across all bits and runs) that were
     taken; [None] before any branch was seen. The paper's MBU cost model
@@ -158,32 +154,42 @@ val measured_one_frequency : stats -> int -> float option
 val branch_bits : stats -> int list
 (** Classical bits that guarded at least one conditional, sorted. *)
 
-(** {1 Parallel multi-shot runner} *)
+(** {1 Multi-shot runner}
+
+    Every Monte-Carlo path is one {!fold_shots}: {!run_shots},
+    {!sample_register}, [Resources.monte_carlo_toffoli]. *)
 
 val default_jobs : unit -> int
-(** The fan-out {!run_shots} uses when [?jobs] is omitted: the runtime's
+(** The fan-out the shot loop uses when [?jobs] is omitted: the runtime's
     recommended domain count on OCaml 5, 1 on the sequential fallback. *)
 
 val parallel_backend : string
 (** ["domains"] or ["sequential"] — which {!Parallel} implementation this
     binary was built with. *)
 
+val fold_shots :
+  ?seed:int -> ?jobs:int -> ?stats:stats -> ?engine:engine ->
+  ?force:(int -> bool option) -> ?faults:Fault.t list -> ?max_terms:int ->
+  shots:int -> Circuit.t -> init:State.t -> empty:(unit -> 'acc) ->
+  step:('acc -> int -> Random.State.t -> run -> 'acc) ->
+  merge:('acc -> 'acc -> 'acc) -> 'acc
+(** The shot loop. The circuit is compiled once; shot [i] runs it from
+    [init] with a generator derived only from [seed] and [i], and
+    [step acc i rng r] folds its run [r] in, with [rng] left where the run
+    stopped drawing. The shots are a {!Parallel.fold} over [jobs] workers
+    (default {!default_jobs}), each starting from [empty ()], so a [merge]
+    that is associative with unit [empty ()] gives the same answer at every
+    [jobs]. When [stats] is given, each worker tallies its shots' branch and
+    outcome events and the tallies are added into it (the same counts as
+    running sequentially with [stats_hook]). Raises {!Mbu_circuit.Mbu_error.Error}
+    if [shots] is negative. *)
+
 val run_shots :
   ?seed:int -> ?jobs:int -> ?stats:stats -> ?engine:engine ->
   ?force:(int -> bool option) -> ?faults:Fault.t list -> ?max_terms:int ->
   shots:int -> Circuit.t -> init:State.t -> run array
-(** Run the circuit [shots] times and return the runs in shot order. Shot
-    [i] draws its outcomes from a generator derived only from [seed] and
-    [i], so the result array (states, bits, executed counts) is identical
-    for every [jobs] value — shots are merely evaluated concurrently across
-    domains when the runtime supports it. When [stats] is given, each
-    shot's branch/outcome events are tallied and merged into it (equivalent
-    to running sequentially with [stats_hook]). *)
-
-val run_shots_builder :
-  ?seed:int -> ?jobs:int -> ?stats:stats -> ?engine:engine ->
-  ?force:(int -> bool option) -> ?faults:Fault.t list -> ?max_terms:int ->
-  shots:int -> Builder.t -> inits:(Register.t * int) list -> run array
+(** {!fold_shots} keeping every run: the runs in shot order, identical
+    (states, bits, executed counts) for every [jobs]. *)
 
 val register_value : State.t -> Register.t -> int option
 (** The register's value if it is definite across the whole superposition. *)
@@ -195,16 +201,13 @@ val wires_zero : State.t -> except:Register.t list -> bool
     the "all ancillas correctly uncomputed" check. *)
 
 val sample_register :
-  ?rng:Random.State.t -> ?seed:int -> ?jobs:int ->
+  ?seed:int -> ?jobs:int ->
   shots:int -> Mbu_circuit.Circuit.t -> init:State.t -> Mbu_circuit.Register.t ->
   (int * int) list
-(** Run the circuit [shots] times and, for each run, sample the register in
-    the computational basis from the final state; returns
-    (value, occurrences) sorted by decreasing count (ties by value). With
-    [?rng] the legacy sequential path shares the generator across shots;
-    without it each shot is independently seeded from [seed] and the shot
-    index and the shots may run in parallel ([jobs] defaults to
-    {!default_jobs}), with [jobs]-independent output. *)
+(** {!fold_shots} that samples the register in the computational basis
+    from each shot's final state, with the rest of that shot's generator;
+    returns (value, occurrences) sorted by decreasing count (ties by
+    value), the same for every [jobs]. *)
 
 val unitary_column : Circuit.t -> int -> State.t
 (** [unitary_column c j] is [U |j>] for a measurement-free circuit — column

@@ -148,7 +148,7 @@ let prop_run_shots_jobs_independent =
              Sim.bit_taken_frequency st1 bit = Sim.bit_taken_frequency st4 bit)
            (Sim.branch_bits st1))
 
-(* The parallel runner with per-shot stats must tally exactly what a
+(* The parallel runner with per-worker stats must tally exactly what a
    sequential loop with the stats_hook tallies. *)
 let test_run_shots_stats_match_sequential () =
   let b, x, y = build_modadd Mod_add.spec_cdkpm ~n:4 ~p:13 in
@@ -180,7 +180,7 @@ let test_run_shots_stats_match_sequential () =
         (Sim.bit_taken_frequency st_par bit))
     (Sim.branch_bits st_seq)
 
-(* sample_register without ?rng: deterministic, jobs-independent tallies. *)
+(* sample_register: deterministic, jobs-independent tallies. *)
 let test_sample_register_jobs_independent () =
   let b = Builder.create () in
   let q = Builder.fresh_register b "q" 3 in
@@ -192,6 +192,49 @@ let test_sample_register_jobs_independent () =
   Alcotest.(check (list (pair int int))) "tallies equal" t1 t4;
   Alcotest.(check int) "total shots" 64
     (List.fold_left (fun acc (_, k) -> acc + k) 0 t1)
+
+(* A negative shot count is one clean error from the shot loop. *)
+let test_sample_register_negative_shots () =
+  let b = Builder.create () in
+  let q = Builder.fresh_register b "q" 1 in
+  let c = Builder.to_circuit b in
+  let init = Sim.init_registers ~num_qubits:(Builder.num_qubits b) [] in
+  match Sim.sample_register ~shots:(-1) c ~init q with
+  | _ -> Alcotest.fail "expected Mbu_error"
+  | exception Mbu_error.Error e ->
+      Alcotest.(check string) "subsystem" "Sim.fold_shots" e.Mbu_error.subsystem
+
+(* Parallel.fold's contract: contiguous blocks merged in block order give
+   the sequential answer for an associative merge, at every fan-out. *)
+let prop_fold_matches_sequential =
+  QCheck.Test.make ~name:"Parallel.fold: list fold = sequential" ~count:200
+    QCheck.(pair (int_range 1 6) (int_range 0 40))
+    (fun (jobs, tasks) ->
+      Parallel.fold ~jobs ~tasks
+        ~init:(fun () -> [])
+        ~step:(fun acc i -> acc @ [ i * i ])
+        ~merge:( @ )
+      = List.init tasks (fun i -> i * i))
+
+(* Every task from index k on fails: the fold reports index k's failure,
+   whichever worker ran it. *)
+let test_fold_raises_lowest_index () =
+  let tasks = 23 in
+  for jobs = 1 to 6 do
+    List.iter
+      (fun k ->
+        Alcotest.check_raises
+          (Printf.sprintf "jobs %d, first failure at %d" jobs k)
+          (Failure (string_of_int k))
+          (fun () ->
+            ignore
+              (Parallel.fold ~jobs ~tasks
+                 ~init:(fun () -> 0)
+                 ~step:(fun acc i ->
+                   if i >= k then failwith (string_of_int i) else acc + i)
+                 ~merge:( + ))))
+      [ 0; 1; 7; 12; 22 ]
+  done
 
 (* The product track against the oracle on random adaptive programs over
    6 wires: gates, measurements (with and without reset) and conditionals
@@ -356,6 +399,11 @@ let suite =
         test_run_shots_stats_match_sequential;
       Alcotest.test_case "sample_register jobs-independent" `Quick
         test_sample_register_jobs_independent;
+      Alcotest.test_case "sample_register negative shots" `Quick
+        test_sample_register_negative_shots;
+      qtest prop_fold_matches_sequential;
+      Alcotest.test_case "Parallel.fold raises lowest failing index" `Quick
+        test_fold_raises_lowest_index;
       qtest prop_product_track_matches_reference;
       Alcotest.test_case "motifs promote and demote" `Quick
         test_motifs_promote_and_demote;

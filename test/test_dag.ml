@@ -300,13 +300,18 @@ let test_share_validates () =
    the passes read off the nodes. *)
 let test_parallel_build () =
   let results =
-    Parallel.map_tasks ~jobs:2 ~tasks:2 (fun _ ->
+    Parallel.fold ~jobs:2 ~tasks:2
+      ~init:(fun () -> [])
+      ~step:(fun acc _ ->
         let instrs = (build_mod_mul 8).Circuit.instrs in
-        ( Counts.of_instrs ~mode:(Counts.Expected 0.5) instrs,
-          Fault.num_sites instrs,
-          Instr.count_instrs instrs ))
+        acc
+        @ [ ( Counts.of_instrs ~mode:(Counts.Expected 0.5) instrs,
+              Fault.num_sites instrs,
+              Instr.count_instrs instrs ) ])
+      ~merge:( @ )
   in
-  let c0, s0, i0 = results.(0) and c1, s1, i1 = results.(1) in
+  Alcotest.(check int) "one result per domain" 2 (List.length results);
+  let c0, s0, i0 = List.nth results 0 and c1, s1, i1 = List.nth results 1 in
   Alcotest.(check bool) "equal counts" true (c0 = c1);
   Alcotest.(check int) "equal fault sites" s0 s1;
   Alcotest.(check int) "equal instruction counts" i0 i1;

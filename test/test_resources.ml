@@ -128,6 +128,18 @@ let test_monte_carlo_matches_expectation () =
        analytic rel)
     true (rel < 0.05)
 
+(* No shots, no mean: one clean error instead of nan. *)
+let test_monte_carlo_zero_shots () =
+  match
+    Resources.monte_carlo_toffoli ~shots:0
+      ~build:(fun b -> [ (Mbu_circuit.Builder.fresh_register b "x" 1, 1) ])
+      ()
+  with
+  | m -> Alcotest.failf "expected Mbu_error, got %g" m
+  | exception Mbu_circuit.Mbu_error.Error e ->
+      Alcotest.(check string) "subsystem" "Resources.monte_carlo_toffoli"
+        e.Mbu_circuit.Mbu_error.subsystem
+
 (* Formula module self-consistency. *)
 let test_formula_table1_consistency () =
   let params = Formulas.{ n = 16; hp = 8; ha = 4 } in
@@ -172,4 +184,6 @@ let suite =
         test_monte_carlo_matches_expectation;
       Alcotest.test_case "formula table 1 consistency" `Quick
         test_formula_table1_consistency;
-      Alcotest.test_case "formula vs measured gap" `Quick test_formula_vs_measured_gap ] )
+      Alcotest.test_case "formula vs measured gap" `Quick test_formula_vs_measured_gap;
+      Alcotest.test_case "monte-carlo rejects zero shots" `Quick
+        test_monte_carlo_zero_shots ] )

@@ -110,7 +110,24 @@ let test_campaign_deterministic () =
   Alcotest.(check (triple int int int))
     "tallies independent of jobs"
     (a.Engine.correct, a.Engine.detected, a.Engine.silent)
-    (b.Engine.correct, b.Engine.detected, b.Engine.silent)
+    (b.Engine.correct, b.Engine.detected, b.Engine.silent);
+  Alcotest.(check int) "eight silent examples" 8
+    (List.length a.Engine.silent_examples);
+  Alcotest.(check bool) "silent examples independent of jobs" true
+    (a.Engine.silent_examples = b.Engine.silent_examples)
+
+(* Negative run and fault counts are one clean error, not an exception from
+   the standard library. *)
+let test_campaign_rejects_negative_counts () =
+  let spec = (Option.get (Catalogue.find "cdkpm")).Catalogue.make ~n ~p in
+  List.iter
+    (fun (runs, faults_per_run) ->
+      match Engine.run_campaign ~plan:(Engine.Random { runs; faults_per_run }) spec with
+      | _ -> Alcotest.failf "runs %d, faults %d accepted" runs faults_per_run
+      | exception Mbu_error.Error e ->
+          Alcotest.(check string) "subsystem" "Robustness.run_campaign"
+            e.Mbu_error.subsystem)
+    [ (-1, 1); (10, -1) ]
 
 (* The state-size guard: a circuit that puts 8 wires in uniform
    superposition exceeds a 16-term budget and must fail with a clean
@@ -294,6 +311,8 @@ let suite =
         test_exhaustive_single_x_vbe;
       Alcotest.test_case "campaign jobs-independent" `Quick
         test_campaign_deterministic;
+      Alcotest.test_case "campaign rejects negative counts" `Quick
+        test_campaign_rejects_negative_counts;
       Alcotest.test_case "max_terms resource limit" `Quick
         test_max_terms_guard;
       Alcotest.test_case "force zero-probability rejected" `Quick

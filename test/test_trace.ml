@@ -215,7 +215,7 @@ let test_mbu_branch_frequency () =
 
 (* Same acceptance experiment through the parallel multi-shot runner: one
    circuit, 400 shots fanned across domains (or the sequential fallback),
-   per-shot tallies merged into one stats value. *)
+   per-worker tallies merged into one stats value. *)
 let test_mbu_branch_frequency_run_shots () =
   let n = 4 and p = 13 in
   let b = Builder.create () in
@@ -225,9 +225,12 @@ let test_mbu_branch_frequency_run_shots () =
   Mod_add.modadd ~mbu:true Mod_add.spec_cdkpm b ~p ~x ~y;
   let st = Sim.new_stats () in
   let shots = 400 in
+  let init =
+    Sim.init_registers ~num_qubits:(Builder.num_qubits b) [ (y, 11) ]
+  in
   let runs =
-    Sim.run_shots_builder ~seed:17 ~jobs:4 ~stats:st ~shots b
-      ~inits:[ (y, 11) ]
+    Sim.run_shots ~seed:17 ~jobs:4 ~stats:st ~shots (Builder.to_circuit b)
+      ~init
   in
   Alcotest.(check int) "shots returned" shots (Array.length runs);
   Alcotest.(check int) "runs recorded" shots (Sim.runs st);
