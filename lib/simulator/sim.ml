@@ -73,30 +73,11 @@ let draw_outcome rng p1 =
 (* ------------------------------------------------------------------ *)
 (* The compiled program *)
 
-(* Opcodes. Gate kinds come first, in [Counts] field order, so a gate's
-   opcode indexes the run's tally directly. *)
-let op_x = 0
-let op_z = 1
-let op_h = 2
-let op_phase = 3
-let op_cnot = 4
-let op_cz = 5
-let op_swap = 6
-let op_toffoli = 7
-let op_cphase = 8
-let op_measure = 9
-let op_if = 10
-
-let opcode = function
-  | Gate.X _ -> op_x
-  | Gate.Z _ -> op_z
-  | Gate.H _ -> op_h
-  | Gate.Phase _ -> op_phase
-  | Gate.Cnot _ -> op_cnot
-  | Gate.Cz _ -> op_cz
-  | Gate.Swap _ -> op_swap
-  | Gate.Toffoli _ -> op_toffoli
-  | Gate.Cphase _ -> op_cphase
+(* Opcodes are [State]'s: the gate kinds [0] to [op_measure - 1] in
+   [Counts] field order, so an opcode indexes the run's tally, then
+   measurements and conditionals. *)
+let op_measure = State.op_measure
+let op_if = State.op_if
 
 (* A span boundary, placed before slot [at]. [path] is the span's label
    path from the root (what its events carry), [after] the enclosing path
@@ -112,7 +93,8 @@ type mark = {
 (* One slot per static instruction position (Fault's numbering): [Call]s
    are expanded, spans are weightless marks kept on the side, and an
    [If_bit]'s body follows its slot.
-   - gate slot: [gates.(i)];
+   - gate slot: [gates.(i)], and its opcode and masks in [code], [a] and
+     [b] as [State.encode_gate] writes them, for [State.run_slots];
    - measure slot: [a.(i)] qubit, [b.(i)] bit, [c.(i)] 1 for reset;
    - if slot: [a.(i)] bit, [b.(i)] 1 when the guard value is true,
      [c.(i)] the slot one past the body (the jump when not taken), and
@@ -149,7 +131,7 @@ let compile (circ : Circuit.t) =
   let rec emit path pc = function
     | [] -> pc
     | Instr.Gate g :: rest ->
-        code.(pc) <- opcode g;
+        State.encode_gate g ~code ~a ~b pc;
         gates.(pc) <- g;
         emit path (pc + 1) rest
     | Instr.Measure { qubit; bit; reset } :: rest ->
@@ -226,6 +208,14 @@ let patches_of prog faults =
         (function Fault.Flip_outcome { bit } -> Some bit | _ -> None)
         faults }
 
+(* One gate by the engine's kernel: in place, or the oracle's rebuild. *)
+let apply_gate reference state g =
+  if reference then State.Reference.apply_gate state g
+  else begin
+    State.apply_gate_inplace state g;
+    state
+  end
+
 let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = [])
     ?max_terms prog ~init =
   let rng = match rng with Some r -> r | None -> fresh_rng () in
@@ -234,17 +224,13 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = [])
   let t_start = Telemetry.now () in
   let minor0, _, major0 = Gc.counters () in
   let bits = Array.make (max prog.num_bits 1) false in
-  (* Gate kinds by opcode, then measurements. *)
-  let tally = Array.make (op_measure + 1) 0 in
+  (* Instructions by opcode, then the kernel's other cells. *)
+  let tally = Array.make State.tally_size 0 in
   (* The runner owns a private copy, so the in-place kernels may mutate
      it; [Sparse] and [Reference] pin it to the sparse track. *)
   let state = ref (State.copy init) in
   if engine <> Fast then State.force_sparse !state;
   let reference = engine = Reference in
-  let apply_gate g =
-    if reference then state := State.Reference.apply_gate !state g
-    else State.apply_gate_inplace !state g
-  in
   let patch = if faults = [] then no_patches else patches_of prog faults in
   let injected = ref 0 in
   (* Patches, like marks, are visited through a cursor: [next_patch] is the
@@ -292,31 +278,62 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = [])
     done;
     seek !cursor
   in
-  let branches = ref 0 and branches_taken = ref 0 in
-  let peak_terms = ref (State.support_size !state) in
+  tally.(State.tally_peak) <- State.support_size !state;
   let code = prog.code and n = Array.length prog.code in
+  (* On [Fast], [State.run_slots] runs the program in passes up to the
+     next mark or patch. With no hook, budget, forced outcome or misread
+     bit it takes measurements and conditionals too; a hook or a budget
+     makes a pass one gate slot, so every event fires in order and the
+     budget is checked after every gate. A slot the kernel declines runs
+     here, one instruction at a time. *)
+  let fast = engine = Fast in
+  let one_slot = hooked || budget < max_int in
+  let pass_end = if one_slot then 1 else n in
+  let adaptive = (not one_slot) && Option.is_none force && patch.flips = [] in
   let pc = ref 0 in
   while !pc < n do
     let i = !pc in
     if i >= !next_mark then pass_marks i;
     let op = code.(i) in
-    if op < op_measure then begin
-      let g = prog.gates.(i) in
-      apply_gate g;
-      tally.(op) <- tally.(op) + 1;
-      if hooked then emit (Gate_applied g);
-      if i >= !next_patch && patched i then begin
-        (* Injected Paulis are faults, not program gates: applied through
-           the engine but never tallied. *)
-        List.iter apply_gate patch.paulis.(!patch_cursor);
-        injected := !injected + patch.counts.(!patch_cursor)
+    let j =
+      if fast && (adaptive || op < op_measure) && State.on_product_track !state
+      then begin
+        let stop =
+          if !next_mark < !next_patch then !next_mark else !next_patch
+        in
+        let stop = if i + pass_end < stop then i + pass_end else stop in
+        State.run_slots !state ~code ~a:prog.a ~b:prog.b ~c:prog.c ~tally ~bits
+          ~rng ~adaptive i ~stop
+      end
+      else i
+    in
+    if j > i || op < op_measure then begin
+      if j > i then begin
+        (* Without [adaptive] the pass was gates only, and with a hook or
+           a budget the one gate at [i]. *)
+        if hooked then emit (Gate_applied prog.gates.(i));
+        pc := j
+      end
+      else begin
+        let g = prog.gates.(i) in
+        state := apply_gate reference !state g;
+        tally.(op) <- tally.(op) + 1;
+        if hooked then emit (Gate_applied g);
+        if i >= !next_patch && patched i then begin
+          (* Injected Paulis are faults, not program gates: applied through
+             the engine but never tallied. *)
+          state :=
+            List.fold_left (apply_gate reference) !state
+              patch.paulis.(!patch_cursor);
+          injected := !injected + patch.counts.(!patch_cursor)
+        end;
+        pc := i + 1
       end;
-      (if budget < max_int then
-         let actual = State.support_size !state in
-         if actual > budget then
-           Mbu_error.resource_limit ~path:!path ~limit:budget ~actual
-             ~subsystem:"Sim.run" "sparse state exceeds the term budget");
-      pc := i + 1
+      if budget < max_int then
+        let actual = State.support_size !state in
+        if actual > budget then
+          Mbu_error.resource_limit ~path:!path ~limit:budget ~actual
+            ~subsystem:"Sim.run" "sparse state exceeds the term budget"
     end
     else if op = op_measure then begin
       let qubit = prog.a.(i) and bit = prog.b.(i) in
@@ -324,7 +341,8 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = [])
          so sampling here (O(1)) catches the run's high-water without a
          per-gate probe. *)
       let terms = State.support_size !state in
-      if terms > !peak_terms then peak_terms := terms;
+      if terms > tally.(State.tally_peak) then
+        tally.(State.tally_peak) <- terms;
       let p1 = State.prob_bit_one !state qubit in
       let forced = match force with Some f -> f bit | None -> None in
       let outcome =
@@ -351,7 +369,7 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = [])
          fault leaves the qubit physically wrong — exactly the failure mode
          the campaigns probe. *)
       if prog.c.(i) = 1 && recorded then
-        if not outcome then apply_gate (Gate.X qubit)
+        if not outcome then state := apply_gate reference !state (Gate.X qubit)
         else if reference then
           state := State.Reference.set_bit_zero !state ~qubit
         else State.set_bit_zero_inplace !state ~qubit;
@@ -369,8 +387,8 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = [])
         end
         else guard
       in
-      incr branches;
-      if taken then incr branches_taken;
+      tally.(op_if) <- tally.(op_if) + 1;
+      if taken then tally.(State.tally_taken) <- tally.(State.tally_taken) + 1;
       if hooked then emit (Branch { bit; value; taken });
       if taken then pc := i + 1
       else begin
@@ -394,15 +412,14 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = [])
   done;
   Telemetry.add m_gates !gates;
   Telemetry.add m_measurements tally.(op_measure);
-  Telemetry.add m_branches !branches;
-  Telemetry.add m_branches_taken !branches_taken;
-  Telemetry.observe_max m_peak_terms !peak_terms;
+  Telemetry.add m_branches tally.(op_if);
+  Telemetry.add m_branches_taken tally.(State.tally_taken);
+  Telemetry.observe_max m_peak_terms tally.(State.tally_peak);
   let count op = float_of_int tally.(op) in
   let executed =
-    { Counts.x = count op_x; z = count op_z; h = count op_h;
-      phase = count op_phase; cnot = count op_cnot; cz = count op_cz;
-      swap = count op_swap; toffoli = count op_toffoli;
-      cphase = count op_cphase; measure = count op_measure }
+    { Counts.x = count 0; z = count 1; h = count 2; phase = count 3;
+      cnot = count 4; cz = count 5; swap = count 6; toffoli = count 7;
+      cphase = count 8; measure = count op_measure }
   in
   { state = !state; bits; executed; injected = !injected }
 

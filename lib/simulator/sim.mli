@@ -41,13 +41,20 @@ type event =
     speed.
 
     - [Fast] (default): the product track for products of Z-basis and
-      X-basis wires (O(1) mask updates for X, Z, H, Swap, CZ and CNOT /
-      Toffoli with Z-basis controls, an exact coin flip for measuring an
-      X-basis wire, no allocation). An operation that needs the amplitudes
-      of an X-basis wire (a control on it, a phase rotation on it) promotes
-      the state to the in-place sparse kernel, and a sparse state that
-      collapses to one basis vector demotes back. MBU circuits on basis
-      inputs stay on the product track.
+      X-basis wires. {!State.run_slots} runs the compiled program in
+      passes with the wire masks in registers: O(1) mask updates for X, Z,
+      H, Swap, CZ and CNOT / Toffoli with Z-basis controls, an exact coin
+      flip for measuring an X-basis wire, and the conditionals between
+      them. A gate in a pass allocates nothing; a measurement of an
+      X-basis wire allocates the few words of its random draw. A pass stops at the next
+      span mark or fault patch, after one gate under [on_event] or
+      [max_terms], and before measurements and conditionals under [force]
+      or a misread fault; those and the slots it declines run one at a
+      time. An operation that needs the amplitudes of an X-basis wire (a
+      control on it, a phase rotation on it) promotes the state to the
+      in-place sparse kernel, and a sparse state that collapses to one
+      basis vector demotes back. MBU circuits on basis inputs stay on the
+      product track.
     - [Sparse]: pin the state to the in-place sparse kernel for the whole
       run, even where the product track would apply.
     - [Reference]: the seed simulator's pure rebuild-per-gate algorithms —
@@ -95,8 +102,10 @@ val run :
 
 type program
 (** A circuit lowered to int arrays: one slot per static instruction
-    position ([Call]s expanded, so fault sites index slots directly),
-    [If_bit] as a forward jump past its body, and span boundaries as
+    position ([Call]s expanded, so fault sites index slots directly), each
+    an opcode and operands in {!State.run_slots}' layout. A gate slot
+    carries two wire masks (target, controls) besides its [Gate.t];
+    [If_bit] is a forward jump past its body; span boundaries are
     weightless marks read only when a hook or [max_terms] observes them. *)
 
 val compile : Circuit.t -> program

@@ -40,15 +40,28 @@ type t = { num_qubits : int; mutable repr : repr; mutable pinned : bool }
 let eps = 1e-12
 let num_qubits s = s.num_qubits
 
-let check_range ~num_qubits idx =
-  if num_qubits < 0 || num_qubits > 62 then invalid_arg "State: qubit count";
-  if idx < 0 || (num_qubits < 62 && idx >= 1 lsl num_qubits) then
-    invalid_arg "State: basis index out of range"
+(* The product track keeps a wire per bit of one [int]. *)
+let max_qubits = 62
+
+let check_width ~subsystem num_qubits =
+  if num_qubits > max_qubits then
+    Mbu_error.resource_limit ~subsystem ~limit:max_qubits ~actual:num_qubits
+      "more wires than the simulator holds";
+  if num_qubits < 0 then
+    Mbu_error.invalid ~subsystem
+      (Printf.sprintf "negative wire count %d" num_qubits)
+
+let check_index ~subsystem ~num_qubits idx =
+  if idx < 0 || (num_qubits < max_qubits && idx >= 1 lsl num_qubits) then
+    Mbu_error.invalid ~subsystem
+      (Printf.sprintf "basis index %d out of range for %d wires" idx num_qubits)
 
 let basis_product idx amp = Product { idx; xmask = 0; smask = 0; amp }
 
 let basis ~num_qubits idx =
-  check_range ~num_qubits idx;
+  let subsystem = "State.basis" in
+  check_width ~subsystem num_qubits;
+  check_index ~subsystem ~num_qubits idx;
   { num_qubits; repr = basis_product idx Complex.one; pinned = false }
 
 let maybe_demote s =
@@ -60,11 +73,14 @@ let maybe_demote s =
           Hashtbl.iter (fun k v -> s.repr <- basis_product k v) tbl
 
 let of_alist ~num_qubits l =
+  let subsystem = "State.of_alist" in
+  check_width ~subsystem num_qubits;
   let amps = Hashtbl.create (max 16 (List.length l)) in
   List.iter
     (fun (idx, a) ->
-      check_range ~num_qubits idx;
-      if Hashtbl.mem amps idx then invalid_arg "State.of_alist: repeated index";
+      check_index ~subsystem ~num_qubits idx;
+      if Hashtbl.mem amps idx then
+        Mbu_error.invalid ~subsystem (Printf.sprintf "repeated index %d" idx);
       Hashtbl.replace amps idx a)
     l;
   let s = { num_qubits; repr = Sparse amps; pinned = false } in
@@ -74,6 +90,11 @@ let of_alist ~num_qubits l =
 let bit idx q = (idx lsr q) land 1 = 1
 
 let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
+
+(* The support of a product with X-basis wires [xmask]: 2^k terms. *)
+let product_support xmask =
+  let k = popcount xmask in
+  if k >= Sys.int_size - 1 then max_int else 1 lsl k
 
 let inv_sqrt2 = 1.0 /. sqrt 2.0
 
@@ -111,9 +132,7 @@ let num_terms s = List.length (to_alist s)
 
 let support_size s =
   match s.repr with
-  | Product p ->
-      let k = popcount p.xmask in
-      if k >= Sys.int_size - 1 then max_int else 1 lsl k
+  | Product p -> product_support p.xmask
   | Sparse tbl -> Hashtbl.length tbl
 
 let norm2 s =
@@ -164,69 +183,198 @@ let phase_of p = Complex.polar 1.0 (Phase.to_radians p)
 
 let on_x p q = p.xmask land (1 lsl q) <> 0
 
-(* X on wire [q]: flip a Z-basis bit; X|-> = -|->. *)
-let product_x p q =
-  let m = 1 lsl q in
-  if p.xmask land m = 0 then p.idx <- p.idx lxor m
-  else if p.smask land m <> 0 then p.amp <- Complex.neg p.amp
+(* Opcodes: the gates in [Counts] field order, so that an opcode indexes a
+   tally, then measurements and conditionals. *)
+let op_measure = 9
+let op_if = 10
+let tally_taken = 11
+let tally_peak = 12
+let tally_size = 13
 
-(* Z on wire [q]: a sign on |1>; Z|+> = |->. *)
-let product_z p q =
-  let m = 1 lsl q in
-  if p.xmask land m <> 0 then p.smask <- p.smask lxor m
-  else if p.idx land m <> 0 then p.amp <- Complex.neg p.amp
+(* X, CNOT and Toffoli are one operation, an X on the wires of [b] when
+   every wire of [a] is 1, and Z and CZ likewise a Z on [b]; CZ and Swap
+   name their two wires in [a] and [b]. *)
+let encode_gate g ~code ~a ~b i =
+  let op, ma, mb =
+    match g with
+    | Gate.X q -> (0, 0, 1 lsl q)
+    | Gate.Z q -> (1, 0, 1 lsl q)
+    | Gate.H q -> (2, 0, 1 lsl q)
+    | Gate.Phase (q, _) -> (3, 0, 1 lsl q)
+    | Gate.Cnot { control; target } -> (4, 1 lsl control, 1 lsl target)
+    | Gate.Cz (q, r) -> (5, 1 lsl q, 1 lsl r)
+    | Gate.Swap (q, r) -> (6, 1 lsl q, 1 lsl r)
+    | Gate.Toffoli { c1; c2; target } ->
+        (7, (1 lsl c1) lor (1 lsl c2), 1 lsl target)
+    | Gate.Cphase { control; target; _ } -> (8, 1 lsl control, 1 lsl target)
+  in
+  code.(i) <- op;
+  a.(i) <- ma;
+  b.(i) <- mb
 
-let swap_bits v a b =
-  if bit v a <> bit v b then v lxor (1 lsl a) lxor (1 lsl b) else v
+let imin (x : int) y = if x < y then x else y
+
+(* All ones when [c] is 0, else 0, for [c] >= 0: [c - 1] is negative
+   exactly when [c] is 0. *)
+let[@inline] ones_if_zero c = (c - 1) asr (Sys.int_size - 1)
+
+(* Exchange the bits of [v] under the one-wire masks [ma] and [mb]. *)
+let[@inline] swap_masks v ma mb =
+  if (v land ma = 0) <> (v land mb = 0) then v lxor (ma lor mb) else v
+
+(* The product track's gate slots from [i] to the first one it cannot
+   take, below [limit], which must not exceed any array's length. The masks
+   live in locals for the whole run and go back to [p] once; the loop makes
+   no call, so they stay in registers. The result is that first slot, times
+   2, plus 1 when the run negated [amp]: the caller owns the sign, since a
+   negation is exact and flipping once per odd count gives the same floats
+   as flipping per gate. On a wire in [xmask], [idx] holds 0 and [smask]
+   the sign; on any other wire [smask] holds 0. *)
+let product_gates p ~code ~a ~b ~tally i ~limit =
+  let idx = ref p.idx and xm = ref p.xmask and sm = ref p.smask in
+  let neg = ref false in
+  let k = ref i and limit = ref limit in
+  while !k < !limit do
+    let j = !k in
+    let op = Array.unsafe_get code j in
+    let taken =
+      match op with
+      | 0 | 4 | 7 ->
+          (* X on [b] if the Z-basis controls [a] are all 1; X|-> = -|->.
+             With every wire in the Z basis, the common case, whether the
+             gate fires is data, so it is a mask, not a branch. *)
+          let ma = Array.unsafe_get a j and mb = Array.unsafe_get b j in
+          if !xm land (ma lor mb) = 0 then begin
+            idx := !idx lxor (mb land ones_if_zero ((!idx land ma) lxor ma));
+            true
+          end
+          else if !xm land ma <> 0 then false
+          else begin
+            if !idx land ma = ma && !sm land mb <> 0 then neg := not !neg;
+            true
+          end
+      | 1 | 5 ->
+          (* Z on one wire when the other is a Z-basis 1 (Z has no other
+             wire): Z|+> = |->, and Z on a Z-basis 1 is a sign. *)
+          let ma = Array.unsafe_get a j and mb = Array.unsafe_get b j in
+          if !xm land ma = 0 then begin
+            (if !idx land ma = ma then
+               if !xm land mb <> 0 then sm := !sm lxor mb
+               else if !idx land mb <> 0 then neg := not !neg);
+            true
+          end
+          else if !xm land mb = 0 then begin
+            if !idx land mb <> 0 then sm := !sm lxor ma;
+            true
+          end
+          else false
+      | 2 ->
+          (* H|0> = |+>, H|1> = |->, and back: the bit and the sign trade
+             places. *)
+          let mb = Array.unsafe_get b j in
+          let t = (!idx lxor !sm) land mb in
+          idx := !idx lxor t;
+          sm := !sm lxor t;
+          xm := !xm lxor mb;
+          true
+      | 6 ->
+          let ma = Array.unsafe_get a j and mb = Array.unsafe_get b j in
+          idx := swap_masks !idx ma mb;
+          xm := swap_masks !xm ma mb;
+          sm := swap_masks !sm ma mb;
+          true
+      | _ -> false
+    in
+    if taken then begin
+      Array.unsafe_set tally op (Array.unsafe_get tally op + 1);
+      k := j + 1
+    end
+    else limit := j
+  done;
+  p.idx <- !idx;
+  p.xmask <- !xm;
+  p.smask <- !sm;
+  (!k lsl 1) lor Bool.to_int !neg
+
+(* The product track's program: runs of gates, and when [adaptive] the
+   measurements and conditionals between them. *)
+let product_slots p ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop =
+  if i < 0 || Array.length tally < tally_size then
+    invalid_arg "State.run_slots";
+  (* Clamped to the arrays, so [product_gates] reads them unchecked. *)
+  let n = imin (Array.length code) (Array.length c) in
+  let n = imin n (imin (Array.length a) (Array.length b)) in
+  let limit = imin stop n in
+  (* Whether |amp| is exactly 1, read at the first measurement: -1 before.
+     The pass only ever negates [amp], so the answer holds to its end. *)
+  let unit_amp = ref (-1) in
+  let neg = ref false in
+  let k = ref i and go = ref true in
+  while !go && !k < limit do
+    let r = product_gates p ~code ~a ~b ~tally !k ~limit in
+    let j = r asr 1 in
+    if r land 1 = 1 then neg := not !neg;
+    k := j;
+    if j < limit then begin
+      let op = code.(j) in
+      if op = op_measure && !unit_amp < 0 then
+        unit_amp := Bool.to_int (Complex.norm p.amp = 1.0);
+      if adaptive && op = op_measure && !unit_amp = 1 then begin
+        (* As [project_inplace] with |amp| = 1, which leaves [amp]
+           unscaled: an X-basis wire is a fair coin, drawn as [Sim]'s
+           [draw_outcome] draws p = 1/2, and |-> has amplitude -1/sqrt 2
+           on |1>; a Z-basis wire draws nothing. *)
+        let support = product_support p.xmask in
+        if support > tally.(tally_peak) then tally.(tally_peak) <- support;
+        let m = 1 lsl a.(j) in
+        let outcome =
+          if p.xmask land m = 0 then p.idx land m <> 0
+          else begin
+            let v = Random.State.float rng 1.0 < 0.5 in
+            if v then begin
+              p.idx <- p.idx lor m;
+              if p.smask land m <> 0 then neg := not !neg
+            end;
+            p.xmask <- p.xmask land lnot m;
+            p.smask <- p.smask land lnot m;
+            v
+          end
+        in
+        bits.(b.(j)) <- outcome;
+        (* A reset that read 1 clears the wire. *)
+        if outcome && c.(j) = 1 then p.idx <- p.idx land lnot m;
+        tally.(op) <- tally.(op) + 1;
+        k := j + 1
+      end
+      else if adaptive && op = op_if then begin
+        tally.(op) <- tally.(op) + 1;
+        if bits.(a.(j)) = (b.(j) = 1) then begin
+          tally.(tally_taken) <- tally.(tally_taken) + 1;
+          k := j + 1
+        end
+        else k := c.(j)
+      end
+      else go := false
+    end
+  done;
+  if !neg then p.amp <- Complex.neg p.amp;
+  !k
+
+let on_product_track s =
+  match s.repr with Product _ -> true | Sparse _ -> false
+
+let run_slots s ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop =
+  match s.repr with
+  | Product p ->
+      product_slots p ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop
+  | Sparse _ -> i
 
 (* Apply [g] on the product track; [false] when it needs the sparse table
-   (an X-basis wire used as a control or under a non-Pauli phase). *)
+   (an X-basis wire used as a control or under a non-Pauli phase). Phases
+   carry an angle, not a mask, so they are the only gates
+   [product_gates] leaves to this function. *)
 let product_gate p g =
   match g with
-  | Gate.X q -> product_x p q; true
-  | Gate.Z q -> product_z p q; true
-  | Gate.H q ->
-      (* H|0> = |+>, H|1> = |->, and back: the bit becomes the sign. *)
-      let m = 1 lsl q in
-      if p.xmask land m <> 0 then begin
-        if p.smask land m <> 0 then p.idx <- p.idx lor m;
-        p.smask <- p.smask land lnot m
-      end
-      else begin
-        if p.idx land m <> 0 then p.smask <- p.smask lor m;
-        p.idx <- p.idx land lnot m
-      end;
-      p.xmask <- p.xmask lxor m;
-      true
-  | Gate.Cnot { control; target } ->
-      if on_x p control then false
-      else begin
-        if bit p.idx control then product_x p target;
-        true
-      end
-  | Gate.Toffoli { c1; c2; target } ->
-      if on_x p c1 || on_x p c2 then false
-      else begin
-        if bit p.idx c1 && bit p.idx c2 then product_x p target;
-        true
-      end
-  | Gate.Swap (a, b) ->
-      p.idx <- swap_bits p.idx a b;
-      p.xmask <- swap_bits p.xmask a b;
-      p.smask <- swap_bits p.smask a b;
-      true
-  | Gate.Cz (a, b) -> (
-      match (on_x p a, on_x p b) with
-      | false, false ->
-          if bit p.idx a && bit p.idx b then p.amp <- Complex.neg p.amp;
-          true
-      | true, false ->
-          if bit p.idx b then product_z p a;
-          true
-      | false, true ->
-          if bit p.idx a then product_z p b;
-          true
-      | true, true -> false)
   | Gate.Phase (q, ph) ->
       if on_x p q then false
       else begin
@@ -240,6 +388,15 @@ let product_gate p g =
           p.amp <- Complex.mul (phase_of phase) p.amp;
         true
       end
+  | Gate.X _ | Gate.Z _ | Gate.H _ | Gate.Cnot _ | Gate.Cz _ | Gate.Swap _
+  | Gate.Toffoli _ ->
+      let code = [| 0 |] and a = [| 0 |] and b = [| 0 |] in
+      encode_gate g ~code ~a ~b 0;
+      let r =
+        product_gates p ~code ~a ~b ~tally:(Array.make op_measure 0) 0 ~limit:1
+      in
+      if r land 1 = 1 then p.amp <- Complex.neg p.amp;
+      r asr 1 = 1
 
 (* ------------------------------------------------------------------ *)
 (* Sparse-track kernel *)

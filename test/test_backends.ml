@@ -336,6 +336,237 @@ let prop_product_track_matches_reference =
       && Counts.approx_equal rf.Sim.executed rr.Sim.executed
       && State.fidelity rf.Sim.state rr.Sim.state > 1. -. 1e-9)
 
+(* Every path through [Sim.run_program]'s loop on [Fast] gives the same
+   run: free passes that take measurements and conditionals, one gate slot
+   per pass under a hook (which must still see every gate), and one per
+   pass under a budget that never fires. *)
+let prop_loop_paths_agree =
+  QCheck.Test.make ~name:"Fast: free, hooked and budgeted runs agree"
+    ~count:300 arb_adaptive (fun (raws, idx, seed) ->
+      let c = program_of_raw raws in
+      let init = State.basis ~num_qubits:6 idx in
+      let run ?on_event ?max_terms () =
+        Sim.run ~rng:(Random.State.make [| seed; 0xe9 |]) ?on_event ?max_terms
+          ~engine:Sim.Fast c ~init
+      in
+      let free = run () in
+      let gates = ref 0 in
+      let hooked =
+        run
+          ~on_event:(function Sim.Gate_applied _ -> incr gates | _ -> ())
+          ()
+      in
+      let budgeted = run ~max_terms:(1 lsl 6) () in
+      let same (r : Sim.run) =
+        r.Sim.bits = free.Sim.bits
+        && Counts.approx_equal r.Sim.executed free.Sim.executed
+        && State.fidelity r.Sim.state free.Sim.state > 1. -. 1e-9
+      in
+      same hooked && same budgeted
+      && float_of_int !gates = Counts.total_gates free.Sim.executed)
+
+(* Positions of the slots inside [If_bit] bodies of a flat program. *)
+let body_positions (c : Circuit.t) =
+  let rec go pos acc = function
+    | [] -> acc
+    | Instr.If_bit { body; _ } :: rest ->
+        let n = List.length body in
+        go (pos + 1 + n) (List.init n (fun k -> pos + 1 + k) @ acc) rest
+    | _ :: rest -> go (pos + 1) acc rest
+  in
+  go 0 [] c.Circuit.instrs
+
+let site_pos = function
+  | Fault.Gate_site { pos; _ } | Fault.Measure_site { pos; _ }
+  | Fault.Branch_site { pos; _ } -> pos
+
+(* A fault plan from random draws: one to four sites, each with a Pauli
+   that may differ, plus one site inside an [If_bit] body when there is
+   one. Flips, skips and Paulis all occur. *)
+let plan_of c picks =
+  let sites = Array.of_list (Fault.sites c.Circuit.instrs) in
+  let n = Array.length sites in
+  if n = 0 then []
+  else
+    let in_body =
+      let bodies = body_positions c in
+      List.filter (fun s -> List.mem (site_pos s) bodies) (Array.to_list sites)
+    in
+    let pauli k = [| Fault.X; Fault.Y; Fault.Z |].(k mod 3) in
+    let picked =
+      List.map
+        (fun (k, p) -> Fault.of_site ~pauli:(pauli p) sites.(k mod n))
+        picks
+    in
+    match in_body with
+    | [] -> picked
+    | l ->
+        let k, p = List.hd picks in
+        Fault.of_site ~pauli:(pauli p) (List.nth l (k mod List.length l))
+        :: picked
+
+let arb_fault_case =
+  let open QCheck in
+  pair arb_adaptive
+    (make
+       Gen.(list_size (int_range 1 4) (pair nat nat))
+       ~print:(fun l ->
+         String.concat " "
+           (List.map (fun (k, p) -> Printf.sprintf "(%d,%d)" k p) l)))
+
+(* Fault plans stop the kernel at their slots and turn off its
+   measurements: Fast must inject exactly what the pinned sparse kernel
+   does. *)
+let prop_faults_fast_eq_sparse =
+  QCheck.Test.make ~name:"fault plans: Fast = Sparse" ~count:300
+    arb_fault_case (fun ((raws, idx, seed), picks) ->
+      let c = program_of_raw raws in
+      let faults = plan_of c picks in
+      let init = State.basis ~num_qubits:6 idx in
+      let run engine =
+        Sim.run ~rng:(Random.State.make [| seed; 0xfa |]) ~engine ~faults c
+          ~init
+      in
+      let f = run Sim.Fast and s = run Sim.Sparse in
+      f.Sim.injected = s.Sim.injected
+      && f.Sim.bits = s.Sim.bits
+      && Counts.approx_equal f.Sim.executed s.Sim.executed
+      && State.fidelity f.Sim.state s.Sim.state > 1. -. 1e-9)
+
+(* {2 The mask kernel, one slot at a time}
+
+   Every gate on three wires, from every product of |0>, |1>, |+> and |->:
+   [State.run_slots] must take exactly the slots the product track can
+   (no control on an X-basis wire, not CZ on two, no phase), count them,
+   and leave the same amplitudes as the oracle, global sign included;
+   declined slots leave the state and the tally alone. *)
+
+let product_input wires kinds =
+  let s = State.basis ~num_qubits:wires 0 in
+  List.iteri
+    (fun q kind ->
+      (* 0: |0>, 1: |1>, 2: |+>, 3: |-> *)
+      if kind land 1 = 1 then State.apply_gate_inplace s (Gate.X q);
+      if kind >= 2 then State.apply_gate_inplace s (Gate.H q))
+    kinds;
+  s
+
+let amps_equal a b =
+  let la = State.to_alist a and lb = State.to_alist b in
+  List.length la = List.length lb
+  && List.for_all2
+       (fun (k, (u : Complex.t)) (k', v) ->
+         k = k' && Complex.norm (Complex.sub u v) < 1e-12)
+       la lb
+
+let kernel_gates =
+  [ Gate.X 0; Gate.Z 0; Gate.H 0; Gate.Phase (0, Phase.theta 2);
+    Gate.Cnot { control = 0; target = 1 }; Gate.Cz (0, 1); Gate.Swap (0, 1);
+    Gate.Toffoli { c1 = 0; c2 = 1; target = 2 };
+    Gate.Cphase { control = 0; target = 1; phase = Phase.theta 3 } ]
+
+(* The old [product_gate]'s rule for what stays on the product track,
+   phases aside (the kernel leaves those to [apply_gate_inplace]). *)
+let kernel_takes kinds g =
+  let on_x q = List.nth kinds q >= 2 in
+  match g with
+  | Gate.X _ | Gate.Z _ | Gate.H _ | Gate.Swap _ -> true
+  | Gate.Cnot { control; _ } -> not (on_x control)
+  | Gate.Toffoli { c1; c2; _ } -> not (on_x c1 || on_x c2)
+  | Gate.Cz (a, b) -> not (on_x a && on_x b)
+  | Gate.Phase _ | Gate.Cphase _ -> false
+
+(* Run [gates] as a program through [run_slots] from slot 0 up to [stop]:
+   the slot it stopped at, the tally, and the opcodes. *)
+let run_kernel s gates ~stop =
+  let n = List.length gates in
+  let code = Array.make n 0 and a = Array.make n 0 and b = Array.make n 0 in
+  List.iteri (fun i g -> State.encode_gate g ~code ~a ~b i) gates;
+  let tally = Array.make State.tally_size 0 in
+  let j =
+    State.run_slots s ~code ~a ~b ~c:(Array.make n 0) ~tally ~bits:[||]
+      ~rng:(Random.State.make [| 0 |]) ~adaptive:false 0 ~stop
+  in
+  (j, tally, code)
+
+let test_kernel_each_opcode () =
+  let all_kinds =
+    List.init 64 (fun m -> [ m land 3; (m lsr 2) land 3; m lsr 4 ])
+  in
+  List.iter
+    (fun kinds ->
+      List.iter
+        (fun g ->
+          let name =
+            Format.asprintf "%a on [%s]" Gate.pp g
+              (String.concat ";" (List.map string_of_int kinds))
+          in
+          let s = product_input 3 kinds in
+          let before = State.copy s in
+          let j, tally, code = run_kernel s [ g ] ~stop:1 in
+          if kernel_takes kinds g then begin
+            Alcotest.(check int) (name ^ ": taken") 1 j;
+            Alcotest.(check int) (name ^ ": tallied") 1 tally.(code.(0));
+            Alcotest.(check bool) (name ^ ": amplitudes") true
+              (amps_equal s (State.Reference.apply_gate before g));
+            Alcotest.(check bool) (name ^ ": product track") true
+              (State.on_product_track s)
+          end
+          else begin
+            Alcotest.(check int) (name ^ ": declined") 0 j;
+            Alcotest.(check int) (name ^ ": not tallied") 0
+              (Array.fold_left ( + ) 0 tally);
+            Alcotest.(check bool) (name ^ ": untouched") true
+              (amps_equal s before)
+          end;
+          (* [apply_gate_inplace] reaches the same amplitudes either way. *)
+          let t = State.copy before in
+          State.apply_gate_inplace t g;
+          Alcotest.(check bool) (name ^ ": apply_gate_inplace") true
+            (amps_equal t (State.Reference.apply_gate before g)))
+        kernel_gates)
+    all_kinds
+
+(* Several slots in one pass: it ends at [stop], or at the first slot it
+   declines, holding every slot before and nothing after; signs fold in
+   once per odd count (X on |-> three times is -|->). *)
+let test_kernel_passes () =
+  let minus = product_input 3 [ 3; 1; 0 ] in
+  let xs k = List.init k (fun _ -> Gate.X 0) in
+  List.iter
+    (fun k ->
+      let s = State.copy minus in
+      let j, tally, _ = run_kernel s (xs k) ~stop:k in
+      Alcotest.(check int) (Printf.sprintf "%d X: all run" k) k j;
+      Alcotest.(check int) (Printf.sprintf "%d X: tally" k) k tally.(0);
+      let expect = List.fold_left State.Reference.apply_gate minus (xs k) in
+      Alcotest.(check bool) (Printf.sprintf "%d X on |->: sign" k) true
+        (amps_equal s expect))
+    [ 1; 2; 3 ];
+  let gates =
+    [ Gate.Cnot { control = 1; target = 2 }; Gate.X 2; Gate.H 1;
+      Gate.Cnot { control = 1; target = 2 }; Gate.X 2 ]
+  in
+  let from = product_input 3 [ 0; 1; 0 ] in
+  let prefix k =
+    List.fold_left State.Reference.apply_gate from
+      (List.filteri (fun i _ -> i < k) gates)
+  in
+  let s = State.copy from in
+  let j, tally, _ = run_kernel s gates ~stop:2 in
+  Alcotest.(check int) "stops at stop" 2 j;
+  Alcotest.(check int) "tally to stop" 2 (Array.fold_left ( + ) 0 tally);
+  Alcotest.(check bool) "state to stop" true (amps_equal s (prefix 2));
+  let s = State.copy from in
+  let j, tally, _ = run_kernel s gates ~stop:5 in
+  Alcotest.(check int) "stops at an X-basis control" 3 j;
+  Alcotest.(check int) "tally to the decline" 3 (Array.fold_left ( + ) 0 tally);
+  Alcotest.(check bool) "state to the decline" true (amps_equal s (prefix 3));
+  let sparse = State.copy from in
+  State.force_sparse sparse;
+  let j, _, _ = run_kernel sparse gates ~stop:5 in
+  Alcotest.(check int) "sparse track: nothing" 0 j
+
 (* The motifs really leave the product track and come back. *)
 let test_motifs_promote_and_demote () =
   let s = State.basis ~num_qubits:2 0b10 in
@@ -407,5 +638,11 @@ let suite =
       qtest prop_product_track_matches_reference;
       Alcotest.test_case "motifs promote and demote" `Quick
         test_motifs_promote_and_demote;
+      qtest prop_loop_paths_agree;
+      qtest prop_faults_fast_eq_sparse;
+      Alcotest.test_case "mask kernel: every opcode on every product" `Quick
+        test_kernel_each_opcode;
+      Alcotest.test_case "mask kernel: passes, stops and signs" `Quick
+        test_kernel_passes;
       Alcotest.test_case "Table-1 rows: Fast = Sparse per shot" `Quick
         test_montecarlo_rows_fast_eq_sparse ] )

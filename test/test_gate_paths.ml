@@ -124,6 +124,72 @@ let test_profile_walk () =
   let _, words = minor_words (fun () -> Trace.profile ~span_depth:false prog) in
   check_budget "Trace.profile walk" ~per_instr:3. ~instrs words
 
+(* {2 The shot loop}
+
+   Per shot, at [jobs = 1], on the CDKPM modular adder with MBU at n = 16
+   (a Table-1 row of the Monte-Carlo workload). The shot's generator is
+   left out: [Random.State.make] allocates 43 words on OCaml 5 and far more
+   on 4.14, whose generator differs. The rest was 120 words before the
+   product track ran in passes, 115 after. *)
+let test_shot_budget () =
+  let open Mbu_simulator in
+  let n = 16 in
+  let p = (1 lsl (n - 1)) lor 0x2b5 in
+  let b = Builder.create () in
+  let built =
+    Mbu_robustness.Catalogue.emit ~x:(p - 2) ~y:(p / 3)
+      (Option.get (Mbu_robustness.Catalogue.find "cdkpm"))
+      ~mbu:true ~n ~p b
+  in
+  let c = Builder.to_circuit b in
+  let init =
+    Sim.init_registers ~num_qubits:(Builder.num_qubits b) built.inits
+  in
+  let shots = 500 in
+  let run () =
+    Sim.fold_shots ~seed:3 ~jobs:1 ~shots c ~init
+      ~empty:(fun () -> ())
+      ~step:(fun () _ _ _ -> ())
+      ~merge:(fun () () -> ())
+  in
+  run ();
+  let (), words = minor_words run in
+  let (), rng_words =
+    minor_words (fun () ->
+        for i = 1 to shots do
+          ignore (Random.State.make [| 0x6d62755f; 0x51432025; 3; i |])
+        done)
+  in
+  let per_shot = (words -. rng_words) /. float_of_int shots in
+  if per_shot > 128. then
+    Alcotest.failf "%.1f words per shot besides the generator, budget 128"
+      per_shot
+
+(* A gate on the product track allocates nothing: 2 000 CNOTs cost what an
+   empty circuit of the same width costs, to 0.01 words per gate. *)
+let test_gate_loop_budget () =
+  let open Mbu_simulator in
+  let width = 12 in
+  let cnots =
+    List.init 2000 (fun i ->
+        Instr.Gate (Gate.Cnot { control = i mod 5; target = 5 + (i mod 7) }))
+  in
+  let words instrs =
+    let prog = Sim.compile (Circuit.make ~num_qubits:width instrs) in
+    let init = State.basis ~num_qubits:width 0b10110 in
+    let rng = Random.State.make [| 1 |] in
+    let run () =
+      for _ = 1 to 20 do
+        ignore (Sim.run_program ~rng prog ~init)
+      done
+    in
+    run ();
+    snd (minor_words run) /. 20.
+  in
+  let extra = words cnots -. words [] in
+  check_budget "2 000 CNOTs over an empty circuit" ~per_instr:0.01
+    ~instrs:2000 extra
+
 let suite =
   ( "gate-paths",
     [ QCheck_alcotest.to_alcotest prop_validate;
@@ -134,4 +200,8 @@ let suite =
       Alcotest.test_case "scan and counts budget: modadd_big n=256" `Quick
         test_scan_counts;
       Alcotest.test_case "profile walk budget: modadd_big n=256" `Quick
-        test_profile_walk ] )
+        test_profile_walk;
+      Alcotest.test_case "shot budget: CDKPM modadd n=16" `Quick
+        test_shot_budget;
+      Alcotest.test_case "gate loop budget: 2 000 CNOTs" `Quick
+        test_gate_loop_budget ] )

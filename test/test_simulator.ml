@@ -226,6 +226,42 @@ let test_init_registers_wide_guard () =
   check_rejected "oversize rejected (narrow)" ~register:"s" (fun () ->
       ignore (Sim.init_registers ~num_qubits:3 [ (s, 8) ]))
 
+(* The 62-wire cap and bad indices are [Mbu_error]s, not bare
+   [Invalid_argument]s, so a CLI run over the cap prints one line. *)
+let test_width_cap_is_mbu_error () =
+  let expect name ~subsystem kind f =
+    match f () with
+    | _ -> Alcotest.fail (name ^ ": expected Mbu_error.Error")
+    | exception Mbu_error.Error e ->
+        Alcotest.(check string) (name ^ " subsystem") subsystem
+          e.Mbu_error.subsystem;
+        check_bool (name ^ " kind") true (e.Mbu_error.kind = kind)
+  in
+  let too_wide actual = Mbu_error.Resource_limit { limit = 62; actual } in
+  let basis = "State.basis" and alist = "State.of_alist" in
+  expect "basis, 63 wires" ~subsystem:basis (too_wide 63) (fun () ->
+      State.basis ~num_qubits:63 0);
+  expect "basis, -1 wires" ~subsystem:basis Mbu_error.Invalid (fun () ->
+      State.basis ~num_qubits:(-1) 0);
+  expect "basis, index 8 on 3 wires" ~subsystem:basis Mbu_error.Invalid
+    (fun () -> State.basis ~num_qubits:3 8);
+  expect "basis, negative index" ~subsystem:basis Mbu_error.Invalid (fun () ->
+      State.basis ~num_qubits:3 (-1));
+  expect "of_alist, 100 wires" ~subsystem:alist (too_wide 100) (fun () ->
+      State.of_alist ~num_qubits:100 []);
+  expect "of_alist, index out of range" ~subsystem:alist Mbu_error.Invalid
+    (fun () -> State.of_alist ~num_qubits:2 [ (4, Complex.one) ]);
+  expect "of_alist, repeated index" ~subsystem:alist Mbu_error.Invalid
+    (fun () ->
+      State.of_alist ~num_qubits:2 [ (1, Complex.one); (1, Complex.one) ]);
+  (* What the CLI hits: a circuit of 64 wires, initialised by register. *)
+  let b = Builder.create () in
+  let r = Builder.fresh_register b "r" 64 in
+  expect "init_registers, 64 wires" ~subsystem:basis (too_wide 64) (fun () ->
+      Sim.init_registers ~num_qubits:(Builder.num_qubits b) [ (r, 1) ]);
+  check_int "62 wires still fit" 62
+    (State.num_qubits (State.basis ~num_qubits:62 0))
+
 (* The product track: permutation and diagonal gates keep a basis state a
    single basis vector; H on |1> makes the wire |-> (two terms, still on
    the product track) and a second H returns it; force_sparse pins the
@@ -295,6 +331,8 @@ let suite =
         test_default_rng_isolation;
       Alcotest.test_case "init_registers validates wide registers" `Quick
         test_init_registers_wide_guard;
+      Alcotest.test_case "62-wire cap is an Mbu_error" `Quick
+        test_width_cap_is_mbu_error;
       Alcotest.test_case "classical track promotion/demotion" `Quick
         test_classical_track_promotion;
       Alcotest.test_case "run copies its init" `Quick
