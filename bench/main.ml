@@ -1,10 +1,19 @@
 (* Benchmark harness: regenerates every table of the paper's evaluation
-   (tables 1-6), validates the "in expectation" cost model by Monte-Carlo,
-   reports the headline MBU savings (count and Toffoli depth), the two-sided
-   comparator, and the modular-multiplication extension. Finishes with
-   Bechamel wall-clock micro-benchmarks (one per table/experiment).
+   (tables 1-6), reports the headline MBU savings (count and Toffoli
+   depth), the two-sided comparator and the modular-multiplication
+   extension, and validates the "in expectation" cost model by seeded
+   Monte-Carlo. Finishes with Bechamel wall-clock micro-benchmarks (one per
+   table/experiment), printed only.
 
-     dune exec bench/main.exe *)
+     dune exec bench/main.exe
+
+   The three files it writes hold only numbers a rerun reproduces, so the
+   regression gate is a rerun and a diff:
+
+     dune exec bench/main.exe -- --sim-only --build-only --faults-only
+     git diff --exit-code BENCH_sim.json BENCH_build.json BENCH_faults.json
+
+   Wall-clock with repeats and spreads is perfbench/'s. *)
 
 open Mbu_circuit
 open Mbu_core
@@ -215,39 +224,6 @@ let table6 () =
         ("Draper", cmp Adder.Draper) ]
     ~ns:[ 8; 16; 32 ]
     ~params_of:(fun n -> Formulas.{ n; hp = 0; ha = 0 })
-
-(* ------------------------------------------------------------------ *)
-(* E-MBU: Monte-Carlo validation of the expectation cost model *)
-
-let experiment_monte_carlo () =
-  header "E-MBU: Monte-Carlo vs analytic expected Toffoli counts";
-  fpf "  circuit                analytic   empirical(1000 shots)   rel.err@.";
-  let run name analytic_build mc_build =
-    let analytic =
-      (Resources.measure ~n:4 ~build:analytic_build ()).Resources.toffoli
-    in
-    let empirical = Resources.monte_carlo_toffoli ~shots:1000 ~build:mc_build () in
-    fpf "  %-22s %8.2f   %8.2f                %6.3f@." name analytic empirical
-      (Float.abs (empirical -. analytic) /. Float.max analytic 1.)
-  in
-  List.iter
-    (fun id ->
-      let emit b = Catalogue.emit ~x:7 ~y:11 (t1_row id) ~mbu:true ~n:4 ~p:13 b in
-      run
-        (Printf.sprintf "modadd %s + mbu" id)
-        (fun b -> ignore (emit b))
-        (fun b -> (emit b).Catalogue.inits))
-    [ "cdkpm"; "gidney"; "mixed" ];
-  run "gidney plain adder"
-    (fun b ->
-      let x = Builder.fresh_register b "x" 4 in
-      let y = Builder.fresh_register b "y" 5 in
-      Adder_gidney.add b ~x ~y)
-    (fun b ->
-      let x = Builder.fresh_register b "x" 4 in
-      let y = Builder.fresh_register b "y" 5 in
-      Adder_gidney.add b ~x ~y;
-      [ (x, 9); (y, 12) ])
 
 (* ------------------------------------------------------------------ *)
 (* E-SAVE: headline savings in Toffoli count and depth *)
@@ -627,13 +603,14 @@ let experiment_ablations () =
       ("via register load", Mod_add.modadd_const_via_load ~mbu:true Mod_add.spec_cdkpm) ]
 
 (* ------------------------------------------------------------------ *)
-(* E-SIM: simulator backend micro-benchmark (shots/sec, seed vs this PR) *)
+(* E-SIM: Monte-Carlo validation of the expectation cost model *)
 
 module Json = Mbu_telemetry.Json
 
-(* The BENCH files are [Json] documents, written by the printer the gate
-   parses them with. A column is rounded to its table precision as a
-   value, so every run prints the same number of digits. *)
+(* The BENCH files are [Json] documents holding only numbers a rerun
+   reproduces: counts and seeded Monte-Carlo means, no wall-clock. A
+   fraction is rounded to its table precision as a value, so every run
+   prints the same digits. *)
 let write_json path doc =
   Out_channel.with_open_bin path (fun oc -> output_string oc (Json.to_string doc))
 
@@ -643,182 +620,141 @@ let fixed digits v =
 
 let int i = Json.Num (float_of_int i)
 
-(* Shots/sec for one (engine, jobs) configuration on a prepared circuit. *)
-let shots_per_sec ?(engine = Mbu_simulator.Sim.Fast) ~jobs ~shots c ~init () =
+(* One seeded [fold_shots] over a catalogue spec: the mean executed
+   Toffolis and gates per shot, the fraction of conditionals taken and the
+   shots the oracle accepts. Executed counts are whole numbers, so the
+   float sums are exact in any merge order. *)
+let monte_carlo ~seed ~jobs ~shots (spec : Engine.spec) =
   let open Mbu_simulator in
-  (* warm-up shot so domain spawning / first allocation doesn't skew *)
-  ignore (Sim.run_shots ~engine ~jobs ~shots:1 c ~init);
-  let t0 = Unix.gettimeofday () in
-  ignore (Sim.run_shots ~engine ~jobs ~shots c ~init);
-  let dt = Unix.gettimeofday () -. t0 in
-  float_of_int shots /. Float.max dt 1e-9
+  let stats = Sim.new_stats () in
+  let toffoli, gates, correct =
+    Sim.fold_shots ~seed ~jobs ~stats ~shots spec.circuit ~init:spec.init
+      ~empty:(fun () -> (0., 0., 0))
+      ~step:(fun (t, g, k) _ _ (r : Sim.run) ->
+        ( t +. r.executed.Counts.toffoli,
+          g +. Counts.total_gates r.executed,
+          if Engine.classify_run spec r = Engine.Correct then k + 1 else k ))
+      ~merge:(fun (t, g, k) (t', g', k') -> (t +. t', g +. g', k + k'))
+  in
+  let per_shot v = v /. float_of_int shots in
+  ( per_shot toffoli, per_shot gates,
+    Option.value (Sim.taken_frequency stats) ~default:0., correct )
 
 let experiment_sim_bench () =
-  let open Mbu_simulator in
-  header "E-SIM: simulator backends, Table-1 Monte-Carlo workload (shots/sec)";
-  let shots = 1000 in
-  let jobs = Sim.default_jobs () in
-  fpf "  %d shots/config, parallel backend = %s, jobs = %d@." shots
-    Sim.parallel_backend jobs;
-  fpf "  %-15s | %3s | %12s | %12s | %12s | %8s@." "row" "n" "seed (ref)"
-    "fast seq"
-    (Printf.sprintf "fast j=%d" jobs)
-    "speedup";
+  header "E-SIM: Monte-Carlo vs analytic expected Toffolis, Table-1 rows";
+  let shots = 1000 and seed = 1 in
+  fpf "  %d seeded shots per row (seed %d) on the Fast engine; MBU on@." shots
+    seed;
+  fpf "  %-15s | %3s | %9s %9s %7s | %9s | %6s | %9s@." "row" "n" "analytic"
+    "mean" "rel.err" "gates" "taken" "correct";
   (* The ripple-carry rows of table 1; Draper is excluded because its QFT
-     makes the state dense (2^(n+1) terms at n = 16), which is a different
-     workload from the permutation-dominated Monte-Carlo the tables use.
-     Rows whose total width would exceed the simulator's 62-qubit cap at
-     n = 16 run at the largest n that fits (shown in the n column). *)
+     makes the state dense (2^(n+1) terms at n = 16). Rows whose total
+     width would exceed the simulator's 62-qubit cap at n = 16 run at the
+     largest n that fits (shown in the n column). *)
   let rows =
     List.map
       (fun (id, n) ->
         let e = t1_row id in
-        let name = e.title in
-        let p = modulus n in
-        let b = Builder.create () in
-        let built = Catalogue.emit ~x:17 ~y:25 e ~mbu:true ~n ~p b in
-        let c = Builder.to_circuit b in
-        let init =
-          Sim.init_registers ~num_qubits:(Builder.num_qubits b)
-            built.Catalogue.inits
+        let spec = e.make ~n ~p:(modulus n) in
+        let analytic =
+          (Counts.of_instrs ~mode:(Counts.Expected 0.5) spec.circuit.Circuit.instrs)
+            .Counts.toffoli
         in
-        let reference =
-          shots_per_sec ~engine:Sim.Reference ~jobs:1 ~shots c ~init ()
+        let ((toffoli, gates, taken, correct) as r) =
+          monte_carlo ~seed ~jobs:1 ~shots spec
         in
-        let fast_seq = shots_per_sec ~jobs:1 ~shots c ~init () in
-        let fast_par = shots_per_sec ~jobs ~shots c ~init () in
-        let best = Float.max fast_seq fast_par in
-        fpf "  %-15s | %3d | %12.0f | %12.0f | %12.0f | %7.1fx@." name n
-          reference fast_seq fast_par (best /. reference);
+        if monte_carlo ~seed ~jobs:2 ~shots spec <> r then
+          failwith (Printf.sprintf "E-SIM %s: jobs = 2 differs from jobs = 1" id);
+        fpf "  %-15s | %3d | %9.3f %9.3f %7.4f | %9.3f | %6.4f | %4d/%4d@."
+          e.title n analytic toffoli
+          (Float.abs (toffoli -. analytic) /. analytic)
+          gates taken correct shots;
         Json.(
           Obj
-            [ ("row", Str name); ("n", int n);
-              ("seed_shots_per_sec", fixed 1 reference);
-              ("fast_seq_shots_per_sec", fixed 1 fast_seq);
-              ("fast_par_shots_per_sec", fixed 1 fast_par);
-              ("speedup", fixed 2 (best /. reference)) ]))
+            [ ("row", Str e.title); ("n", int n);
+              ("toffoli_expected", Num analytic);
+              ("toffoli_per_shot", Num toffoli); ("gates_per_shot", Num gates);
+              ("branch_taken_frac", fixed 4 taken);
+              ("correct_shots", int correct) ]))
       [ ("vbe5", 15); ("vbe4", 15); ("cdkpm", 16); ("gidney", 14); ("mixed", 16) ]
   in
-  (* machine-readable output for the CI artifact and the README table *)
   write_json "BENCH_sim.json"
     Json.(
       Obj
         [ ("workload", Str "table1-modadd-montecarlo"); ("shots", int shots);
-          ("parallel_backend", Str Sim.parallel_backend); ("jobs", int jobs);
-          ("rows", Arr rows) ]);
-  fpf "  (seed = rebuild-per-gate Reference engine; fast = Z/X product track@.";
-  fpf "   + in-place sparse kernel; written to BENCH_sim.json)@."
+          ("seed", int seed); ("rows", Arr rows) ]);
+  fpf "  (analytic = Counts in Expected 0.5; mean = executed per shot, the@.";
+  fpf "   same at jobs = 1 and 2; written to BENCH_sim.json)@."
 
 (* ------------------------------------------------------------------ *)
-(* E-BUILD: DAG IR build + memoized metric wall-clock *)
+(* E-BUILD: hash-consed DAG size *)
 
-(* Wall-clock one metric pass: repetitions are batched to ~20 ms so
-   sub-millisecond passes are resolvable, and the minimum over several
-   batches is reported — the usual robust estimator, insulating the figure
-   from GC majors and scheduler noise landing inside a batch. *)
-let time_ms f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  let once = Unix.gettimeofday () -. t0 in
-  let reps = max 1 (int_of_float (0.02 /. Float.max once 1e-7)) in
-  let best = ref infinity in
-  for _ = 1 to 5 do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    best := Float.min !best ((Unix.gettimeofday () -. t0) /. float_of_int reps)
-  done;
-  !best *. 1000.
+(* What a memoized pass visits: the distinct shared nodes reachable from
+   [instrs], and the own-level instructions of the top level plus each
+   distinct node, where a [Call] counts one and spans are weightless (as in
+   [Instr.count_instrs]). *)
+let dag_size instrs =
+  let seen = Hashtbl.create 64 in
+  let rec own acc = function
+    | [] -> acc
+    | (Instr.Gate _ | Instr.Measure _) :: rest -> own (acc + 1) rest
+    | Instr.If_bit { body; _ } :: rest -> own (own (acc + 1) body) rest
+    | Instr.Span { body; _ } :: rest -> own (own acc body) rest
+    | Instr.Call node :: rest ->
+        let acc =
+          if Hashtbl.mem seen node.Instr.id then acc + 1
+          else begin
+            Hashtbl.add seen node.Instr.id ();
+            own (acc + 1) node.Instr.body
+          end
+        in
+        own acc rest
+  in
+  let dag_instrs = own 0 instrs in
+  (Hashtbl.length seen, dag_instrs)
 
 let experiment_build_bench () =
-  header
-    "E-BUILD: hash-consed DAG build + memoized counts/profile (wall-clock)";
-  fpf "  tree = every shared block inlined (Instr.expand_calls); dag =@.";
-  fpf "  hash-consed IR. The prof/dag and prof/tre columns run the profiler@.";
-  fpf "  with span_depth:false on both sides.@.@.";
+  header "E-BUILD: hash-consed DAG size, Table-1 rows and mod_mul (MBU)";
+  fpf "  instrs = the expanded tree; dag = what a memoized pass visits@.";
   let t1_rows =
     List.map
       (fun (e : Catalogue.entry) ->
         ( e.title, 32,
-          fun () ->
-            let b = Builder.create () in
-            ignore
-              (Catalogue.emit e ~mbu:true ~n:32 ~p:(modulus 32) b);
-            Builder.to_circuit b ))
+          fun b -> ignore (Catalogue.emit e ~mbu:true ~n:32 ~p:(modulus 32) b) ))
       Catalogue.table1
   in
   let modmul_row n =
     ( "mod_mul cmult_add", n,
-      fun () ->
-        let b = Builder.create () in
+      fun b ->
         let p = modulus n in
         ignore
           ((Catalogue.family "cmult").build b
-             { style = Adder.Cdkpm; mbu = true; n; p; a = p / 3; x = 0; y = 0 });
-        Builder.to_circuit b )
+             { style = Adder.Cdkpm; mbu = true; n; p; a = p / 3; x = 0; y = 0 }) )
   in
-  let rows_spec = t1_rows @ List.map modmul_row [ 16; 32; 60 ] in
-  fpf
-    "  %-18s | %3s | %8s | %9s | %6s | %9s | %9s | %7s | %9s | %9s | %7s@."
-    "row" "n" "build ms" "live Mw" "nodes" "count/dag" "count/tre" "speedup"
-    "prof/dag" "prof/tre" "speedup";
-  let results =
+  fpf "  %-18s | %3s | %8s | %8s | %9s | %5s@." "row" "n" "gates" "instrs"
+    "dag instr" "nodes";
+  let rows =
     List.map
-      (fun (name, n, build) ->
-        Gc.full_major ();
-        let nodes0 = Instr.shared_nodes () in
-        let live0 = (Gc.stat ()).Gc.live_words in
-        let t0 = Unix.gettimeofday () in
-        let c = build () in
-        let build_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        Gc.full_major ();
-        let live_words = (Gc.stat ()).Gc.live_words - live0 in
-        let shared = Instr.shared_nodes () - nodes0 in
-        let instrs = c.Circuit.instrs in
-        let mode = Counts.Expected 0.5 in
-        let gates = Counts.total_gates (Counts.of_instrs ~mode:Counts.Worst instrs) in
-        let counts_dag_ms =
-          time_ms (fun () -> ignore (Counts.of_instrs ~mode instrs))
+      (fun (name, n, emit) ->
+        let b = Builder.create () in
+        emit b;
+        let instrs = (Builder.to_circuit b).Circuit.instrs in
+        let gates =
+          Counts.total_gates (Counts.of_instrs ~mode:Counts.Worst instrs)
         in
-        let profile_dag_ms =
-          time_ms (fun () -> ignore (Trace.profile ~mode ~span_depth:false instrs))
-        in
-        (* the tree: every Call inlined *)
-        let tree = Instr.expand_calls instrs in
-        let counts_tree_ms =
-          time_ms (fun () -> ignore (Counts.of_instrs ~mode tree))
-        in
-        let profile_tree_ms =
-          time_ms (fun () -> ignore (Trace.profile ~mode ~span_depth:false tree))
-        in
-        let c_speed = counts_tree_ms /. Float.max counts_dag_ms 1e-9 in
-        let p_speed = profile_tree_ms /. Float.max profile_dag_ms 1e-9 in
-        fpf
-          "  %-18s | %3d | %8.2f | %9.3f | %6d | %9.4f | %9.4f | %6.1fx | \
-           %9.4f | %9.4f | %6.1fx@."
-          name n build_ms
-          (float_of_int live_words /. 1e6)
-          shared counts_dag_ms counts_tree_ms c_speed profile_dag_ms
-          profile_tree_ms p_speed;
+        let expanded = Instr.count_instrs instrs in
+        let nodes, dag_instrs = dag_size instrs in
+        fpf "  %-18s | %3d | %8.0f | %8d | %9d | %5d@." name n gates expanded
+          dag_instrs nodes;
         Json.(
           Obj
-            [ ("row", Str name); ("n", int n); ("build_ms", fixed 3 build_ms);
-              ("live_words", int live_words); ("gates", Num gates);
-              ("shared_nodes", int shared);
-              ("counts_dag_ms", fixed 4 counts_dag_ms);
-              ("counts_tree_ms", fixed 4 counts_tree_ms);
-              ("counts_speedup", fixed 2 c_speed);
-              ("profile_dag_ms", fixed 4 profile_dag_ms);
-              ("profile_tree_ms", fixed 4 profile_tree_ms);
-              ("profile_speedup_same_methodology", fixed 2 p_speed) ]))
-      rows_spec
+            [ ("row", Str name); ("n", int n); ("gates", Num gates);
+              ("instrs", int expanded); ("dag_instrs", int dag_instrs);
+              ("nodes", int nodes) ]))
+      (t1_rows @ List.map modmul_row [ 16; 32; 60 ])
   in
   write_json "BENCH_build.json"
-    Json.(
-      Obj
-        [ ("workload", Str "table1+modmul-dag-build");
-          ("profile_span_depth", Bool false); ("rows", Arr results) ]);
+    Json.(Obj [ ("workload", Str "table1+modmul-dag-build"); ("rows", Arr rows) ]);
   fpf "  (written to BENCH_build.json)@."
 
 (* ------------------------------------------------------------------ *)
@@ -1044,127 +980,32 @@ let report_phase_times () =
     times;
   fpf "  %-20s %10.3f@." "total" total
 
-(* ------------------------------------------------------------------ *)
-(* Bench-regression gate: `--compare BASELINE.json` (repeatable).
-
-   Each baseline's "workload" field selects the experiment that
-   regenerates it; the experiment runs, the fresh file is diffed against
-   the in-memory baseline with Bench_compare's per-metric thresholds, and
-   any regression turns into a non-zero exit. Note the experiments
-   overwrite the BENCH_*.json in the working tree — `git checkout` them
-   afterwards if you want the committed baselines back. *)
-
-module BC = Mbu_telemetry.Bench_compare
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-let compare_paths () =
-  let acc = ref [] in
-  Array.iteri
-    (fun i a ->
-      if String.equal a "--compare" && i + 1 < Array.length Sys.argv then
-        acc := Sys.argv.(i + 1) :: !acc)
-    Sys.argv;
-  List.rev !acc
-
-let experiment_for_workload = function
-  | "table1-modadd-montecarlo" ->
-      Some ("sim_bench", experiment_sim_bench, "BENCH_sim.json")
-  | "table1+modmul-dag-build" ->
-      Some ("build_bench", experiment_build_bench, "BENCH_build.json")
-  | "catalogue-fault-campaigns" ->
-      Some ("faults", experiment_faults, "BENCH_faults.json")
-  | _ -> None
-
-let run_compare paths =
-  let failed = ref false in
-  List.iter
-    (fun path ->
-      match Json.parse_result (read_file path) with
-      | exception Sys_error e ->
-          fpf "  cannot read baseline %s: %s@." path e;
-          failed := true
-      | Error e ->
-          fpf "  baseline %s: parse error: %s@." path e;
-          failed := true
-      | Ok baseline -> (
-          match Option.bind (BC.workload baseline) experiment_for_workload with
-          | None ->
-              fpf "  baseline %s: unknown workload, cannot regenerate@." path;
-              failed := true
-          | Some (name, experiment, fresh_path) ->
-              header (Printf.sprintf "Regression gate: %s (%s)" path name);
-              timed name experiment;
-              let report =
-                BC.compare_json ~baseline
-                  ~current:(Json.parse (read_file fresh_path))
-              in
-              fpf "@.";
-              print_string (BC.render report);
-              if report.BC.regressions <> [] then failed := true))
-    paths;
-  (* Telemetry of the gate runs themselves rides along as a CI artifact. *)
-  Out_channel.with_open_bin "METRICS.json" (fun oc ->
-      output_string oc (Mbu_telemetry.Telemetry.to_json ()));
-  fpf "@.telemetry written to METRICS.json@.";
-  if !failed then begin
-    fpf "@.REGRESSION GATE FAILED@.";
-    exit 1
-  end
-  else fpf "@.regression gate passed@."
-
 let () =
-  (* `--sim-only` runs just the simulator micro-bench (CI benchmark smoke);
-     `--build-only` just the DAG build/metric bench; `--faults-only` just
-     the fault-injection / lint campaign; `--compare BASELINE.json`
-     (repeatable) is the regression gate. *)
-  (match compare_paths () with
-  | [] -> ()
-  | paths ->
-      run_compare paths;
-      report_phase_times ();
-      fpf "@.done.@.";
-      exit 0);
-  if Array.exists (String.equal "--build-only") Sys.argv then begin
-    timed "build_bench" experiment_build_bench;
-    report_phase_times ();
-    fpf "@.done.@.";
-    exit 0
-  end;
-  if Array.exists (String.equal "--sim-only") Sys.argv then begin
-    timed "sim_bench" experiment_sim_bench;
-    report_phase_times ();
-    fpf "@.done.@.";
-    exit 0
-  end;
-  if Array.exists (String.equal "--faults-only") Sys.argv then begin
-    timed "faults" experiment_faults;
-    report_phase_times ();
-    fpf "@.done.@.";
-    exit 0
-  end;
-  timed "table1" table1;
-  timed "table1_big" table1_big;
-  timed "table2" table2;
-  timed "table3" table3;
-  timed "table4" table4;
-  timed "table5" table5;
-  timed "table6" table6;
-  timed "monte_carlo" experiment_monte_carlo;
-  timed "savings" experiment_savings;
-  timed "two_sided" experiment_two_sided;
-  timed "modmul" experiment_modmul;
-  timed "qrom" experiment_qrom;
-  timed "coset" experiment_coset;
-  timed "tcount" experiment_tcount;
-  timed "pebble" experiment_pebble;
-  timed "aqft" experiment_aqft;
-  timed "depth" experiment_depth;
-  timed "ft" experiment_ft;
-  timed "ablations" experiment_ablations;
-  timed "build_bench" experiment_build_bench;
-  timed "sim_bench" experiment_sim_bench;
-  timed "faults" experiment_faults;
-  timed "bechamel" run_bechamel;
+  (* `--sim-only`, `--build-only` and `--faults-only` run just the
+     experiment that rewrites BENCH_sim.json, BENCH_build.json or
+     BENCH_faults.json; with none of them, everything runs. *)
+  let only =
+    List.filter
+      (fun (flag, _, _) -> Array.exists (String.equal flag) Sys.argv)
+      [ ("--sim-only", "sim_bench", experiment_sim_bench);
+        ("--build-only", "build_bench", experiment_build_bench);
+        ("--faults-only", "faults", experiment_faults) ]
+  in
+  (match only with
+  | _ :: _ -> List.iter (fun (_, name, f) -> timed name f) only
+  | [] ->
+      List.iter
+        (fun (name, f) -> timed name f)
+        [ ("table1", table1); ("table1_big", table1_big); ("table2", table2);
+          ("table3", table3); ("table4", table4); ("table5", table5);
+          ("table6", table6); ("savings", experiment_savings);
+          ("two_sided", experiment_two_sided); ("modmul", experiment_modmul);
+          ("qrom", experiment_qrom); ("coset", experiment_coset);
+          ("tcount", experiment_tcount); ("pebble", experiment_pebble);
+          ("aqft", experiment_aqft); ("depth", experiment_depth);
+          ("ft", experiment_ft); ("ablations", experiment_ablations);
+          ("build_bench", experiment_build_bench);
+          ("sim_bench", experiment_sim_bench); ("faults", experiment_faults);
+          ("bechamel", run_bechamel) ]);
   report_phase_times ();
   fpf "@.done.@."

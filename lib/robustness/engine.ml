@@ -59,16 +59,15 @@ let classify_run spec (r : Sim.run) =
 (* Only the errors circuit semantics raise count as detection; anything
    else (an [Invalid_argument] from a state kernel, say) is a simulator bug
    and propagates. *)
-let classify_program ?engine ?force ?max_terms ~rng ~faults prog spec =
+let classify_program ?engine ?force ~rng ~faults prog spec =
   match
-    Sim.run_program ~rng ?engine ?force ~faults ?max_terms prog
-      ~init:spec.init
+    Sim.run_program ~rng ?engine ?force ~faults prog ~init:spec.init
   with
   | r -> classify_run spec r
   | exception Mbu_error.Error _ -> Detected
 
-let classify ?engine ?force ?max_terms ~rng ~faults spec =
-  classify_program ?engine ?force ?max_terms ~rng ~faults
+let classify ?engine ?force ~rng ~faults spec =
+  classify_program ?engine ?force ~rng ~faults
     (Sim.compile spec.circuit) spec
 
 let oracle_outputs ?engine spec outputs =
@@ -131,8 +130,7 @@ let exhaustive_plans ~paulis instrs =
       | Fault.Measure_site _ | Fault.Branch_site _ -> [ [ Fault.of_site site ] ])
     (Fault.sites instrs)
 
-let run_campaign ?(seed = 0) ?jobs ?engine ?force ?max_terms ?on_progress
-    ~plan spec =
+let run_campaign ?(seed = 0) ?jobs ?engine ?force ?on_progress ~plan spec =
   let invalid msg = Mbu_error.invalid ~subsystem:"Robustness.run_campaign" msg in
   let instrs = spec.circuit.Circuit.instrs in
   let sites = Fault.num_sites instrs in
@@ -153,7 +151,7 @@ let run_campaign ?(seed = 0) ?jobs ?engine ?force ?max_terms ?on_progress
   in
   let prog = Sim.compile spec.circuit in
   let classify ~rng ~faults =
-    classify_program ?engine ?force ?max_terms ~rng ~faults prog spec
+    classify_program ?engine ?force ~rng ~faults prog spec
   in
   (match classify ~rng:(run_rng ~seed (-1)) ~faults:[] with
   | Correct -> ()

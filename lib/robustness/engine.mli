@@ -9,9 +9,9 @@
 
     Each faulty run is classified:
     - [Detected] — the run raised a clean error ([Mbu_error], including
-      forced zero-probability outcomes and resource limits), a detector
-      fired, or an ancilla was left dirty: the fault is visible to checks
-      an error-corrected machine (or this test harness) actually performs.
+      forced zero-probability outcomes), a detector fired, or an ancilla
+      was left dirty: the fault is visible to checks an error-corrected
+      machine (or this test harness) actually performs.
       Other exceptions are never classified: they propagate out of
       {!classify} and {!run_campaign}.
     - [Correct] — all output registers match the oracle and every ancilla
@@ -51,12 +51,11 @@ val classify_run : spec -> Sim.run -> outcome
 (** Judge a finished run (detectors, then ancilla check, then oracle). *)
 
 val classify :
-  ?engine:Sim.engine -> ?force:(int -> bool option) -> ?max_terms:int ->
+  ?engine:Sim.engine -> ?force:(int -> bool option) ->
   rng:Random.State.t -> faults:Fault.t list -> spec -> outcome
 (** One faulty run. An [Mbu_error] during execution (including a forced
-    zero-probability outcome or a resource limit) classifies as
-    [Detected]; any other exception is a simulator bug, not a detected
-    fault, and propagates. *)
+    zero-probability outcome) classifies as [Detected]; any other exception
+    is a simulator bug, not a detected fault, and propagates. *)
 
 val oracle_outputs :
   ?engine:Sim.engine -> spec -> Register.t list -> (Register.t * int) list
@@ -89,7 +88,7 @@ type result = {
 
 val run_campaign :
   ?seed:int -> ?jobs:int -> ?engine:Sim.engine ->
-  ?force:(int -> bool option) -> ?max_terms:int ->
+  ?force:(int -> bool option) ->
   ?on_progress:(completed:int -> total:int -> unit) ->
   plan:plan -> spec -> result
 (** Checks first that the plan's counts are not negative and that the

@@ -623,7 +623,8 @@ let sample_register ?seed ?jobs ~shots c ~init reg =
 
 let unitary_column (c : Circuit.t) j =
   if not (Circuit.is_unitary c) then
-    invalid_arg "Sim.unitary_column: circuit contains measurements";
+    Mbu_error.invalid ~subsystem:"Sim.unitary_column"
+      "circuit contains measurements";
   (run c ~init:(State.basis ~num_qubits:c.Circuit.num_qubits j)).state
 
 let circuits_equal_unitary ?dim_qubits a b =
@@ -632,13 +633,16 @@ let circuits_equal_unitary ?dim_qubits a b =
     | Some n -> n
     | None -> max a.Circuit.num_qubits b.Circuit.num_qubits
   in
-  if n > 12 then invalid_arg "Sim.circuits_equal_unitary: too wide";
+  let invalid msg =
+    Mbu_error.invalid ~subsystem:"Sim.circuits_equal_unitary" msg
+  in
+  if n > 12 then invalid (Printf.sprintf "%d wires, at most 12" n);
   let widen (c : Circuit.t) =
     Circuit.make ~num_qubits:n ~num_bits:c.Circuit.num_bits c.Circuit.instrs
   in
   let a = widen a and b = widen b in
   if not (Circuit.is_unitary a && Circuit.is_unitary b) then
-    invalid_arg "Sim.unitary_column: circuit contains measurements";
+    invalid "circuit contains measurements";
   let pa = compile a and pb = compile b in
   let column prog j =
     (run_program prog ~init:(State.basis ~num_qubits:n j)).state

@@ -220,11 +220,13 @@ val sample_register :
 
 val unitary_column : Circuit.t -> int -> State.t
 (** [unitary_column c j] is [U |j>] for a measurement-free circuit — column
-    [j] of the circuit unitary. Raises [Invalid_argument] on adaptive
-    circuits. Useful for exact unitary-equality tests on small widths. *)
+    [j] of the circuit unitary. Raises {!Mbu_circuit.Mbu_error.Error}
+    ([Invalid]) on adaptive circuits. Useful for exact unitary-equality
+    tests on small widths. *)
 
 val circuits_equal_unitary : ?dim_qubits:int -> Circuit.t -> Circuit.t -> bool
 (** Exact unitary equality up to global phase, checked column by column
     (fidelity 1 on every basis input {e and} matching relative phases via a
-    shared reference column). Only for measurement-free circuits of small
-    width ([dim_qubits] defaults to the wider circuit). *)
+    shared reference column). Only for measurement-free circuits of at most
+    12 wires ([dim_qubits] defaults to the wider circuit); raises
+    {!Mbu_circuit.Mbu_error.Error} ([Invalid]) otherwise. *)

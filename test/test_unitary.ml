@@ -122,6 +122,33 @@ let test_catches_phase_difference () =
   in
   Alcotest.(check bool) "CZ <> I x Z" false (Sim.circuits_equal_unitary cz z1)
 
+(* Misuse is an [Mbu_error] of kind [Invalid] naming the function called. *)
+let expect_invalid ~subsystem f =
+  match f () with
+  | _ -> Alcotest.fail (subsystem ^ ": expected Mbu_error.Error")
+  | exception Mbu_error.Error e ->
+      Alcotest.(check string) "subsystem" subsystem e.Mbu_error.subsystem;
+      Alcotest.(check bool) "kind Invalid" true (e.Mbu_error.kind = Mbu_error.Invalid)
+
+let measuring =
+  circuit_of (fun b ->
+      let q = Builder.fresh_qubit b in
+      Builder.h b q;
+      ignore (Builder.measure b q))
+
+let test_column_rejects_measurement () =
+  expect_invalid ~subsystem:"Sim.unitary_column" (fun () ->
+      Sim.unitary_column measuring 0)
+
+let test_equal_rejects_measurement () =
+  expect_invalid ~subsystem:"Sim.circuits_equal_unitary" (fun () ->
+      Sim.circuits_equal_unitary measuring measuring)
+
+let test_equal_rejects_wide () =
+  let wide = circuit_of (fun b -> ignore (Builder.fresh_register b "r" 13)) in
+  expect_invalid ~subsystem:"Sim.circuits_equal_unitary" (fun () ->
+      Sim.circuits_equal_unitary wide wide)
+
 let suite =
   ( "unitary",
     [ Alcotest.test_case "gate identities" `Quick test_gate_identities;
@@ -131,4 +158,10 @@ let suite =
       Alcotest.test_case "optimizer unitary-exact" `Quick
         test_optimizer_preserves_unitary;
       Alcotest.test_case "rejects phase differences" `Quick
-        test_catches_phase_difference ] )
+        test_catches_phase_difference;
+      Alcotest.test_case "unitary_column: measurement is Invalid" `Quick
+        test_column_rejects_measurement;
+      Alcotest.test_case "equal_unitary: measurement is Invalid" `Quick
+        test_equal_rejects_measurement;
+      Alcotest.test_case "equal_unitary: 13 wires is Invalid" `Quick
+        test_equal_rejects_wide ] )
