@@ -217,38 +217,6 @@ let with_shared b label f =
       b.peak_live <- max outer_peak b.peak_live;
       raise e
 
-let repeat ?label b ~times f =
-  if times < 1 then
-    Mbu_error.invalid ~subsystem:"Builder.repeat" "times must be >= 1";
-  enter b;
-  let outer_peak = b.peak_live in
-  b.peak_live <- b.live_ancillas;
-  match f () with
-  | v ->
-      let body = leave b in
-      let peak_ancillas = b.peak_live in
-      b.peak_live <- max outer_peak peak_ancillas;
-      let body =
-        match label with
-        | Some label -> [ Instr.Span { label; peak_ancillas; body } ]
-        | None -> body
-      in
-      (* A reference replays the same classical bits, so a measuring body
-         cannot be repeated by reference: each physical repetition would
-         need fresh bits. *)
-      if not (Instr.is_unitary body) then
-        Mbu_error.invalid ~subsystem:"Builder.repeat"
-          "body contains measurements";
-      let r = Instr.share body in
-      for _ = 1 to times do
-        push b r
-      done;
-      v
-  | exception e ->
-      ignore (leave b);
-      b.peak_live <- max outer_peak b.peak_live;
-      raise e
-
 let to_circuit b =
   match b.outer with
   | [] ->

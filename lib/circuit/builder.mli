@@ -11,12 +11,11 @@
     {!num_qubits} is the high-water mark of simultaneously live qubits —
     the quantity the paper's "ancillas"/"logical qubits" columns measure.
     {!free_ancilla} must only be called on wires that the emitted circuit
-    returns to |0> (this is checked at simulation time by
-    [Sim.run_on_basis ~check_ancillas]).
+    returns to |0> (a run checks this with [Sim.wires_zero]).
 
     Misuse (freeing a wire that is not a live ancilla, inputs allocated
-    after ancillas, repeating a measuring body, unbalanced capture) raises
-    {!Mbu_error.Error} with the offending wire attached.
+    after ancillas, unbalanced capture) raises {!Mbu_error.Error} with the
+    offending wire attached.
 
     Emitting a gate allocates only the gate, its [Instr.Gate] box and one
     list cell: validation matches on the constructor and the innermost open
@@ -101,14 +100,6 @@ val shared : t -> (unit -> 'a) -> 'a
     (and the metric memoization) changes. Use it for small repeated layers
     that are not worth a line of attribution, e.g. constant load layers.
     Emitting nothing pushes nothing. *)
-
-val repeat : ?label:string -> t -> times:int -> (unit -> 'a) -> 'a
-(** [repeat b ~times f] runs [f] {e once}, interns what it emitted
-    (optionally wrapped in a span [label]) and pushes [times] references to
-    it. The body must be measurement-free — a reference replays the same
-    classical bits, so measuring bodies raise {!Mbu_error.Error}. [times]
-    must be at least 1 (the builder's allocation effects of [f] happen
-    regardless). *)
 
 val capture : t -> (unit -> 'a) -> 'a * Instr.t list
 (** [capture b f] runs [f] and returns what it emitted {e without} adding it

@@ -13,8 +13,8 @@ type kind =
       (** A precondition violation: bad argument, malformed program,
           impossible request (e.g. forcing a zero-probability outcome). *)
   | Resource_limit of { limit : int; actual : int }
-      (** A configured budget was exceeded — e.g. the sparse-state term
-          budget of [Sim.run ?max_terms]. *)
+      (** A fixed limit was exceeded — e.g. the simulator's 62-wire cap
+          in [State.basis]. *)
 
 type t = {
   kind : kind;

@@ -70,8 +70,8 @@ let classify ?engine ?force ~rng ~faults spec =
   classify_program ?engine ?force ~rng ~faults
     (Sim.compile spec.circuit) spec
 
-let oracle_outputs ?engine spec outputs =
-  let r = Sim.run ?engine spec.circuit ~init:spec.init in
+let oracle_outputs spec outputs =
+  let r = Sim.run spec.circuit ~init:spec.init in
   if not (Sim.wires_zero r.Sim.state ~except:spec.keep) then
     Mbu_error.invalid ~subsystem:"Robustness.oracle_outputs"
       "fault-free run leaves a dirty ancilla";
@@ -130,7 +130,7 @@ let exhaustive_plans ~paulis instrs =
       | Fault.Measure_site _ | Fault.Branch_site _ -> [ [ Fault.of_site site ] ])
     (Fault.sites instrs)
 
-let run_campaign ?(seed = 0) ?jobs ?engine ?force ?on_progress ~plan spec =
+let run_campaign ?(seed = 0) ?jobs ?on_progress ~plan spec =
   let invalid msg = Mbu_error.invalid ~subsystem:"Robustness.run_campaign" msg in
   let instrs = spec.circuit.Circuit.instrs in
   let sites = Fault.num_sites instrs in
@@ -150,9 +150,7 @@ let run_campaign ?(seed = 0) ?jobs ?engine ?force ?on_progress ~plan spec =
               (plan_rng ~seed i) )
   in
   let prog = Sim.compile spec.circuit in
-  let classify ~rng ~faults =
-    classify_program ?engine ?force ~rng ~faults prog spec
-  in
+  let classify ~rng ~faults = classify_program ~rng ~faults prog spec in
   (match classify ~rng:(run_rng ~seed (-1)) ~faults:[] with
   | Correct -> ()
   | o ->
@@ -234,7 +232,7 @@ type coverage = {
   correct_on_targeted : bool;
 }
 
-let check_forced_branches ?engine spec =
+let check_forced_branches spec =
   let arms = branch_arms spec.circuit in
   let driven = Hashtbl.create 32 in
   let hook = function
@@ -244,9 +242,7 @@ let check_forced_branches ?engine spec =
   in
   let prog = Sim.compile spec.circuit in
   let run_forced force =
-    match
-      Sim.run_program ?engine ~on_event:hook ~force prog ~init:spec.init
-    with
+    match Sim.run_program ~on_event:hook ~force prog ~init:spec.init with
     | r -> classify_run spec r = Correct
     | exception Mbu_error.Error _ -> false
   in

@@ -57,8 +57,7 @@ val classify :
     zero-probability outcome) classifies as [Detected]; any other exception
     is a simulator bug, not a detected fault, and propagates. *)
 
-val oracle_outputs :
-  ?engine:Sim.engine -> spec -> Register.t list -> (Register.t * int) list
+val oracle_outputs : spec -> Register.t list -> (Register.t * int) list
 (** Reference oracle from a fault-free run: the registers' final values.
     Valid because a healthy adaptive circuit's outputs are
     outcome-independent; raises [Mbu_error] if an output is superposed or
@@ -87,8 +86,7 @@ type result = {
 }
 
 val run_campaign :
-  ?seed:int -> ?jobs:int -> ?engine:Sim.engine ->
-  ?force:(int -> bool option) ->
+  ?seed:int -> ?jobs:int ->
   ?on_progress:(completed:int -> total:int -> unit) ->
   plan:plan -> spec -> result
 (** Checks first that the plan's counts are not negative and that the
@@ -125,7 +123,7 @@ type coverage = {
       (** every targeted run for a nested arm classified [Correct] *)
 }
 
-val check_forced_branches : ?engine:Sim.engine -> spec -> coverage
+val check_forced_branches : spec -> coverage
 (** Run the spec twice — all outcomes forced to 1, then to 0 — recording
     which [(bit, value, taken)] combinations fire. For every top-level
     guard one run takes the block and the other skips it; arms nested

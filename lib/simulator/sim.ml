@@ -45,7 +45,6 @@ type run = {
 }
 
 type event =
-  | Gate_applied of Gate.t
   | Measured of { qubit : Gate.qubit; bit : int; outcome : bool }
   | Branch of { bit : int; value : bool; taken : bool }
   | Span_enter of { label : string; path : string list }
@@ -161,23 +160,35 @@ let compile (circ : Circuit.t) =
     skip_mark; gates; marks }
 
 (* A fault plan as patches sorted by slot: the Paulis injected after a
-   gate slot (with the number of faults they stand for) and the skipped
-   [If_bit] slots, plus the misread bits. Its size is the plan's, not the
-   program's, so a campaign run allocates next to nothing for it. Faults at
-   positions the program does not have, or at slots of the wrong kind, are
-   dropped, like a fault in a branch never reached. *)
+   gate slot (with the number of faults they stand for), the skipped
+   [If_bit] slots, and a misread on every measure slot that writes a
+   flipped bit (one fault however often the plan names the bit). Its size
+   is the plan's, not the program's, so a campaign run allocates next to
+   nothing for it. Faults at positions the program does not have, or at
+   slots of the wrong kind, are dropped, like a fault in a branch never
+   reached. *)
 type patches = {
   slots : int array;
   counts : int array;
   paulis : Gate.t list array;
-  flips : int list;
 }
 
-let no_patches = { slots = [||]; counts = [||]; paulis = [||]; flips = [] }
+let no_patches = { slots = [||]; counts = [||]; paulis = [||] }
 
 let patches_of prog faults =
   let n = Array.length prog.code in
   let at pos = pos >= 0 && pos < n in
+  let flipped =
+    List.filter_map
+      (function Fault.Flip_outcome { bit } -> Some bit | _ -> None)
+      faults
+  in
+  let misreads = ref [] in
+  if flipped <> [] then
+    for i = n - 1 downto 0 do
+      if prog.code.(i) = op_measure && List.mem prog.b.(i) flipped then
+        misreads := (i, []) :: !misreads
+    done;
   let entries =
     List.filter_map
       (function
@@ -188,6 +199,7 @@ let patches_of prog faults =
             Some (pos, [])
         | Fault.Pauli_after _ | Fault.Skip_block _ | Fault.Flip_outcome _ -> None)
       faults
+    @ !misreads
     |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
   in
   (* Merge entries on one slot, keeping plan order. *)
@@ -202,11 +214,7 @@ let patches_of prog faults =
   in
   { slots = Array.map (fun (p, _, _) -> p) merged;
     counts = Array.map (fun (_, k, _) -> k) merged;
-    paulis = Array.map (fun (_, _, gs) -> gs) merged;
-    flips =
-      List.filter_map
-        (function Fault.Flip_outcome { bit } -> Some bit | _ -> None)
-        faults }
+    paulis = Array.map (fun (_, _, gs) -> gs) merged }
 
 (* One gate by the engine's kernel: in place, or the oracle's rebuild. *)
 let apply_gate reference state g =
@@ -216,8 +224,8 @@ let apply_gate reference state g =
     state
   end
 
-let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = [])
-    ?max_terms prog ~init =
+let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = []) prog
+    ~init =
   let rng = match rng with Some r -> r | None -> fresh_rng () in
   if State.num_qubits init < prog.num_qubits then
     Mbu_error.invalid ~subsystem:"Sim.run" "state narrower than circuit";
@@ -248,16 +256,13 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = [])
       if !patch_cursor < npatches then patch.slots.(!patch_cursor) else max_int;
     !next_patch = i
   in
-  (* Event blocks are allocated only when a hook is installed. *)
+  (* Event blocks are allocated only when a hook is installed, and span
+     marks are read only then: otherwise [next_mark] never comes due. *)
   let hooked, emit =
     match on_event with Some f -> (true, f) | None -> (false, ignore)
   in
-  let budget = Option.value max_terms ~default:max_int in
-  (* Span marks are only read when a hook or the budget's error path needs
-     the enclosing spans; otherwise [next_mark] never comes due. *)
   let marks = prog.marks in
   let nmarks = Array.length marks in
-  let track = hooked || Option.is_some max_terms in
   let path = ref [] in
   let cursor = ref 0 in
   let next_mark = ref max_int in
@@ -265,31 +270,26 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = [])
     cursor := k;
     next_mark := if k < nmarks then marks.(k).at else max_int
   in
-  if track then seek 0;
+  if hooked then seek 0;
   let pass_marks pc =
     while !cursor < nmarks && marks.(!cursor).at <= pc do
       let m = marks.(!cursor) in
       path := m.after;
-      if hooked then
-        emit
-          (if m.enter then Span_enter { label = m.label; path = m.path }
-           else Span_exit { label = m.label; path = m.path });
+      emit
+        (if m.enter then Span_enter { label = m.label; path = m.path }
+         else Span_exit { label = m.label; path = m.path });
       incr cursor
     done;
     seek !cursor
   in
   tally.(State.tally_peak) <- State.support_size !state;
   let code = prog.code and n = Array.length prog.code in
-  (* On [Fast], [State.run_slots] runs the program in passes up to the
-     next mark or patch. With no hook, budget, forced outcome or misread
-     bit it takes measurements and conditionals too; a hook or a budget
-     makes a pass one gate slot, so every event fires in order and the
-     budget is checked after every gate. A slot the kernel declines runs
-     here, one instruction at a time. *)
+  (* On [Fast], [State.run_slots] runs the program in passes, each up to
+     the next mark or patch. A pass takes measurements and conditionals
+     too, unless a hook must see them or a forced outcome must pin them.
+     Those, and the slots the kernel declines, run here one at a time. *)
   let fast = engine = Fast in
-  let one_slot = hooked || budget < max_int in
-  let pass_end = if one_slot then 1 else n in
-  let adaptive = (not one_slot) && Option.is_none force && patch.flips = [] in
+  let adaptive = (not hooked) && Option.is_none force in
   let pc = ref 0 in
   while !pc < n do
     let i = !pc in
@@ -297,43 +297,25 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = [])
     let op = code.(i) in
     let j =
       if fast && (adaptive || op < op_measure) && State.on_product_track !state
-      then begin
-        let stop =
-          if !next_mark < !next_patch then !next_mark else !next_patch
-        in
-        let stop = if i + pass_end < stop then i + pass_end else stop in
+      then
         State.run_slots !state ~code ~a:prog.a ~b:prog.b ~c:prog.c ~tally ~bits
-          ~rng ~adaptive i ~stop
-      end
+          ~rng ~adaptive i
+          ~stop:(if !next_mark < !next_patch then !next_mark else !next_patch)
       else i
     in
-    if j > i || op < op_measure then begin
-      if j > i then begin
-        (* Without [adaptive] the pass was gates only, and with a hook or
-           a budget the one gate at [i]. *)
-        if hooked then emit (Gate_applied prog.gates.(i));
-        pc := j
-      end
-      else begin
-        let g = prog.gates.(i) in
-        state := apply_gate reference !state g;
-        tally.(op) <- tally.(op) + 1;
-        if hooked then emit (Gate_applied g);
-        if i >= !next_patch && patched i then begin
-          (* Injected Paulis are faults, not program gates: applied through
-             the engine but never tallied. *)
-          state :=
-            List.fold_left (apply_gate reference) !state
-              patch.paulis.(!patch_cursor);
-          injected := !injected + patch.counts.(!patch_cursor)
-        end;
-        pc := i + 1
+    if j > i then pc := j
+    else if op < op_measure then begin
+      state := apply_gate reference !state prog.gates.(i);
+      tally.(op) <- tally.(op) + 1;
+      if i >= !next_patch && patched i then begin
+        (* Injected Paulis are faults, not program gates: applied through
+           the engine but never tallied. *)
+        state :=
+          List.fold_left (apply_gate reference) !state
+            patch.paulis.(!patch_cursor);
+        injected := !injected + patch.counts.(!patch_cursor)
       end;
-      if budget < max_int then
-        let actual = State.support_size !state in
-        if actual > budget then
-          Mbu_error.resource_limit ~path:!path ~limit:budget ~actual
-            ~subsystem:"Sim.run" "sparse state exceeds the term budget"
+      pc := i + 1
     end
     else if op = op_measure then begin
       let qubit = prog.a.(i) and bit = prog.b.(i) in
@@ -358,7 +340,7 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = [])
         state := State.Reference.project !state ~qubit ~value:outcome
       else State.project_inplace !state ~qubit ~value:outcome;
       let recorded =
-        if patch.flips <> [] && List.mem bit patch.flips then begin
+        if i >= !next_patch && patched i then begin
           incr injected;
           not outcome
         end
@@ -393,11 +375,11 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = [])
       if taken then pc := i + 1
       else begin
         pc := prog.c.(i);
-        if track then seek prog.skip_mark.(i)
+        if hooked then seek prog.skip_mark.(i)
       end
     end
   done;
-  if track then pass_marks n;
+  if hooked then pass_marks n;
   (* Per-run telemetry lands once per run, not per instruction. The GC
      deltas read [Gc.counters] (per-domain on OCaml 5, so a shot's delta is
      its own allocation even under the parallel runner). *)
@@ -423,9 +405,8 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = [])
   in
   { state = !state; bits; executed; injected = !injected }
 
-let run ?rng ?on_event ?engine ?force ?faults ?max_terms c ~init =
-  run_program ?rng ?on_event ?engine ?force ?faults ?max_terms (compile c)
-    ~init
+let run ?rng ?on_event ?engine ?force ?faults c ~init =
+  run_program ?rng ?on_event ?engine ?force ?faults (compile c) ~init
 
 let init_registers ~num_qubits assignments =
   let idx = ref 0 in
@@ -446,30 +427,26 @@ let init_registers ~num_qubits assignments =
     assignments;
   State.basis ~num_qubits !idx
 
-let run_builder ?rng ?on_event ?engine ?force ?faults ?max_terms b ~inits =
+let run_builder ?rng ?on_event ?engine ?force ?faults b ~inits =
   let c = Builder.to_circuit b in
   let init = init_registers ~num_qubits:(Builder.num_qubits b) inits in
-  run ?rng ?on_event ?engine ?force ?faults ?max_terms c ~init
+  run ?rng ?on_event ?engine ?force ?faults c ~init
 
 (* ------------------------------------------------------------------ *)
-(* Aggregate branch / outcome statistics over Monte-Carlo runs *)
+(* Aggregate branch statistics over Monte-Carlo runs *)
 
 type stats = {
   mutable runs : int;
   branch : (int, int * int) Hashtbl.t;  (* bit -> taken, seen *)
-  outcome : (int, int * int) Hashtbl.t;  (* bit -> ones, measured *)
 }
 
-let new_stats () = { runs = 0; branch = Hashtbl.create 16; outcome = Hashtbl.create 16 }
-
-let bump tbl key hit =
-  let a, b = Option.value (Hashtbl.find_opt tbl key) ~default:(0, 0) in
-  Hashtbl.replace tbl key ((if hit then a + 1 else a), b + 1)
+let new_stats () = { runs = 0; branch = Hashtbl.create 16 }
 
 let stats_hook st = function
-  | Branch { bit; taken; _ } -> bump st.branch bit taken
-  | Measured { bit; outcome; _ } -> bump st.outcome bit outcome
-  | Gate_applied _ | Span_enter _ | Span_exit _ -> ()
+  | Branch { bit; taken; _ } ->
+      let a, b = Option.value (Hashtbl.find_opt st.branch bit) ~default:(0, 0) in
+      Hashtbl.replace st.branch bit ((if taken then a + 1 else a), b + 1)
+  | Measured _ | Span_enter _ | Span_exit _ -> ()
 
 let record_run st = st.runs <- st.runs + 1
 let runs st = st.runs
@@ -478,15 +455,13 @@ let merge_stats into src =
   match (into, src) with
   | Some into, Some src ->
       into.runs <- into.runs + src.runs;
-      let merge dst tbl =
-        Hashtbl.iter
-          (fun k (a, b) ->
-            let a0, b0 = Option.value (Hashtbl.find_opt dst k) ~default:(0, 0) in
-            Hashtbl.replace dst k (a0 + a, b0 + b))
-          tbl
-      in
-      merge into.branch src.branch;
-      merge into.outcome src.outcome
+      Hashtbl.iter
+        (fun k (a, b) ->
+          let a0, b0 =
+            Option.value (Hashtbl.find_opt into.branch k) ~default:(0, 0)
+          in
+          Hashtbl.replace into.branch k (a0 + a, b0 + b))
+        src.branch
   | _ -> ()
 
 let freq = function
@@ -502,9 +477,6 @@ let taken_frequency st =
   in
   freq (taken, seen)
 
-let measured_one_frequency st bit =
-  Option.bind (Hashtbl.find_opt st.outcome bit) (fun c -> freq c)
-
 let branch_bits st = Hashtbl.fold (fun k _ acc -> k :: acc) st.branch [] |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
@@ -516,8 +488,8 @@ let parallel_backend = Parallel.backend
 (* The one Monte-Carlo loop. The circuit compiles once; shot [i] runs it
    with [shot_rng ~seed i] inside [Parallel.fold], and each worker keeps
    one branch tally when [stats] is asked for, merged into it at the end. *)
-let fold_shots ?(seed = 0) ?jobs ?stats ?(engine = Fast) ?force ?faults
-    ?max_terms ~shots c ~init ~empty ~step ~merge =
+let fold_shots ?(seed = 0) ?jobs ?stats ?(engine = Fast) ~shots c ~init
+    ~empty ~step ~merge =
   if shots < 0 then
     Mbu_error.invalid ~subsystem:"Sim.fold_shots" "negative shot count";
   let prog = compile c in
@@ -527,9 +499,7 @@ let fold_shots ?(seed = 0) ?jobs ?stats ?(engine = Fast) ?force ?faults
   in
   let shot ((st, on_event, acc) as w) i =
     let rng = shot_rng ~seed i in
-    let r =
-      run_program ~rng ?on_event ~engine ?force ?faults ?max_terms prog ~init
-    in
+    let r = run_program ~rng ?on_event ~engine prog ~init in
     Option.iter record_run st;
     acc := step !acc i rng r;
     w
@@ -546,12 +516,10 @@ let fold_shots ?(seed = 0) ?jobs ?stats ?(engine = Fast) ?force ?faults
   merge_stats stats st;
   !acc
 
-let run_shots ?seed ?jobs ?stats ?engine ?force ?faults ?max_terms ~shots c
-    ~init =
+let run_shots ?seed ?jobs ?stats ?engine ~shots c ~init =
   let blank = { state = init; bits = [||]; executed = Counts.zero; injected = 0 } in
   let runs = Array.make (max 0 shots) blank in
-  fold_shots ?seed ?jobs ?stats ?engine ?force ?faults ?max_terms ~shots c
-    ~init ~empty:ignore
+  fold_shots ?seed ?jobs ?stats ?engine ~shots c ~init ~empty:ignore
     ~step:(fun () i _ r -> runs.(i) <- r)
     ~merge:(fun () () -> ());
   runs

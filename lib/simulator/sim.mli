@@ -27,9 +27,9 @@ type run = {
     [Branch] fires for every [If_bit] reached, taken or not — the raw
     material for checking the paper's "each conditional fires with
     probability 1/2" cost model empirically. Span events carry the full
-    label path from the root. *)
+    label path from the root. Gates raise no event, so a hooked run's
+    gate passes allocate nothing. *)
 type event =
-  | Gate_applied of Gate.t
   | Measured of { qubit : Gate.qubit; bit : int; outcome : bool }
   | Branch of { bit : int; value : bool; taken : bool }
   | Span_enter of { label : string; path : string list }
@@ -46,15 +46,16 @@ type event =
       H, Swap, CZ and CNOT / Toffoli with Z-basis controls, an exact coin
       flip for measuring an X-basis wire, and the conditionals between
       them. A gate in a pass allocates nothing; a measurement of an
-      X-basis wire allocates the few words of its random draw. A pass stops at the next
-      span mark or fault patch, after one gate under [on_event] or
-      [max_terms], and before measurements and conditionals under [force]
-      or a misread fault; those and the slots it declines run one at a
-      time. An operation that needs the amplitudes of an X-basis wire (a
-      control on it, a phase rotation on it) promotes the state to the
-      in-place sparse kernel, and a sparse state that collapses to one
-      basis vector demotes back. MBU circuits on basis inputs stay on the
-      product track.
+      X-basis wire allocates the few words of its random draw. One rule
+      sets the passes: a pass runs to the next fault patch (a Pauli after
+      a gate slot, a skipped conditional, a misread on a measure slot) or,
+      under [on_event], the next span mark, and it takes measurements and
+      conditionals unless [on_event] or [force] needs them. Those, and the
+      slots the kernel declines, run one at a time. An operation that
+      needs the amplitudes of an X-basis wire (a control on it, a phase
+      rotation on it) promotes the state to the in-place sparse kernel,
+      and a sparse state that collapses to one basis vector demotes back.
+      MBU circuits on basis inputs stay on the product track.
     - [Sparse]: pin the state to the in-place sparse kernel for the whole
       run, even where the product track would apply.
     - [Reference]: the seed simulator's pure rebuild-per-gate algorithms —
@@ -63,13 +64,13 @@ type engine = Fast | Sparse | Reference
 
 val run :
   ?rng:Random.State.t -> ?on_event:(event -> unit) -> ?engine:engine ->
-  ?force:(int -> bool option) -> ?faults:Fault.t list -> ?max_terms:int ->
+  ?force:(int -> bool option) -> ?faults:Fault.t list ->
   Circuit.t -> init:State.t -> run
 (** [rng] defaults to a {e freshly seeded} deterministic generator per call:
     two unseeded runs of the same circuit give the same outcomes, and an
     unseeded run never perturbs later ones. [on_event] is called
-    synchronously after each instruction executes (and for each conditional
-    block considered); it must not mutate the run.
+    synchronously after each measurement, for each conditional block
+    considered and at each span boundary; it must not mutate the run.
 
     [force bit] pins measurement outcomes: [Some v] projects the measured
     qubit onto [v] instead of sampling (raising {!Mbu_circuit.Mbu_error.Error}
@@ -83,15 +84,9 @@ val run :
     for the numbering — branches not taken advance the position past their
     bodies), outcome flips corrupt the {e recorded} bit of the matching
     measurement while the projection (and a reset's conditional X, which
-    keys on the recorded value) follow the fault. Injected Paulis are not
-    counted in [executed].
-
-    [max_terms] bounds the state's support ({!State.support_size}: the
-    basis terms a product-track state denotes, 2{^k} for k X-basis wires,
-    or the sparse table's entries); the first gate that leaves more than
-    this many raises a [Mbu_error.Resource_limit] carrying the enclosing
-    span path — a clean failure instead of thrashing toward OOM on an
-    accidentally dense circuit. *)
+    keys on the recorded value) follow the fault. A misread flips the bit
+    of every measurement that writes it, once however often the plan
+    names it. Injected Paulis are not counted in [executed]. *)
 
 (** {1 Compiled programs}
 
@@ -106,13 +101,13 @@ type program
     an opcode and operands in {!State.run_slots}' layout. A gate slot
     carries two wire masks (target, controls) besides its [Gate.t];
     [If_bit] is a forward jump past its body; span boundaries are
-    weightless marks read only when a hook or [max_terms] observes them. *)
+    weightless marks read only under a hook. *)
 
 val compile : Circuit.t -> program
 
 val run_program :
   ?rng:Random.State.t -> ?on_event:(event -> unit) -> ?engine:engine ->
-  ?force:(int -> bool option) -> ?faults:Fault.t list -> ?max_terms:int ->
+  ?force:(int -> bool option) -> ?faults:Fault.t list ->
   program -> init:State.t -> run
 (** [run] on a compiled circuit: [run c] is [run_program (compile c)], with
     the same results. *)
@@ -126,7 +121,7 @@ val init_registers : num_qubits:int -> (Register.t * int) list -> State.t
 
 val run_builder :
   ?rng:Random.State.t -> ?on_event:(event -> unit) -> ?engine:engine ->
-  ?force:(int -> bool option) -> ?faults:Fault.t list -> ?max_terms:int ->
+  ?force:(int -> bool option) -> ?faults:Fault.t list ->
   Builder.t -> inits:(Register.t * int) list -> run
 (** Convert the builder to a circuit and run it on a basis initialization. *)
 
@@ -157,9 +152,6 @@ val taken_frequency : stats -> float option
 val bit_taken_frequency : stats -> int -> float option
 (** Taken fraction for the conditionals guarded by one classical bit. *)
 
-val measured_one_frequency : stats -> int -> float option
-(** Fraction of measurements of the given bit that returned 1. *)
-
 val branch_bits : stats -> int list
 (** Classical bits that guarded at least one conditional, sorted. *)
 
@@ -178,7 +170,6 @@ val parallel_backend : string
 
 val fold_shots :
   ?seed:int -> ?jobs:int -> ?stats:stats -> ?engine:engine ->
-  ?force:(int -> bool option) -> ?faults:Fault.t list -> ?max_terms:int ->
   shots:int -> Circuit.t -> init:State.t -> empty:(unit -> 'acc) ->
   step:('acc -> int -> Random.State.t -> run -> 'acc) ->
   merge:('acc -> 'acc -> 'acc) -> 'acc
@@ -188,14 +179,13 @@ val fold_shots :
     stopped drawing. The shots are a {!Parallel.fold} over [jobs] workers
     (default {!default_jobs}), each starting from [empty ()], so a [merge]
     that is associative with unit [empty ()] gives the same answer at every
-    [jobs]. When [stats] is given, each worker tallies its shots' branch and
-    outcome events and the tallies are added into it (the same counts as
+    [jobs]. When [stats] is given, each worker tallies its shots' branch
+    events and the tallies are added into it (the same counts as
     running sequentially with [stats_hook]). Raises {!Mbu_circuit.Mbu_error.Error}
     if [shots] is negative. *)
 
 val run_shots :
   ?seed:int -> ?jobs:int -> ?stats:stats -> ?engine:engine ->
-  ?force:(int -> bool option) -> ?faults:Fault.t list -> ?max_terms:int ->
   shots:int -> Circuit.t -> init:State.t -> run array
 (** {!fold_shots} keeping every run: the runs in shot order, identical
     (states, bits, executed counts) for every [jobs]. *)

@@ -163,19 +163,6 @@ let force_sparse s =
   | Product p -> s.repr <- Sparse (table_of_product p));
   s.pinned <- true
 
-let scale_inplace s c =
-  match s.repr with
-  | Product p -> p.amp <- Complex.mul c p.amp
-  | Sparse tbl ->
-      Hashtbl.filter_map_inplace (fun _ v -> Some (Complex.mul c v)) tbl
-
-let normalize s =
-  let n = norm s in
-  if n = 0. then invalid_arg "State.normalize: zero state";
-  let s = copy s in
-  scale_inplace s { re = 1. /. n; im = 0. };
-  s
-
 let phase_of p = Complex.polar 1.0 (Phase.to_radians p)
 
 (* ------------------------------------------------------------------ *)
@@ -549,11 +536,6 @@ let project_inplace s ~qubit ~value =
         (fun _ v -> Some (Complex.mul { Complex.re = inv; im = 0. } v))
         tbl;
       maybe_demote s
-
-let project s ~qubit ~value =
-  let s = copy s in
-  project_inplace s ~qubit ~value;
-  s
 
 (* Clearing a wire is NOT a permutation: when the support holds both values
    of the wire, indices [k] and [k lxor mask] collide on the cleared index,

@@ -51,12 +51,10 @@ val num_terms : t -> int
 val support_size : t -> int
 (** Number of basis terms the state holds: 2{^k} on the product track with
     k X-basis wires, the raw hash-table size on the sparse track
-    (negligible amplitudes included, unlike {!num_terms}). O(1); this is
-    the size figure the [Sim.run ?max_terms] budget compares against, and
-    the same number the sparse table would hold for that state. *)
+    (negligible amplitudes included, unlike {!num_terms}). O(1); the same
+    number the sparse table would hold for that state. *)
 
 val norm : t -> float
-val normalize : t -> t
 
 val copy : t -> t
 (** Independent deep copy; in-place operations on the copy do not affect
@@ -145,11 +143,9 @@ val run_slots :
 val prob_bit_one : t -> int -> float
 (** Probability that measuring the given wire yields 1. *)
 
-val project : t -> qubit:int -> value:bool -> t
+val project_inplace : t -> qubit:int -> value:bool -> unit
 (** Project onto the subspace where [qubit] = [value] and renormalize.
     Raises [Invalid_argument] if the outcome has zero probability. *)
-
-val project_inplace : t -> qubit:int -> value:bool -> unit
 
 val set_bit_zero : t -> qubit:int -> t
 (** Clear the given wire in every basis index (used by measure-and-reset

@@ -2,7 +2,7 @@
    Instr.scan) must be observationally identical to the materialized tree
    the program denotes (Instr.expand_calls), sharing must actually occur on
    the workloads that motivated it, and the structural operations (share,
-   adjoint, repeat) must respect node identity. *)
+   adjoint) must respect node identity. *)
 
 open Mbu_circuit
 open Mbu_simulator
@@ -189,64 +189,6 @@ let test_adjoint_roundtrip () =
       = Counts.of_instrs ~mode:Counts.Worst tree)
   end
 
-(* Builder.repeat: k references to one interned body; counts scale by k and
-   the simulated action equals emitting the body k times inline. *)
-let test_repeat_semantics () =
-  let build_repeat b reg =
-    Builder.repeat b ~times:3 @@ fun () ->
-    Builder.x b (Register.get reg 0);
-    Builder.cnot b ~control:(Register.get reg 0) ~target:(Register.get reg 1)
-  in
-  let build_inline b reg =
-    for _ = 1 to 3 do
-      Builder.x b (Register.get reg 0);
-      Builder.cnot b ~control:(Register.get reg 0) ~target:(Register.get reg 1)
-    done
-  in
-  let run build v =
-    let b = Builder.create () in
-    let r = Builder.fresh_register b "r" 2 in
-    build b r;
-    let res = Sim.run_builder ~rng b ~inits:[ (r, v) ] in
-    (Builder.to_circuit b, Sim.register_value_exn res.Sim.state r)
-  in
-  for v = 0 to 3 do
-    let c_rep, out_rep = run build_repeat v in
-    let c_inl, out_inl = run build_inline v in
-    Alcotest.(check int) (Printf.sprintf "repeat sim v=%d" v) out_inl out_rep;
-    Alcotest.(check bool) "repeat counts = 3x inline" true
-      (Circuit.counts c_rep = Circuit.counts c_inl)
-  done;
-  (* single body, three references *)
-  let b = Builder.create () in
-  let r = Builder.fresh_register b "r" 2 in
-  build_repeat b r;
-  let calls =
-    List.filter (function Instr.Call _ -> true | _ -> false)
-      (Builder.to_circuit b).Circuit.instrs
-  in
-  Alcotest.(check int) "three Call references" 3 (List.length calls);
-  (match calls with
-  | Instr.Call a :: rest ->
-      List.iter
-        (function
-          | Instr.Call n ->
-              Alcotest.(check bool) "all references share one node" true
-                (n == a)
-          | _ -> ())
-        rest
-  | _ -> ());
-  (* measuring bodies are rejected: a reference would replay classical bits *)
-  (match
-     let b = Builder.create () in
-     let q = Builder.fresh_qubit b in
-     Builder.repeat b ~times:2 (fun () -> ignore (Builder.measure b q))
-   with
-  | () -> Alcotest.fail "repeat should reject measuring bodies"
-  | exception Mbu_error.Error e ->
-      Alcotest.(check string) "repeat rejects measurements" "Builder.repeat"
-        e.Mbu_error.subsystem)
-
 (* Builder.shared is anonymous: no span wrapper, so rendered output is
    indistinguishable from inline emission. *)
 let test_shared_anonymous () =
@@ -333,8 +275,6 @@ let suite =
         test_interning_canonical;
       Alcotest.test_case "adjoint of shared round-trips" `Quick
         test_adjoint_roundtrip;
-      Alcotest.test_case "repeat references one node" `Quick
-        test_repeat_semantics;
       Alcotest.test_case "anonymous shared is invisible" `Quick
         test_shared_anonymous;
       Alcotest.test_case "dropped nodes are reclaimed" `Quick

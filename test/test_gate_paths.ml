@@ -166,8 +166,10 @@ let test_shot_budget () =
       per_shot
 
 (* A gate on the product track allocates nothing: 2 000 CNOTs cost what an
-   empty circuit of the same width costs, to 0.01 words per gate. *)
-let test_gate_loop_budget () =
+   empty circuit of the same width costs, to 0.01 words per gate, with or
+   without a hook (gates raise no event, and a hooked pass still runs every
+   gate up to the next mark). *)
+let gate_loop_budget ?on_event msg =
   let open Mbu_simulator in
   let width = 12 in
   let cnots =
@@ -180,15 +182,22 @@ let test_gate_loop_budget () =
     let rng = Random.State.make [| 1 |] in
     let run () =
       for _ = 1 to 20 do
-        ignore (Sim.run_program ~rng prog ~init)
+        ignore (Sim.run_program ~rng ?on_event prog ~init)
       done
     in
     run ();
     snd (minor_words run) /. 20.
   in
   let extra = words cnots -. words [] in
-  check_budget "2 000 CNOTs over an empty circuit" ~per_instr:0.01
-    ~instrs:2000 extra
+  check_budget msg ~per_instr:0.01 ~instrs:2000 extra
+
+let test_gate_loop_budget () =
+  gate_loop_budget "2 000 CNOTs over an empty circuit"
+
+let test_hooked_gate_loop_budget () =
+  let st = Mbu_simulator.Sim.new_stats () in
+  gate_loop_budget ~on_event:(Mbu_simulator.Sim.stats_hook st)
+    "2 000 hooked CNOTs over an empty circuit"
 
 let suite =
   ( "gate-paths",
@@ -204,4 +213,6 @@ let suite =
       Alcotest.test_case "shot budget: CDKPM modadd n=16" `Quick
         test_shot_budget;
       Alcotest.test_case "gate loop budget: 2 000 CNOTs" `Quick
-        test_gate_loop_budget ] )
+        test_gate_loop_budget;
+      Alcotest.test_case "hooked gate loop budget: 2 000 CNOTs" `Quick
+        test_hooked_gate_loop_budget ] )

@@ -129,27 +129,6 @@ let test_campaign_rejects_negative_counts () =
             e.Mbu_error.subsystem)
     [ (-1, 1); (10, -1) ]
 
-(* The state-size guard: a circuit that puts 8 wires in uniform
-   superposition exceeds a 16-term budget and must fail with a clean
-   [Resource_limit], not thrash; a sufficient budget passes untouched. *)
-let test_max_terms_guard () =
-  let b = Builder.create () in
-  let r = Builder.fresh_register b "q" 8 in
-  Array.iter (fun q -> Builder.h b q) (Register.qubits r);
-  let c = Builder.to_circuit b in
-  let init = Sim.init_registers ~num_qubits:8 [] in
-  (match Sim.run ~max_terms:16 c ~init with
-  | _ -> Alcotest.fail "expected Resource_limit"
-  | exception Mbu_error.Error e -> (
-      match e.Mbu_error.kind with
-      | Mbu_error.Resource_limit { limit; actual } ->
-          Alcotest.(check int) "limit reported" 16 limit;
-          Alcotest.(check bool) "actual exceeds limit" true (actual > 16)
-      | Mbu_error.Invalid -> Alcotest.fail "wrong error kind"));
-  let ok = Sim.run ~max_terms:256 c ~init in
-  Alcotest.(check int) "full support under budget" 256
-    (State.num_terms ok.Sim.state)
-
 (* Forcing an outcome that has probability zero is an impossible request
    and raises cleanly (campaigns classify it Detected). *)
 let test_force_zero_probability_rejected () =
@@ -272,6 +251,37 @@ let test_compiled_faults_fast_eq_reference () =
   Alcotest.(check bool) "has conditionals" true (skips <> []);
   agree "skip every If_bit" ~seeds:(List.init 8 Fun.id) skips
 
+(* A misread is a patch on each measure slot that writes its bit: naming
+   it twice still flips the bit once and counts one injection, on both
+   engines, and a flip of a bit no measurement writes injects nothing. *)
+let test_misread_patches () =
+  let spec = (Option.get (Catalogue.find "cdkpm")).Catalogue.make ~n:3 ~p:5 in
+  let c = spec.Engine.circuit in
+  let bit =
+    List.find_map
+      (function Fault.Measure_site { bit; _ } -> Some bit | _ -> None)
+      (Fault.sites c.Circuit.instrs)
+    |> Option.get
+  in
+  let check name ~injected faults =
+    let rng () = Random.State.make [| 43 |] in
+    let run engine = Sim.run ~rng:(rng ()) ~engine ~faults c ~init:spec.Engine.init in
+    List.iter
+      (fun engine ->
+        Alcotest.(check int) (name ^ ": injected") injected
+          (run engine).Sim.injected)
+      [ Sim.Fast; Sim.Reference ];
+    let classify engine = Engine.classify ~engine ~rng:(rng ()) ~faults spec in
+    Alcotest.check outcome (name ^ ": class") (classify Sim.Reference)
+      (classify Sim.Fast)
+  in
+  let flip bit = Fault.Flip_outcome { bit } in
+  check "named twice" ~injected:1 [ flip bit; flip bit ];
+  check "never measured" ~injected:0 [ flip c.Circuit.num_bits ];
+  Alcotest.check outcome "never measured: correct" Engine.Correct
+    (Engine.classify ~rng:(Random.State.make [| 43 |])
+       ~faults:[ flip c.Circuit.num_bits ] spec)
+
 (* Only [Mbu_error] means "detected": an [Invalid_argument] from a state
    kernel (here: measuring a zero-amplitude state) is a simulator bug and
    must escape classification and campaigns instead of counting as a
@@ -313,8 +323,6 @@ let suite =
         test_campaign_deterministic;
       Alcotest.test_case "campaign rejects negative counts" `Quick
         test_campaign_rejects_negative_counts;
-      Alcotest.test_case "max_terms resource limit" `Quick
-        test_max_terms_guard;
       Alcotest.test_case "force zero-probability rejected" `Quick
         test_force_zero_probability_rejected;
       Alcotest.test_case "injected counter" `Quick test_injected_counter;
@@ -323,4 +331,6 @@ let suite =
       Alcotest.test_case "compiled faults: Fast = Reference" `Quick
         test_compiled_faults_fast_eq_reference;
       Alcotest.test_case "kernel errors are not detections" `Quick
-        test_classify_propagates_kernel_errors ] )
+        test_classify_propagates_kernel_errors;
+      Alcotest.test_case "misreads: one patch per slot" `Quick
+        test_misread_patches ] )

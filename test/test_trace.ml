@@ -254,7 +254,7 @@ let test_sim_span_events_nest () =
         Alcotest.(check int) "path length = nesting depth" !depth
           (List.length path)
     | Sim.Span_exit _ -> decr depth
-    | Sim.Gate_applied _ | Sim.Measured _ | Sim.Branch _ -> ()
+    | Sim.Measured _ | Sim.Branch _ -> ()
   in
   ignore (Sim.run_builder ~on_event b ~inits:[ (x, 3); (y, 5) ]);
   Alcotest.(check int) "balanced enter/exit" 0 !depth;
