@@ -647,10 +647,9 @@ let experiment_sim_bench () =
     seed;
   fpf "  %-15s | %3s | %9s %9s %7s | %9s | %6s | %9s@." "row" "n" "analytic"
     "mean" "rel.err" "gates" "taken" "correct";
-  (* The ripple-carry rows of table 1; Draper is excluded because its QFT
-     makes the state dense (2^(n+1) terms at n = 16). Rows whose total
-     width would exceed the simulator's 62-qubit cap at n = 16 run at the
-     largest n that fits (shown in the n column). *)
+  (* The rows of table 1. Rows whose total width would exceed the
+     simulator's 62-qubit cap at n = 16 run at the largest n that fits
+     (shown in the n column). *)
   let rows =
     List.map
       (fun (id, n) ->
@@ -665,10 +664,13 @@ let experiment_sim_bench () =
         in
         if monte_carlo ~seed ~jobs:2 ~shots spec <> r then
           failwith (Printf.sprintf "E-SIM %s: jobs = 2 differs from jobs = 1" id);
-        fpf "  %-15s | %3d | %9.3f %9.3f %7.4f | %9.3f | %6.4f | %4d/%4d@."
-          e.title n analytic toffoli
-          (Float.abs (toffoli -. analytic) /. analytic)
-          gates taken correct shots;
+        (* Draper's adders have no Toffoli, so no relative error. *)
+        let rel_err =
+          if analytic = 0. then "-"
+          else Printf.sprintf "%.4f" (Float.abs (toffoli -. analytic) /. analytic)
+        in
+        fpf "  %-15s | %3d | %9.3f %9.3f %7s | %9.3f | %6.4f | %4d/%4d@."
+          e.title n analytic toffoli rel_err gates taken correct shots;
         Json.(
           Obj
             [ ("row", Str e.title); ("n", int n);
@@ -676,7 +678,8 @@ let experiment_sim_bench () =
               ("toffoli_per_shot", Num toffoli); ("gates_per_shot", Num gates);
               ("branch_taken_frac", fixed 4 taken);
               ("correct_shots", int correct) ]))
-      [ ("vbe5", 15); ("vbe4", 15); ("cdkpm", 16); ("gidney", 14); ("mixed", 16) ]
+      [ ("vbe5", 15); ("vbe4", 15); ("cdkpm", 16); ("gidney", 14); ("mixed", 16);
+        ("draper", 16) ]
   in
   write_json "BENCH_sim.json"
     Json.(

@@ -193,6 +193,7 @@ let run_campaign ?(seed = 0) ?jobs ?on_progress ~plan spec =
       detected = a.detected + b.detected; silent = a.silent + b.silent;
       silent_examples = first_8 (a.silent_examples @ b.silent_examples) }
   in
+  Sim.account_gc @@ fun () ->
   Parallel.fold ?jobs ~tasks:total
     ~init:(fun () ->
       { spec_name = spec.name; sites; runs = total; correct = 0; detected = 0;

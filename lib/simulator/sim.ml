@@ -11,11 +11,13 @@ let m_run_seconds =
     "mbu_sim_run_seconds"
 
 let m_gc_minor_words =
-  Telemetry.counter ~help:"Minor-heap words allocated during runs"
+  Telemetry.counter
+    ~help:"Minor-heap words allocated during shot loops and campaigns"
     "mbu_sim_gc_minor_words"
 
 let m_gc_major_words =
-  Telemetry.counter ~help:"Major-heap words allocated during runs"
+  Telemetry.counter
+    ~help:"Major-heap words allocated during shot loops and campaigns"
     "mbu_sim_gc_major_words"
 
 let m_gates =
@@ -92,8 +94,9 @@ type mark = {
 (* One slot per static instruction position (Fault's numbering): [Call]s
    are expanded, spans are weightless marks kept on the side, and an
    [If_bit]'s body follows its slot.
-   - gate slot: [gates.(i)], and its opcode and masks in [code], [a] and
-     [b] as [State.encode_gate] writes them, for [State.run_slots];
+   - gate slot: [gates.(i)], and its opcode, masks and phase in [code],
+     [a], [b] and [c] as [State.encode_gate] writes them, for
+     [State.run_slots];
    - measure slot: [a.(i)] qubit, [b.(i)] bit, [c.(i)] 1 for reset;
    - if slot: [a.(i)] bit, [b.(i)] 1 when the guard value is true,
      [c.(i)] the slot one past the body (the jump when not taken), and
@@ -130,7 +133,7 @@ let compile (circ : Circuit.t) =
   let rec emit path pc = function
     | [] -> pc
     | Instr.Gate g :: rest ->
-        State.encode_gate g ~code ~a ~b pc;
+        State.encode_gate g ~code ~a ~b ~c pc;
         gates.(pc) <- g;
         emit path (pc + 1) rest
     | Instr.Measure { qubit; bit; reset } :: rest ->
@@ -230,7 +233,6 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = []) prog
   if State.num_qubits init < prog.num_qubits then
     Mbu_error.invalid ~subsystem:"Sim.run" "state narrower than circuit";
   let t_start = Telemetry.now () in
-  let minor0, _, major0 = Gc.counters () in
   let bits = Array.make (max prog.num_bits 1) false in
   (* Instructions by opcode, then the kernel's other cells. *)
   let tally = Array.make State.tally_size 0 in
@@ -380,14 +382,10 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = []) prog
     end
   done;
   if hooked then pass_marks n;
-  (* Per-run telemetry lands once per run, not per instruction. The GC
-     deltas read [Gc.counters] (per-domain on OCaml 5, so a shot's delta is
-     its own allocation even under the parallel runner). *)
-  let minor1, _, major1 = Gc.counters () in
+  (* Per-run telemetry lands once per run, not per instruction; the GC
+     words once per fold ([account_gc]). *)
   Telemetry.incr m_runs;
   Telemetry.observe m_run_seconds (Telemetry.now () -. t_start);
-  Telemetry.add m_gc_minor_words (max 0 (int_of_float (minor1 -. minor0)));
-  Telemetry.add m_gc_major_words (max 0 (int_of_float (major1 -. major0)));
   let gates = ref 0 in
   for k = 0 to op_measure - 1 do
     gates := !gates + tally.(k)
@@ -482,6 +480,17 @@ let branch_bits st = Hashtbl.fold (fun k _ acc -> k :: acc) st.branch [] |> List
 (* ------------------------------------------------------------------ *)
 (* Multi-shot runner *)
 
+(* Read around a whole fold on the calling domain, once: [Gc.quick_stat]
+   sums every domain, the joined workers included. *)
+let account_gc f =
+  let s0 = Gc.quick_stat () in
+  let r = f () in
+  let s1 = Gc.quick_stat () in
+  let words a b = max 0 (int_of_float (b -. a)) in
+  Telemetry.add m_gc_minor_words (words s0.minor_words s1.minor_words);
+  Telemetry.add m_gc_major_words (words s0.major_words s1.major_words);
+  r
+
 let default_jobs = Parallel.default_jobs
 let parallel_backend = Parallel.backend
 
@@ -510,8 +519,9 @@ let fold_shots ?(seed = 0) ?jobs ?stats ?(engine = Fast) ~shots c ~init
     w
   in
   let st, _, acc =
-    Parallel.fold ?jobs ~tasks:shots ~init:worker ~step:shot
-      ~merge:merge_workers
+    account_gc (fun () ->
+        Parallel.fold ?jobs ~tasks:shots ~init:worker ~step:shot
+          ~merge:merge_workers)
   in
   merge_stats stats st;
   !acc

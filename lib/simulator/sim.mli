@@ -41,21 +41,25 @@ type event =
     speed.
 
     - [Fast] (default): the product track for products of Z-basis and
-      X-basis wires. {!State.run_slots} runs the compiled program in
-      passes with the wire masks in registers: O(1) mask updates for X, Z,
-      H, Swap, CZ and CNOT / Toffoli with Z-basis controls, an exact coin
-      flip for measuring an X-basis wire, and the conditionals between
-      them. A gate in a pass allocates nothing; a measurement of an
-      X-basis wire allocates the few words of its random draw. One rule
-      sets the passes: a pass runs to the next fault patch (a Pauli after
-      a gate slot, a skipped conditional, a misread on a measure slot) or,
-      under [on_event], the next span mark, and it takes measurements and
-      conditionals unless [on_event] or [force] needs them. Those, and the
-      slots the kernel declines, run one at a time. An operation that
-      needs the amplitudes of an X-basis wire (a control on it, a phase
-      rotation on it) promotes the state to the in-place sparse kernel,
-      and a sparse state that collapses to one basis vector demotes back.
-      MBU circuits on basis inputs stay on the product track.
+      equatorial wires, each equatorial wire's phase an exact
+      fixed-point turn. {!State.run_slots} runs the compiled program in
+      passes with the wire masks in registers: O(1) updates for X, Swap,
+      CNOT / Toffoli with Z-basis controls, H at phase 0 or 1/2, and Z,
+      Phase, CZ and Cphase with at most one equatorial wire; an exact coin
+      flip for measuring an equatorial wire; and the conditionals between
+      them. So MBU circuits and Draper's QFT adders on basis inputs stay on
+      the product track. A gate in a pass allocates nothing (a state's
+      first phase below a half turn allocates its fine-phase cells once);
+      a measurement of an equatorial wire allocates the few words of its
+      random draw. One rule sets the passes: a pass runs to the next fault
+      patch (a Pauli after a gate slot, a skipped conditional, a misread on
+      a measure slot) or, under [on_event], the next span mark, and it
+      takes measurements and conditionals unless [on_event] or [force]
+      needs them. Those, and the slots the kernel declines, run one at a
+      time. An operation that needs the amplitudes of an equatorial wire
+      (a control on it, a CZ or Cphase on two of them, H at another
+      phase) promotes the state to the in-place sparse kernel, and a
+      sparse state that collapses to one basis vector demotes back.
     - [Sparse]: pin the state to the in-place sparse kernel for the whole
       run, even where the product track would apply.
     - [Reference]: the seed simulator's pure rebuild-per-gate algorithms —
@@ -99,7 +103,8 @@ type program
 (** A circuit lowered to int arrays: one slot per static instruction
     position ([Call]s expanded, so fault sites index slots directly), each
     an opcode and operands in {!State.run_slots}' layout. A gate slot
-    carries two wire masks (target, controls) besides its [Gate.t];
+    carries two wire masks (target, controls) and, for the diagonal gates,
+    its phase as a fixed-point turn, besides its [Gate.t];
     [If_bit] is a forward jump past its body; span boundaries are
     weightless marks read only under a hook. *)
 
@@ -167,6 +172,14 @@ val default_jobs : unit -> int
 val parallel_backend : string
 (** ["domains"] or ["sequential"] — which {!Parallel} implementation this
     binary was built with. *)
+
+val account_gc : (unit -> 'a) -> 'a
+(** [account_gc f] runs [f] and adds the words the process allocated
+    meanwhile ([Gc.quick_stat], every domain) to the
+    [mbu_sim_gc_minor_words] and [mbu_sim_gc_major_words] counters, unless
+    [f] raises. The shot loop and [Engine.run_campaign] wrap their
+    {!Parallel.fold} in it, so those counters are read twice a fold rather
+    than twice a run; a lone {!run} adds nothing to them. *)
 
 val fold_shots :
   ?seed:int -> ?jobs:int -> ?stats:stats -> ?engine:engine ->

@@ -2,35 +2,42 @@ open Mbu_circuit
 
 (* Two representations ("tracks"):
 
-   - [Product]: a product of Z-basis and X-basis wires, stored as three
-     masks and an amplitude. Wires outside [xmask] hold the bits of [idx];
-     a wire in [xmask] is |+> or |->, with [smask] marking the |-> ones
-     ([idx] and [smask] are zero outside their wires). The state denotes
-     the 2^popcount(xmask) basis terms |idx lor sub>, sub a subset of
-     [xmask], each with amplitude
-     amp * 2^(-k/2) * (-1)^popcount(sub land smask). X / CNOT / Toffoli
-     with Z-basis controls, Z, Swap, H and CZ are O(1) mask operations
-     with no allocation, and measuring an X-basis wire is an exact coin
-     flip. MBU circuits on basis inputs stay here: the garbage qubit of
-     the H.U_g.H.X correction is only ever a target while it is in |->,
-     and the AND erasure is H, measure.
+   - [Product]: a product of Z-basis wires and equatorial wires
+     (|0> + e^{2 pi i phi}|1>)/sqrt 2, with a global phase. Wires outside
+     [xmask] hold the bits of [idx]. An equatorial wire (in [xmask]) holds
+     its phase phi as an exact fixed-point turn over 2^61: its half turn
+     is its bit of [idx] and the rest, below a half turn, its cell of
+     [fine] (so |+> and |-> are phi = 0 and phi = 1/2, and [fine] is
+     allocated only once a phase below a half turn appears). The global
+     factor is [amp] turned by [turn], a turn held the same way. The
+     state denotes the 2^k basis terms |base lor sub>, [base] the Z-basis
+     bits and [sub] a subset of [xmask], each with amplitude
+     amp * 2^(-k/2) * e^{2 pi i (turn + sum of phi over sub)}.
+     X / CNOT / Toffoli with Z-basis controls, Swap, H at phi in
+     {0, 1/2}, and Z, Phase, CZ and Cphase with at most one equatorial
+     wire are O(1) updates with no allocation; measuring an equatorial
+     wire is an exact coin flip. MBU circuits on basis inputs stay here
+     (the garbage qubit of the H.U_g.H.X correction is only ever a target
+     while it is in |->, and the AND erasure is H, measure), and so do
+     Draper's QFT adders, whose controls are all in the Z basis.
    - [Sparse]: the general finite map from basis index to amplitude.
      Permutation and diagonal gates mutate the table in place; only H
      double-buffers into a fresh table.
 
-   Any other operation touching an X-basis wire (a control on it, a Phase
-   or Cphase on it, a CZ between two X-basis wires, clearing it) promotes
-   the product to the sparse table holding its 2^k terms, then applies the
+   Any other operation on an equatorial wire (a control on it, a CZ or
+   Cphase on two of them, H at any other phase, clearing it) promotes the
+   product to the sparse table holding its 2^k terms, then applies the
    sparse kernel. Whenever a sparse table collapses back to a single term
    (H recombination, projection, reset) the state demotes to a product
-   with no X-basis wire — unless [pinned] was set, which keeps a state on
-   the sparse track so tests and benchmarks can exercise the sparse kernel
-   on circuits that would otherwise stay on the product track. *)
+   with no equatorial wire — unless [pinned] was set, which keeps a state
+   on the sparse track so tests and benchmarks can exercise the sparse
+   kernel on circuits that would otherwise stay on the product track. *)
 
 type product = {
   mutable idx : int;
   mutable xmask : int;
-  mutable smask : int;
+  mutable fine : int array;
+  mutable turn : int;
   mutable amp : Complex.t;
 }
 
@@ -56,7 +63,12 @@ let check_index ~subsystem ~num_qubits idx =
     Mbu_error.invalid ~subsystem
       (Printf.sprintf "basis index %d out of range for %d wires" idx num_qubits)
 
-let basis_product idx amp = Product { idx; xmask = 0; smask = 0; amp }
+(* No phase below a half turn yet: the [fine] of every product until one
+   appears. *)
+let no_fine = [||]
+
+let basis_product idx amp =
+  Product { idx; xmask = 0; fine = no_fine; turn = 0; amp }
 
 let basis ~num_qubits idx =
   let subsystem = "State.basis" in
@@ -91,17 +103,59 @@ let bit idx q = (idx lsr q) land 1 = 1
 
 let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
 
-(* The support of a product with X-basis wires [xmask]: 2^k terms. *)
+(* The support of a product with equatorial wires [xmask]: 2^k terms. *)
 let product_support xmask =
   let k = popcount xmask in
   if k >= Sys.int_size - 1 then max_int else 1 lsl k
 
 let inv_sqrt2 = 1.0 /. sqrt 2.0
 
-(* Amplitude of the term |idx lor sub> of a product, for [sub] a subset of
-   [xmask]; [scaled] is [amp * 2^(-k/2)]. *)
-let product_term p ~scaled sub =
-  if popcount (sub land p.smask) land 1 = 1 then Complex.neg scaled else scaled
+(* Phases are fixed-point turns: an int over 2^61, so that adding two is
+   one integer add (modulo [turn_mask]) and every [Phase.t] is exact. *)
+let half_turn = 1 lsl 60
+let turn_mask = (1 lsl 61) - 1
+let fine_mask = half_turn - 1
+let turn_of_phase ph = Phase.num ph lsl (61 - Phase.log2_den ph)
+
+(* [z] turned by [t]: exact for no turn and a half turn. *)
+let rotate t z =
+  if t = 0 then z
+  else if t = half_turn then Complex.neg z
+  else
+    Complex.mul
+      (Complex.polar 1.0 (Float.of_int t *. (2.0 *. Float.pi /. 0x1p61)))
+      z
+
+(* The wire of a one-wire mask: [(m * debruijn) lsr 57] is a distinct
+   6-bit key for each of the 62 one-wire masks (a de Bruijn sequence). *)
+let debruijn = 0x03f79d71b4cb0a89
+
+let wire_table =
+  let t = Array.make 64 0 in
+  for q = 0 to max_qubits - 1 do
+    t.(((1 lsl q) * debruijn) lsr 57) <- q
+  done;
+  t
+
+let[@inline] wire_of_bit m = Array.unsafe_get wire_table ((m * debruijn) lsr 57)
+
+(* The phase of the equatorial wire [m] of [p] below a half turn, and
+   all of it: a half turn for its bit of [idx], plus that. *)
+let fine_at p m = if Array.length p.fine = 0 then 0 else p.fine.(wire_of_bit m)
+let wire_turn p m = (if p.idx land m = 0 then 0 else half_turn) + fine_at p m
+
+(* The phase of the term |base lor sub> of a product, for [sub] a subset
+   of [xmask]: the global [turn] and the phase of each wire of [sub]. *)
+let term_turn p sub =
+  let rec fine_sum s t =
+    if s = 0 then t
+    else
+      let m = s land (-s) in
+      fine_sum (s lxor m) (t + Array.unsafe_get p.fine (wire_of_bit m))
+  in
+  let halves = (popcount (sub land p.idx) land 1) * half_turn in
+  let t = p.turn + halves in
+  (if Array.length p.fine = 0 then t else fine_sum sub t) land turn_mask
 
 let product_scaled p =
   let scale = Float.pow inv_sqrt2 (float_of_int (popcount p.xmask)) in
@@ -111,8 +165,9 @@ let product_scaled p =
    ([(sub - m) land m] steps through the subsets of [m]). *)
 let iter_product p f =
   let scaled = product_scaled p in
+  let base = p.idx land lnot p.xmask in
   let rec go sub =
-    f (p.idx lor sub) (product_term p ~scaled sub);
+    f (base lor sub) (rotate (term_turn p sub) scaled);
     let next = (sub - p.xmask) land p.xmask in
     if next <> 0 then go next
   in
@@ -146,7 +201,7 @@ let copy s =
   { s with
     repr =
       (match s.repr with
-      | Product p -> Product { p with idx = p.idx }
+      | Product p -> Product { p with fine = Array.copy p.fine }
       | Sparse tbl -> Sparse (Hashtbl.copy tbl)) }
 
 let is_classical s =
@@ -179,25 +234,28 @@ let tally_peak = 12
 let tally_size = 13
 
 (* X, CNOT and Toffoli are one operation, an X on the wires of [b] when
-   every wire of [a] is 1, and Z and CZ likewise a Z on [b]; CZ and Swap
-   name their two wires in [a] and [b]. *)
-let encode_gate g ~code ~a ~b i =
-  let op, ma, mb =
+   every wire of [a] is 1; Z, Phase, CZ and Cphase likewise turn [b] by
+   the phase [c] (a half turn for Z and CZ). CZ, Cphase and Swap name
+   their two wires in [a] and [b]. *)
+let encode_gate g ~code ~a ~b ~c i =
+  let op, ma, mb, turn =
     match g with
-    | Gate.X q -> (0, 0, 1 lsl q)
-    | Gate.Z q -> (1, 0, 1 lsl q)
-    | Gate.H q -> (2, 0, 1 lsl q)
-    | Gate.Phase (q, _) -> (3, 0, 1 lsl q)
-    | Gate.Cnot { control; target } -> (4, 1 lsl control, 1 lsl target)
-    | Gate.Cz (q, r) -> (5, 1 lsl q, 1 lsl r)
-    | Gate.Swap (q, r) -> (6, 1 lsl q, 1 lsl r)
+    | Gate.X q -> (0, 0, 1 lsl q, 0)
+    | Gate.Z q -> (1, 0, 1 lsl q, half_turn)
+    | Gate.H q -> (2, 0, 1 lsl q, 0)
+    | Gate.Phase (q, ph) -> (3, 0, 1 lsl q, turn_of_phase ph)
+    | Gate.Cnot { control; target } -> (4, 1 lsl control, 1 lsl target, 0)
+    | Gate.Cz (q, r) -> (5, 1 lsl q, 1 lsl r, half_turn)
+    | Gate.Swap (q, r) -> (6, 1 lsl q, 1 lsl r, 0)
     | Gate.Toffoli { c1; c2; target } ->
-        (7, (1 lsl c1) lor (1 lsl c2), 1 lsl target)
-    | Gate.Cphase { control; target; _ } -> (8, 1 lsl control, 1 lsl target)
+        (7, (1 lsl c1) lor (1 lsl c2), 1 lsl target, 0)
+    | Gate.Cphase { control; target; phase } ->
+        (8, 1 lsl control, 1 lsl target, turn_of_phase phase)
   in
   code.(i) <- op;
   a.(i) <- ma;
-  b.(i) <- mb
+  b.(i) <- mb;
+  c.(i) <- turn
 
 let imin (x : int) y = if x < y then x else y
 
@@ -210,78 +268,140 @@ let[@inline] swap_masks v ma mb =
   if (v land ma = 0) <> (v land mb = 0) then v lxor (ma lor mb) else v
 
 (* The product track's gate slots from [i] to the first one it cannot
-   take, below [limit], which must not exceed any array's length. The masks
-   live in locals for the whole run and go back to [p] once; the loop makes
-   no call, so they stay in registers. The result is that first slot, times
-   2, plus 1 when the run negated [amp]: the caller owns the sign, since a
-   negation is exact and flipping once per odd count gives the same floats
-   as flipping per gate. On a wire in [xmask], [idx] holds 0 and [smask]
-   the sign; on any other wire [smask] holds 0. *)
-let product_gates p ~code ~a ~b ~tally i ~limit =
-  let idx = ref p.idx and xm = ref p.xmask and sm = ref p.smask in
-  let neg = ref false in
+   take in its loop, below [limit], which must not exceed any array's
+   length: a gate on Z-basis wires, or H and Swap while no wire has a
+   phase below a half turn. The masks live in locals for the whole run
+   and go back to [p] once; the loop makes no call and never allocates,
+   so they stay in registers. The result is that first slot, times 2,
+   plus 1 when it is a gate on an equatorial wire, for
+   [equatorial_gate]. *)
+let product_gates p ~code ~a ~b ~c ~tally i ~limit =
+  let idx = ref p.idx and xm = ref p.xmask in
   let k = ref i and limit = ref limit in
   while !k < !limit do
     let j = !k in
     let op = Array.unsafe_get code j in
+    let ma = Array.unsafe_get a j and mb = Array.unsafe_get b j in
+    (* [limit] at -1 ends the loop and flags the slot. *)
     let taken =
       match op with
       | 0 | 4 | 7 ->
-          (* X on [b] if the Z-basis controls [a] are all 1; X|-> = -|->.
-             With every wire in the Z basis, the common case, whether the
-             gate fires is data, so it is a mask, not a branch. *)
-          let ma = Array.unsafe_get a j and mb = Array.unsafe_get b j in
+          (* X on [b] if the controls [a] are all 1: whether the gate
+             fires is data, so it is a mask, not a branch. *)
           if !xm land (ma lor mb) = 0 then begin
             idx := !idx lxor (mb land ones_if_zero ((!idx land ma) lxor ma));
             true
           end
-          else if !xm land ma <> 0 then false
           else begin
-            if !idx land ma = ma && !sm land mb <> 0 then neg := not !neg;
+            limit := -1;
+            false
+          end
+      | 1 | 3 | 5 | 8 ->
+          (* Turn |1..1> on the wires of [a] and [b] by [c]: on Z-basis
+             wires, a global turn when they all hold 1. *)
+          if !xm land (ma lor mb) = 0 then begin
+            if !idx land (ma lor mb) = ma lor mb then
+              p.turn <- (p.turn + Array.unsafe_get c j) land turn_mask;
             true
           end
-      | 1 | 5 ->
-          (* Z on one wire when the other is a Z-basis 1 (Z has no other
-             wire): Z|+> = |->, and Z on a Z-basis 1 is a sign. *)
-          let ma = Array.unsafe_get a j and mb = Array.unsafe_get b j in
-          if !xm land ma = 0 then begin
-            (if !idx land ma = ma then
-               if !xm land mb <> 0 then sm := !sm lxor mb
-               else if !idx land mb <> 0 then neg := not !neg);
-            true
+          else begin
+            limit := -1;
+            false
           end
-          else if !xm land mb = 0 then begin
-            if !idx land mb <> 0 then sm := !sm lxor ma;
-            true
-          end
-          else false
       | 2 ->
-          (* H|0> = |+>, H|1> = |->, and back: the bit and the sign trade
-             places. *)
-          let mb = Array.unsafe_get b j in
-          let t = (!idx lxor !sm) land mb in
-          idx := !idx lxor t;
-          sm := !sm lxor t;
-          xm := !xm lxor mb;
-          true
+          (* H|0> = |+> and H|1> = |->: the bit stays and becomes the half
+             turn, and back from phi in {0, 1/2}, which is no [fine]. *)
+          if Array.length p.fine = 0 then begin
+            xm := !xm lxor mb;
+            true
+          end
+          else begin
+            limit := -1;
+            false
+          end
       | 6 ->
-          let ma = Array.unsafe_get a j and mb = Array.unsafe_get b j in
-          idx := swap_masks !idx ma mb;
-          xm := swap_masks !xm ma mb;
-          sm := swap_masks !sm ma mb;
-          true
+          if Array.length p.fine = 0 then begin
+            idx := swap_masks !idx ma mb;
+            xm := swap_masks !xm ma mb;
+            true
+          end
+          else begin
+            limit := -1;
+            false
+          end
       | _ -> false
     in
     if taken then begin
       Array.unsafe_set tally op (Array.unsafe_get tally op + 1);
       k := j + 1
     end
-    else limit := j
+    else if !limit >= 0 then limit := j
   done;
   p.idx <- !idx;
   p.xmask <- !xm;
-  p.smask <- !sm;
-  (!k lsl 1) lor Bool.to_int !neg
+  (!k lsl 1) lor Bool.to_int (!limit < 0)
+
+(* The equatorial wire [m] of [p] turned by [t]. [fine] is allocated
+   here, the first time a phase below a half turn lands. *)
+let turn_wire p m t =
+  let phi = (wire_turn p m + t) land turn_mask in
+  let f = phi land fine_mask in
+  if f <> 0 && Array.length p.fine = 0 then p.fine <- Array.make max_qubits 0;
+  if Array.length p.fine > 0 then p.fine.(wire_of_bit m) <- f;
+  p.idx <- (if phi land half_turn = 0 then p.idx land lnot m else p.idx lor m)
+
+(* The gates [product_gates] leaves out, one slot on [p]: [false] when it
+   needs the sparse table (a control on an equatorial wire, a diagonal on
+   two, H at a phase other than 0 or 1/2). *)
+let equatorial_gate p op ma mb th =
+  let xm = p.xmask in
+  match op with
+  | 0 | 4 | 7 ->
+      if xm land ma <> 0 then false
+      else begin
+        (* X (|0> + e^{i phi}|1>) = e^{i phi} (|0> + e^{-i phi}|1>) *)
+        (if p.idx land ma = ma then
+           let phi = wire_turn p mb in
+           p.turn <- (p.turn + phi) land turn_mask;
+           turn_wire p mb (-2 * phi));
+        true
+      end
+  | 1 | 3 | 5 | 8 ->
+      (* The equatorial one of [a] and [b] takes the turn when the other
+         is a Z-basis 1 (a one-wire gate has no other). *)
+      if xm land ma = 0 then begin
+        if p.idx land ma = ma then turn_wire p mb th;
+        true
+      end
+      else if xm land mb = 0 then begin
+        if p.idx land mb <> 0 then turn_wire p ma th;
+        true
+      end
+      else false
+  | 2 ->
+      if fine_at p mb <> 0 then false
+      else begin
+        p.xmask <- xm lxor mb;
+        true
+      end
+  | _ (* Swap *) ->
+      if Array.length p.fine > 0 then begin
+        let qa = wire_of_bit ma and qb = wire_of_bit mb in
+        let fa = p.fine.(qa) in
+        p.fine.(qa) <- p.fine.(qb);
+        p.fine.(qb) <- fa
+      end;
+      p.idx <- swap_masks p.idx ma mb;
+      p.xmask <- swap_masks xm ma mb;
+      true
+
+(* Project the equatorial wire [m] onto [v]: both values have amplitude
+   1/sqrt 2, and |1> carries the wire's phase into the global turn. *)
+let collapse p m v =
+  if v then p.turn <- (p.turn + wire_turn p m) land turn_mask;
+  if Array.length p.fine > 0 then p.fine.(wire_of_bit m) <- 0;
+  p.idx <- (if v then p.idx lor m else p.idx land lnot m);
+  p.xmask <- p.xmask land lnot m
 
 (* The product track's program: runs of gates, and when [adaptive] the
    measurements and conditionals between them. *)
@@ -293,24 +413,29 @@ let product_slots p ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop =
   let n = imin n (imin (Array.length a) (Array.length b)) in
   let limit = imin stop n in
   (* Whether |amp| is exactly 1, read at the first measurement: -1 before.
-     The pass only ever negates [amp], so the answer holds to its end. *)
+     The pass never changes [amp], so the answer holds to its end. *)
   let unit_amp = ref (-1) in
-  let neg = ref false in
   let k = ref i and go = ref true in
   while !go && !k < limit do
-    let r = product_gates p ~code ~a ~b ~tally !k ~limit in
+    let r = product_gates p ~code ~a ~b ~c ~tally !k ~limit in
     let j = r asr 1 in
-    if r land 1 = 1 then neg := not !neg;
     k := j;
-    if j < limit then begin
+    if r land 1 = 1 then begin
+      let op = code.(j) in
+      if equatorial_gate p op a.(j) b.(j) c.(j) then begin
+        tally.(op) <- tally.(op) + 1;
+        k := j + 1
+      end
+      else go := false
+    end
+    else if j < limit then begin
       let op = code.(j) in
       if op = op_measure && !unit_amp < 0 then
         unit_amp := Bool.to_int (Complex.norm p.amp = 1.0);
       if adaptive && op = op_measure && !unit_amp = 1 then begin
         (* As [project_inplace] with |amp| = 1, which leaves [amp]
-           unscaled: an X-basis wire is a fair coin, drawn as [Sim]'s
-           [draw_outcome] draws p = 1/2, and |-> has amplitude -1/sqrt 2
-           on |1>; a Z-basis wire draws nothing. *)
+           unscaled: an equatorial wire is a fair coin, drawn as [Sim]'s
+           [draw_outcome] draws p = 1/2; a Z-basis wire draws nothing. *)
         let support = product_support p.xmask in
         if support > tally.(tally_peak) then tally.(tally_peak) <- support;
         let m = 1 lsl a.(j) in
@@ -318,12 +443,7 @@ let product_slots p ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop =
           if p.xmask land m = 0 then p.idx land m <> 0
           else begin
             let v = Random.State.float rng 1.0 < 0.5 in
-            if v then begin
-              p.idx <- p.idx lor m;
-              if p.smask land m <> 0 then neg := not !neg
-            end;
-            p.xmask <- p.xmask land lnot m;
-            p.smask <- p.smask land lnot m;
+            collapse p m v;
             v
           end
         in
@@ -344,7 +464,6 @@ let product_slots p ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop =
       else go := false
     end
   done;
-  if !neg then p.amp <- Complex.neg p.amp;
   !k
 
 let on_product_track s =
@@ -356,34 +475,16 @@ let run_slots s ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop =
       product_slots p ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop
   | Sparse _ -> i
 
-(* Apply [g] on the product track; [false] when it needs the sparse table
-   (an X-basis wire used as a control or under a non-Pauli phase). Phases
-   carry an angle, not a mask, so they are the only gates
-   [product_gates] leaves to this function. *)
+(* Apply [g] on the product track as a one-slot program; [false] when it
+   needs the sparse table. *)
 let product_gate p g =
-  match g with
-  | Gate.Phase (q, ph) ->
-      if on_x p q then false
-      else begin
-        if bit p.idx q then p.amp <- Complex.mul (phase_of ph) p.amp;
-        true
-      end
-  | Gate.Cphase { control; target; phase } ->
-      if on_x p control || on_x p target then false
-      else begin
-        if bit p.idx control && bit p.idx target then
-          p.amp <- Complex.mul (phase_of phase) p.amp;
-        true
-      end
-  | Gate.X _ | Gate.Z _ | Gate.H _ | Gate.Cnot _ | Gate.Cz _ | Gate.Swap _
-  | Gate.Toffoli _ ->
-      let code = [| 0 |] and a = [| 0 |] and b = [| 0 |] in
-      encode_gate g ~code ~a ~b 0;
-      let r =
-        product_gates p ~code ~a ~b ~tally:(Array.make op_measure 0) 0 ~limit:1
-      in
-      if r land 1 = 1 then p.amp <- Complex.neg p.amp;
-      r asr 1 = 1
+  let code = [| 0 |] and a = [| 0 |] and b = [| 0 |] and c = [| 0 |] in
+  encode_gate g ~code ~a ~b ~c 0;
+  let tally = Array.make op_measure 0 in
+  match product_gates p ~code ~a ~b ~c ~tally 0 ~limit:1 with
+  | 2 -> true
+  | 1 -> equatorial_gate p code.(0) a.(0) b.(0) c.(0)
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Sparse-track kernel *)
@@ -479,14 +580,14 @@ let sparse_gate s tbl g =
       s.repr <- Sparse (h_table tbl q);
       maybe_demote s
 
+let promote s p =
+  let tbl = table_of_product p in
+  s.repr <- Sparse tbl;
+  tbl
+
 let apply_gate_inplace s g =
   match s.repr with
-  | Product p ->
-      if not (product_gate p g) then begin
-        let tbl = table_of_product p in
-        s.repr <- Sparse tbl;
-        sparse_gate s tbl g
-      end
+  | Product p -> if not (product_gate p g) then sparse_gate s (promote s p) g
   | Sparse tbl -> sparse_gate s tbl g
 
 let apply_gate s g =
@@ -497,7 +598,7 @@ let apply_gate s g =
 let prob_bit_one s q =
   match s.repr with
   | Product p ->
-      (* Exact: an X-basis wire is a fair coin, a Z-basis wire definite. *)
+      (* Exact: an equatorial wire is a fair coin, a Z-basis wire definite. *)
       if on_x p q then 0.5 else if bit p.idx q then 1.0 else 0.0
   | Sparse tbl ->
       let p1 = ref 0. in
@@ -507,23 +608,13 @@ let prob_bit_one s q =
 let project_inplace s ~qubit ~value =
   match s.repr with
   | Product p ->
-      let m = 1 lsl qubit in
-      let x_basis = p.xmask land m <> 0 in
-      if (not x_basis) && bit p.idx qubit <> value then
+      let equatorial = on_x p qubit in
+      if (not equatorial) && bit p.idx qubit <> value then
         invalid_arg "State.project: zero-probability outcome";
       let n = Complex.norm p.amp in
       if n < eps then invalid_arg "State.project: zero-probability outcome";
       if n <> 1.0 then p.amp <- Complex.div p.amp { re = n; im = 0. };
-      if x_basis then begin
-        (* |+> and |-> both have amplitude 1/sqrt 2 on |0>; |-> has
-           -1/sqrt 2 on |1>. *)
-        if value then begin
-          p.idx <- p.idx lor m;
-          if p.smask land m <> 0 then p.amp <- Complex.neg p.amp
-        end;
-        p.xmask <- p.xmask land lnot m;
-        p.smask <- p.smask land lnot m
-      end
+      if equatorial then collapse p (1 lsl qubit) value
   | Sparse tbl ->
       Hashtbl.filter_map_inplace
         (fun k v -> if bit k qubit = value then Some v else None)
@@ -565,10 +656,7 @@ let sparse_set_bit_zero s tbl ~qubit =
 let set_bit_zero_inplace s ~qubit =
   match s.repr with
   | Product p when not (on_x p qubit) -> p.idx <- p.idx land lnot (1 lsl qubit)
-  | Product p ->
-      let tbl = table_of_product p in
-      s.repr <- Sparse tbl;
-      sparse_set_bit_zero s tbl ~qubit
+  | Product p -> sparse_set_bit_zero s (promote s p) ~qubit
   | Sparse tbl -> sparse_set_bit_zero s tbl ~qubit
 
 let set_bit_zero s ~qubit =
@@ -580,8 +668,8 @@ let set_bit_zero s ~qubit =
 let amp_at s k =
   match s.repr with
   | Product p ->
-      if k land lnot p.xmask <> p.idx then None
-      else Some (product_term p ~scaled:(product_scaled p) (k land p.xmask))
+      if k land lnot p.xmask <> p.idx land lnot p.xmask then None
+      else Some (rotate (term_turn p (k land p.xmask)) (product_scaled p))
   | Sparse tbl -> Hashtbl.find_opt tbl k
 
 let fidelity a b =

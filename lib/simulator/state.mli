@@ -1,4 +1,4 @@
-(** Sparse state vectors with a Z/X product fast track.
+(** Sparse state vectors with a phase-product fast track.
 
     A state over [num_qubits] wires (at most 62) is a finite map from basis
     indices to complex amplitudes; basis index bit [i] is the value of wire
@@ -8,21 +8,25 @@
     into |+> or |->.
 
     Internally a state rides one of two tracks. The {e product} track
-    stores a product of Z-basis wires (an [int] of bits) and X-basis wires
-    (a mask of wires in |+> or |-> and a mask of the |-> ones), plus a
-    global-phase amplitude. X, Z, H, Swap, CZ and CNOT / Toffoli whose
-    controls are Z-basis wires are O(1) mask updates with zero allocation
-    ({!run_slots} runs a whole stretch of them with the masks in locals),
-    and measuring an X-basis wire has probability exactly 1/2 — which
-    covers MBU's H.U_g.H.X correction (the garbage qubit is only ever a
-    target while in |->) and the H-measure AND erasure. An operation that
-    needs an X-basis wire's amplitudes — a control on it, a [Phase] or
-    [Cphase] on it, a CZ between two X-basis wires, clearing it — promotes
-    the state to the {e sparse} track holding the 2{^k} terms it denotes: a
-    hash table mutated in place for permutation and diagonal gates,
-    double-buffered only for H. A sparse state demotes back to the product
-    track as soon as its support collapses to one term. Dense states (QFT
-    circuits) are still exact, just limited to small wire counts.
+    stores a product of Z-basis wires (an [int] of bits) and equatorial
+    wires (|0> + e{^ 2 pi i phi}|1>)/sqrt 2, each phase phi an exact
+    fixed-point turn (an [int] numerator over 2{^61}, so every
+    [Phase.t] is exact and |+>, |-> are phi = 0, 1/2), plus a global
+    phase held the same way and an amplitude. X, Swap, CNOT / Toffoli
+    whose controls are Z-basis wires, H at phi in {0, 1/2}, and Z, Phase,
+    CZ and Cphase with at most one equatorial wire are O(1) updates with
+    zero allocation ({!run_slots} runs a whole stretch of them with the
+    masks in locals), and measuring an equatorial wire has probability
+    exactly 1/2. That covers MBU's H.U_g.H.X correction (the garbage
+    qubit is only ever a target while in |->), the H-measure AND erasure,
+    and the QFT of a basis state with Draper's phase adders, whose
+    controls are all Z-basis wires. An operation that needs an equatorial
+    wire's amplitudes — a control on it, a CZ or Cphase between two of
+    them, H at any other phase, clearing it — promotes the state to the
+    {e sparse} track holding the 2{^k} terms it denotes: a hash table
+    mutated in place for permutation and diagonal gates, double-buffered
+    only for H. A sparse state demotes back to the product track as soon
+    as its support collapses to one term.
 
     The [*_inplace] operations mutate the state; the same-named pure
     functions copy first and are safe to use on shared states. *)
@@ -50,7 +54,7 @@ val num_terms : t -> int
 
 val support_size : t -> int
 (** Number of basis terms the state holds: 2{^k} on the product track with
-    k X-basis wires, the raw hash-table size on the sparse track
+    k equatorial wires, the raw hash-table size on the sparse track
     (negligible amplitudes included, unlike {!num_terms}). O(1); the same
     number the sparse table would hold for that state. *)
 
@@ -62,7 +66,7 @@ val copy : t -> t
 
 val is_classical : t -> bool
 (** True while the state is a single basis vector on the product track (no
-    X-basis wire). *)
+    equatorial wire). *)
 
 val force_sparse : t -> unit
 (** Move the state to the sparse track and pin it there: it will not demote
@@ -73,8 +77,8 @@ val force_sparse : t -> unit
 
 val apply_gate : t -> Gate.t -> t
 val apply_gate_inplace : t -> Gate.t -> unit
-(** On the product track every gate but [Phase] and [Cphase] runs through
-    the gate loop of {!run_slots}, as a one-slot program. *)
+(** On the product track every gate runs through the gate loop of
+    {!run_slots}, as a one-slot program. *)
 
 (** {1 The product-track program kernel}
 
@@ -82,10 +86,13 @@ val apply_gate_inplace : t -> Gate.t -> unit
     [a], [b] and a fourth, [c], one slot per instruction. The gate opcodes
     are [0] to [op_measure - 1] in [Counts] field order (X, Z, H, Phase,
     CNOT, CZ, Swap, Toffoli, Cphase), so an opcode indexes a tally
-    directly. A gate slot's operands are masks ({!encode_gate}):
+    directly. A gate slot's operands are masks and a turn
+    ({!encode_gate}):
     - X, Z, H and Phase: [a = 0] and [b =] the target;
     - CNOT, Toffoli and Cphase: [a =] the controls, [b =] the target;
-    - CZ and Swap: its two wires.
+    - CZ and Swap: its two wires;
+    - [c =] the phase of Z, Phase, CZ and Cphase in turns over 2{^61}
+      (a half turn, 2{^60}, for Z and CZ), and 0 for the other gates.
 
     A measurement slot is [op_measure] with [a] the qubit, [b] the bit and
     [c = 1] for a reset; a conditional is [op_if] with [a] the bit, [b = 1]
@@ -104,8 +111,9 @@ val tally_peak : int
 val tally_size : int
 
 val encode_gate :
-  Gate.t -> code:int array -> a:int array -> b:int array -> int -> unit
-(** [encode_gate g ~code ~a ~b i] writes [g] into slot [i]. *)
+  Gate.t -> code:int array -> a:int array -> b:int array -> c:int array ->
+  int -> unit
+(** [encode_gate g ~code ~a ~b ~c i] writes [g] into slot [i]. *)
 
 val on_product_track : t -> bool
 (** Whether the state is on the product track, the only one {!run_slots}
@@ -116,20 +124,24 @@ val run_slots :
   tally:int array -> bits:bool array -> rng:Random.State.t -> adaptive:bool ->
   int -> stop:int -> int
 (** [run_slots s ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop] runs
-    the slots from [i] on the product track, with the state's masks and
-    sign held in locals, and returns the first slot it did not run. That is
+    the slots from [i] on the product track, with the state's masks held
+    in locals, and returns the first slot it did not run. That is
     the first slot at or past [stop] (or the arrays' end) that it reaches,
     or the first slot it cannot take:
-    - a CNOT or Toffoli with a control on an X-basis wire;
-    - a CZ on two X-basis wires;
-    - a [Phase] or a [Cphase];
+    - a CNOT or Toffoli with a control on an equatorial wire;
+    - a CZ or Cphase on two equatorial wires;
+    - an H on an equatorial wire whose phase is not 0 or 1/2;
     - unless [adaptive], any measurement or conditional;
     - a measurement while [|amp|] is not exactly 1;
     - any slot at all when the state is on the sparse track, in which case
       it returns [i] and leaves the state alone.
 
+    The gate loop allocates nothing, except once per state: the cells for
+    phases below a half turn, made when the first such phase lands on an
+    equatorial wire.
+
     When [adaptive], a measurement draws [Random.State.float rng 1.0 < 0.5]
-    for an X-basis wire (nothing for a Z-basis one), projects, writes the
+    for an equatorial wire (nothing for a Z-basis one), projects, writes the
     outcome into [bits], and clears the wire on a reset that read 1; a
     conditional reads [bits] and jumps past its body when the guard fails.
     Without [adaptive], [rng] and [bits] are not touched.

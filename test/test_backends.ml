@@ -241,7 +241,9 @@ let test_fold_raises_lowest_index () =
    on earlier outcomes, from basis inputs. Besides single gates the
    generator emits motifs that put a wire in |+>/|-> and then use it as a
    control or under a phase (promoting to the sparse table) before undoing
-   both (demoting back), so runs cross between the tracks. *)
+   both (demoting back), so runs cross between the tracks; that turn an
+   equatorial wire by 1/2 to 1/64 of a turn and leave it there; and a
+   3-wire QFT, a turn, and the inverse QFT, as in Draper's adders. *)
 type raw =
   | Raw_gate of Gate.t
   | Raw_measure of Gate.qubit * bool
@@ -265,7 +267,7 @@ let gen_adaptive =
       return (a, b, c)
     in
     let gate =
-      int_range 0 7 >>= fun kind ->
+      int_range 0 8 >>= fun kind ->
       wires3 >>= fun (a, b, c) ->
       return
         (match kind with
@@ -276,17 +278,43 @@ let gen_adaptive =
         | 4 -> Gate.Cz (a, b)
         | 5 -> Gate.Toffoli { c1 = a; c2 = b; target = c }
         | 6 -> Gate.Swap (a, b)
-        | _ -> Gate.Phase (a, Phase.theta (2 + (c mod 2))))
+        | 7 -> Gate.Phase (a, Phase.theta (2 + (c mod 2)))
+        | _ ->
+            Gate.Cphase
+              { control = a; target = b; phase = Phase.theta (1 + (c mod 4)) })
+    in
+    (* [Qft.apply_raw] on the wires [w], least significant first. *)
+    let qft w =
+      List.concat
+        (List.init 3 (fun k ->
+             let i = 2 - k in
+             Gate.H w.(i)
+             :: List.init i (fun l ->
+                    let j = i - 1 - l in
+                    Gate.Cphase
+                      { control = w.(j); target = w.(i);
+                        phase = Phase.theta (i - j + 1) })))
+    in
+    let inverse gs =
+      List.rev_map
+        (function
+          | Gate.Cphase r -> Gate.Cphase { r with phase = Phase.neg r.phase }
+          | g -> g)
+        gs
     in
     let motif =
-      wires3 >>= fun (a, b, _) ->
+      wires3 >>= fun (a, b, c) ->
+      int_range 1 6 >>= fun k ->
       oneofl
         [ [ Gate.H a; Gate.Cnot { control = a; target = b };
             Gate.Cnot { control = a; target = b }; Gate.H a ];
           [ Gate.H a; Gate.Phase (a, Phase.theta 3);
             Gate.Phase (a, Phase.neg (Phase.theta 3)); Gate.H a ];
           [ Gate.H a; Gate.H b; Gate.Cz (a, b); Gate.Cz (a, b); Gate.H b;
-            Gate.H a ] ]
+            Gate.H a ];
+          [ Gate.H a; Gate.Phase (a, Phase.theta k) ];
+          (let w = [| a; b; c |] in
+           qft w @ [ Gate.Phase (c, Phase.theta k) ] @ inverse (qft w)) ]
     in
     let raw =
       frequency
@@ -399,6 +427,94 @@ let plan_of c picks =
         Fault.of_site ~pauli:(pauli p) (List.nth l (k mod List.length l))
         :: picked
 
+(* {2 Draper's QFT adders}
+
+   Every catalogue family with a Draper style, at n <= 4, with and
+   without MBU: the product track keeps their QFT states, and must run
+   them as the sparse kernel and the oracle do. *)
+
+let draper_families =
+  [ "adder"; "cadder"; "adder-const"; "compare"; "compare-const"; "modadd";
+    "modadd-const" ]
+
+(* Each family at n = 2..4, MBU off and on, with a modulus in
+   (2^(n-1), 2^n) and inputs drawn from [rng]: a name and the spec. *)
+let draper_specs rng =
+  List.concat_map
+    (fun name ->
+      let family = Catalogue.family name in
+      List.concat_map
+        (fun n ->
+          List.map
+            (fun mbu ->
+              let half = 1 lsl (n - 1) in
+              let p = half + 1 + Random.State.int rng (half - 1) in
+              let draw () = Random.State.int rng p in
+              let b = Builder.create () in
+              let built =
+                family.Catalogue.build b
+                  { Catalogue.style = Adder.Draper; mbu; n; p; a = draw ();
+                    x = draw (); y = draw () }
+              in
+              ( Printf.sprintf "%s n=%d mbu=%b p=%d" name n mbu p,
+                Catalogue.spec ~name b built ))
+            [ false; true ])
+        [ 2; 3; 4 ])
+    draper_families
+
+let test_draper_engines_agree () =
+  let rng = Random.State.make [| 0xd7a9 |] in
+  List.iter
+    (fun (name, (spec : Engine.spec)) ->
+      for seed = 0 to 3 do
+        let run engine =
+          Sim.run ~rng:(Random.State.make [| seed; 0xd7 |]) ~engine
+            spec.Engine.circuit ~init:spec.Engine.init
+        in
+        let f = run Sim.Fast in
+        let check what ok =
+          Alcotest.(check bool)
+            (Printf.sprintf "%s seed %d: %s" name seed what)
+            true ok
+        in
+        check "Fast oracle" (Engine.classify_run spec f = Engine.Correct);
+        List.iter
+          (fun (other, engine) ->
+            let o = run engine in
+            check (other ^ " bits") (f.Sim.bits = o.Sim.bits);
+            check (other ^ " executed")
+              (Counts.approx_equal f.Sim.executed o.Sim.executed);
+            check (other ^ " state")
+              (State.fidelity f.Sim.state o.Sim.state > 1. -. 1e-9))
+          [ ("Sparse", Sim.Sparse); ("Reference", Sim.Reference) ]
+      done)
+    (draper_specs rng)
+
+(* Random fault plans over the same circuits: a Pauli on an equatorial
+   wire is where a run leaves the product track, and Fast must classify
+   every run as the pinned sparse kernel does. *)
+let test_draper_faults_fast_eq_sparse () =
+  let rng = Random.State.make [| 0xd7aa |] in
+  List.iter
+    (fun (name, (spec : Engine.spec)) ->
+      for k = 0 to 11 do
+        let picks =
+          List.init
+            (1 + Random.State.int rng 2)
+            (fun _ -> (Random.State.bits rng, Random.State.bits rng))
+        in
+        let faults = plan_of spec.Engine.circuit picks in
+        let classify engine =
+          Engine.outcome_name
+            (Engine.classify ~engine ~rng:(Random.State.make [| k; 0xfb |])
+               ~faults spec)
+        in
+        Alcotest.(check string)
+          (Printf.sprintf "%s plan %d" name k)
+          (classify Sim.Sparse) (classify Sim.Fast)
+      done)
+    (draper_specs rng)
+
 let arb_fault_case =
   let open QCheck in
   pair arb_adaptive
@@ -429,19 +545,22 @@ let prop_faults_fast_eq_sparse =
 
 (* {2 The mask kernel, one slot at a time}
 
-   Every gate on three wires, from every product of |0>, |1>, |+> and |->:
-   [State.run_slots] must take exactly the slots the product track can
-   (no control on an X-basis wire, not CZ on two, no phase), count them,
-   and leave the same amplitudes as the oracle, global sign included;
-   declined slots leave the state and the tally alone. *)
+   Every gate on three wires, from every product of |0>, |1>, |+>, |->
+   and the equatorial wire at an eighth of a turn: [State.run_slots] must
+   take exactly the slots the product track can (no control on an
+   equatorial wire, not CZ or Cphase on two, no H at a phase other than 0
+   or 1/2), count them, and leave the same amplitudes as the oracle,
+   global phase included; declined slots leave the state and the tally
+   alone. *)
 
 let product_input wires kinds =
   let s = State.basis ~num_qubits:wires 0 in
   List.iteri
     (fun q kind ->
-      (* 0: |0>, 1: |1>, 2: |+>, 3: |-> *)
+      (* 0: |0>, 1: |1>, 2: |+>, 3: |->, 4: |+> turned by 1/8 *)
       if kind land 1 = 1 then State.apply_gate_inplace s (Gate.X q);
-      if kind >= 2 then State.apply_gate_inplace s (Gate.H q))
+      if kind >= 2 then State.apply_gate_inplace s (Gate.H q);
+      if kind = 4 then State.apply_gate_inplace s (Gate.Phase (q, Phase.theta 3)))
     kinds;
   s
 
@@ -459,33 +578,34 @@ let kernel_gates =
     Gate.Toffoli { c1 = 0; c2 = 1; target = 2 };
     Gate.Cphase { control = 0; target = 1; phase = Phase.theta 3 } ]
 
-(* The old [product_gate]'s rule for what stays on the product track,
-   phases aside (the kernel leaves those to [apply_gate_inplace]). *)
+(* The product track's rule for what it keeps. *)
 let kernel_takes kinds g =
   let on_x q = List.nth kinds q >= 2 in
   match g with
-  | Gate.X _ | Gate.Z _ | Gate.H _ | Gate.Swap _ -> true
+  | Gate.X _ | Gate.Z _ | Gate.Phase _ | Gate.Swap _ -> true
+  | Gate.H q -> List.nth kinds q < 4
   | Gate.Cnot { control; _ } -> not (on_x control)
   | Gate.Toffoli { c1; c2; _ } -> not (on_x c1 || on_x c2)
-  | Gate.Cz (a, b) -> not (on_x a && on_x b)
-  | Gate.Phase _ | Gate.Cphase _ -> false
+  | Gate.Cz (a, b) | Gate.Cphase { control = a; target = b; _ } ->
+      not (on_x a && on_x b)
 
 (* Run [gates] as a program through [run_slots] from slot 0 up to [stop]:
    the slot it stopped at, the tally, and the opcodes. *)
 let run_kernel s gates ~stop =
   let n = List.length gates in
   let code = Array.make n 0 and a = Array.make n 0 and b = Array.make n 0 in
-  List.iteri (fun i g -> State.encode_gate g ~code ~a ~b i) gates;
+  let c = Array.make n 0 in
+  List.iteri (fun i g -> State.encode_gate g ~code ~a ~b ~c i) gates;
   let tally = Array.make State.tally_size 0 in
   let j =
-    State.run_slots s ~code ~a ~b ~c:(Array.make n 0) ~tally ~bits:[||]
+    State.run_slots s ~code ~a ~b ~c ~tally ~bits:[||]
       ~rng:(Random.State.make [| 0 |]) ~adaptive:false 0 ~stop
   in
   (j, tally, code)
 
 let test_kernel_each_opcode () =
   let all_kinds =
-    List.init 64 (fun m -> [ m land 3; (m lsr 2) land 3; m lsr 4 ])
+    List.init 125 (fun m -> [ m mod 5; m / 5 mod 5; m / 25 ])
   in
   List.iter
     (fun kinds ->
@@ -553,7 +673,7 @@ let test_kernel_passes () =
   Alcotest.(check bool) "state to stop" true (amps_equal s (prefix 2));
   let s = State.copy from in
   let j, tally, _ = run_kernel s gates ~stop:5 in
-  Alcotest.(check int) "stops at an X-basis control" 3 j;
+  Alcotest.(check int) "stops at an equatorial control" 3 j;
   Alcotest.(check int) "tally to the decline" 3 (Array.fold_left ( + ) 0 tally);
   Alcotest.(check bool) "state to the decline" true (amps_equal s (prefix 3));
   let sparse = State.copy from in
@@ -568,7 +688,8 @@ let test_motifs_promote_and_demote () =
     State.apply_gate_inplace s g;
     (State.is_classical s, State.support_size s)
   in
-  Alcotest.(check (pair bool int)) "H: X-basis wire" (false, 2) (step (Gate.H 0));
+  Alcotest.(check (pair bool int)) "H: equatorial wire" (false, 2)
+    (step (Gate.H 0));
   Alcotest.(check (pair bool int))
     "control on it: Bell pair on the sparse table" (false, 2)
     (step (Gate.Cnot { control = 0; target = 1 }));
@@ -639,4 +760,8 @@ let suite =
       Alcotest.test_case "mask kernel: passes, stops and signs" `Quick
         test_kernel_passes;
       Alcotest.test_case "Table-1 rows: Fast = Sparse per shot" `Quick
-        test_montecarlo_rows_fast_eq_sparse ] )
+        test_montecarlo_rows_fast_eq_sparse;
+      Alcotest.test_case "Draper families: Fast = Sparse = Reference" `Quick
+        test_draper_engines_agree;
+      Alcotest.test_case "Draper fault plans: Fast = Sparse" `Quick
+        test_draper_faults_fast_eq_sparse ] )
