@@ -56,10 +56,14 @@ let classify_run spec (r : Sim.run) =
   then Correct
   else Silent_corrupt
 
-(* Only the errors circuit semantics raise count as detection; anything
-   else (an [Invalid_argument] from a state kernel, say) is a simulator bug
-   and propagates. *)
+(* A spec whose [init] is narrower than its circuit is broken whatever
+   the faults, so that check runs first and its error propagates. Past it,
+   the [Mbu_error]s raised while the slots run (a forced outcome of
+   probability zero, say) are the circuit detecting the fault; anything
+   else (an [Invalid_argument] from a state kernel, say) is a simulator
+   bug and propagates. *)
 let classify_program ?engine ?force ~rng ~faults prog spec =
+  Sim.check_init prog ~init:spec.init;
   match
     Sim.run_program ~rng ?engine ?force ~faults prog ~init:spec.init
   with

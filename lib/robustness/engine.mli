@@ -53,9 +53,12 @@ val classify_run : spec -> Sim.run -> outcome
 val classify :
   ?engine:Sim.engine -> ?force:(int -> bool option) ->
   rng:Random.State.t -> faults:Fault.t list -> spec -> outcome
-(** One faulty run. An [Mbu_error] during execution (including a forced
-    zero-probability outcome) classifies as [Detected]; any other exception
-    is a simulator bug, not a detected fault, and propagates. *)
+(** One faulty run. An [Mbu_error] raised while the program's slots run
+    (a forced zero-probability outcome, say) classifies as [Detected]. A
+    spec whose [init] has fewer wires than its circuit raises
+    {!Sim.check_init}'s [Mbu_error] instead, before the run: that is a
+    broken spec, not a detection. Any other exception is a simulator bug,
+    not a detected fault, and propagates. *)
 
 val oracle_outputs : spec -> Register.t list -> (Register.t * int) list
 (** Reference oracle from a fault-free run: the registers' final values.

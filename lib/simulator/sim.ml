@@ -66,11 +66,6 @@ let fresh_rng () = Random.State.make default_seed
    makes the parallel runner's output independent of [jobs]. *)
 let shot_rng ~seed i = Random.State.make [| 0x6d62755f; 0x51432025; seed; i |]
 
-let draw_outcome rng p1 =
-  if p1 <= 1e-12 then false
-  else if p1 >= 1.0 -. 1e-12 then true
-  else Random.State.float rng 1.0 < p1
-
 (* ------------------------------------------------------------------ *)
 (* The compiled program *)
 
@@ -219,6 +214,10 @@ let patches_of prog faults =
     counts = Array.map (fun (_, k, _) -> k) merged;
     paulis = Array.map (fun (_, _, gs) -> gs) merged }
 
+let check_init prog ~init =
+  if State.num_qubits init < prog.num_qubits then
+    Mbu_error.invalid ~subsystem:"Sim.run" "state narrower than circuit"
+
 (* One gate by the engine's kernel: in place, or the oracle's rebuild. *)
 let apply_gate reference state g =
   if reference then State.Reference.apply_gate state g
@@ -230,8 +229,7 @@ let apply_gate reference state g =
 let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = []) prog
     ~init =
   let rng = match rng with Some r -> r | None -> fresh_rng () in
-  if State.num_qubits init < prog.num_qubits then
-    Mbu_error.invalid ~subsystem:"Sim.run" "state narrower than circuit";
+  check_init prog ~init;
   let t_start = Telemetry.now () in
   let bits = Array.make (max prog.num_bits 1) false in
   (* Instructions by opcode, then the kernel's other cells. *)
@@ -286,11 +284,12 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = []) prog
   in
   tally.(State.tally_peak) <- State.support_size !state;
   let code = prog.code and n = Array.length prog.code in
-  (* On [Fast], [State.run_slots] runs the program in passes, each up to
-     the next mark or patch. A pass takes measurements and conditionals
-     too, unless a hook must see them or a forced outcome must pin them.
-     Those, and the slots the kernel declines, run here one at a time. *)
-  let fast = engine = Fast in
+  (* On [Fast] and [Sparse], [State.run_slots] runs the program in
+     passes on either track, each up to the next mark or patch. A pass
+     takes measurements and conditionals too, unless a hook must see them
+     or a forced outcome must pin them. Those, the patched slots, a
+     product-track measurement while |amp| is not 1, and every slot on
+     [Reference] run here one at a time. *)
   let adaptive = (not hooked) && Option.is_none force in
   let pc = ref 0 in
   while !pc < n do
@@ -298,8 +297,7 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = []) prog
     if i >= !next_mark then pass_marks i;
     let op = code.(i) in
     let j =
-      if fast && (adaptive || op < op_measure) && State.on_product_track !state
-      then
+      if (not reference) && (adaptive || op < op_measure) then
         State.run_slots !state ~code ~a:prog.a ~b:prog.b ~c:prog.c ~tally ~bits
           ~rng ~adaptive i
           ~stop:(if !next_mark < !next_patch then !next_mark else !next_patch)
@@ -307,8 +305,16 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = []) prog
     in
     if j > i then pc := j
     else if op < op_measure then begin
-      state := apply_gate reference !state prog.gates.(i);
-      tally.(op) <- tally.(op) + 1;
+      (* A patched slot, or any slot on [Reference]: the kernels run the
+         gate from the program's own arrays, a one-slot pass. *)
+      if reference then begin
+        state := State.Reference.apply_gate !state prog.gates.(i);
+        tally.(op) <- tally.(op) + 1
+      end
+      else
+        ignore
+          (State.run_slots !state ~code ~a:prog.a ~b:prog.b ~c:prog.c ~tally
+             ~bits ~rng ~adaptive i ~stop:(i + 1));
       if i >= !next_patch && patched i then begin
         (* Injected Paulis are faults, not program gates: applied through
            the engine but never tallied. *)
@@ -332,11 +338,11 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = []) prog
       let outcome =
         match forced with
         | Some v ->
-            if if v then p1 <= 1e-12 else p1 >= 1.0 -. 1e-12 then
+            if State.zero_probability p1 v then
               Mbu_error.invalid ~subsystem:"Sim.run" ~qubit ~bit ~path:!path
                 (Printf.sprintf "forced outcome %b has probability zero" v)
             else v
-        | None -> draw_outcome rng p1
+        | None -> State.draw_outcome rng p1
       in
       if reference then
         state := State.Reference.project !state ~qubit ~value:outcome
@@ -577,7 +583,7 @@ let measure_register rng state reg =
   for i = Register.length reg - 1 downto 0 do
     let q = Register.get reg i in
     let p1 = State.prob_bit_one state q in
-    let bit = draw_outcome rng p1 in
+    let bit = State.draw_outcome rng p1 in
     State.project_inplace state ~qubit:q ~value:bit;
     v := (!v lsl 1) lor (if bit then 1 else 0)
   done;

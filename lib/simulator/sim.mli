@@ -51,17 +51,19 @@ type event =
       the product track. A gate in a pass allocates nothing (a state's
       first phase below a half turn allocates its fine-phase cells once);
       a measurement of an equatorial wire allocates the few words of its
-      random draw. One rule sets the passes: a pass runs to the next fault
+      random draw. An operation that needs the amplitudes of an
+      equatorial wire (a control on it, a CZ or Cphase on two of them, H
+      at another phase) promotes the state to the sparse table (see
+      {!State}), which runs the same program in passes of its own, and a
+      sparse state that collapses to one basis vector demotes back. One
+      rule sets the passes on both tracks: a pass runs to the next fault
       patch (a Pauli after a gate slot, a skipped conditional, a misread on
       a measure slot) or, under [on_event], the next span mark, and it
       takes measurements and conditionals unless [on_event] or [force]
-      needs them. Those, and the slots the kernel declines, run one at a
-      time. An operation that needs the amplitudes of an equatorial wire
-      (a control on it, a CZ or Cphase on two of them, H at another
-      phase) promotes the state to the in-place sparse kernel, and a
-      sparse state that collapses to one basis vector demotes back.
-    - [Sparse]: pin the state to the in-place sparse kernel for the whole
-      run, even where the product track would apply.
+      needs them. Those, the patched slots, and a product-track
+      measurement whose amplitude is not of norm 1 run one at a time.
+    - [Sparse]: pin the state to the sparse table for the whole run, even
+      where the product track would apply; it runs in the same passes.
     - [Reference]: the seed simulator's pure rebuild-per-gate algorithms —
       the oracle for equivalence tests and the benchmark baseline. *)
 type engine = Fast | Sparse | Reference
@@ -109,6 +111,11 @@ type program
     weightless marks read only under a hook. *)
 
 val compile : Circuit.t -> program
+
+val check_init : program -> init:State.t -> unit
+(** Raises {!Mbu_circuit.Mbu_error.Error} ([Invalid], subsystem
+    ["Sim.run"]) when [init] has fewer wires than the program: the check
+    {!run_program} makes before it runs a slot. *)
 
 val run_program :
   ?rng:Random.State.t -> ?on_event:(event -> unit) -> ?engine:engine ->

@@ -20,9 +20,10 @@ open Mbu_circuit
      (the garbage qubit of the H.U_g.H.X correction is only ever a target
      while it is in |->, and the AND erasure is H, measure), and so do
      Draper's QFT adders, whose controls are all in the Z basis.
-   - [Sparse]: the general finite map from basis index to amplitude.
-     Permutation and diagonal gates mutate the table in place; only H
-     double-buffers into a fresh table.
+   - [Sparse]: the general finite map from basis index to amplitude, a
+     flat open-addressed table ([table] below). Diagonal gates scale it in
+     place; every other operation rebuilds it into the table's second
+     buffer and swaps the two.
 
    Any other operation on an equatorial wire (a control on it, a CZ or
    Cphase on two of them, H at any other phase, clearing it) promotes the
@@ -41,7 +42,27 @@ type product = {
   mutable amp : Complex.t;
 }
 
-type repr = Product of product | Sparse of (int, Complex.t) Hashtbl.t
+(* One buffer of the sparse table: linear probing over the first [cap]
+   slots (a power of two, at least twice the terms it was sized for) of
+   [keys], a key of -1 marking an empty slot, and the amplitude of the key
+   in slot [j] unboxed in [re.(j)] and [im.(j)]. A buffer is only ever
+   filled by inserting distinct keys into a cleared one, so it needs no
+   deletion and no tombstones. [cap] may be below the arrays' length,
+   which only grow. *)
+type buf = {
+  mutable keys : int array;
+  mutable re : float array;
+  mutable im : float array;
+  mutable cap : int;
+  mutable shift : int;
+  mutable live : int;
+}
+
+(* [cur] holds the state; [spare] is where the next rebuild goes, and
+   [partner] is H's working array, a cell per slot of [cur]. *)
+type table = { mutable cur : buf; mutable spare : buf; mutable partner : int array }
+
+type repr = Product of product | Sparse of table
 type t = { num_qubits : int; mutable repr : repr; mutable pinned : bool }
 
 let eps = 1e-12
@@ -76,26 +97,101 @@ let basis ~num_qubits idx =
   check_index ~subsystem ~num_qubits idx;
   { num_qubits; repr = basis_product idx Complex.one; pinned = false }
 
+(* ------------------------------------------------------------------ *)
+(* The flat table *)
+
+let empty_buf () =
+  { keys = [||]; re = [||]; im = [||]; cap = 0; shift = 0; live = 0 }
+
+(* Fibonacci hashing: the top bits of [k * hash_mul] pick the home slot. *)
+let hash_mul = 0x2545F4914F6CDD1D
+
+(* Clear [b] to hold [terms] keys at load at most 1/2. *)
+let clear b ~terms =
+  let cap = ref 8 and log = ref 3 in
+  while !cap < 2 * terms do
+    cap := 2 * !cap;
+    incr log
+  done;
+  let cap = !cap in
+  if Array.length b.keys < cap then begin
+    b.keys <- Array.make cap (-1);
+    b.re <- Array.create_float cap;
+    b.im <- Array.create_float cap
+  end
+  else Array.fill b.keys 0 cap (-1);
+  b.cap <- cap;
+  b.shift <- Sys.int_size - !log;
+  b.live <- 0
+
+(* The first empty slot from the home of [k] among the [mask + 1] slots
+   of [keys], claimed for [k], which must be absent. *)
+let[@inline] claim_slot keys ~mask ~shift k =
+  let j = ref ((k * hash_mul) lsr shift) in
+  while Array.unsafe_get keys !j >= 0 do
+    j := (!j + 1) land mask
+  done;
+  Array.unsafe_set keys !j k;
+  !j
+
+(* Store the term [k] with amplitude [re] + i [im]; [k] must be absent. *)
+let[@inline] put b k re im =
+  b.live <- b.live + 1;
+  let j = claim_slot b.keys ~mask:(b.cap - 1) ~shift:b.shift k in
+  Array.unsafe_set b.re j re;
+  Array.unsafe_set b.im j im
+
+(* The slot of the key [k] in a cleared buffer, or -1. *)
+let find b k =
+  let mask = b.cap - 1 and keys = b.keys in
+  let j = ref ((k * hash_mul) lsr b.shift) and r = ref (-2) in
+  while !r = -2 do
+    let x = Array.unsafe_get keys !j in
+    if x = k then r := !j
+    else if x < 0 then r := -1
+    else j := (!j + 1) land mask
+  done;
+  !r
+
+let new_table ~terms =
+  let cur = empty_buf () in
+  clear cur ~terms;
+  { cur; spare = empty_buf (); partner = [||] }
+
+(* Make the spare buffer current: the end of every rebuild. *)
+let flip t =
+  let b = t.cur in
+  t.cur <- t.spare;
+  t.spare <- b
+
+let insert b k (v : Complex.t) = put b k v.re v.im
+
+let iter_table t f =
+  let b = t.cur in
+  for j = 0 to b.cap - 1 do
+    let k = b.keys.(j) in
+    if k >= 0 then f k { Complex.re = b.re.(j); im = b.im.(j) }
+  done
+
 let maybe_demote s =
   if not s.pinned then
     match s.repr with
     | Product _ -> ()
-    | Sparse tbl ->
-        if Hashtbl.length tbl = 1 then
-          Hashtbl.iter (fun k v -> s.repr <- basis_product k v) tbl
+    | Sparse t ->
+        if t.cur.live = 1 then iter_table t (fun k v -> s.repr <- basis_product k v)
 
 let of_alist ~num_qubits l =
   let subsystem = "State.of_alist" in
   check_width ~subsystem num_qubits;
-  let amps = Hashtbl.create (max 16 (List.length l)) in
+  let t = new_table ~terms:(List.length l) in
   List.iter
     (fun (idx, a) ->
       check_index ~subsystem ~num_qubits idx;
-      if Hashtbl.mem amps idx then
+      if find t.cur idx >= 0 then
         Mbu_error.invalid ~subsystem (Printf.sprintf "repeated index %d" idx);
-      Hashtbl.replace amps idx a)
+      insert t.cur idx a)
     l;
-  let s = { num_qubits; repr = Sparse amps; pinned = false } in
+  let s = { num_qubits; repr = Sparse t; pinned = false } in
   maybe_demote s;
   s
 
@@ -117,14 +213,16 @@ let turn_mask = (1 lsl 61) - 1
 let fine_mask = half_turn - 1
 let turn_of_phase ph = Phase.num ph lsl (61 - Phase.log2_den ph)
 
+(* Radians per unit of turn. A turn [t] of [turn_of_phase ph] is
+   [t * turn_radians], bit for bit [Phase.to_radians ph]: both round
+   [2 pi * num] once and scale it by a power of two. *)
+let turn_radians = 2.0 *. Float.pi /. 0x1p61
+
 (* [z] turned by [t]: exact for no turn and a half turn. *)
 let rotate t z =
   if t = 0 then z
   else if t = half_turn then Complex.neg z
-  else
-    Complex.mul
-      (Complex.polar 1.0 (Float.of_int t *. (2.0 *. Float.pi /. 0x1p61)))
-      z
+  else Complex.mul (Complex.polar 1.0 (Float.of_int t *. turn_radians)) z
 
 (* The wire of a one-wire mask: [(m * debruijn) lsr 57] is a distinct
    6-bit key for each of the 62 one-wire masks (a de Bruijn sequence). *)
@@ -176,52 +274,124 @@ let iter_product p f =
 let iter_amps s f =
   match s.repr with
   | Product p -> iter_product p f
-  | Sparse tbl -> Hashtbl.iter f tbl
+  | Sparse t -> iter_table t f
 
 let to_alist s =
   let acc = ref [] in
   iter_amps s (fun k v -> if Complex.norm v > eps then acc := (k, v) :: !acc);
   List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) !acc
 
-let num_terms s = List.length (to_alist s)
+(* [Complex.norm z > eps] for z = re + i im, unboxed: [Complex.norm] is
+   [Float.hypot], which is at least the larger of |re| and |im|, so the
+   common term well above [eps] needs no [hypot]. *)
+let[@inline] above_eps re im =
+  Float.abs re > eps || Float.abs im > eps || Float.hypot re im > eps
+
+(* [f k] for each term of [to_alist], in storage order. *)
+let iter_terms s f =
+  match s.repr with
+  | Product p -> iter_product p (fun k v -> if Complex.norm v > eps then f k)
+  | Sparse t ->
+      let b = t.cur in
+      for j = 0 to b.cap - 1 do
+        let k = b.keys.(j) in
+        if k >= 0 && above_eps b.re.(j) b.im.(j) then f k
+      done
+
+let num_terms s =
+  let n = ref 0 in
+  iter_terms s (fun _ -> incr n);
+  !n
 
 let support_size s =
   match s.repr with
   | Product p -> product_support p.xmask
-  | Sparse tbl -> Hashtbl.length tbl
+  | Sparse t -> t.cur.live
+
+(* The squared norm of the table's terms, and of those with the wires of
+   [m] all 1. *)
+let table_norm2 t m =
+  let b = t.cur in
+  let all = ref 0. and ones = ref 0. in
+  for j = 0 to b.cap - 1 do
+    let k = b.keys.(j) in
+    if k >= 0 then begin
+      let re = b.re.(j) and im = b.im.(j) in
+      let n2 = (re *. re) +. (im *. im) in
+      all := !all +. n2;
+      if k land m = m then ones := !ones +. n2
+    end
+  done;
+  (!all, !ones)
 
 let norm2 s =
   match s.repr with
   | Product p -> Complex.norm2 p.amp
-  | Sparse tbl -> Hashtbl.fold (fun _ v acc -> acc +. Complex.norm2 v) tbl 0.
+  | Sparse t -> fst (table_norm2 t 0)
 
 let norm s = sqrt (norm2 s)
+
+let copy_buf b =
+  { b with keys = Array.copy b.keys; re = Array.copy b.re; im = Array.copy b.im }
 
 let copy s =
   { s with
     repr =
       (match s.repr with
       | Product p -> Product { p with fine = Array.copy p.fine }
-      | Sparse tbl -> Sparse (Hashtbl.copy tbl)) }
+      | Sparse t ->
+          Sparse { cur = copy_buf t.cur; spare = empty_buf (); partner = [||] })
+    }
 
 let is_classical s =
   match s.repr with Product p -> p.xmask = 0 | Sparse _ -> false
 
+(* The 2^k terms of [p], unboxed: [iter_product]'s amplitudes, bit for
+   bit ([Complex.polar 1.0] is [cos] and [sin] times 1.0, which is
+   exact). *)
 let table_of_product p =
-  let tbl = Hashtbl.create (max 16 (2 lsl popcount p.xmask)) in
-  iter_product p (Hashtbl.replace tbl);
-  tbl
+  let t = new_table ~terms:(product_support p.xmask) in
+  let b = t.cur in
+  let scaled = product_scaled p in
+  let base = p.idx land lnot p.xmask in
+  let rec go sub =
+    let k = base lor sub and turn = term_turn p sub in
+    if turn = 0 then put b k scaled.re scaled.im
+    else if turn = half_turn then put b k (-.scaled.re) (-.scaled.im)
+    else begin
+      let th = Float.of_int turn *. turn_radians in
+      let wr = cos th and wi = sin th in
+      put b k
+        ((wr *. scaled.re) -. (wi *. scaled.im))
+        ((wr *. scaled.im) +. (wi *. scaled.re))
+    end;
+    let next = (sub - p.xmask) land p.xmask in
+    if next <> 0 then go next
+  in
+  go 0;
+  t
+
+let promote s p =
+  let t = table_of_product p in
+  s.repr <- Sparse t;
+  t
 
 let force_sparse s =
-  (match s.repr with
-  | Sparse _ -> ()
-  | Product p -> s.repr <- Sparse (table_of_product p));
+  (match s.repr with Sparse _ -> () | Product p -> ignore (promote s p));
   s.pinned <- true
 
-let phase_of p = Complex.polar 1.0 (Phase.to_radians p)
+(* ------------------------------------------------------------------ *)
+(* Measurement outcomes *)
+
+let zero_probability p1 v = if v then p1 <= 1e-12 else p1 >= 1.0 -. 1e-12
+
+let draw_outcome rng p1 =
+  if zero_probability p1 true then false
+  else if zero_probability p1 false then true
+  else Random.State.float rng 1.0 < p1
 
 (* ------------------------------------------------------------------ *)
-(* Product-track kernel *)
+(* The program kernel: opcodes, then the product track's passes *)
 
 let on_x p q = p.xmask land (1 lsl q) <> 0
 
@@ -404,14 +574,9 @@ let collapse p m v =
   p.xmask <- p.xmask land lnot m
 
 (* The product track's program: runs of gates, and when [adaptive] the
-   measurements and conditionals between them. *)
-let product_slots p ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop =
-  if i < 0 || Array.length tally < tally_size then
-    invalid_arg "State.run_slots";
-  (* Clamped to the arrays, so [product_gates] reads them unchecked. *)
-  let n = imin (Array.length code) (Array.length c) in
-  let n = imin n (imin (Array.length a) (Array.length b)) in
-  let limit = imin stop n in
+   measurements and conditionals between them, up to [limit], which must
+   not exceed any array's length. *)
+let product_slots p ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~limit =
   (* Whether |amp| is exactly 1, read at the first measurement: -1 before.
      The pass never changes [amp], so the answer holds to its end. *)
   let unit_amp = ref (-1) in
@@ -434,7 +599,7 @@ let product_slots p ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop =
         unit_amp := Bool.to_int (Complex.norm p.amp = 1.0);
       if adaptive && op = op_measure && !unit_amp = 1 then begin
         (* As [project_inplace] with |amp| = 1, which leaves [amp]
-           unscaled: an equatorial wire is a fair coin, drawn as [Sim]'s
+           unscaled: an equatorial wire is a fair coin, drawn as
            [draw_outcome] draws p = 1/2; a Z-basis wire draws nothing. *)
         let support = product_support p.xmask in
         if support > tally.(tally_peak) then tally.(tally_peak) <- support;
@@ -442,7 +607,7 @@ let product_slots p ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop =
         let outcome =
           if p.xmask land m = 0 then p.idx land m <> 0
           else begin
-            let v = Random.State.float rng 1.0 < 0.5 in
+            let v = draw_outcome rng 0.5 in
             collapse p m v;
             v
           end
@@ -466,144 +631,189 @@ let product_slots p ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop =
   done;
   !k
 
-let on_product_track s =
-  match s.repr with Product _ -> true | Sparse _ -> false
-
-let run_slots s ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop =
-  match s.repr with
-  | Product p ->
-      product_slots p ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop
-  | Sparse _ -> i
-
-(* Apply [g] on the product track as a one-slot program; [false] when it
-   needs the sparse table. *)
-let product_gate p g =
-  let code = [| 0 |] and a = [| 0 |] and b = [| 0 |] and c = [| 0 |] in
-  encode_gate g ~code ~a ~b ~c 0;
-  let tally = Array.make op_measure 0 in
-  match product_gates p ~code ~a ~b ~c ~tally 0 ~limit:1 with
-  | 2 -> true
-  | 1 -> equatorial_gate p code.(0) a.(0) b.(0) c.(0)
-  | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Sparse-track kernel *)
 
-(* In-place permutation kernel. Every permutation gate we support (X, CNOT,
-   Toffoli, Swap) is an involution whose firing condition is invariant under
-   the move: index [k] with [cond k] swaps with [k lxor mask]. Snapshot the
-   key set once, then exchange amplitudes pairwise inside the same table —
-   no rebuild. A snapshot key can only disappear before its visit by being
-   the source of an earlier move, in which case its pair is already done. *)
-let permute_involution tbl cond mask =
-  let keys = Array.make (Hashtbl.length tbl) 0 in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun k _ ->
-      keys.(!i) <- k;
-      incr i)
-    tbl;
-  Array.iter
-    (fun k ->
-      if cond k then
-        let k2 = k lxor mask in
-        match (Hashtbl.find_opt tbl k, Hashtbl.find_opt tbl k2) with
-        | Some v, Some v2 ->
-            if k < k2 then begin
-              Hashtbl.replace tbl k v2;
-              Hashtbl.replace tbl k2 v
-            end
-        | Some v, None ->
-            Hashtbl.remove tbl k;
-            Hashtbl.replace tbl k2 v
-        | None, _ -> ())
-    keys
+(* X, CNOT and Toffoli (an X on [mb] where the wires of [ma] are all 1)
+   and Swap (op 6) move every key to its image: rebuilt into the spare
+   buffer. *)
+let permute t op ma mb =
+  let src = t.cur and dst = t.spare in
+  clear dst ~terms:src.live;
+  let keys = src.keys and re = src.re and im = src.im in
+  let dkeys = dst.keys and dre = dst.re and dim = dst.im in
+  let mask = dst.cap - 1 and shift = dst.shift in
+  for j = 0 to src.cap - 1 do
+    let k = Array.unsafe_get keys j in
+    if k >= 0 then begin
+      let image =
+        if op = 6 then swap_masks k ma mb
+        else k lxor (mb land ones_if_zero ((k land ma) lxor ma))
+      in
+      let d = claim_slot dkeys ~mask ~shift image in
+      Array.unsafe_set dre d (Array.unsafe_get re j);
+      Array.unsafe_set dim d (Array.unsafe_get im j)
+    end
+  done;
+  dst.live <- src.live;
+  flip t
 
-(* H double-buffers: the only gate that can merge or split terms. *)
-let h_table src q =
-  let r = inv_sqrt2 in
-  let amps = Hashtbl.create (2 * Hashtbl.length src) in
-  let accum k v =
-    if Complex.norm v > eps then
-      match Hashtbl.find_opt amps k with
-      | Some prev ->
-          let sum = Complex.add prev v in
-          if Complex.norm sum > eps then Hashtbl.replace amps k sum
-          else Hashtbl.remove amps k
-      | None -> Hashtbl.replace amps k v
-  in
-  Hashtbl.iter
-    (fun k v ->
-      let scaled = Complex.mul { Complex.re = r; im = 0. } v in
-      if bit k q then begin
-        accum (k lxor (1 lsl q)) scaled;
-        accum k (Complex.neg scaled)
+(* Z and CZ (ops 1 and 5) negate the terms whose wires of [m] are all 1,
+   in place. Phase and Cphase multiply them by the factor of the turn
+   [c]: [cos] and [sin] of [c * turn_radians], which is
+   [Complex.polar 1.0 (Phase.to_radians ph)], times them as
+   [Complex.mul] rounds it. *)
+let diagonal t op m c =
+  let b = t.cur in
+  let keys = b.keys and re = b.re and im = b.im in
+  if op = 1 || op = 5 then
+    for j = 0 to b.cap - 1 do
+      let k = Array.unsafe_get keys j in
+      if k >= 0 && k land m = m then begin
+        Array.unsafe_set re j (-.Array.unsafe_get re j);
+        Array.unsafe_set im j (-.Array.unsafe_get im j)
       end
-      else begin
-        accum k scaled;
-        accum (k lxor (1 lsl q)) scaled
-      end)
-    src;
-  amps
+    done
+  else begin
+    let th = Float.of_int c *. turn_radians in
+    let wr = cos th and wi = sin th in
+    for j = 0 to b.cap - 1 do
+      let k = Array.unsafe_get keys j in
+      if k >= 0 && k land m = m then begin
+        let vr = Array.unsafe_get re j and vi = Array.unsafe_get im j in
+        Array.unsafe_set re j ((wr *. vr) -. (wi *. vi));
+        Array.unsafe_set im j ((wr *. vi) +. (wi *. vr))
+      end
+    done
+  end
 
-let sparse_gate s tbl g =
-  match g with
-  | Gate.X q -> permute_involution tbl (fun _ -> true) (1 lsl q)
-  | Gate.Cnot { control; target } ->
-      permute_involution tbl (fun k -> bit k control) (1 lsl target)
-  | Gate.Toffoli { c1; c2; target } ->
-      permute_involution tbl (fun k -> bit k c1 && bit k c2) (1 lsl target)
-  | Gate.Swap (a, b) ->
-      permute_involution tbl
-        (fun k -> bit k a <> bit k b)
-        ((1 lsl a) lor (1 lsl b))
-  | Gate.Z q ->
-      Hashtbl.filter_map_inplace
-        (fun k v -> Some (if bit k q then Complex.neg v else v))
-        tbl
-  | Gate.Cz (a, b) ->
-      Hashtbl.filter_map_inplace
-        (fun k v -> Some (if bit k a && bit k b then Complex.neg v else v))
-        tbl
-  | Gate.Phase (q, p) ->
-      let w = phase_of p in
-      Hashtbl.filter_map_inplace
-        (fun k v -> Some (if bit k q then Complex.mul w v else v))
-        tbl
-  | Gate.Cphase { control; target; phase } ->
-      let w = phase_of phase in
-      Hashtbl.filter_map_inplace
-        (fun k v ->
-          Some (if bit k control && bit k target then Complex.mul w v else v))
-        tbl
-  | Gate.H q ->
-      s.repr <- Sparse (h_table tbl q);
-      maybe_demote s
+(* H on the wire [m]: each pair of keys k0, k1 = k0 lor m gives
+   (v0 + v1)/sqrt 2 at k0 and (v0 - v1)/sqrt 2 at k1, visited once, from
+   whichever of the two is stored (k0 when both are). Each term is scaled
+   as [Complex.mul] by (1/sqrt 2, 0) rounds it, a scaled term of norm at
+   most [eps] adds nothing, and a key whose two scaled terms sum to norm
+   at most [eps] is dropped: the rules of the oracle's [h_table], which
+   add at most two terms per key, so the order it adds them in cannot
+   change a bit. *)
+let hadamard t m =
+  let src = t.cur and dst = t.spare in
+  let keys = src.keys and re = src.re and im = src.im in
+  if Array.length t.partner < src.cap then
+    t.partner <- Array.make src.cap (-1)
+  else Array.fill t.partner 0 src.cap (-1);
+  let partner = t.partner in
+  (* The slot of each |0> key's partner (-1: none), and -2 at the slot of
+     each |1> key that has one. Two new terms at most per pair: as many
+     as the old terms when every key has its partner (a QFT register's
+     H), twice as many when none has. *)
+  let pairs = ref src.live in
+  for j = 0 to src.cap - 1 do
+    let k = Array.unsafe_get keys j in
+    if k >= 0 && k land m = 0 then begin
+      let p = find src (k lor m) in
+      Array.unsafe_set partner j p;
+      if p >= 0 then begin
+        Array.unsafe_set partner p (-2);
+        decr pairs
+      end
+    end
+  done;
+  clear dst ~terms:(2 * !pairs);
+  let r = inv_sqrt2 in
+  for j = 0 to src.cap - 1 do
+    let k = Array.unsafe_get keys j in
+    let p = Array.unsafe_get partner j in
+    if k >= 0 && p <> -2 then begin
+      let j0 = if k land m = 0 then j else -1 in
+      let j1 = if k land m = 0 then p else j in
+      let k0 = k land lnot m in
+      let k1 = k0 lor m in
+      let ar = if j0 >= 0 then Array.unsafe_get re j0 else 0. in
+      let ai = if j0 >= 0 then Array.unsafe_get im j0 else 0. in
+      let br = if j1 >= 0 then Array.unsafe_get re j1 else 0. in
+      let bi = if j1 >= 0 then Array.unsafe_get im j1 else 0. in
+      let sr = (r *. ar) -. (0. *. ai) and si = (r *. ai) +. (0. *. ar) in
+      let tr = (r *. br) -. (0. *. bi) and ti = (r *. bi) +. (0. *. br) in
+      let has_s = j0 >= 0 && above_eps sr si in
+      let has_t = j1 >= 0 && above_eps tr ti in
+      if has_s && has_t then begin
+        let ur = sr +. tr and ui = si +. ti in
+        if above_eps ur ui then put dst k0 ur ui;
+        let wr = sr -. tr and wi = si -. ti in
+        if above_eps wr wi then put dst k1 wr wi
+      end
+      else if has_s then begin
+        put dst k0 sr si;
+        put dst k1 sr si
+      end
+      else if has_t then begin
+        put dst k0 tr ti;
+        put dst k1 (-.tr) (-.ti)
+      end
+    end
+  done;
+  flip t
 
-let promote s p =
-  let tbl = table_of_product p in
-  s.repr <- Sparse tbl;
-  tbl
+(* Keep the terms whose wire [m] reads [value], scaled by 1/norm as
+   [Complex.mul] by (1/norm, 0) rounds it. *)
+let project_table t m value =
+  let src = t.cur and dst = t.spare in
+  let keys = src.keys and re = src.re and im = src.im in
+  let want = if value then m else 0 in
+  let n2 = ref 0. and kept = ref 0 in
+  for j = 0 to src.cap - 1 do
+    let k = Array.unsafe_get keys j in
+    if k >= 0 && k land m = want then begin
+      let vr = Array.unsafe_get re j and vi = Array.unsafe_get im j in
+      n2 := !n2 +. ((vr *. vr) +. (vi *. vi));
+      incr kept
+    end
+  done;
+  if sqrt !n2 < eps then invalid_arg "State.project: zero-probability outcome";
+  let inv = 1. /. sqrt !n2 in
+  clear dst ~terms:!kept;
+  for j = 0 to src.cap - 1 do
+    let k = Array.unsafe_get keys j in
+    if k >= 0 && k land m = want then begin
+      let vr = Array.unsafe_get re j and vi = Array.unsafe_get im j in
+      put dst k ((inv *. vr) -. (0. *. vi)) ((inv *. vi) +. (0. *. vr))
+    end
+  done;
+  flip t
 
-let apply_gate_inplace s g =
-  match s.repr with
-  | Product p -> if not (product_gate p g) then sparse_gate s (promote s p) g
-  | Sparse tbl -> sparse_gate s tbl g
-
-let apply_gate s g =
-  let s = copy s in
-  apply_gate_inplace s g;
-  s
+(* Clearing a wire is NOT a permutation: when the support holds both values
+   of the wire, indices [k] and [k lxor mask] collide on the cleared index,
+   so the colliding amplitudes must be accumulated (the map is linear, not
+   bijective). A moved term lands alone when its norm is above [eps], and
+   added to the term it collides with when their sum's is; a term that
+   stays put and meets none is kept as it is. *)
+let clear_wire t m =
+  let src = t.cur and dst = t.spare in
+  clear dst ~terms:src.live;
+  let keys = src.keys and re = src.re and im = src.im in
+  for j = 0 to src.cap - 1 do
+    let k = Array.unsafe_get keys j in
+    if k >= 0 then
+      if k land m <> 0 then begin
+        let j0 = find src (k lxor m) in
+        let vr = Array.unsafe_get re j and vi = Array.unsafe_get im j in
+        let sr = if j0 >= 0 then Array.unsafe_get re j0 +. vr else vr in
+        let si = if j0 >= 0 then Array.unsafe_get im j0 +. vi else vi in
+        if above_eps sr si then put dst (k lxor m) sr si
+      end
+      else if find src (k lor m) < 0 then
+        put dst k (Array.unsafe_get re j) (Array.unsafe_get im j)
+  done;
+  flip t
 
 let prob_bit_one s q =
   match s.repr with
   | Product p ->
       (* Exact: an equatorial wire is a fair coin, a Z-basis wire definite. *)
       if on_x p q then 0.5 else if bit p.idx q then 1.0 else 0.0
-  | Sparse tbl ->
-      let p1 = ref 0. in
-      Hashtbl.iter (fun k v -> if bit k q then p1 := !p1 +. Complex.norm2 v) tbl;
-      !p1 /. norm2 s
+  | Sparse t ->
+      let all, ones = table_norm2 t (1 lsl q) in
+      ones /. all
 
 let project_inplace s ~qubit ~value =
   match s.repr with
@@ -615,53 +825,107 @@ let project_inplace s ~qubit ~value =
       if n < eps then invalid_arg "State.project: zero-probability outcome";
       if n <> 1.0 then p.amp <- Complex.div p.amp { re = n; im = 0. };
       if equatorial then collapse p (1 lsl qubit) value
-  | Sparse tbl ->
-      Hashtbl.filter_map_inplace
-        (fun k v -> if bit k qubit = value then Some v else None)
-        tbl;
-      let n2 = Hashtbl.fold (fun _ v acc -> acc +. Complex.norm2 v) tbl 0. in
-      if sqrt n2 < eps then
-        invalid_arg "State.project: zero-probability outcome";
-      let inv = 1. /. sqrt n2 in
-      Hashtbl.filter_map_inplace
-        (fun _ v -> Some (Complex.mul { Complex.re = inv; im = 0. } v))
-        tbl;
+  | Sparse t ->
+      project_table t (1 lsl qubit) value;
       maybe_demote s
-
-(* Clearing a wire is NOT a permutation: when the support holds both values
-   of the wire, indices [k] and [k lxor mask] collide on the cleared index,
-   so the colliding amplitudes must be accumulated (the map is linear, not
-   bijective). The seed implementation routed this through [permute], whose
-   [Hashtbl.replace] silently dropped one of the two amplitudes. *)
-let sparse_set_bit_zero s tbl ~qubit =
-  let mask = 1 lsl qubit in
-  let moved = ref [] in
-  Hashtbl.iter
-    (fun k v -> if k land mask <> 0 then moved := (k, v) :: !moved)
-    tbl;
-  List.iter (fun (k, _) -> Hashtbl.remove tbl k) !moved;
-  List.iter
-    (fun (k, v) ->
-      let k' = k land lnot mask in
-      let sum =
-        match Hashtbl.find_opt tbl k' with
-        | Some prev -> Complex.add prev v
-        | None -> v
-      in
-      if Complex.norm sum > eps then Hashtbl.replace tbl k' sum
-      else Hashtbl.remove tbl k')
-    !moved;
-  maybe_demote s
 
 let set_bit_zero_inplace s ~qubit =
   match s.repr with
   | Product p when not (on_x p qubit) -> p.idx <- p.idx land lnot (1 lsl qubit)
-  | Product p -> sparse_set_bit_zero s (promote s p) ~qubit
-  | Sparse tbl -> sparse_set_bit_zero s tbl ~qubit
+  | Product p ->
+      clear_wire (promote s p) (1 lsl qubit);
+      maybe_demote s
+  | Sparse t ->
+      clear_wire t (1 lsl qubit);
+      maybe_demote s
 
 let set_bit_zero s ~qubit =
   let s = copy s in
   set_bit_zero_inplace s ~qubit;
+  s
+
+(* The sparse track's program: as [product_slots], up to [limit], the
+   first slot it declines (a measurement or conditional unless
+   [adaptive]), or the first slot after which the state has demoted. A
+   measurement runs as [Sim]'s one-slot measurement does. *)
+let sparse_slots s t ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~limit =
+  let k = ref i and go = ref true in
+  while !go && !k < limit do
+    let j = !k in
+    let op = code.(j) in
+    if op < op_measure then begin
+      (match op with
+      | 0 | 4 | 6 | 7 -> permute t op a.(j) b.(j)
+      | 1 | 3 | 5 | 8 -> diagonal t op (a.(j) lor b.(j)) c.(j)
+      | _ ->
+          hadamard t b.(j);
+          maybe_demote s);
+      tally.(op) <- tally.(op) + 1;
+      k := j + 1
+    end
+    else if adaptive && op = op_measure then begin
+      let qubit = a.(j) in
+      let support = t.cur.live in
+      if support > tally.(tally_peak) then tally.(tally_peak) <- support;
+      let outcome = draw_outcome rng (prob_bit_one s qubit) in
+      project_inplace s ~qubit ~value:outcome;
+      bits.(b.(j)) <- outcome;
+      if outcome && c.(j) = 1 then set_bit_zero_inplace s ~qubit;
+      tally.(op) <- tally.(op) + 1;
+      k := j + 1
+    end
+    else if adaptive && op = op_if then begin
+      tally.(op) <- tally.(op) + 1;
+      if bits.(a.(j)) = (b.(j) = 1) then begin
+        tally.(tally_taken) <- tally.(tally_taken) + 1;
+        k := j + 1
+      end
+      else k := c.(j)
+    end
+    else go := false;
+    match s.repr with Sparse _ -> () | Product _ -> go := false
+  done;
+  !k
+
+let on_product_track s =
+  match s.repr with Product _ -> true | Sparse _ -> false
+
+(* Passes on whichever track the state is on. A product pass that stops
+   at a gate stops at one it needs the table for: promote, and the table
+   takes it. A sparse pass that ends on the product track has demoted. *)
+let run_slots s ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop =
+  if i < 0 || Array.length tally < tally_size then
+    invalid_arg "State.run_slots";
+  (* Clamped to the arrays, so the passes read them unchecked. *)
+  let n = imin (Array.length code) (Array.length c) in
+  let n = imin n (imin (Array.length a) (Array.length b)) in
+  let limit = imin stop n in
+  let k = ref i and go = ref true in
+  while !go && !k < limit do
+    match s.repr with
+    | Product p ->
+        k := product_slots p ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive !k ~limit;
+        if !k < limit && code.(!k) < op_measure then ignore (promote s p)
+        else go := false
+    | Sparse t ->
+        k := sparse_slots s t ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive !k ~limit;
+        if not (on_product_track s) then go := false
+  done;
+  !k
+
+(* Never drawn from: a gate is not an adaptive program. *)
+let idle_rng = Random.State.make [| 0 |]
+
+let apply_gate_inplace s g =
+  let code = [| 0 |] and a = [| 0 |] and b = [| 0 |] and c = [| 0 |] in
+  encode_gate g ~code ~a ~b ~c 0;
+  ignore
+    (run_slots s ~code ~a ~b ~c ~tally:(Array.make tally_size 0) ~bits:[||]
+       ~rng:idle_rng ~adaptive:false 0 ~stop:1)
+
+let apply_gate s g =
+  let s = copy s in
+  apply_gate_inplace s g;
   s
 
 (* Amplitude of basis term [k] in [s], if stored. *)
@@ -670,7 +934,10 @@ let amp_at s k =
   | Product p ->
       if k land lnot p.xmask <> p.idx land lnot p.xmask then None
       else Some (rotate (term_turn p (k land p.xmask)) (product_scaled p))
-  | Sparse tbl -> Hashtbl.find_opt tbl k
+  | Sparse t ->
+      let b = t.cur in
+      let j = find b k in
+      if j < 0 then None else Some { Complex.re = b.re.(j); im = b.im.(j) }
 
 let fidelity a b =
   if a.num_qubits <> b.num_qubits then invalid_arg "State.fidelity";
@@ -686,33 +953,43 @@ let classical_value s =
   match s.repr with
   | Product { idx; xmask = 0; amp; _ } ->
       if Complex.norm amp > eps then Some idx else None
-  | Product _ | Sparse _ -> (
-      match to_alist s with [ (k, _) ] -> Some k | _ -> None)
+  | Product _ | Sparse _ ->
+      let terms = ref 0 and last = ref 0 in
+      iter_terms s (fun k ->
+          incr terms;
+          last := k);
+      if !terms = 1 then Some !last else None
 
 let bit_value s q =
   match s.repr with
   | Product { idx; xmask = 0; amp; _ } ->
       if Complex.norm amp > eps then Some (bit idx q) else None
   | Product _ | Sparse _ -> (
-      match to_alist s with
-      | [] -> None
-      | (k0, _) :: rest ->
-          let v = bit k0 q in
-          if List.for_all (fun (k, _) -> bit k q = v) rest then Some v else None)
+      (* Bit 0 of [seen]: a term reads 0; bit 1: a term reads 1. *)
+      let seen = ref 0 in
+      iter_terms s (fun k -> seen := !seen lor if bit k q then 2 else 1);
+      match !seen with 1 -> Some false | 2 -> Some true | _ -> None)
 
 (* ------------------------------------------------------------------ *)
-(* Reference engine: the seed's pure rebuild-per-gate algorithms, kept as
-   the oracle for the property tests comparing backends, and as the
-   "before" baseline in the simulator benchmark. Always returns a sparse
-   state; [pinned] is inherited so it never demotes mid-circuit. *)
+(* Reference engine: the seed's pure rebuild-per-gate algorithms over a
+   hash table, kept as the oracle for the property tests comparing
+   backends, and as the "before" baseline in the simulator benchmark. Each
+   operation reads the state through [iter_amps] and writes its result
+   back as a sparse state, one conversion per call; [pinned] is inherited
+   so it never demotes mid-circuit. *)
 
 module Reference = struct
+  let phase_of p = Complex.polar 1.0 (Phase.to_radians p)
+
   let sparse_of s =
     let tbl = Hashtbl.create 16 in
     iter_amps s (fun k v -> Hashtbl.replace tbl k v);
     tbl
 
-  let wrap s tbl = { num_qubits = s.num_qubits; repr = Sparse tbl; pinned = s.pinned }
+  let wrap s tbl =
+    let t = new_table ~terms:(Hashtbl.length tbl) in
+    Hashtbl.iter (insert t.cur) tbl;
+    { num_qubits = s.num_qubits; repr = Sparse t; pinned = s.pinned }
 
   let permute s f =
     let src = sparse_of s in
@@ -720,15 +997,43 @@ module Reference = struct
     Hashtbl.iter (fun k v -> Hashtbl.replace amps (f k) v) src;
     wrap s amps
 
-  let map_amps s f =
-    let src = sparse_of s in
+  let map_table src f =
     let amps = Hashtbl.create (Hashtbl.length src) in
     Hashtbl.iter
       (fun k v ->
         let v = f k v in
         if Complex.norm v > eps then Hashtbl.replace amps k v)
       src;
-    wrap s amps
+    amps
+
+  let map_amps s f = wrap s (map_table (sparse_of s) f)
+
+  (* H double-buffers: the only gate that can merge or split terms. *)
+  let h_table src q =
+    let r = inv_sqrt2 in
+    let amps = Hashtbl.create (2 * Hashtbl.length src) in
+    let accum k v =
+      if Complex.norm v > eps then
+        match Hashtbl.find_opt amps k with
+        | Some prev ->
+            let sum = Complex.add prev v in
+            if Complex.norm sum > eps then Hashtbl.replace amps k sum
+            else Hashtbl.remove amps k
+        | None -> Hashtbl.replace amps k v
+    in
+    Hashtbl.iter
+      (fun k v ->
+        let scaled = Complex.mul { Complex.re = r; im = 0. } v in
+        if bit k q then begin
+          accum (k lxor (1 lsl q)) scaled;
+          accum k (Complex.neg scaled)
+        end
+        else begin
+          accum k scaled;
+          accum (k lxor (1 lsl q)) scaled
+        end)
+      src;
+    amps
 
   let apply_gate s g =
     match g with
@@ -759,10 +1064,9 @@ module Reference = struct
     Hashtbl.iter
       (fun k v -> if bit k qubit = value then Hashtbl.replace amps k v)
       src;
-    let s = wrap s amps in
-    if norm s < eps then invalid_arg "State.project: zero-probability outcome";
-    let n = norm s in
-    map_amps s (fun _ v -> Complex.div v { re = n; im = 0. })
+    let n = sqrt (Hashtbl.fold (fun _ v acc -> acc +. Complex.norm2 v) amps 0.) in
+    if n < eps then invalid_arg "State.project: zero-probability outcome";
+    wrap s (map_table amps (fun _ v -> Complex.div v { re = n; im = 0. }))
 
   let set_bit_zero s ~qubit =
     let mask = 1 lsl qubit in

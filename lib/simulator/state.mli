@@ -23,10 +23,16 @@
     controls are all Z-basis wires. An operation that needs an equatorial
     wire's amplitudes — a control on it, a CZ or Cphase between two of
     them, H at any other phase, clearing it — promotes the state to the
-    {e sparse} track holding the 2{^k} terms it denotes: a hash table
-    mutated in place for permutation and diagonal gates, double-buffered
-    only for H. A sparse state demotes back to the product track as soon
-    as its support collapses to one term.
+    {e sparse} track holding the 2{^k} terms it denotes: a flat table,
+    open addressing over an [int array] of basis indices with the
+    amplitudes unboxed in two [float array]s. Z, Phase, CZ and Cphase
+    scale it in place; X, CNOT, Toffoli, Swap, H, projection and clearing
+    a wire rebuild it into a second buffer the state keeps, and the two
+    swap. It allocates only to grow those buffers. A gate writes the
+    amplitudes the {!Reference} oracle computes, bit for bit, and H drops
+    the negligible terms (norm at most 1e-12) the oracle's H drops. A
+    sparse state demotes back to the product track as soon as its support
+    collapses to one term.
 
     The [*_inplace] operations mutate the state; the same-named pure
     functions copy first and are safe to use on shared states. *)
@@ -51,10 +57,11 @@ val to_alist : t -> (int * Complex.t) list
 (** Entries with non-negligible amplitude, sorted by basis index. *)
 
 val num_terms : t -> int
+(** The length of {!to_alist}, counted in place. *)
 
 val support_size : t -> int
 (** Number of basis terms the state holds: 2{^k} on the product track with
-    k equatorial wires, the raw hash-table size on the sparse track
+    k equatorial wires, the table's stored terms on the sparse track
     (negligible amplitudes included, unlike {!num_terms}). O(1); the same
     number the sparse table would hold for that state. *)
 
@@ -77,10 +84,10 @@ val force_sparse : t -> unit
 
 val apply_gate : t -> Gate.t -> t
 val apply_gate_inplace : t -> Gate.t -> unit
-(** On the product track every gate runs through the gate loop of
-    {!run_slots}, as a one-slot program. *)
+(** Every gate runs as a one-slot program through {!run_slots}, on either
+    track. *)
 
-(** {1 The product-track program kernel}
+(** {1 The program kernel}
 
     A compiled program ([Sim.compile]) is three parallel int arrays [code],
     [a], [b] and a fourth, [c], one slot per instruction. The gate opcodes
@@ -116,33 +123,38 @@ val encode_gate :
 (** [encode_gate g ~code ~a ~b ~c i] writes [g] into slot [i]. *)
 
 val on_product_track : t -> bool
-(** Whether the state is on the product track, the only one {!run_slots}
-    runs on. *)
+(** Whether the state is on the product track (else on the sparse
+    table). *)
 
 val run_slots :
   t -> code:int array -> a:int array -> b:int array -> c:int array ->
   tally:int array -> bits:bool array -> rng:Random.State.t -> adaptive:bool ->
   int -> stop:int -> int
 (** [run_slots s ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop] runs
-    the slots from [i] on the product track, with the state's masks held
-    in locals, and returns the first slot it did not run. That is
-    the first slot at or past [stop] (or the arrays' end) that it reaches,
-    or the first slot it cannot take:
-    - a CNOT or Toffoli with a control on an equatorial wire;
-    - a CZ or Cphase on two equatorial wires;
-    - an H on an equatorial wire whose phase is not 0 or 1/2;
+    the slots from [i] in passes on whichever track the state is on, and
+    returns the first slot it did not run: the first slot at or past
+    [stop] (or the arrays' end) that it reaches, or the first slot it
+    declines:
     - unless [adaptive], any measurement or conditional;
-    - a measurement while [|amp|] is not exactly 1;
-    - any slot at all when the state is on the sparse track, in which case
-      it returns [i] and leaves the state alone.
+    - on the product track, a measurement while [|amp|] is not exactly 1.
 
-    The gate loop allocates nothing, except once per state: the cells for
-    phases below a half turn, made when the first such phase lands on an
-    equatorial wire.
+    A product pass holds the state's masks in locals. A gate it cannot
+    take there — a CNOT or Toffoli with a control on an equatorial wire, a
+    CZ or Cphase on two equatorial wires, an H on an equatorial wire whose
+    phase is not 0 or 1/2 — promotes the state to the sparse table, and a
+    sparse pass runs on from that gate. A sparse pass ends at the first
+    slot after which the state has demoted, and a product pass runs on
+    from there. So every gate slot runs, on one track or the other.
 
-    When [adaptive], a measurement draws [Random.State.float rng 1.0 < 0.5]
-    for an equatorial wire (nothing for a Z-basis one), projects, writes the
-    outcome into [bits], and clears the wire on a reset that read 1; a
+    Neither pass allocates per gate. The product track allocates once per
+    state: the cells for phases below a half turn, made when the first
+    such phase lands on an equatorial wire. The sparse table allocates
+    when it promotes and when its buffers grow.
+
+    When [adaptive], a measurement draws by {!draw_outcome}: on the
+    product track with [p1 = 1/2] for an equatorial wire (nothing for a
+    Z-basis one), on the table with {!prob_bit_one}. It projects, writes
+    the outcome into [bits], and clears the wire on a reset that read 1; a
     conditional reads [bits] and jumps past its body when the guard fails.
     Without [adaptive], [rng] and [bits] are not touched.
 
@@ -150,10 +162,22 @@ val run_slots :
     [tally.(tally_taken)], and a measurement raises [tally.(tally_peak)] to
     the support it saw. On return the state holds every slot run, and
     nothing else. Raises [Invalid_argument] when [i] is negative or
-    [tally] has fewer than [tally_size] cells. *)
+    [tally] has fewer than [tally_size] cells, and as {!project_inplace}
+    when a measurement's projection does. *)
 
 val prob_bit_one : t -> int -> float
 (** Probability that measuring the given wire yields 1. *)
+
+val zero_probability : float -> bool -> bool
+(** [zero_probability p1 v]: reading [v] from a wire that reads 1 with
+    probability [p1] counts as impossible ([p1 <= 1e-12] for 1,
+    [p1 >= 1 - 1e-12] for 0). *)
+
+val draw_outcome : Random.State.t -> float -> bool
+(** The outcome of measuring a wire that reads 1 with probability [p1]:
+    the only possible one when the other has {!zero_probability}, drawing
+    nothing, else [Random.State.float rng 1.0 < p1]. Every measurement
+    draws by this rule: [Sim]'s and both tracks' passes. *)
 
 val project_inplace : t -> qubit:int -> value:bool -> unit
 (** Project onto the subspace where [qubit] = [value] and renormalize.
@@ -177,10 +201,12 @@ val classical_value : t -> int option
 val bit_value : t -> int -> bool option
 (** The definite value of a wire across the whole support, if any. *)
 
-(** The seed simulator's pure rebuild-per-gate algorithms, kept verbatim
-    (modulo the [set_bit_zero] collision fix) as the oracle for the
-    backend-equivalence property tests and the "before" baseline of the
-    simulator benchmark. Results are always on the sparse track. *)
+(** The seed simulator's pure rebuild-per-gate algorithms over a hash
+    table, kept verbatim (modulo the [set_bit_zero] collision fix) as the
+    oracle for the backend-equivalence property tests and the "before"
+    baseline of the simulator benchmark. Each call reads the state through
+    its terms and writes the result back once, always on the sparse
+    track. *)
 module Reference : sig
   val apply_gate : t -> Gate.t -> t
   val project : t -> qubit:int -> value:bool -> t

@@ -547,11 +547,11 @@ let prop_faults_fast_eq_sparse =
 
    Every gate on three wires, from every product of |0>, |1>, |+>, |->
    and the equatorial wire at an eighth of a turn: [State.run_slots] must
-   take exactly the slots the product track can (no control on an
-   equatorial wire, not CZ or Cphase on two, no H at a phase other than 0
-   or 1/2), count them, and leave the same amplitudes as the oracle,
-   global phase included; declined slots leave the state and the tally
-   alone. *)
+   run and count every slot and leave the same amplitudes as the oracle,
+   global phase included, staying on the product track exactly for the
+   slots it can take there (no control on an equatorial wire, not CZ or
+   Cphase on two, no H at a phase other than 0 or 1/2) and promoting the
+   state to the sparse table for the others. *)
 
 let product_input wires kinds =
   let s = State.basis ~num_qubits:wires 0 in
@@ -618,21 +618,14 @@ let test_kernel_each_opcode () =
           let s = product_input 3 kinds in
           let before = State.copy s in
           let j, tally, code = run_kernel s [ g ] ~stop:1 in
-          if kernel_takes kinds g then begin
-            Alcotest.(check int) (name ^ ": taken") 1 j;
-            Alcotest.(check int) (name ^ ": tallied") 1 tally.(code.(0));
-            Alcotest.(check bool) (name ^ ": amplitudes") true
-              (amps_equal s (State.Reference.apply_gate before g));
-            Alcotest.(check bool) (name ^ ": product track") true
-              (State.on_product_track s)
-          end
-          else begin
-            Alcotest.(check int) (name ^ ": declined") 0 j;
-            Alcotest.(check int) (name ^ ": not tallied") 0
-              (Array.fold_left ( + ) 0 tally);
-            Alcotest.(check bool) (name ^ ": untouched") true
-              (amps_equal s before)
-          end;
+          Alcotest.(check int) (name ^ ": taken") 1 j;
+          Alcotest.(check int) (name ^ ": tallied") 1 tally.(code.(0));
+          Alcotest.(check int) (name ^ ": tallied once") 1
+            (Array.fold_left ( + ) 0 tally);
+          Alcotest.(check bool) (name ^ ": amplitudes") true
+            (amps_equal s (State.Reference.apply_gate before g));
+          Alcotest.(check bool) (name ^ ": product track") (kernel_takes kinds g)
+            (State.on_product_track s);
           (* [apply_gate_inplace] reaches the same amplitudes either way. *)
           let t = State.copy before in
           State.apply_gate_inplace t g;
@@ -641,9 +634,10 @@ let test_kernel_each_opcode () =
         kernel_gates)
     all_kinds
 
-(* Several slots in one pass: it ends at [stop], or at the first slot it
-   declines, holding every slot before and nothing after; signs fold in
-   once per odd count (X on |-> three times is -|->). *)
+(* Several slots in one call: it ends at [stop], holding every slot
+   before and nothing after, across a promotion to the table and a
+   demotion back; signs fold in once per odd count (X on |-> three times
+   is -|->). *)
 let test_kernel_passes () =
   let minus = product_input 3 [ 3; 1; 0 ] in
   let xs k = List.init k (fun _ -> Gate.X 0) in
@@ -673,13 +667,31 @@ let test_kernel_passes () =
   Alcotest.(check bool) "state to stop" true (amps_equal s (prefix 2));
   let s = State.copy from in
   let j, tally, _ = run_kernel s gates ~stop:5 in
-  Alcotest.(check int) "stops at an equatorial control" 3 j;
-  Alcotest.(check int) "tally to the decline" 3 (Array.fold_left ( + ) 0 tally);
-  Alcotest.(check bool) "state to the decline" true (amps_equal s (prefix 3));
+  Alcotest.(check int) "runs on past an equatorial control" 5 j;
+  Alcotest.(check int) "tally past the promotion" 5
+    (Array.fold_left ( + ) 0 tally);
+  Alcotest.(check bool) "state past the promotion" true
+    (amps_equal s (prefix 5));
+  Alcotest.(check bool) "promoted" false (State.on_product_track s);
   let sparse = State.copy from in
   State.force_sparse sparse;
-  let j, _, _ = run_kernel sparse gates ~stop:5 in
-  Alcotest.(check int) "sparse track: nothing" 0 j
+  let j, tally, _ = run_kernel sparse gates ~stop:5 in
+  Alcotest.(check int) "sparse track: every slot" 5 j;
+  Alcotest.(check int) "sparse track: tally" 5 (Array.fold_left ( + ) 0 tally);
+  Alcotest.(check bool) "sparse track: state" true (amps_equal sparse (prefix 5));
+  (* H recombines the Bell pair: the table demotes, and the product track
+     takes the last X. *)
+  let round_trip =
+    [ Gate.H 1; Gate.Cnot { control = 1; target = 2 };
+      Gate.Cnot { control = 1; target = 2 }; Gate.H 1; Gate.X 2 ]
+  in
+  let s = State.copy from in
+  let j, tally, _ = run_kernel s round_trip ~stop:5 in
+  Alcotest.(check int) "round trip: every slot" 5 j;
+  Alcotest.(check int) "round trip: tally" 5 (Array.fold_left ( + ) 0 tally);
+  Alcotest.(check bool) "round trip: demoted" true (State.is_classical s);
+  Alcotest.(check (option int)) "round trip: value" (Some 0b110)
+    (State.classical_value s)
 
 (* The motifs really leave the product track and come back. *)
 let test_motifs_promote_and_demote () =
@@ -736,6 +748,207 @@ let test_montecarlo_rows_fast_eq_sparse () =
            fast))
     [ ("vbe5", 15); ("vbe4", 15); ("cdkpm", 16); ("mixed", 16); ("gidney", 14) ]
 
+(* {2 The flat sparse table}
+
+   The table against the oracle where its own mechanics show: growth past
+   its first buffers, keys that H cancels until the state demotes,
+   clearing a wire whose two values collide, and projections that drop
+   half the keys before more gates run. *)
+
+(* A gate on [nq] wires: one of each kind, three distinct wires, phases
+   from a half to a 64th of a turn. *)
+let gen_gate nq =
+  QCheck.Gen.(
+    int_range 0 8 >>= fun kind ->
+    int_range 0 (nq - 1) >>= fun a ->
+    int_range 1 (nq - 1) >>= fun db ->
+    int_range 1 (nq - 2) >>= fun dc ->
+    int_range 1 6 >>= fun k ->
+    let b = (a + db) mod nq in
+    let rec skip c = if c = a || c = b then skip ((c + 1) mod nq) else c in
+    let c = skip ((b + dc) mod nq) in
+    return
+      (match kind with
+      | 0 -> Gate.X a
+      | 1 -> Gate.Z a
+      | 2 -> Gate.H a
+      | 3 -> Gate.Cnot { control = a; target = b }
+      | 4 -> Gate.Cz (a, b)
+      | 5 -> Gate.Toffoli { c1 = a; c2 = b; target = c }
+      | 6 -> Gate.Swap (a, b)
+      | 7 -> Gate.Phase (a, Phase.theta k)
+      | _ -> Gate.Cphase { control = a; target = b; phase = Phase.theta k }))
+
+let print_gates gs = Format.asprintf "%a" (Format.pp_print_list Gate.pp) gs
+
+let gates_circuit nq ?(num_bits = 1) instrs =
+  Circuit.make ~num_qubits:nq ~num_bits instrs
+
+let gate_instrs = List.map (fun g -> Instr.Gate g)
+
+(* Every engine on one circuit and seed: the same bits and executed
+   counts, and the same final state, norm included. *)
+let engines_agree c ~init ~seed =
+  let rf = run_engine Sim.Fast ~seed c ~init in
+  let rs = run_engine Sim.Sparse ~seed c ~init in
+  let rr = run_engine Sim.Reference ~seed c ~init in
+  let agree (a : Sim.run) (b : Sim.run) =
+    a.Sim.bits = b.Sim.bits
+    && Counts.approx_equal a.Sim.executed b.Sim.executed
+    && State.fidelity a.Sim.state b.Sim.state > 1. -. 1e-9
+    && Float.abs (State.norm a.Sim.state -. State.norm b.Sim.state) < 1e-9
+  in
+  agree rs rr && agree rf rr
+
+(* Gate by gate on a pinned table, the amplitudes are the oracle's bit
+   for bit (every term above 1e-12 compared with [=]), from each step's
+   same input. *)
+let prop_table_gates_exact =
+  QCheck.Test.make ~name:"flat table: each gate = oracle, bit for bit"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(pair (list_size (int_range 1 30) (gen_gate 6)) (int_range 0 63))
+       ~print:(fun (gs, idx) -> Printf.sprintf "idx %d: %s" idx (print_gates gs)))
+    (fun (gates, idx) ->
+      let s = State.basis ~num_qubits:6 idx in
+      State.force_sparse s;
+      List.for_all
+        (fun g ->
+          let expect = State.Reference.apply_gate s g in
+          State.apply_gate_inplace s g;
+          State.to_alist s = State.to_alist expect)
+        gates)
+
+(* 2^11 terms and more: H on eleven of twelve wires, a Cphase chain so
+   that the Fast engine promotes too, then random gates and two
+   measurements. The table starts at 8 slots and doubles its buffers
+   up to 8 192. *)
+let prop_table_growth =
+  QCheck.Test.make ~name:"flat table: growth past 2^11 terms = oracle"
+    ~count:12
+    (QCheck.make
+       QCheck.Gen.(pair (list_size (int_range 1 10) (gen_gate 12)) nat)
+       ~print:(fun (gs, seed) -> Printf.sprintf "seed %d: %s" seed (print_gates gs)))
+    (fun (gates, seed) ->
+      let nq = 12 in
+      let spread =
+        List.init 11 (fun q -> Gate.H q)
+        @ List.init 10 (fun q ->
+              Gate.Cphase { control = q; target = q + 1; phase = Phase.theta 3 })
+      in
+      let measure qubit bit = Instr.Measure { qubit; bit; reset = bit = 1 } in
+      let c =
+        gates_circuit nq ~num_bits:2
+          (gate_instrs (spread @ gates) @ [ measure 3 0; measure 7 1 ])
+      in
+      let init = State.basis ~num_qubits:nq 0 in
+      let spread_state =
+        (Sim.run ~engine:Sim.Sparse (gates_circuit nq (gate_instrs spread)) ~init)
+          .Sim.state
+      in
+      State.support_size spread_state = 2048 && engines_agree c ~init ~seed)
+
+(* The inverse of a gate list: the gates reversed, phases negated (every
+   other gate here is its own inverse). *)
+let inverse_gates gs =
+  List.rev_map
+    (function
+      | Gate.Phase (q, ph) -> Gate.Phase (q, Phase.neg ph)
+      | Gate.Cphase r -> Gate.Cphase { r with phase = Phase.neg r.phase }
+      | g -> g)
+    gs
+
+(* H on some wires, random gates, their inverse and the H again: the
+   last Hs cancel every key but one, and the state demotes to the product
+   track on Fast (a pinned table keeps its one term). Random gates in the
+   middle that contain H Z H and the like cancel keys on the way. *)
+let prop_table_cancels_and_demotes =
+  QCheck.Test.make ~name:"flat table: H cancels keys and demotes = oracle"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 1 4) (int_range 0 5))
+           (list_size (int_range 1 12) (gen_gate 6))
+           (int_range 0 63))
+       ~print:(fun (hs, gs, idx) ->
+         Printf.sprintf "H on [%s], idx %d: %s"
+           (String.concat ";" (List.map string_of_int hs))
+           idx (print_gates gs)))
+    (fun (hs, gates, idx) ->
+      let hs = List.sort_uniq compare hs in
+      let h = List.map (fun q -> Gate.H q) hs in
+      let c =
+        gates_circuit 6 (gate_instrs (h @ gates @ inverse_gates gates @ h))
+      in
+      let init = State.basis ~num_qubits:6 idx in
+      let rf = run_engine Sim.Fast ~seed:0 c ~init in
+      let rs = run_engine Sim.Sparse ~seed:0 c ~init in
+      State.is_classical rf.Sim.state
+      && State.classical_value rf.Sim.state = Some idx
+      && State.support_size rs.Sim.state = 1
+      && State.classical_value rs.Sim.state = Some idx
+      && engines_agree c ~init ~seed:0)
+
+(* Clearing a wire whose two values both occur: the colliding terms add,
+   on a pinned table and from the product track (which promotes), term
+   for term as the oracle. *)
+let prop_table_clear_collisions =
+  QCheck.Test.make ~name:"flat table: set_bit_zero collisions = oracle"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         triple (list_size (int_range 0 12) (gen_gate 6)) (int_range 0 5)
+           (int_range 0 63))
+       ~print:(fun (gs, q, idx) ->
+         Printf.sprintf "clear %d, idx %d: %s" q idx (print_gates gs)))
+    (fun (gates, qubit, idx) ->
+      let c = gates_circuit 6 (gate_instrs (Gate.H qubit :: gates)) in
+      let init = State.basis ~num_qubits:6 idx in
+      let cleared engine =
+        let s = (run_engine engine ~seed:0 c ~init).Sim.state in
+        (s, State.set_bit_zero s ~qubit)
+      in
+      List.for_all
+        (fun engine ->
+          let s, t = cleared engine in
+          amps_equal t (State.Reference.set_bit_zero s ~qubit)
+          && State.bit_value t qubit <> Some true)
+        [ Sim.Fast; Sim.Sparse ])
+
+(* A wide superposition measured twice with gates in between: each
+   projection drops about half the keys, and the gates after it run on
+   the smaller table. *)
+let prop_table_projections =
+  QCheck.Test.make ~name:"flat table: projections then gates = oracle"
+    ~count:100
+    (QCheck.make
+       QCheck.Gen.(
+         quad
+           (list_size (int_range 0 10) (gen_gate 8))
+           (list_size (int_range 0 10) (gen_gate 8))
+           (pair (int_range 0 7) (int_range 0 7))
+           nat)
+       ~print:(fun (g1, g2, (a, b), seed) ->
+         Printf.sprintf "seed %d, measure %d then %d: %s | %s" seed a b
+           (print_gates g1) (print_gates g2)))
+    (fun (g1, g2, (qa, qb), seed) ->
+      let nq = 8 in
+      let spread =
+        List.init nq (fun q -> Gate.H q)
+        @ List.init (nq - 1) (fun q ->
+              Gate.Cphase { control = q; target = q + 1; phase = Phase.theta 2 })
+      in
+      let c =
+        gates_circuit nq ~num_bits:3
+          (gate_instrs (spread @ g1)
+          @ [ Instr.Measure { qubit = qa; bit = 0; reset = false } ]
+          @ gate_instrs g2
+          @ [ Instr.Measure { qubit = qb; bit = 1; reset = true };
+              Instr.Measure { qubit = qa; bit = 2; reset = false } ])
+      in
+      engines_agree c ~init:(State.basis ~num_qubits:nq 0) ~seed)
+
 let suite =
   ( "backends",
     [ qtest prop_engines_agree;
@@ -764,4 +977,9 @@ let suite =
       Alcotest.test_case "Draper families: Fast = Sparse = Reference" `Quick
         test_draper_engines_agree;
       Alcotest.test_case "Draper fault plans: Fast = Sparse" `Quick
-        test_draper_faults_fast_eq_sparse ] )
+        test_draper_faults_fast_eq_sparse;
+      qtest prop_table_gates_exact;
+      qtest prop_table_growth;
+      qtest prop_table_cancels_and_demotes;
+      qtest prop_table_clear_collisions;
+      qtest prop_table_projections ] )

@@ -177,6 +177,39 @@ let test_shot_budget () = check_shot_budget "cdkpm" ~n:16 100.
    QFT states, the shot allocated 381 915. *)
 let test_draper_shot_budget () = check_shot_budget "draper" ~n:8 200.
 
+(* The same Draper run pinned to the sparse table, whose QFT states hold
+   up to 2^9 terms: the flat table allocates only to grow its buffers
+   (those past 256 words on the major heap, which this does not count),
+   about 1 700 words a run. The hash table it replaced allocated about
+   310 000, a boxed amplitude, an option and a bucket cell per term and
+   gate. *)
+let test_sparse_run_budget () =
+  let open Mbu_simulator in
+  let n = 8 in
+  let p = (1 lsl (n - 1)) lor (0x2b5 land ((1 lsl (n - 1)) - 1)) lor 1 in
+  let b = Builder.create () in
+  let built =
+    Mbu_robustness.Catalogue.emit ~x:(p - 2) ~y:(p / 3)
+      (Option.get (Mbu_robustness.Catalogue.find "draper"))
+      ~mbu:true ~n ~p b
+  in
+  let prog = Sim.compile (Builder.to_circuit b) in
+  let init =
+    Sim.init_registers ~num_qubits:(Builder.num_qubits b) built.inits
+  in
+  let rng = Random.State.make [| 5 |] in
+  let runs = 10 in
+  let run () =
+    for _ = 1 to runs do
+      ignore (Sim.run_program ~rng ~engine:Sim.Sparse prog ~init)
+    done
+  in
+  run ();
+  let per_run = snd (minor_words run) /. float_of_int runs in
+  if per_run > 4000. then
+    Alcotest.failf "Sparse Draper n=%d: %.0f words per run, budget 4000" n
+      per_run
+
 (* A gate on the product track allocates nothing: 2 000 CNOTs cost what an
    empty circuit of the same width costs, to 0.01 words per gate, with or
    without a hook (gates raise no event, and a hooked pass still runs every
@@ -229,4 +262,6 @@ let suite =
       Alcotest.test_case "hooked gate loop budget: 2 000 CNOTs" `Quick
         test_hooked_gate_loop_budget;
       Alcotest.test_case "shot budget: Draper modadd n=8" `Quick
-        test_draper_shot_budget ] )
+        test_draper_shot_budget;
+      Alcotest.test_case "sparse run budget: Draper modadd n=8" `Quick
+        test_sparse_run_budget ] )

@@ -309,6 +309,32 @@ let test_classify_propagates_kernel_errors () =
   | _ -> Alcotest.fail "run_campaign: expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* A spec whose [init] is narrower than its circuit is a harness error:
+   it propagates from both entry points instead of classifying every run
+   [Detected] (which made the campaign's baseline check blame the oracle). *)
+let test_narrow_init_propagates () =
+  let circuit =
+    Circuit.make ~num_qubits:2 [ Instr.Gate (Gate.Cnot { control = 0; target = 1 }) ]
+  in
+  let spec =
+    { Engine.name = "narrow"; circuit; init = State.basis ~num_qubits:1 0;
+      keep = []; expect = []; detectors = [] }
+  in
+  let narrow what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected the Sim.run width error" what
+    | exception Mbu_error.Error e ->
+        Alcotest.(check string) (what ^ ": subsystem") "Sim.run"
+          e.Mbu_error.subsystem
+  in
+  narrow "classify" (fun () ->
+      ignore (Engine.classify ~rng:(Random.State.make [| 1 |]) ~faults:[] spec));
+  narrow "run_campaign" (fun () ->
+      ignore
+        (Engine.run_campaign ~jobs:1
+           ~plan:(Engine.Random { runs = 2; faults_per_run = 1 })
+           spec))
+
 let suite =
   ( "robustness",
     [ Alcotest.test_case "site enumeration consistent" `Quick
@@ -333,4 +359,6 @@ let suite =
       Alcotest.test_case "kernel errors are not detections" `Quick
         test_classify_propagates_kernel_errors;
       Alcotest.test_case "misreads: one patch per slot" `Quick
-        test_misread_patches ] )
+        test_misread_patches;
+      Alcotest.test_case "narrow init is a harness error" `Quick
+        test_narrow_init_propagates ] )
