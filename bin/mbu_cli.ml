@@ -391,7 +391,8 @@ let metrics_cmd =
   let jobs_arg =
     Arg.(value & opt (some int) None
          & info [ "jobs" ] ~doc:"Worker domains (metrics are JOBS-independent \
-                                 apart from latency buckets).")
+                                 apart from latency buckets, GC words and \
+                                 workers spawned).")
   in
   let format_arg =
     let fmt_conv =

@@ -10,37 +10,56 @@ type t =
   | Flip_outcome of { bit : int }
   | Skip_block of { pos : int }
 
-(* Site and slot (instruction position) counts of one instruction; a
-   [Call] reads its node's stored summary. They differ because a k-wire
-   gate is one slot but k sites. *)
-let counts_of = function
-  | Instr.Gate g -> (Gate.arity g, 1)
-  | i ->
-      let s = Instr.scan [ i ] in
-      (s.Instr.site_count, s.Instr.instr_count)
-
 let num_sites instrs = (Instr.scan instrs).Instr.site_count
 
+(* One walk counting [k] down past each site, with [pos] the slot of the
+   instruction at hand. It descends into span and branch bodies as it meets
+   them; only a [Call] reads its node's stored counts, to step over the
+   block or descend into the one that holds the site. *)
 let site instrs k0 =
-  if k0 < 0 || k0 >= num_sites instrs then
-    invalid_arg "Fault.site: index out of range";
-  (* [go] relies on the precondition [k < num_sites l], so the
-     list-exhausted case is unreachable. *)
-  let rec go ~pos k = function
-    | [] -> assert false
-    | i :: rest ->
-        let ns, slots = counts_of i in
-        if k < ns then in_instr ~pos k i else go ~pos:(pos + slots) (k - ns) rest
-  and in_instr ~pos k = function
-    | Instr.Gate g -> Gate_site { pos; gate = g; qubit = Gate.qubit g k }
-    | Instr.Measure { qubit; bit; _ } -> Measure_site { pos; qubit; bit }
+  if k0 < 0 then invalid_arg "Fault.site: index out of range";
+  let k = ref k0 and pos = ref 0 in
+  let rec walk = function
+    | [] -> None
+    | i :: rest -> (
+        match visit i with Some _ as found -> found | None -> walk rest)
+  and visit = function
+    | Instr.Gate g ->
+        let arity = Gate.arity g in
+        if !k < arity then
+          Some (Gate_site { pos = !pos; gate = g; qubit = Gate.qubit g !k })
+        else begin
+          k := !k - arity;
+          incr pos;
+          None
+        end
+    | Instr.Measure { qubit; bit; _ } ->
+        if !k = 0 then Some (Measure_site { pos = !pos; qubit; bit })
+        else begin
+          decr k;
+          incr pos;
+          None
+        end
     | Instr.If_bit { bit; value; body } ->
-        if k = 0 then Branch_site { pos; bit; value }
-        else go ~pos:(pos + 1) (k - 1) body
-    | Instr.Span { body; _ } -> go ~pos k body
-    | Instr.Call n -> go ~pos k n.Instr.body
+        if !k = 0 then Some (Branch_site { pos = !pos; bit; value })
+        else begin
+          decr k;
+          incr pos;
+          walk body
+        end
+    | Instr.Span { body; _ } -> walk body
+    | Instr.Call n ->
+        let s = n.Instr.summary in
+        if !k < s.Instr.site_count then walk n.Instr.body
+        else begin
+          k := !k - s.Instr.site_count;
+          pos := !pos + s.Instr.instr_count;
+          None
+        end
   in
-  go ~pos:0 k0 instrs
+  match walk instrs with
+  | Some found -> found
+  | None -> invalid_arg "Fault.site: index out of range"
 
 let sites instrs =
   let acc = ref [] in

@@ -54,13 +54,15 @@ val num_sites : Instr.t list -> int
     count, so the cost is O(top level). *)
 
 val site : Instr.t list -> int -> site
-(** [site instrs k] is the [k]-th site in program order, found by counted
-    descent (no expansion). Raises [Invalid_argument] when [k] is out of
+(** [site instrs k] is the [k]-th site in program order, found in one
+    walk that counts [k] down: it descends into span and branch bodies and
+    steps over or into a shared block by its stored counts (no expansion).
+    Raises [Invalid_argument] when [k] is out of
     [0 .. num_sites - 1]. *)
 
 val sites : Instr.t list -> site list
-(** All sites in program order — the expanded enumeration; prefer
-    {!site} + {!num_sites} for sampling large circuits. *)
+(** All sites in program order — the expanded enumeration. A campaign
+    builds it once, as an array, and indexes it per run. *)
 
 val of_site : ?pauli:pauli -> site -> t
 (** The canonical fault for a site: [Pauli_after] (default pauli [X]) for a

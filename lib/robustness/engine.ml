@@ -104,7 +104,10 @@ type result = {
 let plan_rng ~seed i = Random.State.make [| 0x6661756c; seed; i |]
 let run_rng ~seed i = Random.State.make [| 0x696e6a63; seed; i |]
 
-let random_plan ~num_sites ~faults_per_run instrs rng =
+(* [table] is the circuit's sites in program order, so site [s] of the
+   draw is [table.(s)], the one [Fault.site] would find. *)
+let random_plan ~faults_per_run table rng =
+  let num_sites = Array.length table in
   let k = min faults_per_run num_sites in
   let chosen = Hashtbl.create (2 * k) in
   let rec draw () =
@@ -116,7 +119,7 @@ let random_plan ~num_sites ~faults_per_run instrs rng =
     end
   in
   List.init k (fun _ ->
-      let site = Fault.site instrs (draw ()) in
+      let site = table.(draw ()) in
       let pauli =
         match Random.State.int rng 3 with
         | 0 -> Fault.X
@@ -125,33 +128,31 @@ let random_plan ~num_sites ~faults_per_run instrs rng =
       in
       Fault.of_site ~pauli site)
 
-let exhaustive_plans ~paulis instrs =
+let exhaustive_plans ~paulis table =
   List.concat_map
     (fun site ->
       match site with
       | Fault.Gate_site _ ->
           List.map (fun pauli -> [ Fault.of_site ~pauli site ]) paulis
       | Fault.Measure_site _ | Fault.Branch_site _ -> [ [ Fault.of_site site ] ])
-    (Fault.sites instrs)
+    (Array.to_list table)
 
 let run_campaign ?(seed = 0) ?jobs ?on_progress ~plan spec =
   let invalid msg = Mbu_error.invalid ~subsystem:"Robustness.run_campaign" msg in
-  let instrs = spec.circuit.Circuit.instrs in
-  let sites = Fault.num_sites instrs in
+  (* Built once: a run's plan indexes it instead of walking the circuit. *)
+  let table = Array.of_list (Fault.sites spec.circuit.Circuit.instrs) in
+  let sites = Array.length table in
   let total, plan_of =
     match plan with
     | Exhaustive { paulis } ->
-        let plans = Array.of_list (exhaustive_plans ~paulis instrs) in
+        let plans = Array.of_list (exhaustive_plans ~paulis table) in
         (Array.length plans, Array.get plans)
     | Random { runs; faults_per_run } when runs < 0 || faults_per_run < 0 ->
         invalid
           (Printf.sprintf "runs %d and faults per run %d must not be negative"
              runs faults_per_run)
     | Random { runs; faults_per_run } ->
-        ( runs,
-          fun i ->
-            random_plan ~num_sites:sites ~faults_per_run instrs
-              (plan_rng ~seed i) )
+        (runs, fun i -> random_plan ~faults_per_run table (plan_rng ~seed i))
   in
   let prog = Sim.compile spec.circuit in
   let classify ~rng ~faults = classify_program ~rng ~faults prog spec in
@@ -197,7 +198,6 @@ let run_campaign ?(seed = 0) ?jobs ?on_progress ~plan spec =
       detected = a.detected + b.detected; silent = a.silent + b.silent;
       silent_examples = first_8 (a.silent_examples @ b.silent_examples) }
   in
-  Sim.account_gc @@ fun () ->
   Parallel.fold ?jobs ~tasks:total
     ~init:(fun () ->
       { spec_name = spec.name; sites; runs = total; correct = 0; detected = 0;

@@ -10,16 +10,6 @@ let m_run_seconds =
   Telemetry.histogram ~help:"Per-run wall-clock latency in seconds"
     "mbu_sim_run_seconds"
 
-let m_gc_minor_words =
-  Telemetry.counter
-    ~help:"Minor-heap words allocated during shot loops and campaigns"
-    "mbu_sim_gc_minor_words"
-
-let m_gc_major_words =
-  Telemetry.counter
-    ~help:"Major-heap words allocated during shot loops and campaigns"
-    "mbu_sim_gc_major_words"
-
 let m_gates =
   Telemetry.counter ~help:"Program gates applied (injected faults excluded)"
     "mbu_sim_gates"
@@ -389,7 +379,7 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = []) prog
   done;
   if hooked then pass_marks n;
   (* Per-run telemetry lands once per run, not per instruction; the GC
-     words once per fold ([account_gc]). *)
+     words once per fold block ([Parallel.fold]). *)
   Telemetry.incr m_runs;
   Telemetry.observe m_run_seconds (Telemetry.now () -. t_start);
   let gates = ref 0 in
@@ -486,17 +476,6 @@ let branch_bits st = Hashtbl.fold (fun k _ acc -> k :: acc) st.branch [] |> List
 (* ------------------------------------------------------------------ *)
 (* Multi-shot runner *)
 
-(* Read around a whole fold on the calling domain, once: [Gc.quick_stat]
-   sums every domain, the joined workers included. *)
-let account_gc f =
-  let s0 = Gc.quick_stat () in
-  let r = f () in
-  let s1 = Gc.quick_stat () in
-  let words a b = max 0 (int_of_float (b -. a)) in
-  Telemetry.add m_gc_minor_words (words s0.minor_words s1.minor_words);
-  Telemetry.add m_gc_major_words (words s0.major_words s1.major_words);
-  r
-
 let default_jobs = Parallel.default_jobs
 let parallel_backend = Parallel.backend
 
@@ -525,9 +504,8 @@ let fold_shots ?(seed = 0) ?jobs ?stats ?(engine = Fast) ~shots c ~init
     w
   in
   let st, _, acc =
-    account_gc (fun () ->
-        Parallel.fold ?jobs ~tasks:shots ~init:worker ~step:shot
-          ~merge:merge_workers)
+    Parallel.fold ?jobs ~tasks:shots ~init:worker ~step:shot
+      ~merge:merge_workers
   in
   merge_stats stats st;
   !acc

@@ -180,14 +180,6 @@ val parallel_backend : string
 (** ["domains"] or ["sequential"] — which {!Parallel} implementation this
     binary was built with. *)
 
-val account_gc : (unit -> 'a) -> 'a
-(** [account_gc f] runs [f] and adds the words the process allocated
-    meanwhile ([Gc.quick_stat], every domain) to the
-    [mbu_sim_gc_minor_words] and [mbu_sim_gc_major_words] counters, unless
-    [f] raises. The shot loop and [Engine.run_campaign] wrap their
-    {!Parallel.fold} in it, so those counters are read twice a fold rather
-    than twice a run; a lone {!run} adds nothing to them. *)
-
 val fold_shots :
   ?seed:int -> ?jobs:int -> ?stats:stats -> ?engine:engine ->
   shots:int -> Circuit.t -> init:State.t -> empty:(unit -> 'acc) ->

@@ -9,6 +9,7 @@ open Mbu_circuit
 open Mbu_simulator
 open Mbu_core
 open Mbu_robustness
+open Mbu_telemetry
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -204,17 +205,19 @@ let test_sample_register_negative_shots () =
   | exception Mbu_error.Error e ->
       Alcotest.(check string) "subsystem" "Sim.fold_shots" e.Mbu_error.subsystem
 
+(* A list fold whose sequential answer is [List.init]. *)
+let squares ?jobs tasks =
+  Parallel.fold ?jobs ~tasks
+    ~init:(fun () -> [])
+    ~step:(fun acc i -> acc @ [ i * i ])
+    ~merge:( @ )
+
 (* Parallel.fold's contract: contiguous blocks merged in block order give
    the sequential answer for an associative merge, at every fan-out. *)
 let prop_fold_matches_sequential =
   QCheck.Test.make ~name:"Parallel.fold: list fold = sequential" ~count:200
     QCheck.(pair (int_range 1 6) (int_range 0 40))
-    (fun (jobs, tasks) ->
-      Parallel.fold ~jobs ~tasks
-        ~init:(fun () -> [])
-        ~step:(fun acc i -> acc @ [ i * i ])
-        ~merge:( @ )
-      = List.init tasks (fun i -> i * i))
+    (fun (jobs, tasks) -> squares ~jobs tasks = List.init tasks (fun i -> i * i))
 
 (* Every task from index k on fails: the fold reports index k's failure,
    whichever worker ran it. *)
@@ -235,6 +238,92 @@ let test_fold_raises_lowest_index () =
                  ~merge:( + ))))
       [ 0; 1; 7; 12; 22 ]
   done
+
+let spawned () =
+  Telemetry.counter_value (Telemetry.counter "mbu_parallel_workers_spawned")
+
+(* Consecutive folds reuse the parked workers: at most three spawns (the
+   largest fold's jobs - 1) over 200 folds at jobs 2, 4, 2, ..., none over
+   the last 100. On the sequential fallback the counter stays 0. *)
+let test_pool_reuses_workers () =
+  let s0 = spawned () and s_half = ref 0 in
+  for f = 0 to 199 do
+    if f = 100 then s_half := spawned ();
+    let jobs = [| 2; 4; 2 |].(f mod 3) and tasks = 1 + (f mod 37) in
+    if squares ~jobs tasks <> List.init tasks (fun i -> i * i) then
+      Alcotest.failf "fold %d (jobs %d, %d tasks) differs from sequential" f
+        jobs tasks
+  done;
+  let s1 = spawned () in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 3 spawns (%d)" (s1 - s0))
+    true
+    (s1 - s0 <= 3);
+  Alcotest.(check int) "no spawn over the last 100 folds" !s_half s1
+
+(* Block 1 (indices 3..5) and block 2 (6..8) raise: block 1's index wins,
+   and the workers that ran them are still there for the next fold. *)
+let test_pool_survives_failure () =
+  Alcotest.check_raises "lowest failing index" (Failure "4") (fun () ->
+      ignore
+        (Parallel.fold ~jobs:3 ~tasks:9
+           ~init:(fun () -> 0)
+           ~step:(fun acc i ->
+             if i = 4 || i = 7 then failwith (string_of_int i) else acc + i)
+           ~merge:( + )));
+  Alcotest.(check (list int)) "next fold" (List.init 9 (fun i -> i * i))
+    (squares ~jobs:3 9)
+
+(* A fold nested in a step finds the pool busy and runs on the domain of
+   that step, with the sequential answer. *)
+let test_pool_nested_fold () =
+  let inner i = squares ~jobs:2 (i + 1) in
+  Alcotest.(check (list (list int))) "nested"
+    (List.init 12 (fun i -> List.init (i + 1) (fun j -> j * j)))
+    (Parallel.fold ~jobs:3 ~tasks:12
+       ~init:(fun () -> [])
+       ~step:(fun acc i -> acc @ [ inner i ])
+       ~merge:( @ ))
+
+(* Two domains folding at once: one may hold the pool while the other runs
+   its blocks itself; each gets its own answer on every fold. *)
+let test_pool_two_domains () =
+  let folds ~offset () =
+    List.for_all
+      (fun tasks ->
+        Parallel.fold ~jobs:2 ~tasks
+          ~init:(fun () -> [])
+          ~step:(fun acc i -> acc @ [ offset + i ])
+          ~merge:( @ )
+        = List.init tasks (fun i -> offset + i))
+      (List.init 100 (fun f -> 1 + (f mod 29)))
+  in
+  let a, b = Spawn.both (folds ~offset:0) (folds ~offset:1000) in
+  Alcotest.(check bool) "calling domain" true a;
+  Alcotest.(check bool) "spawned domain" true b
+
+(* The GC words of one shot fold are counted exactly on every domain, so
+   the same fold reads the same words at jobs 1 and jobs 2 (the blocks'
+   own accumulators aside). *)
+let test_fold_gc_words () =
+  let b, x, y = build_modadd Mod_add.spec_cdkpm ~n:16 ~p:65521 in
+  let c = Builder.to_circuit b in
+  let init =
+    Sim.init_registers ~num_qubits:(Builder.num_qubits b)
+      [ (x, 12345); (y, 54321) ]
+  in
+  let words = Telemetry.counter "mbu_sim_gc_minor_words" in
+  let read jobs =
+    let w0 = Telemetry.counter_value words in
+    ignore (Sim.run_shots ~seed:3 ~jobs ~shots:2000 c ~init);
+    Telemetry.counter_value words - w0
+  in
+  let w1 = read 1 and w2 = read 2 in
+  Alcotest.(check bool) (Printf.sprintf "words counted (%d)" w1) true (w1 > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "jobs 1 (%d) and jobs 2 (%d) within 10%%" w1 w2)
+    true
+    (abs (w1 - w2) * 10 <= w1)
 
 (* The product track against the oracle on random adaptive programs over
    6 wires: gates, measurements (with and without reset) and conditionals
@@ -963,6 +1052,15 @@ let suite =
       qtest prop_fold_matches_sequential;
       Alcotest.test_case "Parallel.fold raises lowest failing index" `Quick
         test_fold_raises_lowest_index;
+      Alcotest.test_case "pool: 200 folds reuse the workers" `Quick
+        test_pool_reuses_workers;
+      Alcotest.test_case "pool: survives a failed fold" `Quick
+        test_pool_survives_failure;
+      Alcotest.test_case "pool: nested fold" `Quick test_pool_nested_fold;
+      Alcotest.test_case "pool: two domains fold at once" `Quick
+        test_pool_two_domains;
+      Alcotest.test_case "pool: GC words at jobs 1 = jobs 2" `Quick
+        test_fold_gc_words;
       qtest prop_product_track_matches_reference;
       Alcotest.test_case "motifs promote and demote" `Quick
         test_motifs_promote_and_demote;

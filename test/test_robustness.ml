@@ -41,6 +41,47 @@ let test_site_enumeration () =
       | exception Invalid_argument _ -> ()))
     Catalogue.all
 
+(* The one-walk descent through spans nested three deep, a branch body
+   between them and a shared block at the bottom, against the expanded
+   enumeration: every index, and both ends out of range. *)
+let test_site_nested_spans () =
+  let span label body = Instr.Span { label; peak_ancillas = 0; body } in
+  let g q = Instr.Gate (Gate.X q) in
+  let shared =
+    Instr.share
+      [ Instr.Gate (Gate.Toffoli { c1 = 0; c2 = 1; target = 2 }); g 3 ]
+  in
+  let instrs =
+    [ g 0;
+      span "outer"
+        [ Instr.Gate (Gate.Cnot { control = 0; target = 1 });
+          span "middle"
+            [ Instr.Measure { qubit = 1; bit = 0; reset = false };
+              Instr.If_bit
+                { bit = 0; value = true;
+                  body = [ span "inner" [ g 2; shared; g 1 ]; shared ] };
+              span "inner-sibling" [] ];
+          g 3 ];
+      shared;
+      g 0 ]
+  in
+  let listed = Fault.sites instrs in
+  Alcotest.(check int) "num_sites = |sites|" (Fault.num_sites instrs)
+    (List.length listed);
+  List.iteri
+    (fun k s ->
+      Alcotest.(check bool)
+        (Printf.sprintf "site %d by descent = by walk" k)
+        true
+        (Fault.site instrs k = s))
+    listed;
+  List.iter
+    (fun k ->
+      match Fault.site instrs k with
+      | _ -> Alcotest.failf "site %d out of range should raise" k
+      | exception Invalid_argument _ -> ())
+    [ -1; List.length listed ]
+
 (* Every catalogue adder is built with ~mbu:true, so each has at least one
    conditional; forcing outcomes must drive both arms of every one, with
    the classical oracle holding on each forced run. *)
@@ -339,6 +380,8 @@ let suite =
   ( "robustness",
     [ Alcotest.test_case "site enumeration consistent" `Quick
         test_site_enumeration;
+      Alcotest.test_case "site descent through nested spans" `Quick
+        test_site_nested_spans;
       Alcotest.test_case "forced branches cover every arm" `Quick
         test_forced_branches_cover_all_arms;
       Alcotest.test_case "branch frequency near 1/2" `Quick

@@ -19,9 +19,11 @@ let build_modadd ~n ~p =
   (b, x, y)
 
 (* The deterministic slice of a snapshot: everything except latency
-   buckets/sums and GC word counts, which legitimately vary run to run
-   (and per domain layout). Shot outcomes are split-RNG deterministic, so
-   these must be exactly equal at any [jobs]. *)
+   buckets/sums, GC word counts and the worker pool's spawns, which
+   legitimately vary run to run (and per domain layout; the pool spawns
+   only when a fold asks for more workers than any before it). Shot
+   outcomes are split-RNG deterministic, so these must be exactly equal at
+   any [jobs]. *)
 let deterministic_counters () =
   List.filter
     (fun (name, _) ->
@@ -32,7 +34,8 @@ let deterministic_counters () =
       not
         (is_prefix "mbu_sim_run_seconds"
         || is_prefix "mbu_robustness_run_seconds"
-        || is_prefix "mbu_sim_gc_"))
+        || is_prefix "mbu_sim_gc_"
+        || is_prefix "mbu_parallel_workers_spawned"))
     (Telemetry.counters_alist ())
 
 let workload ~seed ~jobs ~shots c ~init =
