@@ -659,6 +659,12 @@ let experiment_sim_bench () =
           (Counts.of_instrs ~mode:(Counts.Expected 0.5) spec.circuit.Circuit.instrs)
             .Counts.toffoli
         in
+        let cov = Engine.check_forced_branches spec in
+        let exact = cov.Engine.expected_toffoli in
+        if exact <> analytic || not (Engine.covered cov) then
+          failwith
+            (Printf.sprintf "E-SIM %s: exact Toffolis %g, analytic %g, covered %b"
+               id exact analytic (Engine.covered cov));
         let ((toffoli, gates, taken, correct) as r) =
           monte_carlo ~seed ~jobs:1 ~shots spec
         in
@@ -674,7 +680,7 @@ let experiment_sim_bench () =
         Json.(
           Obj
             [ ("row", Str e.title); ("n", int n);
-              ("toffoli_expected", Num analytic);
+              ("toffoli_expected", Num analytic); ("toffoli_exact", Num exact);
               ("toffoli_per_shot", Num toffoli); ("gates_per_shot", Num gates);
               ("branch_taken_frac", fixed 4 taken);
               ("correct_shots", int correct) ]))
@@ -686,8 +692,8 @@ let experiment_sim_bench () =
       Obj
         [ ("workload", Str "table1-modadd-montecarlo"); ("shots", int shots);
           ("seed", int seed); ("rows", Arr rows) ]);
-  fpf "  (analytic = Counts in Expected 0.5; mean = executed per shot, the@.";
-  fpf "   same at jobs = 1 and 2; written to BENCH_sim.json)@."
+  fpf "  (analytic = Counts in Expected 0.5 = the forced-branch runs' exact@.";
+  fpf "   expectation; mean = executed per shot, the same at jobs = 1 and 2)@."
 
 (* ------------------------------------------------------------------ *)
 (* E-BUILD: hash-consed DAG size *)
@@ -797,11 +803,11 @@ let experiment_faults () =
           failwith
             (Printf.sprintf
                "forced-branch coverage failed for %s (%d arms, %d uncovered, \
-                correct: %b/%b)"
+                %d runs, correct: %b, reconverged: %b)"
                e.Catalogue.name
                (List.length cov.Engine.arms)
                (List.length cov.Engine.uncovered)
-               cov.Engine.correct_on_true cov.Engine.correct_on_false);
+               cov.Engine.runs cov.Engine.correct cov.Engine.reconverged);
         let r =
           Engine.run_campaign ~seed
             ~plan:(Engine.Random { runs; faults_per_run = 1 })
@@ -840,8 +846,7 @@ let experiment_faults () =
           ("p", int p); ("runs_per_family", int runs); ("seed", int seed);
           ("lint_clean", Bool true); ("exhaustive_x_vbe", Obj (tally rx));
           ("families", Arr rows) ]);
-  fpf "  (correct = fault absorbed; detected = clean error, dirty ancilla \
-       or detector;@.";
+  fpf "  (correct = fault absorbed; detected = dirty ancilla or detector;@.";
   fpf "   silent = wrong output with nothing noticed; written to \
        BENCH_faults.json)@."
 

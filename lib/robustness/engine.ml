@@ -56,23 +56,11 @@ let classify_run spec (r : Sim.run) =
   then Correct
   else Silent_corrupt
 
-(* A spec whose [init] is narrower than its circuit is broken whatever
-   the faults, so that check runs first and its error propagates. Past it,
-   the [Mbu_error]s raised while the slots run (a forced outcome of
-   probability zero, say) are the circuit detecting the fault; anything
-   else (an [Invalid_argument] from a state kernel, say) is a simulator
-   bug and propagates. *)
-let classify_program ?engine ?force ~rng ~faults prog spec =
-  Sim.check_init prog ~init:spec.init;
-  match
-    Sim.run_program ~rng ?engine ?force ~faults prog ~init:spec.init
-  with
-  | r -> classify_run spec r
-  | exception Mbu_error.Error _ -> Detected
-
-let classify ?engine ?force ~rng ~faults spec =
-  classify_program ?engine ?force ~rng ~faults
-    (Sim.compile spec.circuit) spec
+(* Every error a run raises propagates: a spec whose [init] is narrower
+   than its circuit is broken whatever the faults, and an
+   [Invalid_argument] from a state kernel is a simulator bug. *)
+let classify ?engine ~rng ~faults spec =
+  classify_run spec (Sim.run ~rng ?engine ~faults spec.circuit ~init:spec.init)
 
 let oracle_outputs spec outputs =
   let r = Sim.run spec.circuit ~init:spec.init in
@@ -155,7 +143,9 @@ let run_campaign ?(seed = 0) ?jobs ?on_progress ~plan spec =
         (runs, fun i -> random_plan ~faults_per_run table (plan_rng ~seed i))
   in
   let prog = Sim.compile spec.circuit in
-  let classify ~rng ~faults = classify_program ~rng ~faults prog spec in
+  let classify ~rng ~faults =
+    classify_run spec (Sim.run_program ~rng ~faults prog ~init:spec.init)
+  in
   (match classify ~rng:(run_rng ~seed (-1)) ~faults:[] with
   | Correct -> ()
   | o ->
@@ -214,8 +204,6 @@ let silent_rate r =
 (* ------------------------------------------------------------------ *)
 (* Forced-branch execution *)
 
-let force_all v _bit = Some v
-
 let branch_arms (c : Circuit.t) =
   let seen = Hashtbl.create 16 in
   List.filter_map
@@ -232,28 +220,67 @@ let branch_arms (c : Circuit.t) =
 type coverage = {
   arms : (int * bool) list;
   uncovered : (int * bool * bool) list;
-  correct_on_true : bool;
-  correct_on_false : bool;
-  correct_on_targeted : bool;
+  runs : int;
+  correct : bool;
+  reconverged : bool;
+  expected_toffoli : float;
 }
 
 let check_forced_branches spec =
   let arms = branch_arms spec.circuit in
-  let driven = Hashtbl.create 32 in
-  let hook = function
-    | Sim.Branch { bit; value; taken } ->
-        Hashtbl.replace driven (bit, value, taken) ()
-    | _ -> ()
-  in
   let prog = Sim.compile spec.circuit in
-  let run_forced force =
+  let num_bits = spec.circuit.Circuit.num_bits in
+  let driven = Hashtbl.create 32 in
+  let runs = ref 0 and correct = ref true and reconverged = ref true in
+  (* One run with the bits in [flips] pinned to 1 and every other bit to
+     0: the bits it measured, in order, and the run; [None] when a pin had
+     probability zero. *)
+  let run flips =
+    incr runs;
+    let reached = ref [] in
+    let hook = function
+      | Sim.Measured { bit; _ } -> reached := bit :: !reached
+      | Sim.Branch { bit; value; taken } ->
+          Hashtbl.replace driven (bit, value, taken) ()
+      | _ -> ()
+    in
+    let force = List.init num_bits (fun b -> (b, List.mem b flips)) in
     match Sim.run_program ~on_event:hook ~force prog ~init:spec.init with
-    | r -> classify_run spec r = Correct
-    | exception Mbu_error.Error _ -> false
+    | r ->
+        if classify_run spec r <> Correct then correct := false;
+        Some (List.rev !reached, r)
+    | exception Mbu_error.Error { subsystem = "Sim.run"; bit = Some _; _ } ->
+        correct := false;
+        reconverged := false;
+        None
   in
-  let correct_on_true = run_forced (force_all true) in
-  let correct_on_false = run_forced (force_all false) in
-  let uncovered_now () =
+  let toffoli (r : Sim.run) = r.Sim.executed.Counts.toffoli in
+  (* Each outcome is a fair coin, so a run [depth] flips deep carries
+     weight 2^-depth: its Toffolis beyond its parent's, so weighted, sum to
+     the expectation. A flip that opens an arm reaches measurements its
+     parent did not; each of those is flipped on top of it in turn. *)
+  let expected_toffoli =
+    match run [] with
+    | None -> Float.nan
+    | Some (reached, base) ->
+        let expected = ref (toffoli base) in
+        let rec flip flips (parent_reached, parent) weight bits =
+          List.iter
+            (fun bit ->
+              match run (bit :: flips) with
+              | None -> expected := Float.nan
+              | Some (reached, r) ->
+                  if State.fidelity r.Sim.state base.Sim.state < 1. -. 1e-9
+                  then reconverged := false;
+                  expected := !expected +. (weight *. (toffoli r -. toffoli parent));
+                  List.filter (fun b -> not (List.mem b parent_reached)) reached
+                  |> flip (bit :: flips) (reached, r) (weight /. 2.))
+            bits
+        in
+        flip [] (reached, base) 0.5 reached;
+        !expected
+  in
+  let uncovered =
     List.concat_map
       (fun (bit, value) ->
         List.filter_map
@@ -263,37 +290,7 @@ let check_forced_branches spec =
           [ true; false ])
       arms
   in
-  (* Conditionals nested inside another conditional's body (e.g. a Gidney
-     AND erasure inside an MBU correction block) only execute when the
-     enclosing guard fires, so the two uniform runs can miss one of their
-     arms.  Chase each remaining arm with targeted runs — the arm's own bit
-     overridden against a uniform base — until a full sweep makes no
-     progress. *)
-  let correct_on_targeted = ref true in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    List.iter
-      (fun (bit, value, taken) ->
-        List.iter
-          (fun base ->
-            if not (Hashtbl.mem driven (bit, value, taken)) then begin
-              let before = Hashtbl.length driven in
-              let ok =
-                run_forced (fun b ->
-                    if b = bit then Some (if taken then value else not value)
-                    else Some base)
-              in
-              if Hashtbl.length driven > before then progress := true;
-              if Hashtbl.mem driven (bit, value, taken) && not ok then
-                correct_on_targeted := false
-            end)
-          [ true; false ])
-      (uncovered_now ())
-  done;
-  { arms; uncovered = uncovered_now (); correct_on_true; correct_on_false;
-    correct_on_targeted = !correct_on_targeted }
+  { arms; uncovered; runs = !runs; correct = !correct;
+    reconverged = !reconverged; expected_toffoli }
 
-let covered c =
-  c.uncovered = [] && c.correct_on_true && c.correct_on_false
-  && c.correct_on_targeted
+let covered c = c.uncovered = [] && c.correct && c.reconverged

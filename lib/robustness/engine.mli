@@ -8,12 +8,10 @@
     basis-input run is to feed a superposition).
 
     Each faulty run is classified:
-    - [Detected] — the run raised a clean error ([Mbu_error], including
-      forced zero-probability outcomes), a detector fired, or an ancilla
-      was left dirty: the fault is visible to checks an error-corrected
-      machine (or this test harness) actually performs.
-      Other exceptions are never classified: they propagate out of
-      {!classify} and {!run_campaign}.
+    - [Detected] — a detector fired or an ancilla was left dirty: the
+      fault is visible to checks an error-corrected machine (or this test
+      harness) actually performs. An exception is never classified: it
+      propagates out of {!classify} and {!run_campaign}.
     - [Correct] — all output registers match the oracle and every ancilla
       is clean: the fault was absorbed (e.g. a Z on a wire in a basis
       state, or an X in a branch that never ran).
@@ -51,14 +49,11 @@ val classify_run : spec -> Sim.run -> outcome
 (** Judge a finished run (detectors, then ancilla check, then oracle). *)
 
 val classify :
-  ?engine:Sim.engine -> ?force:(int -> bool option) ->
-  rng:Random.State.t -> faults:Fault.t list -> spec -> outcome
-(** One faulty run. An [Mbu_error] raised while the program's slots run
-    (a forced zero-probability outcome, say) classifies as [Detected]. A
-    spec whose [init] has fewer wires than its circuit raises
-    {!Sim.check_init}'s [Mbu_error] instead, before the run: that is a
-    broken spec, not a detection. Any other exception is a simulator bug,
-    not a detected fault, and propagates. *)
+  ?engine:Sim.engine -> rng:Random.State.t -> faults:Fault.t list -> spec ->
+  outcome
+(** One faulty run, judged by {!classify_run}. Every error the run raises
+    propagates: a spec whose [init] is narrower than its circuit is broken,
+    and any other exception is a simulator bug, not a detected fault. *)
 
 val oracle_outputs : spec -> Register.t list -> (Register.t * int) list
 (** Reference oracle from a fault-free run: the registers' final values.
@@ -108,33 +103,32 @@ val silent_rate : result -> float
 
 (** {1 Forced-branch execution} *)
 
-val force_all : bool -> int -> bool option
-(** [force_all v] pins every measurement outcome to [v] — with [true] every
-    MBU correction block runs, with [false] none does. *)
-
-val branch_arms : Circuit.t -> (int * bool) list
-(** The distinct [(bit, value)] guards of every [If_bit] in the circuit,
-    in program order. *)
-
 type coverage = {
   arms : (int * bool) list;
+      (** the distinct [(bit, value)] guards of every [If_bit], in program
+          order *)
   uncovered : (int * bool * bool) list;
       (** [(bit, value, taken)] combinations never driven *)
-  correct_on_true : bool;  (** all-outcomes-1 run classified [Correct] *)
-  correct_on_false : bool;  (** all-outcomes-0 run classified [Correct] *)
-  correct_on_targeted : bool;
-      (** every targeted run for a nested arm classified [Correct] *)
+  runs : int;  (** the base run and one per flip *)
+  correct : bool;  (** every run classified [Correct] *)
+  reconverged : bool;
+      (** every flipped run ends at fidelity 1 (within 1e-9) with the base *)
+  expected_toffoli : float;
+      (** the base run's Toffolis plus Σ 2{^-depth} (a flipped run's
+          Toffolis − its parent run's): exact when every outcome is a fair
+          coin; NaN when a pin raised *)
 }
 
 val check_forced_branches : spec -> coverage
-(** Run the spec twice — all outcomes forced to 1, then to 0 — recording
-    which [(bit, value, taken)] combinations fire. For every top-level
-    guard one run takes the block and the other skips it; arms nested
-    inside another conditional's body are then chased with targeted runs
-    (the arm's bit overridden against a uniform base) until coverage stops
-    growing. [uncovered = []] means both arms of every conditional were
-    driven; the [correct_*] flags assert the oracle held on every forced
-    run that drove an arm. *)
+(** Lemma 4.1 by execution: each MBU outcome is a fair coin and both arms
+    leave the same state. A base run pins every outcome to 0
+    ([Sim.run_program ~force]); then one run per measurement the base run
+    reached flips it to 1. A flip that reaches measurements its parent run
+    did not (an arm nested in the one it opened) has each new one flipped
+    on top of it, recursively; [depth] counts the flips. A pin of
+    probability zero (an outcome that is not a coin) fails its run and
+    ends that branch, so a base run meeting a deterministic 1 is not
+    covered. *)
 
 val covered : coverage -> bool
-(** [uncovered = []] and every forced run was [Correct]. *)
+(** [uncovered = []], [correct] and [reconverged]. *)

@@ -147,66 +147,62 @@ let compile (circ : Circuit.t) =
   { num_qubits = circ.num_qubits; num_bits = circ.num_bits; code; a; b; c;
     skip_mark; gates; marks }
 
-(* A fault plan as patches sorted by slot: the Paulis injected after a
-   gate slot (with the number of faults they stand for), the skipped
-   [If_bit] slots, and a misread on every measure slot that writes a
-   flipped bit (one fault however often the plan names the bit). Its size
+(* A fault plan and the pinned outcomes as patches sorted by slot: the
+   Paulis injected after a gate slot ([count] the faults they stand for),
+   the skipped [If_bit] slots, and every measure slot that writes a
+   flipped or a pinned bit, with one misread however often the plan names
+   the bit and [pin] the pinned outcome (0 or 1, -1 for none). Its size
    is the plan's, not the program's, so a campaign run allocates next to
-   nothing for it. Faults at positions the program does not have, or at
-   slots of the wrong kind, are dropped, like a fault in a branch never
-   reached. *)
-type patches = {
-  slots : int array;
-  counts : int array;
-  paulis : Gate.t list array;
-}
+   nothing for it. Faults and pins at positions or bits the program does
+   not have, or faults at slots of the wrong kind, are dropped, like a
+   fault in a branch never reached. *)
+type patch = { slot : int; count : int; paulis : Gate.t list; pin : int }
 
-let no_patches = { slots = [||]; counts = [||]; paulis = [||] }
+let no_patch = { slot = -1; count = 0; paulis = []; pin = -1 }
 
-let patches_of prog faults =
-  let n = Array.length prog.code in
+let patches_of prog ~force faults =
+  let n = Array.length prog.code and nbits = prog.num_bits in
   let at pos = pos >= 0 && pos < n in
-  let flipped =
-    List.filter_map
-      (function Fault.Flip_outcome { bit } -> Some bit | _ -> None)
-      faults
-  in
-  let misreads = ref [] in
-  if flipped <> [] then
+  (* Bit-indexed, so the measure slots resolve in one pass. *)
+  let misread = Array.make nbits false and pin = Array.make nbits (-1) in
+  let mark bit set = if bit >= 0 && bit < nbits then set bit in
+  List.iter
+    (function
+      | Fault.Flip_outcome { bit } -> mark bit (fun b -> misread.(b) <- true)
+      | Fault.Pauli_after _ | Fault.Skip_block _ -> ())
+    faults;
+  List.iter (fun (bit, v) -> mark bit (fun b -> pin.(b) <- Bool.to_int v)) force;
+  let measures = ref [] in
+  if force <> [] || Array.mem true misread then
     for i = n - 1 downto 0 do
-      if prog.code.(i) = op_measure && List.mem prog.b.(i) flipped then
-        misreads := (i, []) :: !misreads
+      let bit = prog.b.(i) in
+      if prog.code.(i) = op_measure && (misread.(bit) || pin.(bit) >= 0) then
+        let count = Bool.to_int misread.(bit) in
+        measures := { slot = i; count; paulis = []; pin = pin.(bit) } :: !measures
     done;
-  let entries =
-    List.filter_map
-      (function
-        | Fault.Pauli_after { pos; qubit; pauli }
-          when at pos && prog.code.(pos) < op_measure ->
-            Some (pos, Fault.pauli_gates pauli qubit)
-        | Fault.Skip_block { pos } when at pos && prog.code.(pos) = op_if ->
-            Some (pos, [])
-        | Fault.Pauli_after _ | Fault.Skip_block _ | Fault.Flip_outcome _ -> None)
-      faults
-    @ !misreads
-    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
-  in
-  (* Merge entries on one slot, keeping plan order. *)
-  let merged =
-    List.fold_left
-      (fun acc (pos, gs) ->
-        match acc with
-        | (p, k, gs0) :: rest when p = pos -> (p, k + 1, gs0 @ gs) :: rest
-        | _ -> (pos, 1, gs) :: acc)
-      [] entries
-    |> List.rev |> Array.of_list
-  in
-  { slots = Array.map (fun (p, _, _) -> p) merged;
-    counts = Array.map (fun (_, k, _) -> k) merged;
-    paulis = Array.map (fun (_, _, gs) -> gs) merged }
-
-let check_init prog ~init =
-  if State.num_qubits init < prog.num_qubits then
-    Mbu_error.invalid ~subsystem:"Sim.run" "state narrower than circuit"
+  List.filter_map
+    (function
+      | Fault.Pauli_after { pos; qubit; pauli }
+        when at pos && prog.code.(pos) < op_measure ->
+          let paulis = Fault.pauli_gates pauli qubit in
+          Some { slot = pos; count = 1; paulis; pin = -1 }
+      | Fault.Skip_block { pos } when at pos && prog.code.(pos) = op_if ->
+          Some { slot = pos; count = 1; paulis = []; pin = -1 }
+      | Fault.Pauli_after _ | Fault.Skip_block _ | Fault.Flip_outcome _ -> None)
+    faults
+  @ !measures
+  |> List.stable_sort (fun p q -> compare p.slot q.slot)
+  (* Merge the patches of one slot, keeping plan order. A measure slot has
+     one, so its pin is never merged. *)
+  |> List.fold_left
+       (fun acc p ->
+         match acc with
+         | q :: rest when q.slot = p.slot ->
+             { q with count = q.count + p.count; paulis = q.paulis @ p.paulis }
+             :: rest
+         | _ -> p :: acc)
+       []
+  |> List.rev |> Array.of_list
 
 (* One gate by the engine's kernel: in place, or the oracle's rebuild. *)
 let apply_gate reference state g =
@@ -216,10 +212,11 @@ let apply_gate reference state g =
     state
   end
 
-let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = []) prog
-    ~init =
+let run_program ?rng ?on_event ?(engine = Fast) ?(force = []) ?(faults = [])
+    prog ~init =
   let rng = match rng with Some r -> r | None -> fresh_rng () in
-  check_init prog ~init;
+  if State.num_qubits init < prog.num_qubits then
+    Mbu_error.invalid ~subsystem:"Sim.run" "state narrower than circuit";
   let t_start = Telemetry.now () in
   let bits = Array.make (max prog.num_bits 1) false in
   (* Instructions by opcode, then the kernel's other cells. *)
@@ -229,21 +226,23 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = []) prog
   let state = ref (State.copy init) in
   if engine <> Fast then State.force_sparse !state;
   let reference = engine = Reference in
-  let patch = if faults = [] then no_patches else patches_of prog faults in
+  let patches =
+    if faults = [] && force = [] then [||] else patches_of prog ~force faults
+  in
   let injected = ref 0 in
   (* Patches, like marks, are visited through a cursor: [next_patch] is the
      slot of the next patch not yet passed ([max_int] when there is none),
      and [patched i] says whether slot [i] carries one, passing over the
      patches of bodies that were jumped. *)
-  let npatches = Array.length patch.slots in
+  let npatches = Array.length patches in
   let patch_cursor = ref 0 in
-  let next_patch = ref (if npatches > 0 then patch.slots.(0) else max_int) in
+  let next_patch = ref (if npatches > 0 then patches.(0).slot else max_int) in
   let patched i =
-    while !patch_cursor < npatches && patch.slots.(!patch_cursor) < i do
+    while !patch_cursor < npatches && patches.(!patch_cursor).slot < i do
       incr patch_cursor
     done;
     next_patch :=
-      if !patch_cursor < npatches then patch.slots.(!patch_cursor) else max_int;
+      if !patch_cursor < npatches then patches.(!patch_cursor).slot else max_int;
     !next_patch = i
   in
   (* Event blocks are allocated only when a hook is installed, and span
@@ -276,11 +275,11 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = []) prog
   let code = prog.code and n = Array.length prog.code in
   (* On [Fast] and [Sparse], [State.run_slots] runs the program in
      passes on either track, each up to the next mark or patch. A pass
-     takes measurements and conditionals too, unless a hook must see them
-     or a forced outcome must pin them. Those, the patched slots, a
+     takes measurements and conditionals too, unless a hook must see them.
+     Those, the patched slots (a pinned outcome among them), a
      product-track measurement while |amp| is not 1, and every slot on
      [Reference] run here one at a time. *)
-  let adaptive = (not hooked) && Option.is_none force in
+  let adaptive = not hooked in
   let pc = ref 0 in
   while !pc < n do
     let i = !pc in
@@ -308,10 +307,9 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = []) prog
       if i >= !next_patch && patched i then begin
         (* Injected Paulis are faults, not program gates: applied through
            the engine but never tallied. *)
-        state :=
-          List.fold_left (apply_gate reference) !state
-            patch.paulis.(!patch_cursor);
-        injected := !injected + patch.counts.(!patch_cursor)
+        let p = patches.(!patch_cursor) in
+        state := List.fold_left (apply_gate reference) !state p.paulis;
+        injected := !injected + p.count
       end;
       pc := i + 1
     end
@@ -324,21 +322,22 @@ let run_program ?rng ?on_event ?(engine = Fast) ?force ?(faults = []) prog
       if terms > tally.(State.tally_peak) then
         tally.(State.tally_peak) <- terms;
       let p1 = State.prob_bit_one !state qubit in
-      let forced = match force with Some f -> f bit | None -> None in
+      let p =
+        if i >= !next_patch && patched i then patches.(!patch_cursor)
+        else no_patch
+      in
       let outcome =
-        match forced with
-        | Some v ->
-            if State.zero_probability p1 v then
-              Mbu_error.invalid ~subsystem:"Sim.run" ~qubit ~bit ~path:!path
-                (Printf.sprintf "forced outcome %b has probability zero" v)
-            else v
-        | None -> State.draw_outcome rng p1
+        if p.pin < 0 then State.draw_outcome rng p1
+        else if State.zero_probability p1 (p.pin = 1) then
+          Mbu_error.invalid ~subsystem:"Sim.run" ~qubit ~bit ~path:!path
+            (Printf.sprintf "forced outcome %b has probability zero" (p.pin = 1))
+        else p.pin = 1
       in
       if reference then
         state := State.Reference.project !state ~qubit ~value:outcome
       else State.project_inplace !state ~qubit ~value:outcome;
       let recorded =
-        if i >= !next_patch && patched i then begin
+        if p.count > 0 then begin
           incr injected;
           not outcome
         end
@@ -421,10 +420,10 @@ let init_registers ~num_qubits assignments =
     assignments;
   State.basis ~num_qubits !idx
 
-let run_builder ?rng ?on_event ?engine ?force ?faults b ~inits =
+let run_builder ?rng ?on_event ?engine ?faults b ~inits =
   let c = Builder.to_circuit b in
   let init = init_registers ~num_qubits:(Builder.num_qubits b) inits in
-  run ?rng ?on_event ?engine ?force ?faults c ~init
+  run ?rng ?on_event ?engine ?faults c ~init
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate branch statistics over Monte-Carlo runs *)

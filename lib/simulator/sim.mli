@@ -57,10 +57,10 @@ type event =
       {!State}), which runs the same program in passes of its own, and a
       sparse state that collapses to one basis vector demotes back. One
       rule sets the passes on both tracks: a pass runs to the next fault
-      patch (a Pauli after a gate slot, a skipped conditional, a misread on
-      a measure slot) or, under [on_event], the next span mark, and it
-      takes measurements and conditionals unless [on_event] or [force]
-      needs them. Those, the patched slots, and a product-track
+      patch (a Pauli after a gate slot, a skipped conditional, a misread or
+      a pinned outcome on a measure slot) or, under [on_event], the next
+      span mark, and it takes measurements and conditionals unless
+      [on_event] needs them. Those, the patched slots, and a product-track
       measurement whose amplitude is not of norm 1 run one at a time.
     - [Sparse]: pin the state to the sparse table for the whole run, even
       where the product track would apply; it runs in the same passes.
@@ -70,7 +70,7 @@ type engine = Fast | Sparse | Reference
 
 val run :
   ?rng:Random.State.t -> ?on_event:(event -> unit) -> ?engine:engine ->
-  ?force:(int -> bool option) -> ?faults:Fault.t list ->
+  ?force:(int * bool) list -> ?faults:Fault.t list ->
   Circuit.t -> init:State.t -> run
 (** [rng] defaults to a {e freshly seeded} deterministic generator per call:
     two unseeded runs of the same circuit give the same outcomes, and an
@@ -78,12 +78,14 @@ val run :
     synchronously after each measurement, for each conditional block
     considered and at each span boundary; it must not mutate the run.
 
-    [force bit] pins measurement outcomes: [Some v] projects the measured
-    qubit onto [v] instead of sampling (raising {!Mbu_circuit.Mbu_error.Error}
-    if [v] has probability zero), [None] falls back to the RNG. Classical
-    bits are 1:1 with measurements, so [bit] addresses each measurement
-    uniquely — this is what drives {e both} arms of every MBU conditional
-    deterministically.
+    [force] pins measurement outcomes: a pin [(bit, v)] projects every
+    measurement that writes [bit] onto [v] instead of sampling, raising
+    {!Mbu_circuit.Mbu_error.Error} (subsystem ["Sim.run"], [bit] attached)
+    if [v] has probability zero; unpinned bits draw from the RNG. The last
+    pin of a bit wins, and a bit the circuit does not have is ignored. A
+    pin is a slot patch, like a misread: pinning both values of an MBU
+    bit is what drives {e both} arms of its conditional deterministically
+    ([Engine.check_forced_branches]).
 
     [faults] injects the given {!Mbu_circuit.Fault.t} plan: Pauli and skip
     faults fire when execution reaches their static position (see [Fault]
@@ -112,17 +114,14 @@ type program
 
 val compile : Circuit.t -> program
 
-val check_init : program -> init:State.t -> unit
-(** Raises {!Mbu_circuit.Mbu_error.Error} ([Invalid], subsystem
-    ["Sim.run"]) when [init] has fewer wires than the program: the check
-    {!run_program} makes before it runs a slot. *)
-
 val run_program :
   ?rng:Random.State.t -> ?on_event:(event -> unit) -> ?engine:engine ->
-  ?force:(int -> bool option) -> ?faults:Fault.t list ->
+  ?force:(int * bool) list -> ?faults:Fault.t list ->
   program -> init:State.t -> run
 (** [run] on a compiled circuit: [run c] is [run_program (compile c)], with
-    the same results. *)
+    the same results. Raises {!Mbu_circuit.Mbu_error.Error} ([Invalid],
+    subsystem ["Sim.run"]) before it runs a slot when [init] has fewer
+    wires than the program. *)
 
 val init_registers : num_qubits:int -> (Register.t * int) list -> State.t
 (** Basis state with each register holding the given unsigned value (LSB
@@ -133,8 +132,7 @@ val init_registers : num_qubits:int -> (Register.t * int) list -> State.t
 
 val run_builder :
   ?rng:Random.State.t -> ?on_event:(event -> unit) -> ?engine:engine ->
-  ?force:(int -> bool option) -> ?faults:Fault.t list ->
-  Builder.t -> inits:(Register.t * int) list -> run
+  ?faults:Fault.t list -> Builder.t -> inits:(Register.t * int) list -> run
 (** Convert the builder to a circuit and run it on a basis initialization. *)
 
 (** {1 Monte-Carlo branch statistics}

@@ -220,10 +220,11 @@ let test_injected_skip_cz_detected () =
   Alcotest.(check int) "one erasure branch per carry ancilla" (n - 1)
     (List.length branches);
   let classify faults =
-    Engine.classify
-      ~force:(Engine.force_all true)
+    Sim.run
+      ~force:(List.init circuit.Circuit.num_bits (fun b -> (b, true)))
       ~rng:(Random.State.make [| 41 |])
-      ~faults spec
+      ~faults circuit ~init
+    |> Engine.classify_run spec
   in
   Alcotest.check outcome "healthy adder passes the fidelity detector"
     Engine.Correct (classify []);
@@ -251,12 +252,12 @@ let test_injected_skip_mbu_correction_detected () =
   List.iter
     (fun (pos, bit, value) ->
       (* pin the guard so the correction would fire, then refuse to run it *)
-      let force b = if b = bit then Some value else None in
       let o =
-        Engine.classify ~force
+        Sim.run ~force:[ (bit, value) ]
           ~rng:(Random.State.make [| 43 |])
           ~faults:[ Fault.Skip_block { pos } ]
-          spec
+          spec.Engine.circuit ~init:spec.Engine.init
+        |> Engine.classify_run spec
       in
       Alcotest.check outcome
         (Printf.sprintf "skipped MBU correction at position %d detected" pos)

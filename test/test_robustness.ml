@@ -84,12 +84,19 @@ let test_site_nested_spans () =
 
 (* Every catalogue adder is built with ~mbu:true, so each has at least one
    conditional; forcing outcomes must drive both arms of every one, with
-   the classical oracle holding on each forced run. *)
+   the classical oracle holding on each forced run, and the flips' Toffolis
+   weighted by 2^-depth must give the analytic expectation exactly. *)
 let test_forced_branches_cover_all_arms () =
   List.iter
     (fun (e : Catalogue.entry) ->
       let spec = e.Catalogue.make ~n ~p in
       let cov = Engine.check_forced_branches spec in
+      Alcotest.(check (float 0.))
+        (e.Catalogue.name ^ ": exact Toffolis = Counts in Expected 0.5")
+        (Counts.of_instrs ~mode:(Counts.Expected 0.5)
+           spec.Engine.circuit.Circuit.instrs)
+          .Counts.toffoli
+        cov.Engine.expected_toffoli;
       Alcotest.(check bool)
         (e.Catalogue.name ^ ": has conditionals")
         true
@@ -102,6 +109,27 @@ let test_forced_branches_cover_all_arms () =
         true
         (Engine.covered cov))
     Catalogue.all
+
+(* An arm that changes a register the oracle does not read still leaves
+   a different state: with [r] in [keep] but not in [expect], both arms
+   classify [Correct], so only the fidelity between them sees it. *)
+let test_forced_branches_need_reconverged_arms () =
+  let b = Builder.create () in
+  let q = Builder.fresh_register b "q" 1 and r = Builder.fresh_register b "r" 1 in
+  Builder.h b (Register.get q 0);
+  let bit = Builder.measure ~reset:true b (Register.get q 0) in
+  Builder.if_bit b bit (fun () -> Builder.x b (Register.get r 0));
+  let spec =
+    Engine.spec_of_builder ~name:"diverging-arm" ~keep:[ r ] ~expect:[] b
+      ~inits:[]
+  in
+  let cov = Engine.check_forced_branches spec in
+  Alcotest.(check (list (triple int bool bool)))
+    "both arms driven" [] cov.Engine.uncovered;
+  Alcotest.(check bool) "both arms classify Correct" true cov.Engine.correct;
+  Alcotest.(check bool) "the arms do not reconverge" false
+    cov.Engine.reconverged;
+  Alcotest.(check bool) "not covered" false (Engine.covered cov)
 
 (* The paper's MBU cost model says each correction fires with probability
    1/2; the Monte-Carlo stats hook should see that empirically. *)
@@ -171,14 +199,14 @@ let test_campaign_rejects_negative_counts () =
     [ (-1, 1); (10, -1) ]
 
 (* Forcing an outcome that has probability zero is an impossible request
-   and raises cleanly (campaigns classify it Detected). *)
+   and raises cleanly, with the bit attached. *)
 let test_force_zero_probability_rejected () =
   let b = Builder.create () in
   let r = Builder.fresh_register b "q" 1 in
   ignore (Builder.measure b (Register.get r 0));
   let c = Builder.to_circuit b in
   let init = Sim.init_registers ~num_qubits:1 [] in
-  match Sim.run ~force:(Engine.force_all true) c ~init with
+  match Sim.run ~force:[ (0, true) ] c ~init with
   | _ -> Alcotest.fail "forcing a zero-probability outcome should raise"
   | exception Mbu_error.Error e ->
       Alcotest.(check string) "subsystem" "Sim.run" e.Mbu_error.subsystem;
@@ -206,16 +234,15 @@ let test_injected_counter () =
       (* Park an X on the first instruction of the conditional body and pin
          the guard so the branch never fires: the fault must not either. *)
       let parked = Fault.Pauli_after { pos = pos + 1; qubit = 0; pauli = Fault.X } in
-      let force b = if b = bit then Some (not value) else None in
       let miss =
-        Sim.run ~rng:(rng ()) ~force ~faults:[ parked ] c ~init:spec.Engine.init
+        Sim.run ~rng:(rng ()) ~force:[ (bit, not value) ] ~faults:[ parked ] c
+          ~init:spec.Engine.init
       in
       Alcotest.(check int) "pauli in untaken branch never fires" 0
         miss.Sim.injected;
       let skip = Fault.Skip_block { pos } in
-      let force_taken b = if b = bit then Some value else None in
       let skipped =
-        Sim.run ~rng:(rng ()) ~force:force_taken ~faults:[ skip ] c
+        Sim.run ~rng:(rng ()) ~force:[ (bit, value) ] ~faults:[ skip ] c
           ~init:spec.Engine.init
       in
       Alcotest.(check int) "skip of a taken branch counts" 1
@@ -237,12 +264,14 @@ let test_flip_outcome_always_detected () =
     (fun bit ->
       List.iter
         (fun v ->
+          let c = spec.Engine.circuit in
           let o =
-            Engine.classify
-              ~force:(Engine.force_all v)
+            Sim.run
+              ~force:(List.init c.Circuit.num_bits (fun b -> (b, v)))
               ~rng:(Random.State.make [| 31 |])
               ~faults:[ Fault.Flip_outcome { bit } ]
-              spec
+              c ~init:spec.Engine.init
+            |> Engine.classify_run spec
           in
           Alcotest.check outcome
             (Printf.sprintf "misread of bit %d detected (outcome %b)" bit v)
@@ -384,6 +413,8 @@ let suite =
         test_site_nested_spans;
       Alcotest.test_case "forced branches cover every arm" `Quick
         test_forced_branches_cover_all_arms;
+      Alcotest.test_case "forced branches: diverging arms not covered" `Quick
+        test_forced_branches_need_reconverged_arms;
       Alcotest.test_case "branch frequency near 1/2" `Quick
         test_branch_frequency_near_half;
       Alcotest.test_case "exhaustive single-X VBE classified" `Quick
