@@ -797,17 +797,18 @@ let experiment_faults () =
                e.Catalogue.name)
         end;
         (* ...and forcing outcomes must drive both arms of every If_bit
-           with the oracle holding on each. *)
+           with the oracle holding on each, every outcome a fair coin. *)
         let cov = Engine.check_forced_branches spec in
         if not (Engine.covered cov) then
           failwith
             (Printf.sprintf
                "forced-branch coverage failed for %s (%d arms, %d uncovered, \
-                %d runs, correct: %b, reconverged: %b)"
+                %d runs, correct: %b, reconverged: %b, fair: %b)"
                e.Catalogue.name
                (List.length cov.Engine.arms)
                (List.length cov.Engine.uncovered)
-               cov.Engine.runs cov.Engine.correct cov.Engine.reconverged);
+               cov.Engine.runs cov.Engine.correct cov.Engine.reconverged
+               cov.Engine.fair);
         let r =
           Engine.run_campaign ~seed
             ~plan:(Engine.Random { runs; faults_per_run = 1 })

@@ -305,7 +305,7 @@ let inject_cmd =
            (if faults_per_run = 1 then "" else "s"))
       r.Engine.runs seed;
     Format.printf "correct     : %5d (fault absorbed)@." r.Engine.correct;
-    Format.printf "detected    : %5d (error raised, dirty ancilla or detector)@."
+    Format.printf "detected    : %5d (dirty ancilla or detector)@."
       r.Engine.detected;
     Format.printf "silent      : %5d (wrong output, nothing noticed)@." r.Engine.silent;
     Format.printf "detection   : %.3f of consequential faults; silent rate %.3f@."

@@ -9,24 +9,21 @@ type t = {
   qubit : int option;
   bit : int option;
   register : string option;
-  path : string list;
 }
 
 exception Error of t
 
-let make ?qubit ?bit ?register ?(path = []) kind ~subsystem message =
-  { kind; subsystem; message; qubit; bit; register; path }
+let make ?qubit ?bit ?register kind ~subsystem message =
+  { kind; subsystem; message; qubit; bit; register }
 
-let invalid ?qubit ?bit ?register ?path ~subsystem message =
-  raise (Error (make ?qubit ?bit ?register ?path Invalid ~subsystem message))
+let invalid ?qubit ?bit ?register ~subsystem message =
+  raise (Error (make ?qubit ?bit ?register Invalid ~subsystem message))
 
-let resource_limit ?qubit ?bit ?register ?path ~limit ~actual ~subsystem message
-    =
+let resource_limit ?qubit ?bit ?register ~limit ~actual ~subsystem message =
   raise
     (Error
-       (make ?qubit ?bit ?register ?path
-          (Resource_limit { limit; actual })
-          ~subsystem message))
+       (make ?qubit ?bit ?register (Resource_limit { limit; actual }) ~subsystem
+          message))
 
 let to_string e =
   let b = Buffer.create 80 in
@@ -43,7 +40,6 @@ let to_string e =
   Option.iter (fun q -> add (Printf.sprintf "qubit %d" q)) e.qubit;
   Option.iter (fun c -> add (Printf.sprintf "bit %d" c)) e.bit;
   Option.iter (fun r -> add (Printf.sprintf "register %s" r)) e.register;
-  if e.path <> [] then add ("at " ^ String.concat " > " e.path);
   if Buffer.length ctx > 0 then begin
     Buffer.add_string b " [";
     Buffer.add_buffer b ctx;

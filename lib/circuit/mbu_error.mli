@@ -3,8 +3,7 @@
     The seed raised bare [Invalid_argument] strings everywhere, which is
     fine for a library but loses exactly the context a CLI user (or a
     fault-injection campaign classifying failures) needs: {e which} wire,
-    {e which} classical bit, {e which} register, and {e where} in the span
-    tree the program was when the invariant broke. [Mbu_error.Error]
+    {e which} classical bit and {e which} register. [Mbu_error.Error]
     carries that context as data; {!to_string} renders it as a one-line
     human message ([mbu-cli] prints it instead of a backtrace). *)
 
@@ -23,18 +22,17 @@ type t = {
   qubit : int option;  (** wire index, when one is implicated *)
   bit : int option;  (** classical bit index, when one is implicated *)
   register : string option;  (** register name, when one is implicated *)
-  path : string list;  (** span-label path from the root, innermost last *)
 }
 
 exception Error of t
 
 val invalid :
-  ?qubit:int -> ?bit:int -> ?register:string -> ?path:string list ->
+  ?qubit:int -> ?bit:int -> ?register:string ->
   subsystem:string -> string -> 'a
 (** Raise {!Error} with [kind = Invalid]. *)
 
 val resource_limit :
-  ?qubit:int -> ?bit:int -> ?register:string -> ?path:string list ->
+  ?qubit:int -> ?bit:int -> ?register:string ->
   limit:int -> actual:int -> subsystem:string -> string -> 'a
 (** Raise {!Error} with [kind = Resource_limit]. *)
 

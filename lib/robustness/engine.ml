@@ -223,6 +223,7 @@ type coverage = {
   runs : int;
   correct : bool;
   reconverged : bool;
+  fair : bool;
   expected_toffoli : float;
 }
 
@@ -232,6 +233,7 @@ let check_forced_branches spec =
   let num_bits = spec.circuit.Circuit.num_bits in
   let driven = Hashtbl.create 32 in
   let runs = ref 0 and correct = ref true and reconverged = ref true in
+  let fair = ref true in
   (* One run with the bits in [flips] pinned to 1 and every other bit to
      0: the bits it measured, in order, and the run; [None] when a pin had
      probability zero. *)
@@ -239,10 +241,11 @@ let check_forced_branches spec =
     incr runs;
     let reached = ref [] in
     let hook = function
-      | Sim.Measured { bit; _ } -> reached := bit :: !reached
+      | Sim.Measured { bit; p1; _ } ->
+          if p1 <> 0.5 then fair := false;
+          reached := bit :: !reached
       | Sim.Branch { bit; value; taken } ->
           Hashtbl.replace driven (bit, value, taken) ()
-      | _ -> ()
     in
     let force = List.init num_bits (fun b -> (b, List.mem b flips)) in
     match Sim.run_program ~on_event:hook ~force prog ~init:spec.init with
@@ -291,6 +294,6 @@ let check_forced_branches spec =
       arms
   in
   { arms; uncovered; runs = !runs; correct = !correct;
-    reconverged = !reconverged; expected_toffoli }
+    reconverged = !reconverged; fair = !fair; expected_toffoli }
 
-let covered c = c.uncovered = [] && c.correct && c.reconverged
+let covered c = c.uncovered = [] && c.correct && c.reconverged && c.fair

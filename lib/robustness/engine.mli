@@ -113,6 +113,9 @@ type coverage = {
   correct : bool;  (** every run classified [Correct] *)
   reconverged : bool;
       (** every flipped run ends at fidelity 1 (within 1e-9) with the base *)
+  fair : bool;
+      (** every measurement reached in every run had probability exactly
+          0.5 of reading 1 ([Sim.Measured]'s [p1]) *)
   expected_toffoli : float;
       (** the base run's Toffolis plus Σ 2{^-depth} (a flipped run's
           Toffolis − its parent run's): exact when every outcome is a fair
@@ -123,7 +126,9 @@ val check_forced_branches : spec -> coverage
 (** Lemma 4.1 by execution: each MBU outcome is a fair coin and both arms
     leave the same state. A base run pins every outcome to 0
     ([Sim.run_program ~force]); then one run per measurement the base run
-    reached flips it to 1. A flip that reaches measurements its parent run
+    reached flips it to 1. Every run reads each measurement's [p1] off its
+    hook, so an outcome that can go either way but is not exactly a fair
+    coin fails [fair]. A flip that reaches measurements its parent run
     did not (an arm nested in the one it opened) has each new one flipped
     on top of it, recursively; [depth] counts the flips. A pin of
     probability zero (an outcome that is not a coin) fails its run and
@@ -131,4 +136,4 @@ val check_forced_branches : spec -> coverage
     covered. *)
 
 val covered : coverage -> bool
-(** [uncovered = []], [correct] and [reconverged]. *)
+(** [uncovered = []], [correct], [reconverged] and [fair]. *)

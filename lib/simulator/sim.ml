@@ -37,10 +37,8 @@ type run = {
 }
 
 type event =
-  | Measured of { qubit : Gate.qubit; bit : int; outcome : bool }
+  | Measured of { qubit : Gate.qubit; bit : int; outcome : bool; p1 : float }
   | Branch of { bit : int; value : bool; taken : bool }
-  | Span_enter of { label : string; path : string list }
-  | Span_exit of { label : string; path : string list }
 
 type engine = Fast | Sparse | Reference
 
@@ -65,27 +63,14 @@ let shot_rng ~seed i = Random.State.make [| 0x6d62755f; 0x51432025; seed; i |]
 let op_measure = State.op_measure
 let op_if = State.op_if
 
-(* A span boundary, placed before slot [at]. [path] is the span's label
-   path from the root (what its events carry), [after] the enclosing path
-   once the mark has been passed. *)
-type mark = {
-  at : int;
-  label : string;
-  path : string list;
-  after : string list;
-  enter : bool;
-}
-
 (* One slot per static instruction position (Fault's numbering): [Call]s
-   are expanded, spans are weightless marks kept on the side, and an
-   [If_bit]'s body follows its slot.
+   and [Span]s are expanded, and an [If_bit]'s body follows its slot.
    - gate slot: [gates.(i)], and its opcode, masks and phase in [code],
      [a], [b] and [c] as [State.encode_gate] writes them, for
      [State.run_slots];
    - measure slot: [a.(i)] qubit, [b.(i)] bit, [c.(i)] 1 for reset;
-   - if slot: [a.(i)] bit, [b.(i)] 1 when the guard value is true,
-     [c.(i)] the slot one past the body (the jump when not taken), and
-     [skip_mark.(i)] the first mark after the body. *)
+   - if slot: [a.(i)] bit, [b.(i)] 1 when the guard value is true, and
+     [c.(i)] the slot one past the body (the jump when not taken). *)
 type program = {
   num_qubits : int;
   num_bits : int;
@@ -93,59 +78,43 @@ type program = {
   a : int array;
   b : int array;
   c : int array;
-  skip_mark : int array;
   gates : Gate.t array;
-  marks : mark array;
 }
 
 let no_gate = Gate.X 0
-let no_mark = { at = 0; label = ""; path = []; after = []; enter = false }
 
 let compile (circ : Circuit.t) =
-  let s = Instr.scan circ.instrs in
-  let n = s.Instr.instr_count in
+  let n = Instr.count_instrs circ.instrs in
   let code = Array.make n 0 and a = Array.make n 0 and b = Array.make n 0 in
-  let c = Array.make n 0 and skip_mark = Array.make n 0 in
+  let c = Array.make n 0 in
   let gates = Array.make n no_gate in
-  let marks = Array.make (2 * s.Instr.span_count) no_mark in
-  let nmarks = ref 0 in
-  let mark m =
-    marks.(!nmarks) <- m;
-    incr nmarks
-  in
-  (* [emit path pc instrs] lays [instrs] out from slot [pc] and returns
-     the slot one past them. *)
-  let rec emit path pc = function
+  (* [emit pc instrs] lays [instrs] out from slot [pc] and returns the slot
+     one past them. *)
+  let rec emit pc = function
     | [] -> pc
     | Instr.Gate g :: rest ->
         State.encode_gate g ~code ~a ~b ~c pc;
         gates.(pc) <- g;
-        emit path (pc + 1) rest
+        emit (pc + 1) rest
     | Instr.Measure { qubit; bit; reset } :: rest ->
         code.(pc) <- op_measure;
         a.(pc) <- qubit;
         b.(pc) <- bit;
         c.(pc) <- Bool.to_int reset;
-        emit path (pc + 1) rest
+        emit (pc + 1) rest
     | Instr.If_bit { bit; value; body } :: rest ->
-        let stop = emit path (pc + 1) body in
+        let stop = emit (pc + 1) body in
         code.(pc) <- op_if;
         a.(pc) <- bit;
         b.(pc) <- Bool.to_int value;
         c.(pc) <- stop;
-        skip_mark.(pc) <- !nmarks;
-        emit path stop rest
-    | Instr.Span { label; body; _ } :: rest ->
-        let inner = path @ [ label ] in
-        mark { at = pc; label; path = inner; after = inner; enter = true };
-        let stop = emit inner pc body in
-        mark { at = stop; label; path = inner; after = path; enter = false };
-        emit path stop rest
-    | Instr.Call node :: rest -> emit path (emit path pc node.Instr.body) rest
+        emit stop rest
+    | Instr.Span { body; _ } :: rest -> emit (emit pc body) rest
+    | Instr.Call node :: rest -> emit (emit pc node.Instr.body) rest
   in
-  ignore (emit [] 0 circ.instrs);
+  ignore (emit 0 circ.instrs);
   { num_qubits = circ.num_qubits; num_bits = circ.num_bits; code; a; b; c;
-    skip_mark; gates; marks }
+    gates }
 
 (* A fault plan and the pinned outcomes as patches sorted by slot: the
    Paulis injected after a gate slot ([count] the faults they stand for),
@@ -230,9 +199,9 @@ let run_program ?rng ?on_event ?(engine = Fast) ?(force = []) ?(faults = [])
     if faults = [] && force = [] then [||] else patches_of prog ~force faults
   in
   let injected = ref 0 in
-  (* Patches, like marks, are visited through a cursor: [next_patch] is the
-     slot of the next patch not yet passed ([max_int] when there is none),
-     and [patched i] says whether slot [i] carries one, passing over the
+  (* Patches are visited through a cursor: [next_patch] is the slot of the
+     next patch not yet passed ([max_int] when there is none), and
+     [patched i] says whether slot [i] carries one, passing over the
      patches of bodies that were jumped. *)
   let npatches = Array.length patches in
   let patch_cursor = ref 0 in
@@ -245,51 +214,27 @@ let run_program ?rng ?on_event ?(engine = Fast) ?(force = []) ?(faults = [])
       if !patch_cursor < npatches then patches.(!patch_cursor).slot else max_int;
     !next_patch = i
   in
-  (* Event blocks are allocated only when a hook is installed, and span
-     marks are read only then: otherwise [next_mark] never comes due. *)
+  (* Event blocks are allocated only when a hook is installed. *)
   let hooked, emit =
     match on_event with Some f -> (true, f) | None -> (false, ignore)
-  in
-  let marks = prog.marks in
-  let nmarks = Array.length marks in
-  let path = ref [] in
-  let cursor = ref 0 in
-  let next_mark = ref max_int in
-  let seek k =
-    cursor := k;
-    next_mark := if k < nmarks then marks.(k).at else max_int
-  in
-  if hooked then seek 0;
-  let pass_marks pc =
-    while !cursor < nmarks && marks.(!cursor).at <= pc do
-      let m = marks.(!cursor) in
-      path := m.after;
-      emit
-        (if m.enter then Span_enter { label = m.label; path = m.path }
-         else Span_exit { label = m.label; path = m.path });
-      incr cursor
-    done;
-    seek !cursor
   in
   tally.(State.tally_peak) <- State.support_size !state;
   let code = prog.code and n = Array.length prog.code in
   (* On [Fast] and [Sparse], [State.run_slots] runs the program in
-     passes on either track, each up to the next mark or patch. A pass
-     takes measurements and conditionals too, unless a hook must see them.
-     Those, the patched slots (a pinned outcome among them), a
-     product-track measurement while |amp| is not 1, and every slot on
-     [Reference] run here one at a time. *)
+     passes on either track, each up to the next patch. A pass takes
+     measurements and conditionals too, unless a hook must see them. Those,
+     the patched slots (a pinned outcome among them), a product-track
+     measurement while |amp| is not 1, and every slot on [Reference] run
+     here one at a time. *)
   let adaptive = not hooked in
   let pc = ref 0 in
   while !pc < n do
     let i = !pc in
-    if i >= !next_mark then pass_marks i;
     let op = code.(i) in
     let j =
       if (not reference) && (adaptive || op < op_measure) then
         State.run_slots !state ~code ~a:prog.a ~b:prog.b ~c:prog.c ~tally ~bits
-          ~rng ~adaptive i
-          ~stop:(if !next_mark < !next_patch then !next_mark else !next_patch)
+          ~rng ~adaptive i ~stop:!next_patch
       else i
     in
     if j > i then pc := j
@@ -329,7 +274,7 @@ let run_program ?rng ?on_event ?(engine = Fast) ?(force = []) ?(faults = [])
       let outcome =
         if p.pin < 0 then State.draw_outcome rng p1
         else if State.zero_probability p1 (p.pin = 1) then
-          Mbu_error.invalid ~subsystem:"Sim.run" ~qubit ~bit ~path:!path
+          Mbu_error.invalid ~subsystem:"Sim.run" ~qubit ~bit
             (Printf.sprintf "forced outcome %b has probability zero" (p.pin = 1))
         else p.pin = 1
       in
@@ -353,7 +298,7 @@ let run_program ?rng ?on_event ?(engine = Fast) ?(force = []) ?(faults = [])
           state := State.Reference.set_bit_zero !state ~qubit
         else State.set_bit_zero_inplace !state ~qubit;
       tally.(op_measure) <- tally.(op_measure) + 1;
-      if hooked then emit (Measured { qubit; bit; outcome = recorded });
+      if hooked then emit (Measured { qubit; bit; outcome = recorded; p1 });
       pc := i + 1
     end
     else begin
@@ -369,14 +314,9 @@ let run_program ?rng ?on_event ?(engine = Fast) ?(force = []) ?(faults = [])
       tally.(op_if) <- tally.(op_if) + 1;
       if taken then tally.(State.tally_taken) <- tally.(State.tally_taken) + 1;
       if hooked then emit (Branch { bit; value; taken });
-      if taken then pc := i + 1
-      else begin
-        pc := prog.c.(i);
-        if hooked then seek prog.skip_mark.(i)
-      end
+      pc := if taken then i + 1 else prog.c.(i)
     end
   done;
-  if hooked then pass_marks n;
   (* Per-run telemetry lands once per run, not per instruction; the GC
      words once per fold block ([Parallel.fold]). *)
   Telemetry.incr m_runs;
@@ -439,7 +379,7 @@ let stats_hook st = function
   | Branch { bit; taken; _ } ->
       let a, b = Option.value (Hashtbl.find_opt st.branch bit) ~default:(0, 0) in
       Hashtbl.replace st.branch bit ((if taken then a + 1 else a), b + 1)
-  | Measured _ | Span_enter _ | Span_exit _ -> ()
+  | Measured _ -> ()
 
 let record_run st = st.runs <- st.runs + 1
 let runs st = st.runs

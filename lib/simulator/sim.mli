@@ -24,16 +24,17 @@ type run = {
 }
 
 (** Execution event, reported to the [?on_event] hook in program order.
-    [Branch] fires for every [If_bit] reached, taken or not — the raw
-    material for checking the paper's "each conditional fires with
-    probability 1/2" cost model empirically. Span events carry the full
-    label path from the root. Gates raise no event, so a hooked run's
-    gate passes allocate nothing. *)
+    [Measured] fires for every measurement executed, with the outcome
+    recorded in its bit and [p1], the probability ({!State.prob_bit_one})
+    that the wire read 1 just before it was measured: an MBU measurement
+    must read exactly 0.5 (Lemma 4.1). [Branch] fires for every [If_bit]
+    reached, taken or not — the raw material for checking the paper's
+    "each conditional fires with probability 1/2" cost model empirically.
+    Gates raise no event, so a hooked run's gate passes allocate
+    nothing. *)
 type event =
-  | Measured of { qubit : Gate.qubit; bit : int; outcome : bool }
+  | Measured of { qubit : Gate.qubit; bit : int; outcome : bool; p1 : float }
   | Branch of { bit : int; value : bool; taken : bool }
-  | Span_enter of { label : string; path : string list }
-  | Span_exit of { label : string; path : string list }
 
 (** Which state backend executes the circuit. All three draw measurement
     outcomes from the same RNG stream and agree on every run (the
@@ -58,9 +59,8 @@ type event =
       sparse state that collapses to one basis vector demotes back. One
       rule sets the passes on both tracks: a pass runs to the next fault
       patch (a Pauli after a gate slot, a skipped conditional, a misread or
-      a pinned outcome on a measure slot) or, under [on_event], the next
-      span mark, and it takes measurements and conditionals unless
-      [on_event] needs them. Those, the patched slots, and a product-track
+      a pinned outcome on a measure slot), and it takes measurements and
+      conditionals unless [on_event] needs them. Those, the patched slots, and a product-track
       measurement whose amplitude is not of norm 1 run one at a time.
     - [Sparse]: pin the state to the sparse table for the whole run, even
       where the product track would apply; it runs in the same passes.
@@ -75,8 +75,8 @@ val run :
 (** [rng] defaults to a {e freshly seeded} deterministic generator per call:
     two unseeded runs of the same circuit give the same outcomes, and an
     unseeded run never perturbs later ones. [on_event] is called
-    synchronously after each measurement, for each conditional block
-    considered and at each span boundary; it must not mutate the run.
+    synchronously after each measurement and for each conditional block
+    considered; it must not mutate the run.
 
     [force] pins measurement outcomes: a pin [(bit, v)] projects every
     measurement that writes [bit] onto [v] instead of sampling, raising
@@ -109,8 +109,8 @@ type program
     an opcode and operands in {!State.run_slots}' layout. A gate slot
     carries two wire masks (target, controls) and, for the diagonal gates,
     its phase as a fixed-point turn, besides its [Gate.t];
-    [If_bit] is a forward jump past its body; span boundaries are
-    weightless marks read only under a hook. *)
+    [If_bit] is a forward jump past its body; a [Span] is laid out as its
+    body, like a [Call], and leaves no trace in the program. *)
 
 val compile : Circuit.t -> program
 

@@ -116,10 +116,6 @@ let set_gauge g v =
   Atomic.set g.g_value v;
   atomic_max g.g_hwm v
 
-let add_gauge g d =
-  let v = d + Atomic.fetch_and_add g.g_value d in
-  atomic_max g.g_hwm v
-
 let observe_max g v = atomic_max g.g_hwm v
 let gauge_value g = Atomic.get g.g_value
 let gauge_highwater g = Atomic.get g.g_hwm

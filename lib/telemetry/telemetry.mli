@@ -37,9 +37,6 @@ val set_gauge : gauge -> int -> unit
 (** Set the current value; the high-water mark tracks the maximum ever
     set. *)
 
-val add_gauge : gauge -> int -> unit
-(** Add a (possibly negative) delta to the current value. *)
-
 val observe_max : gauge -> int -> unit
 (** Raise the high-water mark without touching the current value — for
     peaks sampled externally (e.g. sparse-state support size). *)

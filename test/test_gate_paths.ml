@@ -213,7 +213,7 @@ let test_sparse_run_budget () =
 (* A gate on the product track allocates nothing: 2 000 CNOTs cost what an
    empty circuit of the same width costs, to 0.01 words per gate, with or
    without a hook (gates raise no event, and a hooked pass still runs every
-   gate up to the next mark). *)
+   gate up to the next measurement or conditional). *)
 let gate_loop_budget ?on_event msg =
   let open Mbu_simulator in
   let width = 12 in
@@ -244,6 +244,43 @@ let test_hooked_gate_loop_budget () =
   gate_loop_budget ~on_event:(Mbu_simulator.Sim.stats_hook st)
     "2 000 hooked CNOTs over an empty circuit"
 
+(* A hook pays for the events it is handed and nothing else. On a forced
+   Gidney n = 5 run (every outcome pinned to 0, the base run of
+   [Engine.check_forced_branches]), the hooked run allocates 4.5 words per
+   [Measured] or [Branch] event more than the same run unhooked: the event
+   blocks, 5 words a [Measured] and 4 a [Branch]. While the compiled
+   program carried span marks, a hooked run also stopped and allocated at
+   every span boundary: 12.2 words per event. *)
+let test_hook_budget () =
+  let open Mbu_simulator in
+  let spec =
+    (Option.get (Mbu_robustness.Catalogue.find "gidney"))
+      .Mbu_robustness.Catalogue.make ~n:5 ~p:21
+  in
+  let circuit = spec.Mbu_robustness.Engine.circuit in
+  let init = spec.Mbu_robustness.Engine.init in
+  let prog = Sim.compile circuit in
+  let force = List.init circuit.Circuit.num_bits (fun b -> (b, false)) in
+  let events = ref 0 in
+  let on_event _ = incr events in
+  let runs = 20 in
+  let words ?on_event () =
+    let run () =
+      for _ = 1 to runs do
+        ignore (Sim.run_program ?on_event ~force prog ~init)
+      done
+    in
+    run ();
+    snd (minor_words run)
+  in
+  let free = words () and hooked = words ~on_event () in
+  let per_run = !events / (2 * runs) in
+  if per_run = 0 then Alcotest.fail "no events";
+  let per_event = (hooked -. free) /. float_of_int (runs * per_run) in
+  if per_event > 8. then
+    Alcotest.failf "hooked forced Gidney n=5: %.1f words per event (%d a \
+                    run), budget 8" per_event per_run
+
 let suite =
   ( "gate-paths",
     [ QCheck_alcotest.to_alcotest prop_validate;
@@ -261,6 +298,8 @@ let suite =
         test_gate_loop_budget;
       Alcotest.test_case "hooked gate loop budget: 2 000 CNOTs" `Quick
         test_hooked_gate_loop_budget;
+      Alcotest.test_case "hook budget: forced Gidney n=5" `Quick
+        test_hook_budget;
       Alcotest.test_case "shot budget: Draper modadd n=8" `Quick
         test_draper_shot_budget;
       Alcotest.test_case "sparse run budget: Draper modadd n=8" `Quick

@@ -131,6 +131,29 @@ let test_forced_branches_need_reconverged_arms () =
     cov.Engine.reconverged;
   Alcotest.(check bool) "not covered" false (Engine.covered cov)
 
+(* An outcome that can go either way is not yet a fair coin: after H.T.H
+   the wire reads 1 with probability sin^2(pi/8), so both arms are driven
+   and reconverge (the X undoes a 1), but the measurement is not the
+   1/2 coin Lemma 4.1 prices. *)
+let test_forced_branches_need_fair_coins () =
+  let b = Builder.create () in
+  let q = Register.get (Builder.fresh_register b "q" 1) 0 in
+  Builder.h b q;
+  Builder.phase b q (Phase.theta 3);
+  Builder.h b q;
+  let bit = Builder.measure b q in
+  Builder.if_bit b bit (fun () -> Builder.x b q);
+  let spec =
+    Engine.spec_of_builder ~name:"biased-coin" ~keep:[] ~expect:[] b ~inits:[]
+  in
+  let cov = Engine.check_forced_branches spec in
+  Alcotest.(check (list (triple int bool bool)))
+    "both arms driven" [] cov.Engine.uncovered;
+  Alcotest.(check bool) "both arms classify Correct" true cov.Engine.correct;
+  Alcotest.(check bool) "the arms reconverge" true cov.Engine.reconverged;
+  Alcotest.(check bool) "p1 = sin^2(pi/8) is not fair" false cov.Engine.fair;
+  Alcotest.(check bool) "not covered" false (Engine.covered cov)
+
 (* The paper's MBU cost model says each correction fires with probability
    1/2; the Monte-Carlo stats hook should see that empirically. *)
 let test_branch_frequency_near_half () =
@@ -415,6 +438,8 @@ let suite =
         test_forced_branches_cover_all_arms;
       Alcotest.test_case "forced branches: diverging arms not covered" `Quick
         test_forced_branches_need_reconverged_arms;
+      Alcotest.test_case "forced branches: biased coin not covered" `Quick
+        test_forced_branches_need_fair_coins;
       Alcotest.test_case "branch frequency near 1/2" `Quick
         test_branch_frequency_near_half;
       Alcotest.test_case "exhaustive single-X VBE classified" `Quick

@@ -242,26 +242,6 @@ let test_mbu_branch_frequency_run_shots () =
         (Float.abs (f -. 0.5) <= 0.05)
   | None -> Alcotest.fail "no branches seen"
 
-let test_sim_span_events_nest () =
-  (* Span_enter/Span_exit arrive properly nested and carry the full path. *)
-  let b, x, y, _ = table1_circuit 4 in
-  let depth = ref 0 and max_depth = ref 0 and enters = ref 0 in
-  let on_event = function
-    | Sim.Span_enter { path; _ } ->
-        incr enters;
-        incr depth;
-        max_depth := max !max_depth !depth;
-        Alcotest.(check int) "path length = nesting depth" !depth
-          (List.length path)
-    | Sim.Span_exit _ -> decr depth
-    | Sim.Measured _ | Sim.Branch _ -> ()
-  in
-  ignore (Sim.run_builder ~on_event b ~inits:[ (x, 3); (y, 5) ]);
-  Alcotest.(check int) "balanced enter/exit" 0 !depth;
-  Alcotest.(check bool) "spans actually nested" true (!max_depth >= 3);
-  Alcotest.(check int) "enter count = static span count" !enters
-    (Instr.count_spans (Builder.to_circuit b).Circuit.instrs)
-
 let suite =
   ( "trace",
     [ Alcotest.test_case "span conservation (table 1)" `Quick
@@ -280,6 +260,4 @@ let suite =
       Alcotest.test_case "mbu branch frequency 0.5 +- 0.05" `Quick
         test_mbu_branch_frequency;
       Alcotest.test_case "mbu branch frequency via run_shots" `Quick
-        test_mbu_branch_frequency_run_shots;
-      Alcotest.test_case "simulator span events" `Quick
-        test_sim_span_events_nest ] )
+        test_mbu_branch_frequency_run_shots ] )
