@@ -840,12 +840,26 @@ let experiment_faults () =
        (%d correct / %d detected / %d silent)@."
     vbe.Catalogue.title rx.Engine.runs rx.Engine.sites rx.Engine.correct
     rx.Engine.detected rx.Engine.silent;
+  (* Every gate site of the QFT adder under X, Y and Z, plus each measure
+     and branch site: the runs that leave the product track, all of them,
+     so a change to the sparse kernel that moves any class moves this row. *)
+  let draper = Option.get (Catalogue.find "draper") in
+  let rd =
+    Engine.run_campaign ~seed
+      ~plan:(Engine.Exhaustive { paulis = [ Fault.X; Fault.Y; Fault.Z ] })
+      (draper.Catalogue.make ~n ~p)
+  in
+  fpf "  exhaustive single X/Y/Z on %s: %d runs over %d sites \
+       (%d correct / %d detected / %d silent)@."
+    draper.Catalogue.title rd.Engine.runs rd.Engine.sites rd.Engine.correct
+    rd.Engine.detected rd.Engine.silent;
   write_json "BENCH_faults.json"
     Json.(
       Obj
         [ ("workload", Str "catalogue-fault-campaigns"); ("n", int n);
           ("p", int p); ("runs_per_family", int runs); ("seed", int seed);
           ("lint_clean", Bool true); ("exhaustive_x_vbe", Obj (tally rx));
+          ("exhaustive_xyz_draper", Obj (tally rd));
           ("families", Arr rows) ]);
   fpf "  (correct = fault absorbed; detected = dirty ancilla or detector;@.";
   fpf "   silent = wrong output with nothing noticed; written to \

@@ -29,6 +29,14 @@ let m_peak_terms =
     ~help:"Sparse-state support size sampled at run start and measurements"
     "mbu_sim_peak_terms"
 
+let m_promotions =
+  Telemetry.counter ~help:"States promoted from the product track to the cube"
+    "mbu_sim_promotions"
+
+let m_table_fallbacks =
+  Telemetry.counter ~help:"Sparse states moved from the cube to the table"
+    "mbu_sim_table_fallbacks"
+
 type run = {
   state : State.t;
   bits : bool array;
@@ -66,8 +74,9 @@ let op_if = State.op_if
 (* One slot per static instruction position (Fault's numbering): [Call]s
    and [Span]s are expanded, and an [If_bit]'s body follows its slot.
    - gate slot: [gates.(i)], and its opcode, masks and phase in [code],
-     [a], [b] and [c] as [State.encode_gate] writes them, for
-     [State.run_slots];
+     [a], [b] and [c], and a Phase or Cphase's factor in [w.(2i)] and
+     [w.(2i + 1)], as [State.encode_gate] writes them, for
+     [State.run_slots] ([w] is empty for a program with neither);
    - measure slot: [a.(i)] qubit, [b.(i)] bit, [c.(i)] 1 for reset;
    - if slot: [a.(i)] bit, [b.(i)] 1 when the guard value is true, and
      [c.(i)] the slot one past the body (the jump when not taken). *)
@@ -78,6 +87,7 @@ type program = {
   a : int array;
   b : int array;
   c : int array;
+  w : float array;
   gates : Gate.t array;
 }
 
@@ -86,14 +96,18 @@ let no_gate = Gate.X 0
 let compile (circ : Circuit.t) =
   let n = Instr.count_instrs circ.instrs in
   let code = Array.make n 0 and a = Array.make n 0 and b = Array.make n 0 in
-  let c = Array.make n 0 in
+  let c = Array.make n 0 and w = ref [||] in
   let gates = Array.make n no_gate in
   (* [emit pc instrs] lays [instrs] out from slot [pc] and returns the slot
      one past them. *)
   let rec emit pc = function
     | [] -> pc
     | Instr.Gate g :: rest ->
-        State.encode_gate g ~code ~a ~b ~c pc;
+        (match g with
+        | (Gate.Phase _ | Gate.Cphase _) when Array.length !w = 0 ->
+            w := Array.make (2 * n) 0.
+        | _ -> ());
+        State.encode_gate g ~code ~a ~b ~c ~w:!w pc;
         gates.(pc) <- g;
         emit (pc + 1) rest
     | Instr.Measure { qubit; bit; reset } :: rest ->
@@ -114,7 +128,7 @@ let compile (circ : Circuit.t) =
   in
   ignore (emit 0 circ.instrs);
   { num_qubits = circ.num_qubits; num_bits = circ.num_bits; code; a; b; c;
-    gates }
+    w = !w; gates }
 
 (* A fault plan and the pinned outcomes as patches sorted by slot: the
    Paulis injected after a gate slot ([count] the faults they stand for),
@@ -132,23 +146,28 @@ let no_patch = { slot = -1; count = 0; paulis = []; pin = -1 }
 let patches_of prog ~force faults =
   let n = Array.length prog.code and nbits = prog.num_bits in
   let at pos = pos >= 0 && pos < n in
-  (* Bit-indexed, so the measure slots resolve in one pass. *)
-  let misread = Array.make nbits false and pin = Array.make nbits (-1) in
-  let mark bit set = if bit >= 0 && bit < nbits then set bit in
-  List.iter
-    (function
-      | Fault.Flip_outcome { bit } -> mark bit (fun b -> misread.(b) <- true)
-      | Fault.Pauli_after _ | Fault.Skip_block _ -> ())
-    faults;
-  List.iter (fun (bit, v) -> mark bit (fun b -> pin.(b) <- Bool.to_int v)) force;
   let measures = ref [] in
-  if force <> [] || Array.mem true misread then
+  (* Bit-indexed, so the measure slots resolve in one pass; made only for
+     a plan that misreads or pins a bit. *)
+  let misreads =
+    List.exists (function Fault.Flip_outcome _ -> true | _ -> false) faults
+  in
+  if force <> [] || misreads then begin
+    let misread = Array.make nbits false and pin = Array.make nbits (-1) in
+    let mark bit set = if bit >= 0 && bit < nbits then set bit in
+    List.iter
+      (function
+        | Fault.Flip_outcome { bit } -> mark bit (fun b -> misread.(b) <- true)
+        | Fault.Pauli_after _ | Fault.Skip_block _ -> ())
+      faults;
+    List.iter (fun (bit, v) -> mark bit (fun b -> pin.(b) <- Bool.to_int v)) force;
     for i = n - 1 downto 0 do
       let bit = prog.b.(i) in
       if prog.code.(i) = op_measure && (misread.(bit) || pin.(bit) >= 0) then
         let count = Bool.to_int misread.(bit) in
         measures := { slot = i; count; paulis = []; pin = pin.(bit) } :: !measures
-    done;
+    done
+  end;
   List.filter_map
     (function
       | Fault.Pauli_after { pos; qubit; pauli }
@@ -233,8 +252,8 @@ let run_program ?rng ?on_event ?(engine = Fast) ?(force = []) ?(faults = [])
     let op = code.(i) in
     let j =
       if (not reference) && (adaptive || op < op_measure) then
-        State.run_slots !state ~code ~a:prog.a ~b:prog.b ~c:prog.c ~tally ~bits
-          ~rng ~adaptive i ~stop:!next_patch
+        State.run_slots !state ~code ~a:prog.a ~b:prog.b ~c:prog.c ~w:prog.w
+          ~tally ~bits ~rng ~adaptive i ~stop:!next_patch
       else i
     in
     if j > i then pc := j
@@ -247,8 +266,8 @@ let run_program ?rng ?on_event ?(engine = Fast) ?(force = []) ?(faults = [])
       end
       else
         ignore
-          (State.run_slots !state ~code ~a:prog.a ~b:prog.b ~c:prog.c ~tally
-             ~bits ~rng ~adaptive i ~stop:(i + 1));
+          (State.run_slots !state ~code ~a:prog.a ~b:prog.b ~c:prog.c
+             ~w:prog.w ~tally ~bits ~rng ~adaptive i ~stop:(i + 1));
       if i >= !next_patch && patched i then begin
         (* Injected Paulis are faults, not program gates: applied through
            the engine but never tallied. *)
@@ -330,6 +349,10 @@ let run_program ?rng ?on_event ?(engine = Fast) ?(force = []) ?(faults = [])
   Telemetry.add m_branches tally.(op_if);
   Telemetry.add m_branches_taken tally.(State.tally_taken);
   Telemetry.observe_max m_peak_terms tally.(State.tally_peak);
+  if tally.(State.tally_promotions) > 0 then
+    Telemetry.add m_promotions tally.(State.tally_promotions);
+  if tally.(State.tally_fallbacks) > 0 then
+    Telemetry.add m_table_fallbacks tally.(State.tally_fallbacks);
   let count op = float_of_int tally.(op) in
   let executed =
     { Counts.x = count 0; z = count 1; h = count 2; phase = count 3;

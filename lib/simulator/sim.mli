@@ -54,16 +54,24 @@ type event =
       a measurement of an equatorial wire allocates the few words of its
       random draw. An operation that needs the amplitudes of an
       equatorial wire (a control on it, a CZ or Cphase on two of them, H
-      at another phase) promotes the state to the sparse table (see
+      at another phase) promotes the state to the sparse track (see
       {!State}), which runs the same program in passes of its own, and a
-      sparse state that collapses to one basis vector demotes back. One
-      rule sets the passes on both tracks: a pass runs to the next fault
-      patch (a Pauli after a gate slot, a skipped conditional, a misread or
-      a pinned outcome on a measure slot), and it takes measurements and
-      conditionals unless [on_event] needs them. Those, the patched slots, and a product-track
-      measurement whose amplitude is not of norm 1 run one at a time.
-    - [Sparse]: pin the state to the sparse table for the whole run, even
-      where the product track would apply; it runs in the same passes.
+      sparse state that collapses to one basis vector demotes back. The
+      sparse track holds a state as a dense cube over the wires that vary
+      across its terms, every gate in place, and moves it to a flat hash
+      table for good when a gate would grow the cube's arrays past 4
+      times its terms. A run adds its promotions and its moves from the cube to the
+      table to the counters [mbu_sim_promotions] and
+      [mbu_sim_table_fallbacks] (when it has any). One rule sets the
+      passes on both tracks: a pass runs to the next fault patch (a Pauli
+      after a gate slot, a skipped conditional, a misread or a pinned
+      outcome on a measure slot), and it takes measurements and
+      conditionals unless [on_event] needs them. Those, the patched
+      slots, and a product-track measurement whose amplitude is not of
+      norm 1 run one at a time.
+    - [Sparse]: pin the state to the sparse track for the whole run, even
+      where the product track would apply: it starts as a cube, moves to
+      the table by the same rule, and runs in the same passes.
     - [Reference]: the seed simulator's pure rebuild-per-gate algorithms —
       the oracle for equivalence tests and the benchmark baseline. *)
 type engine = Fast | Sparse | Reference

@@ -20,18 +20,35 @@ open Mbu_circuit
      (the garbage qubit of the H.U_g.H.X correction is only ever a target
      while it is in |->, and the AND erasure is H, measure), and so do
      Draper's QFT adders, whose controls are all in the Z basis.
-   - [Sparse]: the general finite map from basis index to amplitude, a
-     flat open-addressed table ([table] below). Diagonal gates scale it in
-     place; every other operation rebuilds it into the table's second
-     buffer and swaps the two.
+   - the sparse track: the general finite map from basis index to
+     amplitude, in one of two layouts.
+     - [Cube] ([cube] below): dense arrays indexed by the wires whose
+       value varies across the terms, the other wires constant. Every
+       gate runs in place: X, CNOT and Toffoli exchange entry pairs (or
+       flip a constant wire), diagonals scale entries, H is a butterfly,
+       and a projection or a cleared wire folds the cube in half.
+     - [Table] ([table] below): a flat open-addressed table, for
+       supports too thin for a cube. Diagonal gates scale it in place;
+       every other operation rebuilds it into the table's second buffer
+       and swaps the two.
+     A cube grows its arrays only while its 2^k cells, k the varying
+     wires, stay at most 4 times its terms, so they never hold more than
+     4 times the terms it had when they last grew; within them it grows
+     freely. A gate that would break that, or that the cube does not
+     take, moves the state to the table, which then runs it: an H
+     splitting a constant wire into a cube that cancellation has left
+     thinner than the rule, a CNOT fanning a varying control out onto a
+     constant wire, when either would outgrow the arrays; a Swap of a
+     varying wire with a constant one. A table never turns back into a
+     cube.
 
    Any other operation on an equatorial wire (a control on it, a CZ or
    Cphase on two of them, H at any other phase, clearing it) promotes the
-   product to the sparse table holding its 2^k terms, then applies the
-   sparse kernel. Whenever a sparse table collapses back to a single term
-   (H recombination, projection, reset) the state demotes to a product
-   with no equatorial wire — unless [pinned] was set, which keeps a state
-   on the sparse track so tests and benchmarks can exercise the sparse
+   product to the cube holding its 2^k terms, then applies the sparse
+   kernel. Whenever a sparse state collapses back to a single term (H
+   recombination, projection, reset) the state demotes to a product with
+   no equatorial wire — unless [pinned] was set, which keeps a state on
+   the sparse track so tests and benchmarks can exercise the sparse
    kernel on circuits that would otherwise stay on the product track. *)
 
 type product = {
@@ -62,7 +79,24 @@ type buf = {
    [partner] is H's working array, a cell per slot of [cur]. *)
 type table = { mutable cur : buf; mutable spare : buf; mutable partner : int array }
 
-type repr = Product of product | Sparse of table
+(* The cube: the terms |base lor sub> for [sub] a subset of [wires], the
+   wires whose value varies; [base] holds the others' values and has no
+   bit of [wires]. Entry [i] of [cre] and [cim] (the first [dim] = 2^k
+   cells, k the wires of [wires]) is the amplitude of the [i]-th subset
+   in increasing order, so bit [j] of [i] is the [j]-th lowest wire of
+   [wires]. An entry of exactly zero is an absent term and [nonzero]
+   counts the others: the table's [live] for the same terms. The arrays
+   only grow. *)
+type cube = {
+  mutable base : int;
+  mutable wires : int;
+  mutable dim : int;
+  mutable cre : float array;
+  mutable cim : float array;
+  mutable nonzero : int;
+}
+
+type repr = Product of product | Cube of cube | Table of table
 type t = { num_qubits : int; mutable repr : repr; mutable pinned : bool }
 
 let eps = 1e-12
@@ -173,13 +207,199 @@ let iter_table t f =
     if k >= 0 then f k { Complex.re = b.re.(j); im = b.im.(j) }
   done
 
+let bit idx q = (idx lsr q) land 1 = 1
+
+let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
+
+(* The support of a product with equatorial wires [xmask]: 2^k terms. *)
+let product_support xmask =
+  let k = popcount xmask in
+  if k >= Sys.int_size - 1 then max_int else 1 lsl k
+
+(* [Complex.norm z > eps] for z = re + i im, unboxed: [Complex.norm] is
+   [Float.hypot], which is at least the larger of |re| and |im|, so the
+   common term well above [eps] needs no [hypot]; and when both are at
+   most 0.7e-12 it is at most 0.99e-12, so a cancelled pair or a zero
+   entry needs none either. *)
+let[@inline] above_eps re im =
+  let ar = Float.abs re and ai = Float.abs im in
+  ar > eps || ai > eps
+  || ((ar > 0.7e-12 || ai > 0.7e-12) && Float.hypot re im > eps)
+
+(* ------------------------------------------------------------------ *)
+(* The cube *)
+
+(* The bits of the mask [m] under the wires [w], packed down: the local
+   mask of [m] in a cube over [w]. *)
+let local_of w m =
+  let w = ref w and bit = ref 1 and l = ref 0 in
+  while !w <> 0 do
+    let low = !w land - !w in
+    if m land low <> 0 then l := !l lor !bit;
+    w := !w lxor low;
+    bit := !bit lsl 1
+  done;
+  !l
+
+(* The inverse: the wires of [w] under the local mask [l]. *)
+let global_of w l =
+  let w = ref w and l = ref l and m = ref 0 in
+  while !l <> 0 do
+    let low = !w land - !w in
+    if !l land 1 = 1 then m := !m lor low;
+    w := !w lxor low;
+    l := !l lsr 1
+  done;
+  !m
+
+(* The rule for building a cube or growing its arrays: its [dim] cells at
+   most 4 times its [terms]. *)
+let dense ~dim ~terms = dim <= 4 * terms
+
+(* Whether a cube may grow to [dim] cells holding [terms] terms: within
+   the arrays it holds, or by the rule. So its arrays never hold more
+   than 4 times the terms it had when they last grew. *)
+let may_grow cb ~dim ~terms = dim <= Array.length cb.cre || dense ~dim ~terms
+
+let[@inline] is_zero re im = re = 0. && im = 0.
+
+let iter_cube cb f =
+  let sub = ref 0 in
+  for i = 0 to cb.dim - 1 do
+    let re = cb.cre.(i) and im = cb.cim.(i) in
+    if not (is_zero re im) then f (cb.base lor !sub) { Complex.re; im };
+    sub := (!sub - cb.wires) land cb.wires
+  done
+
+(* Room for [dim] entries, the first [cb.dim] kept. *)
+let reserve cb dim =
+  if Array.length cb.cre < dim then begin
+    let re = Array.create_float dim and im = Array.create_float dim in
+    Array.blit cb.cre 0 re 0 cb.dim;
+    Array.blit cb.cim 0 im 0 cb.dim;
+    cb.cre <- re;
+    cb.cim <- im
+  end
+
+(* Drop the local wires [drop], each constant over the nonzero entries at
+   its bit of [ones]: entry [j] of the result comes from an entry at an
+   index at least [j], so the entries move down in place, and the wires
+   join [base]. *)
+let compact cb ~drop ~ones =
+  if drop <> 0 then begin
+    let keep = (cb.dim - 1) land lnot drop in
+    let re = cb.cre and im = cb.cim in
+    let sub = ref 0 and j = ref 0 and go = ref true in
+    while !go do
+      let src = !sub lor ones in
+      Array.unsafe_set re !j (Array.unsafe_get re src);
+      Array.unsafe_set im !j (Array.unsafe_get im src);
+      incr j;
+      sub := (!sub - keep) land keep;
+      go := !sub <> 0
+    done;
+    cb.dim <- !j;
+    cb.base <- cb.base lor global_of cb.wires ones;
+    cb.wires <- cb.wires land lnot (global_of cb.wires drop)
+  end
+
+(* Drop the local wire [lb], which every nonzero entry holds at [at],
+   and every other wire they hold constant, given the OR [any] and the
+   AND [all] of their indices. *)
+let settle cb ~lb ~at ~any ~all =
+  if cb.nonzero = 0 then compact cb ~drop:lb ~ones:at
+  else compact cb ~drop:((cb.dim - 1) land (lnot any lor all)) ~ones:all
+
+(* Add the constant wire [m] to the cube: its entries move to the half
+   where [m] holds its value, in place from the top down (an entry moves
+   to an index at least its own), and the other half is zero. *)
+let insert_wire cb m =
+  let lb = local_of (cb.wires lor m) m in
+  let dim = cb.dim in
+  reserve cb (2 * dim);
+  let re = cb.cre and im = cb.cim in
+  let lo = lb - 1 in
+  let hit = if cb.base land m <> 0 then lb else 0 in
+  for i = dim - 1 downto 0 do
+    let i0 = ((i land lnot lo) lsl 1) lor (i land lo) in
+    let vr = Array.unsafe_get re i and vi = Array.unsafe_get im i in
+    Array.unsafe_set re (i0 lor hit) vr;
+    Array.unsafe_set im (i0 lor hit) vi;
+    Array.unsafe_set re (i0 lor (lb - hit)) 0.;
+    Array.unsafe_set im (i0 lor (lb - hit)) 0.
+  done;
+  cb.dim <- 2 * dim;
+  cb.wires <- cb.wires lor m;
+  cb.base <- cb.base land lnot m
+
+(* The squared norm of the cube's terms, and of those with the wires of
+   [m] all 1 (as [table_norm2]). *)
+let cube_norm2 cb m =
+  let consts = m land lnot cb.wires in
+  let hit = cb.base land consts = consts in
+  let lm = local_of cb.wires m in
+  let all = ref 0. and ones = ref 0. in
+  for i = 0 to cb.dim - 1 do
+    let re = Array.unsafe_get cb.cre i and im = Array.unsafe_get cb.cim i in
+    let n2 = (re *. re) +. (im *. im) in
+    all := !all +. n2;
+    if hit && i land lm = lm then ones := !ones +. n2
+  done;
+  (!all, !ones)
+
+(* The nonzero entries of a table, in a cube when they fill one densely
+   enough and none is zero. *)
+let cube_of_table t =
+  let b = t.cur in
+  let first = ref (-1) and wires = ref 0 and zero = ref false in
+  for j = 0 to b.cap - 1 do
+    let k = b.keys.(j) in
+    if k >= 0 then begin
+      if !first < 0 then first := k;
+      wires := !wires lor (k lxor !first);
+      if is_zero b.re.(j) b.im.(j) then zero := true
+    end
+  done;
+  let dim = product_support !wires in
+  if b.live = 0 || !zero || not (dense ~dim ~terms:b.live) then None
+  else begin
+    let cb =
+      { base = !first land lnot !wires; wires = !wires; dim;
+        cre = Array.make dim 0.; cim = Array.make dim 0.; nonzero = b.live }
+    in
+    for j = 0 to b.cap - 1 do
+      let k = b.keys.(j) in
+      if k >= 0 then begin
+        let i = local_of cb.wires k in
+        cb.cre.(i) <- b.re.(j);
+        cb.cim.(i) <- b.im.(j)
+      end
+    done;
+    Some cb
+  end
+
+let table_of_cube cb =
+  let t = new_table ~terms:cb.nonzero in
+  let b = t.cur in
+  let sub = ref 0 in
+  for i = 0 to cb.dim - 1 do
+    let re = cb.cre.(i) and im = cb.cim.(i) in
+    if not (is_zero re im) then put b (cb.base lor !sub) re im;
+    sub := (!sub - cb.wires) land cb.wires
+  done;
+  t
+
 let maybe_demote s =
   if not s.pinned then
     match s.repr with
     | Product _ -> ()
-    | Sparse t ->
+    | Cube cb ->
+        if cb.nonzero = 1 then iter_cube cb (fun k v -> s.repr <- basis_product k v)
+    | Table t ->
         if t.cur.live = 1 then iter_table t (fun k v -> s.repr <- basis_product k v)
 
+(* Built as a table, which checks each index; a cube if the keys fill
+   one. *)
 let of_alist ~num_qubits l =
   let subsystem = "State.of_alist" in
   check_width ~subsystem num_qubits;
@@ -191,18 +411,10 @@ let of_alist ~num_qubits l =
         Mbu_error.invalid ~subsystem (Printf.sprintf "repeated index %d" idx);
       insert t.cur idx a)
     l;
-  let s = { num_qubits; repr = Sparse t; pinned = false } in
+  let repr = match cube_of_table t with Some cb -> Cube cb | None -> Table t in
+  let s = { num_qubits; repr; pinned = false } in
   maybe_demote s;
   s
-
-let bit idx q = (idx lsr q) land 1 = 1
-
-let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
-
-(* The support of a product with equatorial wires [xmask]: 2^k terms. *)
-let product_support xmask =
-  let k = popcount xmask in
-  if k >= Sys.int_size - 1 then max_int else 1 lsl k
 
 let inv_sqrt2 = 1.0 /. sqrt 2.0
 
@@ -274,24 +486,25 @@ let iter_product p f =
 let iter_amps s f =
   match s.repr with
   | Product p -> iter_product p f
-  | Sparse t -> iter_table t f
+  | Cube cb -> iter_cube cb f
+  | Table t -> iter_table t f
 
 let to_alist s =
   let acc = ref [] in
   iter_amps s (fun k v -> if Complex.norm v > eps then acc := (k, v) :: !acc);
   List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) !acc
 
-(* [Complex.norm z > eps] for z = re + i im, unboxed: [Complex.norm] is
-   [Float.hypot], which is at least the larger of |re| and |im|, so the
-   common term well above [eps] needs no [hypot]. *)
-let[@inline] above_eps re im =
-  Float.abs re > eps || Float.abs im > eps || Float.hypot re im > eps
-
 (* [f k] for each term of [to_alist], in storage order. *)
 let iter_terms s f =
   match s.repr with
   | Product p -> iter_product p (fun k v -> if Complex.norm v > eps then f k)
-  | Sparse t ->
+  | Cube cb ->
+      let sub = ref 0 in
+      for i = 0 to cb.dim - 1 do
+        if above_eps cb.cre.(i) cb.cim.(i) then f (cb.base lor !sub);
+        sub := (!sub - cb.wires) land cb.wires
+      done
+  | Table t ->
       let b = t.cur in
       for j = 0 to b.cap - 1 do
         let k = b.keys.(j) in
@@ -306,7 +519,8 @@ let num_terms s =
 let support_size s =
   match s.repr with
   | Product p -> product_support p.xmask
-  | Sparse t -> t.cur.live
+  | Cube cb -> cb.nonzero
+  | Table t -> t.cur.live
 
 (* The squared norm of the table's terms, and of those with the wires of
    [m] all 1. *)
@@ -327,7 +541,8 @@ let table_norm2 t m =
 let norm2 s =
   match s.repr with
   | Product p -> Complex.norm2 p.amp
-  | Sparse t -> fst (table_norm2 t 0)
+  | Cube cb -> fst (cube_norm2 cb 0)
+  | Table t -> fst (table_norm2 t 0)
 
 let norm s = sqrt (norm2 s)
 
@@ -339,45 +554,55 @@ let copy s =
     repr =
       (match s.repr with
       | Product p -> Product { p with fine = Array.copy p.fine }
-      | Sparse t ->
-          Sparse { cur = copy_buf t.cur; spare = empty_buf (); partner = [||] })
+      | Cube cb ->
+          Cube
+            { cb with cre = Array.sub cb.cre 0 cb.dim;
+              cim = Array.sub cb.cim 0 cb.dim }
+      | Table t ->
+          Table { cur = copy_buf t.cur; spare = empty_buf (); partner = [||] })
     }
 
 let is_classical s =
-  match s.repr with Product p -> p.xmask = 0 | Sparse _ -> false
+  match s.repr with Product p -> p.xmask = 0 | Cube _ | Table _ -> false
 
-(* The 2^k terms of [p], unboxed: [iter_product]'s amplitudes, bit for
-   bit ([Complex.polar 1.0] is [cos] and [sin] times 1.0, which is
+(* The 2^k terms of [p] in a cube over its equatorial wires, whose
+   subsets [iter_product] visits in the cube's order: its amplitudes, bit
+   for bit ([Complex.polar 1.0] is [cos] and [sin] times 1.0, which is
    exact). *)
-let table_of_product p =
-  let t = new_table ~terms:(product_support p.xmask) in
-  let b = t.cur in
+let cube_of_product p =
+  let dim = product_support p.xmask in
+  let re = Array.create_float dim and im = Array.create_float dim in
   let scaled = product_scaled p in
-  let base = p.idx land lnot p.xmask in
-  let rec go sub =
-    let k = base lor sub and turn = term_turn p sub in
-    if turn = 0 then put b k scaled.re scaled.im
-    else if turn = half_turn then put b k (-.scaled.re) (-.scaled.im)
+  let sub = ref 0 and nonzero = ref 0 in
+  for i = 0 to dim - 1 do
+    let turn = term_turn p !sub in
+    if turn = 0 then begin
+      re.(i) <- scaled.re;
+      im.(i) <- scaled.im
+    end
+    else if turn = half_turn then begin
+      re.(i) <- -.scaled.re;
+      im.(i) <- -.scaled.im
+    end
     else begin
       let th = Float.of_int turn *. turn_radians in
       let wr = cos th and wi = sin th in
-      put b k
-        ((wr *. scaled.re) -. (wi *. scaled.im))
-        ((wr *. scaled.im) +. (wi *. scaled.re))
+      re.(i) <- (wr *. scaled.re) -. (wi *. scaled.im);
+      im.(i) <- (wr *. scaled.im) +. (wi *. scaled.re)
     end;
-    let next = (sub - p.xmask) land p.xmask in
-    if next <> 0 then go next
-  in
-  go 0;
-  t
+    if not (is_zero re.(i) im.(i)) then incr nonzero;
+    sub := (!sub - p.xmask) land p.xmask
+  done;
+  { base = p.idx land lnot p.xmask; wires = p.xmask; dim; cre = re; cim = im;
+    nonzero = !nonzero }
 
 let promote s p =
-  let t = table_of_product p in
-  s.repr <- Sparse t;
-  t
+  let cb = cube_of_product p in
+  s.repr <- Cube cb;
+  cb
 
 let force_sparse s =
-  (match s.repr with Sparse _ -> () | Product p -> ignore (promote s p));
+  (match s.repr with Product p -> ignore (promote s p) | Cube _ | Table _ -> ());
   s.pinned <- true
 
 (* ------------------------------------------------------------------ *)
@@ -401,13 +626,17 @@ let op_measure = 9
 let op_if = 10
 let tally_taken = 11
 let tally_peak = 12
-let tally_size = 13
+let tally_promotions = 13
+let tally_fallbacks = 14
+let tally_size = 15
 
 (* X, CNOT and Toffoli are one operation, an X on the wires of [b] when
    every wire of [a] is 1; Z, Phase, CZ and Cphase likewise turn [b] by
-   the phase [c] (a half turn for Z and CZ). CZ, Cphase and Swap name
-   their two wires in [a] and [b]. *)
-let encode_gate g ~code ~a ~b ~c i =
+   the phase [c] (a half turn for Z and CZ), and Phase and Cphase write
+   its factor into [w], the cosine and sine of its angle (the other
+   gates leave [w] alone). CZ, Cphase and Swap name their two wires in
+   [a] and [b]. *)
+let encode_gate g ~code ~a ~b ~c ~w i =
   let op, ma, mb, turn =
     match g with
     | Gate.X q -> (0, 0, 1 lsl q, 0)
@@ -425,7 +654,12 @@ let encode_gate g ~code ~a ~b ~c i =
   code.(i) <- op;
   a.(i) <- ma;
   b.(i) <- mb;
-  c.(i) <- turn
+  c.(i) <- turn;
+  if op = 3 || op = 8 then begin
+    let th = Float.of_int turn *. turn_radians in
+    w.(2 * i) <- cos th;
+    w.((2 * i) + 1) <- sin th
+  end
 
 let imin (x : int) y = if x < y then x else y
 
@@ -632,7 +866,7 @@ let product_slots p ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~limit =
   !k
 
 (* ------------------------------------------------------------------ *)
-(* Sparse-track kernel *)
+(* Sparse-track kernel: the table *)
 
 (* X, CNOT and Toffoli (an X on [mb] where the wires of [ma] are all 1)
    and Swap (op 6) move every key to its image: rebuilt into the spare
@@ -659,11 +893,12 @@ let permute t op ma mb =
   flip t
 
 (* Z and CZ (ops 1 and 5) negate the terms whose wires of [m] are all 1,
-   in place. Phase and Cphase multiply them by the factor of the turn
-   [c]: [cos] and [sin] of [c * turn_radians], which is
-   [Complex.polar 1.0 (Phase.to_radians ph)], times them as
-   [Complex.mul] rounds it. *)
-let diagonal t op m c =
+   in place. Phase and Cphase multiply them by the factor [wr] + i [wi]
+   of their turn ([cos] and [sin] of its angle, which is
+   [Complex.polar 1.0 (Phase.to_radians ph)]), as [Complex.mul] rounds
+   it, read from cells [2 slot] and [2 slot + 1] of [w] (in the
+   loop's own function, so the floats are never boxed). *)
+let diagonal t op m w slot =
   let b = t.cur in
   let keys = b.keys and re = b.re and im = b.im in
   if op = 1 || op = 5 then
@@ -674,9 +909,8 @@ let diagonal t op m c =
         Array.unsafe_set im j (-.Array.unsafe_get im j)
       end
     done
-  else begin
-    let th = Float.of_int c *. turn_radians in
-    let wr = cos th and wi = sin th in
+  else
+    let wr = w.(2 * slot) and wi = w.((2 * slot) + 1) in
     for j = 0 to b.cap - 1 do
       let k = Array.unsafe_get keys j in
       if k >= 0 && k land m = m then begin
@@ -685,7 +919,6 @@ let diagonal t op m c =
         Array.unsafe_set im j ((wr *. vi) +. (wi *. vr))
       end
     done
-  end
 
 (* H on the wire [m]: each pair of keys k0, k1 = k0 lor m gives
    (v0 + v1)/sqrt 2 at k0 and (v0 - v1)/sqrt 2 at k1, visited once, from
@@ -806,12 +1039,304 @@ let clear_wire t m =
   done;
   flip t
 
+let table_gate t op ma mb w j =
+  match op with
+  | 0 | 4 | 6 | 7 -> permute t op ma mb
+  | 1 | 3 | 5 | 8 -> diagonal t op (ma lor mb) w j
+  | _ -> hadamard t mb
+
+(* ------------------------------------------------------------------ *)
+(* Sparse-track kernel: the cube
+
+   Each operation writes what the table's writes for the same terms, an
+   absent key a zero entry: the same rules for dropping a term, the same
+   rounding, and [nonzero] the table's [live]. *)
+
+(* Exchange the entries [i] and [i lxor flip] for every [i] whose bits
+   under [fixed] are [value], in place. *)
+let exchange cb ~fixed ~value ~flip =
+  let re = cb.cre and im = cb.cim and dim = cb.dim in
+  let i = ref value in
+  while !i < dim do
+    let i0 = !i in
+    let i1 = i0 lxor flip in
+    let r0 = Array.unsafe_get re i0 and m0 = Array.unsafe_get im i0 in
+    Array.unsafe_set re i0 (Array.unsafe_get re i1);
+    Array.unsafe_set im i0 (Array.unsafe_get im i1);
+    Array.unsafe_set re i1 r0;
+    Array.unsafe_set im i1 m0;
+    i := (((i0 lor fixed) + 1) land lnot fixed) lor value
+  done
+
+(* Drop every wire the nonzero entries hold constant. *)
+let settle_all cb =
+  let any = ref 0 and all = ref (cb.dim - 1) in
+  for i = 0 to cb.dim - 1 do
+    if not (is_zero (Array.unsafe_get cb.cre i) (Array.unsafe_get cb.cim i))
+    then begin
+      any := !any lor i;
+      all := !all land i
+    end
+  done;
+  settle cb ~lb:0 ~at:0 ~any:!any ~all:!all
+
+(* X, CNOT and Toffoli: the pairs that differ in the target, under the
+   controls, exchange. A control on a constant wire reading 0 stops the
+   gate, and one reading 1 drops out. With no varying control a constant
+   target just flips in [base]; with one, the target joins the cube (a
+   fan-out), or the cube declines ([false]) when that would break the
+   rule. A varying target that the gate leaves constant leaves the
+   cube. *)
+let cube_flip cb ma mb =
+  let consts = ma land lnot cb.wires in
+  if cb.base land consts <> consts then true
+  else begin
+    let mc = ma land cb.wires in
+    if mb land cb.wires = 0 then
+      if mc = 0 then begin
+        cb.base <- cb.base lxor mb;
+        true
+      end
+      else if not (may_grow cb ~dim:(2 * cb.dim) ~terms:cb.nonzero) then false
+      else begin
+        insert_wire cb mb;
+        let lc = local_of cb.wires mc and lt = local_of cb.wires mb in
+        exchange cb ~fixed:(lc lor lt) ~value:lc ~flip:lt;
+        true
+      end
+    else begin
+      let lc = local_of cb.wires mc and lt = local_of cb.wires mb in
+      exchange cb ~fixed:(lc lor lt) ~value:lc ~flip:lt;
+      if lc <> 0 then settle_all cb;
+      true
+    end
+  end
+
+(* Swap: two constant wires exchange their bits of [base] and two
+   varying ones their entries; a varying wire and a constant one decline
+   ([false]). *)
+let cube_swap cb ma mb =
+  match (ma land cb.wires <> 0, mb land cb.wires <> 0) with
+  | false, false ->
+      cb.base <- swap_masks cb.base ma mb;
+      true
+  | true, true ->
+      let la = local_of cb.wires ma and lb = local_of cb.wires mb in
+      exchange cb ~fixed:(la lor lb) ~value:la ~flip:(la lor lb);
+      true
+  | _ -> false
+
+(* Z, Phase, CZ and Cphase: as [diagonal], on the entries whose varying
+   wires of [m] are all 1, when its constant wires all are. *)
+let cube_diagonal cb op m w slot =
+  let consts = m land lnot cb.wires in
+  if cb.base land consts = consts then begin
+    let lm = local_of cb.wires m in
+    let re = cb.cre and im = cb.cim and dim = cb.dim in
+    let i = ref lm in
+    if op = 1 || op = 5 then
+      while !i < dim do
+        let j = !i in
+        Array.unsafe_set re j (-.Array.unsafe_get re j);
+        Array.unsafe_set im j (-.Array.unsafe_get im j);
+        i := (j + 1) lor lm
+      done
+    else
+      let wr = w.(2 * slot) and wi = w.((2 * slot) + 1) in
+      while !i < dim do
+        let j = !i in
+        let vr = Array.unsafe_get re j and vi = Array.unsafe_get im j in
+        Array.unsafe_set re j ((wr *. vr) -. (wi *. vi));
+        Array.unsafe_set im j ((wr *. vi) +. (wi *. vr));
+        i := (j + 1) lor lm
+      done
+  end
+
+(* H on the wire [m]: a butterfly over the entry pairs, by [hadamard]'s
+   rules (an absent term is a zero entry, whose scaled value is never
+   above [eps]). A constant wire first joins the cube, its other half
+   zero: the split, each term becoming two. A wire the butterfly leaves
+   constant leaves the cube. *)
+let cube_hadamard cb m =
+  if cb.wires land m = 0 then insert_wire cb m;
+  let lb = local_of cb.wires m in
+  let re = cb.cre and im = cb.cim and dim = cb.dim in
+  let r = inv_sqrt2 in
+  let nonzero = ref 0 and seen = ref 0 in
+  let blk = ref 0 in
+  while !blk < dim do
+    for i0 = !blk to !blk + lb - 1 do
+      let i1 = i0 + lb in
+      let ar = Array.unsafe_get re i0 and ai = Array.unsafe_get im i0 in
+      let br = Array.unsafe_get re i1 and bi = Array.unsafe_get im i1 in
+      let sr = (r *. ar) -. (0. *. ai) and si = (r *. ai) +. (0. *. ar) in
+      let tr = (r *. br) -. (0. *. bi) and ti = (r *. bi) +. (0. *. br) in
+      let has_s = above_eps sr si and has_t = above_eps tr ti in
+      if has_s && has_t then begin
+        let ur = sr +. tr and ui = si +. ti in
+        if above_eps ur ui then begin
+          Array.unsafe_set re i0 ur;
+          Array.unsafe_set im i0 ui;
+          incr nonzero;
+          seen := !seen lor 1
+        end
+        else begin
+          Array.unsafe_set re i0 0.;
+          Array.unsafe_set im i0 0.
+        end;
+        let vr = sr -. tr and vi = si -. ti in
+        if above_eps vr vi then begin
+          Array.unsafe_set re i1 vr;
+          Array.unsafe_set im i1 vi;
+          incr nonzero;
+          seen := !seen lor 2
+        end
+        else begin
+          Array.unsafe_set re i1 0.;
+          Array.unsafe_set im i1 0.
+        end
+      end
+      else if has_s || has_t then begin
+        let vr = if has_s then sr else tr and vi = if has_s then si else ti in
+        Array.unsafe_set re i0 vr;
+        Array.unsafe_set im i0 vi;
+        Array.unsafe_set re i1 (if has_s then vr else -.vr);
+        Array.unsafe_set im i1 (if has_s then vi else -.vi);
+        nonzero := !nonzero + 2;
+        seen := 3
+      end
+      else begin
+        Array.unsafe_set re i0 0.;
+        Array.unsafe_set im i0 0.;
+        Array.unsafe_set re i1 0.;
+        Array.unsafe_set im i1 0.
+      end
+    done;
+    blk := !blk + (2 * lb)
+  done;
+  cb.nonzero <- !nonzero;
+  if !seen = 1 then compact cb ~drop:lb ~ones:0
+  else if !seen = 2 then compact cb ~drop:lb ~ones:lb
+
+(* As [project_table]: the half where [m] reads [value] (all of the cube
+   when [m] is constant and holds it, none when it holds the other), its
+   norm summed and the entries scaled in place; then the cube drops [m]
+   and every other wire the kept half holds constant. *)
+let cube_project cb m value =
+  let varying = cb.wires land m <> 0 in
+  let lb = if varying then local_of cb.wires m else 0 in
+  let want = if value then lb else 0 in
+  let kept = varying || (cb.base land m <> 0) = value in
+  let re = cb.cre and im = cb.cim and dim = cb.dim in
+  let n2 = ref 0. in
+  if kept then
+    for i = 0 to dim - 1 do
+      if i land lb = want then begin
+        let vr = Array.unsafe_get re i and vi = Array.unsafe_get im i in
+        n2 := !n2 +. ((vr *. vr) +. (vi *. vi))
+      end
+    done;
+  if sqrt !n2 < eps then invalid_arg "State.project: zero-probability outcome";
+  let inv = 1. /. sqrt !n2 in
+  let nonzero = ref 0 and any = ref 0 and all = ref (dim - 1) in
+  for i = 0 to dim - 1 do
+    if i land lb = want then begin
+      let vr = Array.unsafe_get re i and vi = Array.unsafe_get im i in
+      let sr = (inv *. vr) -. (0. *. vi) and si = (inv *. vi) +. (0. *. vr) in
+      Array.unsafe_set re i sr;
+      Array.unsafe_set im i si;
+      if not (is_zero sr si) then begin
+        incr nonzero;
+        any := !any lor i;
+        all := !all land i
+      end
+    end
+  done;
+  cb.nonzero <- !nonzero;
+  settle cb ~lb ~at:want ~any:!any ~all:!all
+
+(* As [clear_wire]: a varying wire folds the pairs into the half where it
+   reads 0 and leaves the cube with every other wire that half holds
+   constant; a constant 1 becomes 0, dropping the terms of norm at most
+   [eps]; a constant 0 leaves every term as it is. *)
+let cube_clear cb m =
+  let re = cb.cre and im = cb.cim and dim = cb.dim in
+  if cb.wires land m <> 0 then begin
+    let lb = local_of cb.wires m in
+    let nonzero = ref 0 and any = ref 0 and all = ref (dim - 1) in
+    let blk = ref 0 in
+    while !blk < dim do
+      for i0 = !blk to !blk + lb - 1 do
+        let i1 = i0 + lb in
+        let ar = Array.unsafe_get re i0 and ai = Array.unsafe_get im i0 in
+        let br = Array.unsafe_get re i1 and bi = Array.unsafe_get im i1 in
+        if not (is_zero br bi) then begin
+          let sr = if is_zero ar ai then br else ar +. br in
+          let si = if is_zero ar ai then bi else ai +. bi in
+          let keep = above_eps sr si in
+          Array.unsafe_set re i0 (if keep then sr else 0.);
+          Array.unsafe_set im i0 (if keep then si else 0.)
+        end;
+        if not (is_zero (Array.unsafe_get re i0) (Array.unsafe_get im i0))
+        then begin
+          incr nonzero;
+          any := !any lor i0;
+          all := !all land i0
+        end
+      done;
+      blk := !blk + (2 * lb)
+    done;
+    cb.nonzero <- !nonzero;
+    settle cb ~lb ~at:0 ~any:!any ~all:!all
+  end
+  else if cb.base land m <> 0 then begin
+    cb.base <- cb.base lxor m;
+    for i = 0 to dim - 1 do
+      let vr = Array.unsafe_get re i and vi = Array.unsafe_get im i in
+      if (not (is_zero vr vi)) && not (above_eps vr vi) then begin
+        Array.unsafe_set re i 0.;
+        Array.unsafe_set im i 0.;
+        cb.nonzero <- cb.nonzero - 1
+      end
+    done
+  end
+
+(* One gate on the cube: [false] when it declines. An H split doubles
+   the cells and the terms: past the cube's arrays it keeps the rule when
+   the cube does now, and on a cube that cancellation has left thinner it
+   declines. *)
+let cube_gate cb op ma mb w j =
+  match op with
+  | 0 | 4 | 7 -> cube_flip cb ma mb
+  | 6 -> cube_swap cb ma mb
+  | 1 | 3 | 5 | 8 ->
+      cube_diagonal cb op (ma lor mb) w j;
+      true
+  | _ ->
+      if cb.wires land mb = 0
+         && not (may_grow cb ~dim:(2 * cb.dim) ~terms:(2 * cb.nonzero))
+      then false
+      else begin
+        cube_hadamard cb mb;
+        true
+      end
+
+(* The cube's terms moved to a table, counted in [tally]. *)
+let fall_back s cb tally =
+  let t = table_of_cube cb in
+  s.repr <- Table t;
+  tally.(tally_fallbacks) <- tally.(tally_fallbacks) + 1;
+  t
+
 let prob_bit_one s q =
   match s.repr with
   | Product p ->
       (* Exact: an equatorial wire is a fair coin, a Z-basis wire definite. *)
       if on_x p q then 0.5 else if bit p.idx q then 1.0 else 0.0
-  | Sparse t ->
+  | Cube cb ->
+      let all, ones = cube_norm2 cb (1 lsl q) in
+      ones /. all
+  | Table t ->
       let all, ones = table_norm2 t (1 lsl q) in
       ones /. all
 
@@ -825,7 +1350,10 @@ let project_inplace s ~qubit ~value =
       if n < eps then invalid_arg "State.project: zero-probability outcome";
       if n <> 1.0 then p.amp <- Complex.div p.amp { re = n; im = 0. };
       if equatorial then collapse p (1 lsl qubit) value
-  | Sparse t ->
+  | Cube cb ->
+      cube_project cb (1 lsl qubit) value;
+      maybe_demote s
+  | Table t ->
       project_table t (1 lsl qubit) value;
       maybe_demote s
 
@@ -833,9 +1361,12 @@ let set_bit_zero_inplace s ~qubit =
   match s.repr with
   | Product p when not (on_x p qubit) -> p.idx <- p.idx land lnot (1 lsl qubit)
   | Product p ->
-      clear_wire (promote s p) (1 lsl qubit);
+      cube_clear (promote s p) (1 lsl qubit);
       maybe_demote s
-  | Sparse t ->
+  | Cube cb ->
+      cube_clear cb (1 lsl qubit);
+      maybe_demote s
+  | Table t ->
       clear_wire t (1 lsl qubit);
       maybe_demote s
 
@@ -847,25 +1378,28 @@ let set_bit_zero s ~qubit =
 (* The sparse track's program: as [product_slots], up to [limit], the
    first slot it declines (a measurement or conditional unless
    [adaptive]), or the first slot after which the state has demoted. A
+   cube that declines a gate moves to the table, which then takes it. A
    measurement runs as [Sim]'s one-slot measurement does. *)
-let sparse_slots s t ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~limit =
+let sparse_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng ~adaptive i ~limit =
   let k = ref i and go = ref true in
   while !go && !k < limit do
     let j = !k in
     let op = code.(j) in
     if op < op_measure then begin
-      (match op with
-      | 0 | 4 | 6 | 7 -> permute t op a.(j) b.(j)
-      | 1 | 3 | 5 | 8 -> diagonal t op (a.(j) lor b.(j)) c.(j)
-      | _ ->
-          hadamard t b.(j);
-          maybe_demote s);
+      let ma = a.(j) and mb = b.(j) in
+      (match s.repr with
+      | Cube cb ->
+          if not (cube_gate cb op ma mb w j) then
+            table_gate (fall_back s cb tally) op ma mb w j
+      | Table t -> table_gate t op ma mb w j
+      | Product _ -> ());
+      if op = 2 then maybe_demote s;
       tally.(op) <- tally.(op) + 1;
       k := j + 1
     end
     else if adaptive && op = op_measure then begin
       let qubit = a.(j) in
-      let support = t.cur.live in
+      let support = support_size s in
       if support > tally.(tally_peak) then tally.(tally_peak) <- support;
       let outcome = draw_outcome rng (prob_bit_one s qubit) in
       project_inplace s ~qubit ~value:outcome;
@@ -883,17 +1417,18 @@ let sparse_slots s t ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~limit =
       else k := c.(j)
     end
     else go := false;
-    match s.repr with Sparse _ -> () | Product _ -> go := false
+    match s.repr with Cube _ | Table _ -> () | Product _ -> go := false
   done;
   !k
 
 let on_product_track s =
-  match s.repr with Product _ -> true | Sparse _ -> false
+  match s.repr with Product _ -> true | Cube _ | Table _ -> false
 
 (* Passes on whichever track the state is on. A product pass that stops
-   at a gate stops at one it needs the table for: promote, and the table
-   takes it. A sparse pass that ends on the product track has demoted. *)
-let run_slots s ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop =
+   at a gate stops at one it needs the sparse track for: promote, and the
+   cube takes it. A sparse pass that ends on the product track has
+   demoted. *)
+let run_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng ~adaptive i ~stop =
   if i < 0 || Array.length tally < tally_size then
     invalid_arg "State.run_slots";
   (* Clamped to the arrays, so the passes read them unchecked. *)
@@ -905,10 +1440,13 @@ let run_slots s ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop =
     match s.repr with
     | Product p ->
         k := product_slots p ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive !k ~limit;
-        if !k < limit && code.(!k) < op_measure then ignore (promote s p)
+        if !k < limit && code.(!k) < op_measure then begin
+          ignore (promote s p);
+          tally.(tally_promotions) <- tally.(tally_promotions) + 1
+        end
         else go := false
-    | Sparse t ->
-        k := sparse_slots s t ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive !k ~limit;
+    | Cube _ | Table _ ->
+        k := sparse_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng ~adaptive !k ~limit;
         if not (on_product_track s) then go := false
   done;
   !k
@@ -918,9 +1456,16 @@ let idle_rng = Random.State.make [| 0 |]
 
 let apply_gate_inplace s g =
   let code = [| 0 |] and a = [| 0 |] and b = [| 0 |] and c = [| 0 |] in
-  encode_gate g ~code ~a ~b ~c 0;
+  let w =
+    match g with
+    | Gate.Phase _ | Gate.Cphase _ -> [| 0.; 0. |]
+    | Gate.X _ | Gate.Z _ | Gate.H _ | Gate.Cnot _ | Gate.Cz _ | Gate.Swap _
+    | Gate.Toffoli _ ->
+        [||]
+  in
+  encode_gate g ~code ~a ~b ~c ~w 0;
   ignore
-    (run_slots s ~code ~a ~b ~c ~tally:(Array.make tally_size 0) ~bits:[||]
+    (run_slots s ~code ~a ~b ~c ~w ~tally:(Array.make tally_size 0) ~bits:[||]
        ~rng:idle_rng ~adaptive:false 0 ~stop:1)
 
 let apply_gate s g =
@@ -934,7 +1479,13 @@ let amp_at s k =
   | Product p ->
       if k land lnot p.xmask <> p.idx land lnot p.xmask then None
       else Some (rotate (term_turn p (k land p.xmask)) (product_scaled p))
-  | Sparse t ->
+  | Cube cb ->
+      if k land lnot cb.wires <> cb.base then None
+      else
+        let i = local_of cb.wires k in
+        let re = cb.cre.(i) and im = cb.cim.(i) in
+        if is_zero re im then None else Some { Complex.re; im }
+  | Table t ->
       let b = t.cur in
       let j = find b k in
       if j < 0 then None else Some { Complex.re = b.re.(j); im = b.im.(j) }
@@ -953,7 +1504,7 @@ let classical_value s =
   match s.repr with
   | Product { idx; xmask = 0; amp; _ } ->
       if Complex.norm amp > eps then Some idx else None
-  | Product _ | Sparse _ ->
+  | Product _ | Cube _ | Table _ ->
       let terms = ref 0 and last = ref 0 in
       iter_terms s (fun k ->
           incr terms;
@@ -964,7 +1515,7 @@ let bit_value s q =
   match s.repr with
   | Product { idx; xmask = 0; amp; _ } ->
       if Complex.norm amp > eps then Some (bit idx q) else None
-  | Product _ | Sparse _ -> (
+  | Product _ | Cube _ | Table _ -> (
       (* Bit 0 of [seen]: a term reads 0; bit 1: a term reads 1. *)
       let seen = ref 0 in
       iter_terms s (fun k -> seen := !seen lor if bit k q then 2 else 1);
@@ -989,7 +1540,7 @@ module Reference = struct
   let wrap s tbl =
     let t = new_table ~terms:(Hashtbl.length tbl) in
     Hashtbl.iter (insert t.cur) tbl;
-    { num_qubits = s.num_qubits; repr = Sparse t; pinned = s.pinned }
+    { num_qubits = s.num_qubits; repr = Table t; pinned = s.pinned }
 
   let permute s f =
     let src = sparse_of s in

@@ -23,16 +23,37 @@
     controls are all Z-basis wires. An operation that needs an equatorial
     wire's amplitudes — a control on it, a CZ or Cphase between two of
     them, H at any other phase, clearing it — promotes the state to the
-    {e sparse} track holding the 2{^k} terms it denotes: a flat table,
-    open addressing over an [int array] of basis indices with the
-    amplitudes unboxed in two [float array]s. Z, Phase, CZ and Cphase
-    scale it in place; X, CNOT, Toffoli, Swap, H, projection and clearing
-    a wire rebuild it into a second buffer the state keeps, and the two
-    swap. It allocates only to grow those buffers. A gate writes the
+    {e sparse} track holding the 2{^k} terms it denotes.
+
+    The sparse track has two layouts, each holding amplitudes unboxed in
+    two [float array]s:
+    - the {e cube}, for supports that fill most of the cube over their
+      active wires (the wires whose value varies across the terms): one
+      entry per subset of the active wires, the other wires' values held
+      once. A promotion builds it. Every gate runs in place: X, CNOT and
+      Toffoli exchange entry pairs, Z, Phase, CZ and Cphase scale
+      entries, H is a butterfly, and a projection or a cleared wire
+      folds the cube in half and drops the wire. A gate on constant
+      wires only updates their values, or leaves the state alone;
+    - the {e table}, for thin supports: open addressing over an [int
+      array] of basis indices. Z, Phase, CZ and Cphase scale it in
+      place; X, CNOT, Toffoli, Swap, H, projection and clearing a wire
+      rebuild it into a second buffer the state keeps, and the two swap.
+    A cube grows (an H on a constant wire, or a CNOT or Toffoli fanning
+    an active control out onto one) freely within the arrays it holds,
+    and grows them only while its 2{^k} cells, k its active wires, stay
+    at most 4 times its terms: they never hold more than 4 times the
+    terms it had when they last grew. A gate that would break that rule,
+    or a Swap of an active wire with a constant one, moves the state to
+    the table, which then runs it. A table never turns
+    back into a cube. {!of_alist} builds a cube when its keys fill one
+    by the same rule and no amplitude is zero.
+
+    Either layout allocates only to grow its buffers. A gate writes the
     amplitudes the {!Reference} oracle computes, bit for bit, and H drops
-    the negligible terms (norm at most 1e-12) the oracle's H drops. A
-    sparse state demotes back to the product track as soon as its support
-    collapses to one term.
+    the negligible terms (norm at most 1e-12) the oracle's H drops; a
+    zero cube entry is an absent term. A sparse state demotes back to the
+    product track as soon as its support collapses to one term.
 
     The [*_inplace] operations mutate the state; the same-named pure
     functions copy first and are safe to use on shared states. *)
@@ -61,9 +82,10 @@ val num_terms : t -> int
 
 val support_size : t -> int
 (** Number of basis terms the state holds: 2{^k} on the product track with
-    k equatorial wires, the table's stored terms on the sparse track
-    (negligible amplitudes included, unlike {!num_terms}). O(1); the same
-    number the sparse table would hold for that state. *)
+    k equatorial wires, the stored terms on the sparse track (the nonzero
+    entries of a cube, the keys of a table: negligible amplitudes
+    included, unlike {!num_terms}). O(1); the same number the sparse
+    table would hold for that state. *)
 
 val norm : t -> float
 
@@ -79,7 +101,8 @@ val force_sparse : t -> unit
 (** Move the state to the sparse track and pin it there: it will not demote
     back to the product track even when the support is a single term.
     Used by tests and benchmarks to exercise the sparse kernel on circuits
-    that would otherwise stay on the product track. Copies inherit the
+    that would otherwise stay on the product track. A product state moves
+    to the cube, a sparse one keeps its layout. Copies inherit the
     pin. *)
 
 val apply_gate : t -> Gate.t -> t
@@ -99,7 +122,12 @@ val apply_gate_inplace : t -> Gate.t -> unit
     - CNOT, Toffoli and Cphase: [a =] the controls, [b =] the target;
     - CZ and Swap: its two wires;
     - [c =] the phase of Z, Phase, CZ and Cphase in turns over 2{^61}
-      (a half turn, 2{^60}, for Z and CZ), and 0 for the other gates.
+      (a half turn, 2{^60}, for Z and CZ), and 0 for the other gates;
+    - a float array [w]: cells [2i] and [2i + 1] hold the cosine and
+      sine of the angle of Phase or Cphase slot [i]'s turn, the factor
+      the sparse track multiplies by. No other slot reads [w], so a
+      program with neither gate may pass [[||]]. The product track reads
+      the integer turn [c].
 
     A measurement slot is [op_measure] with [a] the qubit, [b] the bit and
     [c = 1] for a reset; a conditional is [op_if] with [a] the bit, [b = 1]
@@ -115,22 +143,31 @@ val tally_peak : int
 (** The tally cell holding the largest {!support_size} seen just before a
     measurement. *)
 
+val tally_promotions : int
+(** The tally cell counting promotions from the product track to the
+    sparse track. *)
+
+val tally_fallbacks : int
+(** The tally cell counting moves of a state from the cube to the
+    table. *)
+
 val tally_size : int
 
 val encode_gate :
   Gate.t -> code:int array -> a:int array -> b:int array -> c:int array ->
-  int -> unit
-(** [encode_gate g ~code ~a ~b ~c i] writes [g] into slot [i]. *)
+  w:float array -> int -> unit
+(** [encode_gate g ~code ~a ~b ~c ~w i] writes [g] into slot [i], and a
+    Phase or Cphase's factor into cells [2i] and [2i + 1] of [w]. *)
 
 val on_product_track : t -> bool
 (** Whether the state is on the product track (else on the sparse
-    table). *)
+    track). *)
 
 val run_slots :
   t -> code:int array -> a:int array -> b:int array -> c:int array ->
-  tally:int array -> bits:bool array -> rng:Random.State.t -> adaptive:bool ->
-  int -> stop:int -> int
-(** [run_slots s ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~stop] runs
+  w:float array -> tally:int array -> bits:bool array ->
+  rng:Random.State.t -> adaptive:bool -> int -> stop:int -> int
+(** [run_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng ~adaptive i ~stop] runs
     the slots from [i] in passes on whichever track the state is on, and
     returns the first slot it did not run: the first slot at or past
     [stop] (or the arrays' end) that it reaches, or the first slot it
@@ -141,15 +178,16 @@ val run_slots :
     A product pass holds the state's masks in locals. A gate it cannot
     take there — a CNOT or Toffoli with a control on an equatorial wire, a
     CZ or Cphase on two equatorial wires, an H on an equatorial wire whose
-    phase is not 0 or 1/2 — promotes the state to the sparse table, and a
+    phase is not 0 or 1/2 — promotes the state to the cube, and a
     sparse pass runs on from that gate. A sparse pass ends at the first
     slot after which the state has demoted, and a product pass runs on
     from there. So every gate slot runs, on one track or the other.
 
     Neither pass allocates per gate. The product track allocates once per
     state: the cells for phases below a half turn, made when the first
-    such phase lands on an equatorial wire. The sparse table allocates
-    when it promotes and when its buffers grow.
+    such phase lands on an equatorial wire. The sparse track allocates
+    when it promotes, when its buffers grow and when a cube moves to the
+    table.
 
     When [adaptive], a measurement draws by {!draw_outcome}: on the
     product track with [p1 = 1/2] for an equatorial wire (nothing for a
@@ -159,11 +197,14 @@ val run_slots :
     Without [adaptive], [rng] and [bits] are not touched.
 
     Each slot run adds 1 to [tally.(opcode)]; a conditional taken adds 1 to
-    [tally.(tally_taken)], and a measurement raises [tally.(tally_peak)] to
-    the support it saw. On return the state holds every slot run, and
+    [tally.(tally_taken)], a measurement raises [tally.(tally_peak)] to
+    the support it saw, and a promotion and a move from the cube to the
+    table add 1 to [tally.(tally_promotions)] and
+    [tally.(tally_fallbacks)]. On return the state holds every slot run, and
     nothing else. Raises [Invalid_argument] when [i] is negative or
-    [tally] has fewer than [tally_size] cells, and as {!project_inplace}
-    when a measurement's projection does. *)
+    [tally] has fewer than [tally_size] cells, when a Phase or Cphase
+    slot reaches the sparse track without its cells in [w], and as
+    {!project_inplace} when a measurement's projection does. *)
 
 val prob_bit_one : t -> int -> float
 (** Probability that measuring the given wire yields 1. *)

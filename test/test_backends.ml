@@ -604,6 +604,35 @@ let test_draper_faults_fast_eq_sparse () =
       done)
     (draper_specs rng)
 
+(* Every gate site of the catalogue Draper adder at n = 4 under X, Y and
+   Z: the faults that leave the product track run on the cube (and
+   sometimes the table) on Fast, and must classify and end as the
+   oracle's rebuild-per-gate runs do. *)
+let test_draper_faults_fast_eq_reference () =
+  let spec = (Option.get (Catalogue.find "draper")).Catalogue.make ~n:4 ~p:11 in
+  let prog = Sim.compile spec.Engine.circuit in
+  List.iteri
+    (fun i site ->
+      match site with
+      | Fault.Gate_site _ ->
+          List.iter
+            (fun pauli ->
+              let faults = [ Fault.of_site ~pauli site ] in
+              let run engine =
+                Sim.run_program ~rng:(Random.State.make [| i; 0xfc |]) ~engine
+                  ~faults prog ~init:spec.Engine.init
+              in
+              let f = run Sim.Fast and r = run Sim.Reference in
+              let name = Fault.to_string (List.hd faults) in
+              Alcotest.(check string) (name ^ ": class")
+                (Engine.outcome_name (Engine.classify_run spec r))
+                (Engine.outcome_name (Engine.classify_run spec f));
+              Alcotest.(check bool) (name ^ ": state") true
+                (State.fidelity f.Sim.state r.Sim.state > 1. -. 1e-9))
+            [ Fault.X; Fault.Y; Fault.Z ]
+      | Fault.Measure_site _ | Fault.Branch_site _ -> ())
+    (Fault.sites spec.Engine.circuit.Circuit.instrs)
+
 let arb_fault_case =
   let open QCheck in
   pair arb_adaptive
@@ -678,16 +707,26 @@ let kernel_takes kinds g =
   | Gate.Cz (a, b) | Gate.Cphase { control = a; target = b; _ } ->
       not (on_x a && on_x b)
 
+(* The tally of a gate-only run: [slots] slots and [promotions]
+   promotions, and no other cell written (no conditional taken, no peak,
+   no move to the table). *)
+let check_gate_tally name tally ~slots ~promotions =
+  Alcotest.(check int) (name ^ ": promotions") promotions
+    tally.(State.tally_promotions);
+  Alcotest.(check int) (name ^ ": fallbacks") 0 tally.(State.tally_fallbacks);
+  Alcotest.(check int) name slots
+    (Array.fold_left ( + ) 0 tally - tally.(State.tally_promotions))
+
 (* Run [gates] as a program through [run_slots] from slot 0 up to [stop]:
    the slot it stopped at, the tally, and the opcodes. *)
 let run_kernel s gates ~stop =
   let n = List.length gates in
   let code = Array.make n 0 and a = Array.make n 0 and b = Array.make n 0 in
-  let c = Array.make n 0 in
-  List.iteri (fun i g -> State.encode_gate g ~code ~a ~b ~c i) gates;
+  let c = Array.make n 0 and w = Array.make (2 * n) 0. in
+  List.iteri (fun i g -> State.encode_gate g ~code ~a ~b ~c ~w i) gates;
   let tally = Array.make State.tally_size 0 in
   let j =
-    State.run_slots s ~code ~a ~b ~c ~tally ~bits:[||]
+    State.run_slots s ~code ~a ~b ~c ~w ~tally ~bits:[||]
       ~rng:(Random.State.make [| 0 |]) ~adaptive:false 0 ~stop
   in
   (j, tally, code)
@@ -709,8 +748,8 @@ let test_kernel_each_opcode () =
           let j, tally, code = run_kernel s [ g ] ~stop:1 in
           Alcotest.(check int) (name ^ ": taken") 1 j;
           Alcotest.(check int) (name ^ ": tallied") 1 tally.(code.(0));
-          Alcotest.(check int) (name ^ ": tallied once") 1
-            (Array.fold_left ( + ) 0 tally);
+          check_gate_tally (name ^ ": tallied once") tally ~slots:1
+            ~promotions:(Bool.to_int (not (kernel_takes kinds g)));
           Alcotest.(check bool) (name ^ ": amplitudes") true
             (amps_equal s (State.Reference.apply_gate before g));
           Alcotest.(check bool) (name ^ ": product track") (kernel_takes kinds g)
@@ -752,13 +791,12 @@ let test_kernel_passes () =
   let s = State.copy from in
   let j, tally, _ = run_kernel s gates ~stop:2 in
   Alcotest.(check int) "stops at stop" 2 j;
-  Alcotest.(check int) "tally to stop" 2 (Array.fold_left ( + ) 0 tally);
+  check_gate_tally "tally to stop" tally ~slots:2 ~promotions:0;
   Alcotest.(check bool) "state to stop" true (amps_equal s (prefix 2));
   let s = State.copy from in
   let j, tally, _ = run_kernel s gates ~stop:5 in
   Alcotest.(check int) "runs on past an equatorial control" 5 j;
-  Alcotest.(check int) "tally past the promotion" 5
-    (Array.fold_left ( + ) 0 tally);
+  check_gate_tally "tally past the promotion" tally ~slots:5 ~promotions:1;
   Alcotest.(check bool) "state past the promotion" true
     (amps_equal s (prefix 5));
   Alcotest.(check bool) "promoted" false (State.on_product_track s);
@@ -766,7 +804,7 @@ let test_kernel_passes () =
   State.force_sparse sparse;
   let j, tally, _ = run_kernel sparse gates ~stop:5 in
   Alcotest.(check int) "sparse track: every slot" 5 j;
-  Alcotest.(check int) "sparse track: tally" 5 (Array.fold_left ( + ) 0 tally);
+  check_gate_tally "sparse track: tally" tally ~slots:5 ~promotions:0;
   Alcotest.(check bool) "sparse track: state" true (amps_equal sparse (prefix 5));
   (* H recombines the Bell pair: the table demotes, and the product track
      takes the last X. *)
@@ -777,7 +815,7 @@ let test_kernel_passes () =
   let s = State.copy from in
   let j, tally, _ = run_kernel s round_trip ~stop:5 in
   Alcotest.(check int) "round trip: every slot" 5 j;
-  Alcotest.(check int) "round trip: tally" 5 (Array.fold_left ( + ) 0 tally);
+  check_gate_tally "round trip: tally" tally ~slots:5 ~promotions:1;
   Alcotest.(check bool) "round trip: demoted" true (State.is_classical s);
   Alcotest.(check (option int)) "round trip: value" (Some 0b110)
     (State.classical_value s)
@@ -889,9 +927,10 @@ let engines_agree c ~init ~seed =
   in
   agree rs rr && agree rf rr
 
-(* Gate by gate on a pinned table, the amplitudes are the oracle's bit
-   for bit (every term above 1e-12 compared with [=]), from each step's
-   same input. *)
+(* Gate by gate on a pinned sparse state (a cube, moving to the table
+   when it grows too empty), the amplitudes are the oracle's bit for bit
+   (every term above 1e-12 compared with [=]), from each step's same
+   input. *)
 let prop_table_gates_exact =
   QCheck.Test.make ~name:"flat table: each gate = oracle, bit for bit"
     ~count:200
@@ -1038,6 +1077,128 @@ let prop_table_projections =
       in
       engines_agree c ~init:(State.basis ~num_qubits:nq 0) ~seed)
 
+(* {2 The two layouts of the sparse track}
+
+   A promotion and [force_sparse] reach the cube, so the properties above
+   run there; these reach the table. *)
+
+(* Up to eight keys scattered over 14 wires, two of them differing in
+   twelve: a cube over their varying wires would have 2^12 cells or more,
+   so [of_alist] builds a table, and a table never turns back into a
+   cube. Each gate's amplitudes are the oracle's bit for bit. *)
+let prop_thin_table_gates_exact =
+  let nq = 14 in
+  QCheck.Test.make ~name:"thin table: each gate = oracle, bit for bit"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         triple (int_bound ((1 lsl nq) - 1))
+           (list_size (int_range 0 6)
+              (triple (int_bound ((1 lsl nq) - 1)) (float_range (-1.) 1.)
+                 (float_range (-1.) 1.)))
+           (list_size (int_range 1 20) (gen_gate nq)))
+       ~print:(fun (k0, terms, gs) ->
+         Printf.sprintf "key %d, %d more terms: %s" k0 (List.length terms)
+           (print_gates gs)))
+    (fun (k0, terms, gates) ->
+      let amp re im = { Complex.re; im } in
+      let terms =
+        (k0, amp 0.5 0.25) :: (k0 lxor 0xfff, amp (-0.25) 0.5)
+        :: List.map (fun (k, re, im) -> (k, amp re im)) terms
+        |> List.sort_uniq (fun (a, _) (b, _) -> compare a b)
+      in
+      let s = State.of_alist ~num_qubits:nq terms in
+      List.for_all
+        (fun g ->
+          let expect = State.Reference.apply_gate s g in
+          State.apply_gate_inplace s g;
+          State.to_alist s = State.to_alist expect)
+        gates)
+
+(* H on three wires, then CNOTs fanning them out onto six fresh wires:
+   the cube doubles twice, then declines the third fan-out (64 cells for
+   8 terms) and the state moves to the table, once. Gate by gate, before
+   and after the switch and through random gates on, the amplitudes are
+   the oracle's bit for bit. *)
+let prop_cube_to_table =
+  let nq = 9 in
+  QCheck.Test.make ~name:"cube -> table fallback = oracle" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         triple (int_bound ((1 lsl nq) - 1))
+           (list_repeat 6 (int_bound 2))
+           (list_size (int_range 1 20) (gen_gate nq)))
+       ~print:(fun (idx, controls, gs) ->
+         Printf.sprintf "idx %d, controls [%s]: %s" idx
+           (String.concat ";" (List.map string_of_int controls))
+           (print_gates gs)))
+    (fun (idx, controls, gates) ->
+      let fan_out =
+        List.init 3 (fun q -> Gate.H q)
+        @ List.mapi
+            (fun i control -> Gate.Cnot { control; target = 3 + i })
+            controls
+      in
+      let s = State.basis ~num_qubits:nq idx in
+      let _, tally, _ = run_kernel (State.copy s) fan_out ~stop:9 in
+      tally.(State.tally_promotions) = 1
+      && tally.(State.tally_fallbacks) = 1
+      && List.for_all
+           (fun g ->
+             let expect = State.Reference.apply_gate s g in
+             State.apply_gate_inplace s g;
+             State.to_alist s = State.to_alist expect)
+           (fan_out @ gates))
+
+(* A star graph state on five wires with H on its four leaves is the GHZ
+   state: cancellation leaves two terms in the 32-cell cube, which stays
+   a cube (no gate grows it). An H on a sixth wire would split it into
+   64 cells for 4 terms, past its 32-cell arrays and past the rule, so
+   the state moves to the table, once, and the table runs the H. Step by
+   step the amplitudes are the oracle's bit for bit. *)
+let test_thin_cube_split () =
+  let leaves = [ 1; 2; 3; 4 ] in
+  let ghz =
+    List.init 5 (fun q -> Gate.H q)
+    @ List.map (fun q -> Gate.Cz (0, q)) leaves
+    @ List.map (fun q -> Gate.H q) leaves
+  in
+  let from = State.basis ~num_qubits:6 0 in
+  let oracle gates = List.fold_left State.Reference.apply_gate from gates in
+  let s = State.copy from and n = List.length ghz in
+  let j, tally, _ = run_kernel s ghz ~stop:n in
+  Alcotest.(check int) "GHZ: every slot" n j;
+  Alcotest.(check int) "GHZ: one promotion" 1 tally.(State.tally_promotions);
+  Alcotest.(check int) "GHZ: still a cube" 0 tally.(State.tally_fallbacks);
+  Alcotest.(check int) "GHZ: two terms" 2 (State.num_terms s);
+  Alcotest.(check bool) "GHZ: state" true
+    (State.to_alist s = State.to_alist (oracle ghz));
+  let _, tally, _ = run_kernel s [ Gate.H 5 ] ~stop:1 in
+  Alcotest.(check int) "split: to the table" 1 tally.(State.tally_fallbacks);
+  Alcotest.(check bool) "split: state" true
+    (State.to_alist s = State.to_alist (oracle (ghz @ [ Gate.H 5 ])))
+
+(* A term of norm at most 1e-12 goes where the table's rules send it: a
+   cleared wire drops it, H drops its halves. [support_size] counts the
+   stored terms, so it shows one kept that should have gone. *)
+let test_cube_negligible_terms () =
+  let tiny = { Complex.re = 1e-13; im = 0. } in
+  let s = State.of_alist ~num_qubits:2 [ (0b10, Complex.one); (0b11, tiny) ] in
+  List.iter
+    (fun (name, ours, oracle) ->
+      Alcotest.(check int) (name ^ ": support") (State.support_size oracle)
+        (State.support_size ours);
+      Alcotest.(check bool) (name ^ ": amplitudes") true
+        (State.to_alist ours = State.to_alist oracle))
+    [ ( "clear a constant 1", State.set_bit_zero s ~qubit:1,
+        State.Reference.set_bit_zero s ~qubit:1 );
+      ( "clear a varying wire", State.set_bit_zero s ~qubit:0,
+        State.Reference.set_bit_zero s ~qubit:0 );
+      ( "H on a varying wire", State.apply_gate s (Gate.H 0),
+        State.Reference.apply_gate s (Gate.H 0) );
+      ( "H on a constant wire", State.apply_gate s (Gate.H 1),
+        State.Reference.apply_gate s (Gate.H 1) ) ]
+
 let suite =
   ( "backends",
     [ qtest prop_engines_agree;
@@ -1080,4 +1241,12 @@ let suite =
       qtest prop_table_growth;
       qtest prop_table_cancels_and_demotes;
       qtest prop_table_clear_collisions;
-      qtest prop_table_projections ] )
+      qtest prop_table_projections;
+      qtest prop_thin_table_gates_exact;
+      qtest prop_cube_to_table;
+      Alcotest.test_case "thin cube: a split moves it to the table" `Quick
+        test_thin_cube_split;
+      Alcotest.test_case "cube: negligible terms dropped as the table does"
+        `Quick test_cube_negligible_terms;
+      Alcotest.test_case "Draper fault plans: Fast = Reference" `Quick
+        test_draper_faults_fast_eq_reference ] )

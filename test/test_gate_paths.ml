@@ -177,12 +177,12 @@ let test_shot_budget () = check_shot_budget "cdkpm" ~n:16 100.
    QFT states, the shot allocated 381 915. *)
 let test_draper_shot_budget () = check_shot_budget "draper" ~n:8 200.
 
-(* The same Draper run pinned to the sparse table, whose QFT states hold
-   up to 2^9 terms: the flat table allocates only to grow its buffers
-   (those past 256 words on the major heap, which this does not count),
-   about 1 700 words a run. The hash table it replaced allocated about
-   310 000, a boxed amplitude, an option and a bucket cell per term and
-   gate. *)
+(* The same Draper run pinned to the sparse track, whose QFT states hold
+   up to 2^9 terms in a cube: it allocates only to grow its arrays (those
+   past 256 words on the major heap, which this does not count), about
+   1 140 words a run, and the flat table before it about 2 200. The hash
+   table before that allocated about 310 000, a boxed amplitude, an
+   option and a bucket cell per term and gate. *)
 let test_sparse_run_budget () =
   let open Mbu_simulator in
   let n = 8 in
@@ -206,8 +206,8 @@ let test_sparse_run_budget () =
   in
   run ();
   let per_run = snd (minor_words run) /. float_of_int runs in
-  if per_run > 4000. then
-    Alcotest.failf "Sparse Draper n=%d: %.0f words per run, budget 4000" n
+  if per_run > 1700. then
+    Alcotest.failf "Sparse Draper n=%d: %.0f words per run, budget 1700" n
       per_run
 
 (* A gate on the product track allocates nothing: 2 000 CNOTs cost what an

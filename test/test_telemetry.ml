@@ -382,11 +382,52 @@ let test_bench_files_reproducible () =
     (List.map (fun name -> (name, [])) files)
     (List.map found files)
 
+(* Each run's counts are its own, so the promotion and fallback counters
+   are jobs-independent too. A Draper campaign's faults on QFT states
+   promote runs to the cube. Shots of a fan-out (H on three wires, then
+   CNOTs copying them onto six more, then a measurement) promote once
+   and move to the table once: the third fan-out would grow the cube's
+   arrays to 64 cells for 8 terms. *)
+let test_sparse_counters_jobs_independent () =
+  let draper = Option.get (Mbu_robustness.Catalogue.find "draper") in
+  let spec = draper.Mbu_robustness.Catalogue.make ~n:4 ~p:11 in
+  let campaign jobs =
+    Telemetry.reset ();
+    ignore
+      (Mbu_robustness.Engine.run_campaign ~seed:3 ~jobs
+         ~plan:(Mbu_robustness.Engine.Random { runs = 200; faults_per_run = 1 })
+         spec);
+    deterministic_counters ()
+  in
+  let seq = campaign 1 and par = campaign 4 in
+  Alcotest.(check bool) "campaign: jobs-independent" true (seq = par);
+  Alcotest.(check bool) "campaign: runs promoted" true
+    (List.assoc "mbu_sim_promotions_total" par > 0.);
+  let fan_out =
+    Circuit.make ~num_qubits:9 ~num_bits:1
+      (List.init 3 (fun q -> Instr.Gate (Gate.H q))
+      @ List.init 6 (fun i ->
+            Instr.Gate (Gate.Cnot { control = i mod 3; target = 3 + i }))
+      @ [ Instr.Measure { qubit = 0; bit = 0; reset = false } ])
+  in
+  let init = State.basis ~num_qubits:9 0 and shots = 40 in
+  let seq = workload ~seed:5 ~jobs:1 ~shots fan_out ~init in
+  let par = workload ~seed:5 ~jobs:4 ~shots fan_out ~init in
+  Alcotest.(check bool) "fan-out: jobs-independent" true (seq = par);
+  Alcotest.(check (float 0.)) "fan-out: one promotion a shot"
+    (float_of_int shots)
+    (List.assoc "mbu_sim_promotions_total" par);
+  Alcotest.(check (float 0.)) "fan-out: one move to the table a shot"
+    (float_of_int shots)
+    (List.assoc "mbu_sim_table_fallbacks_total" par)
+
 let suite =
   ( "telemetry",
     [ qtest prop_jobs_independent;
       Alcotest.test_case "campaign counters jobs-independent" `Quick
         test_campaign_counters_jobs_independent;
+      Alcotest.test_case "sparse-track counters jobs-independent" `Quick
+        test_sparse_counters_jobs_independent;
       qtest prop_histogram_conserves;
       Alcotest.test_case "histogram buckets monotone" `Quick
         test_histogram_buckets_monotone;
