@@ -46,8 +46,6 @@ let of_signed_int ~width v =
   let u = if v >= 0 then v else v + (1 lsl width) in
   of_int ~width u
 
-let of_bools l = Array.of_list l
-let to_bools x = Array.to_list x
 
 let of_string s =
   let n = String.length s in
@@ -120,7 +118,6 @@ let lt x y =
   in
   loop (n - 1)
 
-let gt x y = lt y x
 let msb x = x.(Array.length x - 1)
 
 let pad x n =

@@ -38,11 +38,6 @@ val of_signed_int : width:int -> int -> t
 (** [of_signed_int ~width v] encodes [v] in 2's complement on [width] bits
     (remark A.4). Raises [Invalid_argument] when [v] is not representable. *)
 
-val of_bools : bool list -> t
-(** LSB first. *)
-
-val to_bools : t -> bool list
-
 val of_string : string -> t
 (** MSB-first string of ['0']/['1'] characters, as written in the paper
     ([x_{n-1} ... x_0]). Raises [Invalid_argument] on other characters. *)
@@ -98,7 +93,6 @@ val hamming_weight_int : int -> int
 val lt : t -> t -> bool
 (** Unsigned [x < y]. *)
 
-val gt : t -> t -> bool
 val msb : t -> bool
 
 val pad : t -> int -> t

@@ -87,12 +87,6 @@ let of_site ?(pauli = X) = function
   | Measure_site { bit; _ } -> Flip_outcome { bit }
   | Branch_site { pos; _ } -> Skip_block { pos }
 
-let pauli_gates p q =
-  match p with
-  | X -> [ Gate.X q ]
-  | Z -> [ Gate.Z q ]
-  | Y -> [ Gate.Z q; Gate.X q ]
-
 let pauli_name = function X -> "X" | Y -> "Y" | Z -> "Z"
 
 let to_string = function

@@ -69,9 +69,5 @@ val of_site : ?pauli:pauli -> site -> t
     gate site, [Flip_outcome] for a measurement, [Skip_block] for a
     branch. *)
 
-val pauli_gates : pauli -> Gate.qubit -> Gate.t list
-(** The gate-set realization of the Pauli, in application order ([Y] is
-    [Z] then [X], equal to Y up to global phase). *)
-
 val pauli_name : pauli -> string
 val to_string : t -> string

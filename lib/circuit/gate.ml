@@ -40,18 +40,6 @@ let adjoint = function
   | Cphase { control; target; phase } ->
       Cphase { control; target; phase = Phase.neg phase }
 
-let map_qubits f = function
-  | X q -> X (f q)
-  | Z q -> Z (f q)
-  | H q -> H (f q)
-  | Phase (q, p) -> Phase (f q, p)
-  | Cnot { control; target } -> Cnot { control = f control; target = f target }
-  | Cz (a, b) -> Cz (f a, f b)
-  | Swap (a, b) -> Swap (f a, f b)
-  | Toffoli { c1; c2; target } -> Toffoli { c1 = f c1; c2 = f c2; target = f target }
-  | Cphase { control; target; phase } ->
-      Cphase { control = f control; target = f target; phase }
-
 (* Matched on the constructor, so validating a gate allocates nothing. A
    negative wire is reported before a repeated one. *)
 let validate g =

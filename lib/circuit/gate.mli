@@ -37,8 +37,6 @@ val adjoint : t -> t
 (** Every gate in the set is either self-adjoint or has its adjoint in the
     set ([Phase]/[Cphase] negate their angle). *)
 
-val map_qubits : (qubit -> qubit) -> t -> t
-
 val validate : t -> unit
 (** Raises [Invalid_argument "Gate: negative wire"] if the gate touches a
     negative wire, otherwise [Invalid_argument "Gate: repeated wire"] if it

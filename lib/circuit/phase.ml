@@ -18,7 +18,6 @@ let make ~num ~log2_den =
   normalize num log2_den
 
 let theta k = make ~num:1 ~log2_den:k
-let of_fraction_of_turn = make
 
 let add a b =
   let k = max a.log2_den b.log2_den in

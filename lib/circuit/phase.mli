@@ -20,9 +20,6 @@ val theta : int -> t
 (** [theta k] is the paper's rotation angle [theta_k = 2 pi / 2^k] (section
     1.3, figure 3). *)
 
-val of_fraction_of_turn : num:int -> log2_den:int -> t
-(** Alias of {!make}; emphasizes that the angle is [num / 2^log2_den] turns. *)
-
 val add : t -> t -> t
 val neg : t -> t
 val is_zero : t -> bool

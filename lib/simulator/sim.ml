@@ -130,20 +130,31 @@ let compile (circ : Circuit.t) =
   { num_qubits = circ.num_qubits; num_bits = circ.num_bits; code; a; b; c;
     w = !w; gates }
 
+(* The Paulis a fault injects, as a program built once and never
+   written: X q at slot 2q and Z q at slot 2q + 1, for each of the 62
+   wires a state can have. *)
+let paulis =
+  compile
+    (Circuit.make ~num_qubits:62
+       (List.concat
+          (List.init 62 (fun q -> Instr.[ Gate (Gate.X q); Gate (Gate.Z q) ]))))
+
 (* A fault plan and the pinned outcomes as patches sorted by slot: the
-   Paulis injected after a gate slot ([count] the faults they stand for),
+   slots of [paulis] injected after a gate slot, in order (Y is Z then X,
+   equal to Y up to global phase; [count] the faults they stand for),
    the skipped [If_bit] slots, and every measure slot that writes a
    flipped or a pinned bit, with one misread however often the plan names
    the bit and [pin] the pinned outcome (0 or 1, -1 for none). Its size
    is the plan's, not the program's, so a campaign run allocates next to
    nothing for it. Faults and pins at positions or bits the program does
    not have, or faults at slots of the wrong kind, are dropped, like a
-   fault in a branch never reached. *)
-type patch = { slot : int; count : int; paulis : Gate.t list; pin : int }
+   fault in a branch never reached; a Pauli on a wire the state lacks
+   raises. *)
+type patch = { slot : int; count : int; paulis : int array; pin : int }
 
-let no_patch = { slot = -1; count = 0; paulis = []; pin = -1 }
+let no_patch = { slot = -1; count = 0; paulis = [||]; pin = -1 }
 
-let patches_of prog ~force faults =
+let patches_of prog ~wires ~force faults =
   let n = Array.length prog.code and nbits = prog.num_bits in
   let at pos = pos >= 0 && pos < n in
   let measures = ref [] in
@@ -165,17 +176,27 @@ let patches_of prog ~force faults =
       let bit = prog.b.(i) in
       if prog.code.(i) = op_measure && (misread.(bit) || pin.(bit) >= 0) then
         let count = Bool.to_int misread.(bit) in
-        measures := { slot = i; count; paulis = []; pin = pin.(bit) } :: !measures
+        measures := { slot = i; count; paulis = [||]; pin = pin.(bit) } :: !measures
     done
   end;
   List.filter_map
     (function
+      | Fault.Pauli_after { qubit; _ } when qubit < 0 || qubit >= wires ->
+          Mbu_error.invalid ~subsystem:"Sim.run" ~qubit
+            (Printf.sprintf "Pauli fault on wire %d of a %d-wire state" qubit
+               wires)
       | Fault.Pauli_after { pos; qubit; pauli }
         when at pos && prog.code.(pos) < op_measure ->
-          let paulis = Fault.pauli_gates pauli qubit in
+          let x = 2 * qubit in
+          let paulis =
+            match pauli with
+            | Fault.X -> [| x |]
+            | Fault.Z -> [| x + 1 |]
+            | Fault.Y -> [| x + 1; x |]
+          in
           Some { slot = pos; count = 1; paulis; pin = -1 }
       | Fault.Skip_block { pos } when at pos && prog.code.(pos) = op_if ->
-          Some { slot = pos; count = 1; paulis = []; pin = -1 }
+          Some { slot = pos; count = 1; paulis = [||]; pin = -1 }
       | Fault.Pauli_after _ | Fault.Skip_block _ | Fault.Flip_outcome _ -> None)
     faults
   @ !measures
@@ -186,19 +207,39 @@ let patches_of prog ~force faults =
        (fun acc p ->
          match acc with
          | q :: rest when q.slot = p.slot ->
-             { q with count = q.count + p.count; paulis = q.paulis @ p.paulis }
+             { q with count = q.count + p.count;
+                      paulis = Array.append q.paulis p.paulis }
              :: rest
          | _ -> p :: acc)
        []
   |> List.rev |> Array.of_list
 
-(* One gate by the engine's kernel: in place, or the oracle's rebuild. *)
-let apply_gate reference state g =
-  if reference then State.Reference.apply_gate state g
+(* The first slot from [i] below [stop] that is a measurement or a
+   conditional, else [stop]. *)
+let rec next_event code i stop =
+  if i >= stop || code.(i) >= op_measure then i else next_event code (i + 1) stop
+
+(* Gate slot [i] of [p], the run's program or [paulis], tallied: in
+   place by the kernel's one-slot pass, or by the oracle's rebuild from
+   [p.gates]. *)
+let gate_step ~reference state p i ~tally ~bits ~rng =
+  if reference then begin
+    tally.(p.code.(i)) <- tally.(p.code.(i)) + 1;
+    State.Reference.apply_gate state p.gates.(i)
+  end
   else begin
-    State.apply_gate_inplace state g;
+    ignore
+      (State.run_slots state ~code:p.code ~a:p.a ~b:p.b ~c:p.c ~w:p.w ~tally
+         ~bits ~rng i ~stop:(i + 1));
     state
   end
+
+(* Slot [i] of [paulis]: a fault, not a program gate, so never tallied. *)
+let inject ~reference state i ~tally ~bits ~rng =
+  let state = gate_step ~reference state paulis i ~tally ~bits ~rng in
+  let op = paulis.code.(i) in
+  tally.(op) <- tally.(op) - 1;
+  state
 
 let run_program ?rng ?on_event ?(engine = Fast) ?(force = []) ?(faults = [])
     prog ~init =
@@ -215,66 +256,53 @@ let run_program ?rng ?on_event ?(engine = Fast) ?(force = []) ?(faults = [])
   if engine <> Fast then State.force_sparse !state;
   let reference = engine = Reference in
   let patches =
-    if faults = [] && force = [] then [||] else patches_of prog ~force faults
+    if faults = [] && force = [] then [||]
+    else patches_of prog ~wires:(State.num_qubits init) ~force faults
   in
   let injected = ref 0 in
   (* Patches are visited through a cursor: [next_patch] is the slot of the
-     next patch not yet passed ([max_int] when there is none), and
-     [patched i] says whether slot [i] carries one, passing over the
-     patches of bodies that were jumped. *)
+     next patch not yet passed ([max_int] when there is none). *)
   let npatches = Array.length patches in
   let patch_cursor = ref 0 in
   let next_patch = ref (if npatches > 0 then patches.(0).slot else max_int) in
-  let patched i =
-    while !patch_cursor < npatches && patches.(!patch_cursor).slot < i do
-      incr patch_cursor
-    done;
-    next_patch :=
-      if !patch_cursor < npatches then patches.(!patch_cursor).slot else max_int;
-    !next_patch = i
-  in
   (* Event blocks are allocated only when a hook is installed. *)
   let hooked, emit =
     match on_event with Some f -> (true, f) | None -> (false, ignore)
   in
   tally.(State.tally_peak) <- State.support_size !state;
   let code = prog.code and n = Array.length prog.code in
-  (* On [Fast] and [Sparse], [State.run_slots] runs the program in
-     passes on either track, each up to the next patch. A pass takes
-     measurements and conditionals too, unless a hook must see them. Those,
-     the patched slots (a pinned outcome among them), a product-track
-     measurement while |amp| is not 1, and every slot on [Reference] run
-     here one at a time. *)
-  let adaptive = not hooked in
+  (* This loop alone sets where a pass stops: on [Fast] and [Sparse],
+     [State.run_slots] runs every slot up to the next patch and, under a
+     hook, up to the next measurement or conditional. The slot a pass
+     stops at, and every slot on [Reference], runs here alone. *)
   let pc = ref 0 in
   while !pc < n do
     let i = !pc in
+    (* Pass over the patches of bodies that were jumped. *)
+    if !next_patch < i then begin
+      while !patch_cursor < npatches && patches.(!patch_cursor).slot < i do
+        incr patch_cursor
+      done;
+      next_patch :=
+        if !patch_cursor < npatches then patches.(!patch_cursor).slot else max_int
+    end;
     let op = code.(i) in
-    let j =
-      if (not reference) && (adaptive || op < op_measure) then
-        State.run_slots !state ~code ~a:prog.a ~b:prog.b ~c:prog.c ~w:prog.w
-          ~tally ~bits ~rng ~adaptive i ~stop:!next_patch
-      else i
+    let stop =
+      if reference then i
+      else if hooked then next_event code i (min !next_patch n)
+      else !next_patch
     in
-    if j > i then pc := j
+    let p = if !next_patch = i then patches.(!patch_cursor) else no_patch in
+    if stop > i then
+      pc :=
+        State.run_slots !state ~code ~a:prog.a ~b:prog.b ~c:prog.c ~w:prog.w
+          ~tally ~bits ~rng i ~stop
     else if op < op_measure then begin
-      (* A patched slot, or any slot on [Reference]: the kernels run the
-         gate from the program's own arrays, a one-slot pass. *)
-      if reference then begin
-        state := State.Reference.apply_gate !state prog.gates.(i);
-        tally.(op) <- tally.(op) + 1
-      end
-      else
-        ignore
-          (State.run_slots !state ~code ~a:prog.a ~b:prog.b ~c:prog.c
-             ~w:prog.w ~tally ~bits ~rng ~adaptive i ~stop:(i + 1));
-      if i >= !next_patch && patched i then begin
-        (* Injected Paulis are faults, not program gates: applied through
-           the engine but never tallied. *)
-        let p = patches.(!patch_cursor) in
-        state := List.fold_left (apply_gate reference) !state p.paulis;
-        injected := !injected + p.count
-      end;
+      state := gate_step ~reference !state prog i ~tally ~bits ~rng;
+      for k = 0 to Array.length p.paulis - 1 do
+        state := inject ~reference !state p.paulis.(k) ~tally ~bits ~rng
+      done;
+      injected := !injected + p.count;
       pc := i + 1
     end
     else if op = op_measure then begin
@@ -286,10 +314,6 @@ let run_program ?rng ?on_event ?(engine = Fast) ?(force = []) ?(faults = [])
       if terms > tally.(State.tally_peak) then
         tally.(State.tally_peak) <- terms;
       let p1 = State.prob_bit_one !state qubit in
-      let p =
-        if i >= !next_patch && patched i then patches.(!patch_cursor)
-        else no_patch
-      in
       let outcome =
         if p.pin < 0 then State.draw_outcome rng p1
         else if State.zero_probability p1 (p.pin = 1) then
@@ -312,7 +336,8 @@ let run_program ?rng ?on_event ?(engine = Fast) ?(force = []) ?(faults = [])
          fault leaves the qubit physically wrong — exactly the failure mode
          the campaigns probe. *)
       if prog.c.(i) = 1 && recorded then
-        if not outcome then state := apply_gate reference !state (Gate.X qubit)
+        if not outcome then
+          state := inject ~reference !state (2 * qubit) ~tally ~bits ~rng
         else if reference then
           state := State.Reference.set_bit_zero !state ~qubit
         else State.set_bit_zero_inplace !state ~qubit;
@@ -324,7 +349,7 @@ let run_program ?rng ?on_event ?(engine = Fast) ?(force = []) ?(faults = [])
       let bit = prog.a.(i) and value = prog.b.(i) = 1 in
       let guard = bits.(bit) = value in
       let taken =
-        if i >= !next_patch && patched i then begin
+        if p.count > 0 then begin
           if guard then incr injected;
           false
         end

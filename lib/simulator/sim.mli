@@ -63,12 +63,11 @@ type event =
       times its terms. A run adds its promotions and its moves from the cube to the
       table to the counters [mbu_sim_promotions] and
       [mbu_sim_table_fallbacks] (when it has any). One rule sets the
-      passes on both tracks: a pass runs to the next fault patch (a Pauli
-      after a gate slot, a skipped conditional, a misread or a pinned
-      outcome on a measure slot), and it takes measurements and
-      conditionals unless [on_event] needs them. Those, the patched
-      slots, and a product-track measurement whose amplitude is not of
-      norm 1 run one at a time.
+      passes on both tracks: a pass runs every slot up to the next fault
+      patch (a Pauli after a gate slot, a skipped conditional, a misread
+      or a pinned outcome on a measure slot) and, when [on_event] is
+      given, up to the next measurement or conditional. The slot it
+      stops at runs alone, to report its event or apply its patch.
     - [Sparse]: pin the state to the sparse track for the whole run, even
       where the product track would apply: it starts as a cube, moves to
       the table by the same rule, and runs in the same passes.
@@ -102,7 +101,12 @@ val run :
     measurement while the projection (and a reset's conditional X, which
     keys on the recorded value) follow the fault. A misread flips the bit
     of every measurement that writes it, once however often the plan
-    names it. Injected Paulis are not counted in [executed]. *)
+    names it. Injected Paulis are not counted in [executed]. A fault at a
+    position the program does not have, or at a slot of the wrong kind,
+    is dropped, like one in a branch never reached; a Pauli fault on a
+    wire outside [\[0, State.num_qubits init)] raises
+    {!Mbu_circuit.Mbu_error.Error} ([Invalid], subsystem ["Sim.run"],
+    [qubit] attached) before any slot runs. *)
 
 (** {1 Compiled programs}
 
@@ -118,7 +122,10 @@ type program
     carries two wire masks (target, controls) and, for the diagonal gates,
     its phase as a fixed-point turn, besides its [Gate.t];
     [If_bit] is a forward jump past its body; a [Span] is laid out as its
-    body, like a [Call], and leaves no trace in the program. *)
+    body, like a [Call], and leaves no trace in the program. Every gate
+    a run applies is a slot: an injected Pauli, and a misread reset's X,
+    is a slot of one constant program (X q at slot 2q, Z q at 2q + 1, for
+    each of the 62 wires; Y is Z then X), run like a program gate. *)
 
 val compile : Circuit.t -> program
 

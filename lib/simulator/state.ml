@@ -799,6 +799,13 @@ let equatorial_gate p op ma mb th =
       p.xmask <- swap_masks xm ma mb;
       true
 
+(* Scale [amp] to norm 1: [true] when it was exactly 1, and left. *)
+let normalize p =
+  let n = Complex.norm p.amp in
+  if n < eps then invalid_arg "State.project: zero-probability outcome";
+  if n <> 1.0 then p.amp <- Complex.div p.amp { re = n; im = 0. };
+  n = 1.0
+
 (* Project the equatorial wire [m] onto [v]: both values have amplitude
    1/sqrt 2, and |1> carries the wire's phase into the global turn. *)
 let collapse p m v =
@@ -807,13 +814,13 @@ let collapse p m v =
   p.idx <- (if v then p.idx lor m else p.idx land lnot m);
   p.xmask <- p.xmask land lnot m
 
-(* The product track's program: runs of gates, and when [adaptive] the
-   measurements and conditionals between them, up to [limit], which must
-   not exceed any array's length. *)
-let product_slots p ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~limit =
-  (* Whether |amp| is exactly 1, read at the first measurement: -1 before.
-     The pass never changes [amp], so the answer holds to its end. *)
-  let unit_amp = ref (-1) in
+(* The product track's program: runs of gates, and the measurements and
+   conditionals between them, up to [limit], which must not exceed any
+   array's length. *)
+let product_slots p ~code ~a ~b ~c ~tally ~bits ~rng i ~limit =
+  (* Whether |amp| is known to be exactly 1. The pass changes [amp] only
+     to normalize it, so once read as 1 it holds to the pass's end. *)
+  let unit_amp = ref false in
   let k = ref i and go = ref true in
   while !go && !k < limit do
     let r = product_gates p ~code ~a ~b ~c ~tally !k ~limit in
@@ -829,30 +836,25 @@ let product_slots p ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~limit =
     end
     else if j < limit then begin
       let op = code.(j) in
-      if op = op_measure && !unit_amp < 0 then
-        unit_amp := Bool.to_int (Complex.norm p.amp = 1.0);
-      if adaptive && op = op_measure && !unit_amp = 1 then begin
-        (* As [project_inplace] with |amp| = 1, which leaves [amp]
-           unscaled: an equatorial wire is a fair coin, drawn as
-           [draw_outcome] draws p = 1/2; a Z-basis wire draws nothing. *)
+      if op = op_measure then begin
+        (* As [project_inplace]: an equatorial wire is a fair coin, drawn
+           as [draw_outcome] draws p = 1/2; a Z-basis wire draws nothing. *)
         let support = product_support p.xmask in
         if support > tally.(tally_peak) then tally.(tally_peak) <- support;
         let m = 1 lsl a.(j) in
+        let equatorial = p.xmask land m <> 0 in
         let outcome =
-          if p.xmask land m = 0 then p.idx land m <> 0
-          else begin
-            let v = draw_outcome rng 0.5 in
-            collapse p m v;
-            v
-          end
+          if equatorial then draw_outcome rng 0.5 else p.idx land m <> 0
         in
+        if not !unit_amp then unit_amp := normalize p;
+        if equatorial then collapse p m outcome;
         bits.(b.(j)) <- outcome;
         (* A reset that read 1 clears the wire. *)
         if outcome && c.(j) = 1 then p.idx <- p.idx land lnot m;
         tally.(op) <- tally.(op) + 1;
         k := j + 1
       end
-      else if adaptive && op = op_if then begin
+      else begin
         tally.(op) <- tally.(op) + 1;
         if bits.(a.(j)) = (b.(j) = 1) then begin
           tally.(tally_taken) <- tally.(tally_taken) + 1;
@@ -860,7 +862,6 @@ let product_slots p ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive i ~limit =
         end
         else k := c.(j)
       end
-      else go := false
     end
   done;
   !k
@@ -1346,9 +1347,7 @@ let project_inplace s ~qubit ~value =
       let equatorial = on_x p qubit in
       if (not equatorial) && bit p.idx qubit <> value then
         invalid_arg "State.project: zero-probability outcome";
-      let n = Complex.norm p.amp in
-      if n < eps then invalid_arg "State.project: zero-probability outcome";
-      if n <> 1.0 then p.amp <- Complex.div p.amp { re = n; im = 0. };
+      ignore (normalize p);
       if equatorial then collapse p (1 lsl qubit) value
   | Cube cb ->
       cube_project cb (1 lsl qubit) value;
@@ -1375,12 +1374,11 @@ let set_bit_zero s ~qubit =
   set_bit_zero_inplace s ~qubit;
   s
 
-(* The sparse track's program: as [product_slots], up to [limit], the
-   first slot it declines (a measurement or conditional unless
-   [adaptive]), or the first slot after which the state has demoted. A
-   cube that declines a gate moves to the table, which then takes it. A
-   measurement runs as [Sim]'s one-slot measurement does. *)
-let sparse_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng ~adaptive i ~limit =
+(* The sparse track's program: as [product_slots], up to [limit] or the
+   first slot after which the state has demoted. A cube that declines a
+   gate moves to the table, which then takes it. A measurement runs as
+   [Sim]'s one-slot measurement does. *)
+let sparse_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng i ~limit =
   let k = ref i and go = ref true in
   while !go && !k < limit do
     let j = !k in
@@ -1397,7 +1395,7 @@ let sparse_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng ~adaptive i ~limit =
       tally.(op) <- tally.(op) + 1;
       k := j + 1
     end
-    else if adaptive && op = op_measure then begin
+    else if op = op_measure then begin
       let qubit = a.(j) in
       let support = support_size s in
       if support > tally.(tally_peak) then tally.(tally_peak) <- support;
@@ -1408,15 +1406,14 @@ let sparse_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng ~adaptive i ~limit =
       tally.(op) <- tally.(op) + 1;
       k := j + 1
     end
-    else if adaptive && op = op_if then begin
+    else begin
       tally.(op) <- tally.(op) + 1;
       if bits.(a.(j)) = (b.(j) = 1) then begin
         tally.(tally_taken) <- tally.(tally_taken) + 1;
         k := j + 1
       end
       else k := c.(j)
-    end
-    else go := false;
+    end;
     match s.repr with Cube _ | Table _ -> () | Product _ -> go := false
   done;
   !k
@@ -1425,33 +1422,30 @@ let on_product_track s =
   match s.repr with Product _ -> true | Cube _ | Table _ -> false
 
 (* Passes on whichever track the state is on. A product pass that stops
-   at a gate stops at one it needs the sparse track for: promote, and the
-   cube takes it. A sparse pass that ends on the product track has
-   demoted. *)
-let run_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng ~adaptive i ~stop =
+   short stops at a gate it needs the sparse track for: promote, and the
+   cube takes it. A sparse pass that stops short has demoted. *)
+let run_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng i ~stop =
   if i < 0 || Array.length tally < tally_size then
     invalid_arg "State.run_slots";
   (* Clamped to the arrays, so the passes read them unchecked. *)
   let n = imin (Array.length code) (Array.length c) in
   let n = imin n (imin (Array.length a) (Array.length b)) in
   let limit = imin stop n in
-  let k = ref i and go = ref true in
-  while !go && !k < limit do
+  let k = ref i in
+  while !k < limit do
     match s.repr with
     | Product p ->
-        k := product_slots p ~code ~a ~b ~c ~tally ~bits ~rng ~adaptive !k ~limit;
-        if !k < limit && code.(!k) < op_measure then begin
+        k := product_slots p ~code ~a ~b ~c ~tally ~bits ~rng !k ~limit;
+        if !k < limit then begin
           ignore (promote s p);
           tally.(tally_promotions) <- tally.(tally_promotions) + 1
         end
-        else go := false
     | Cube _ | Table _ ->
-        k := sparse_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng ~adaptive !k ~limit;
-        if not (on_product_track s) then go := false
+        k := sparse_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng !k ~limit
   done;
   !k
 
-(* Never drawn from: a gate is not an adaptive program. *)
+(* Never drawn from: a gate slot draws nothing. *)
 let idle_rng = Random.State.make [| 0 |]
 
 let apply_gate_inplace s g =
@@ -1466,7 +1460,7 @@ let apply_gate_inplace s g =
   encode_gate g ~code ~a ~b ~c ~w 0;
   ignore
     (run_slots s ~code ~a ~b ~c ~w ~tally:(Array.make tally_size 0) ~bits:[||]
-       ~rng:idle_rng ~adaptive:false 0 ~stop:1)
+       ~rng:idle_rng 0 ~stop:1)
 
 let apply_gate s g =
   let s = copy s in

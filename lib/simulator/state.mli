@@ -166,14 +166,11 @@ val on_product_track : t -> bool
 val run_slots :
   t -> code:int array -> a:int array -> b:int array -> c:int array ->
   w:float array -> tally:int array -> bits:bool array ->
-  rng:Random.State.t -> adaptive:bool -> int -> stop:int -> int
-(** [run_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng ~adaptive i ~stop] runs
-    the slots from [i] in passes on whichever track the state is on, and
-    returns the first slot it did not run: the first slot at or past
-    [stop] (or the arrays' end) that it reaches, or the first slot it
-    declines:
-    - unless [adaptive], any measurement or conditional;
-    - on the product track, a measurement while [|amp|] is not exactly 1.
+  rng:Random.State.t -> int -> stop:int -> int
+(** [run_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng i ~stop] runs every
+    slot from [i] to the stop, [min stop n] for arrays of [n] slots, in
+    passes on whichever track the state is on, and returns the stop: or
+    the target of a conditional that jumped past it, or [i] if past it.
 
     A product pass holds the state's masks in locals. A gate it cannot
     take there — a CNOT or Toffoli with a control on an equatorial wire, a
@@ -181,7 +178,7 @@ val run_slots :
     phase is not 0 or 1/2 — promotes the state to the cube, and a
     sparse pass runs on from that gate. A sparse pass ends at the first
     slot after which the state has demoted, and a product pass runs on
-    from there. So every gate slot runs, on one track or the other.
+    from there. So every slot runs, on one track or the other.
 
     Neither pass allocates per gate. The product track allocates once per
     state: the cells for phases below a half turn, made when the first
@@ -189,12 +186,12 @@ val run_slots :
     when it promotes, when its buffers grow and when a cube moves to the
     table.
 
-    When [adaptive], a measurement draws by {!draw_outcome}: on the
-    product track with [p1 = 1/2] for an equatorial wire (nothing for a
-    Z-basis one), on the table with {!prob_bit_one}. It projects, writes
-    the outcome into [bits], and clears the wire on a reset that read 1; a
-    conditional reads [bits] and jumps past its body when the guard fails.
-    Without [adaptive], [rng] and [bits] are not touched.
+    A measurement draws by {!draw_outcome}: on the product track with
+    [p1 = 1/2] for an equatorial wire (nothing for a Z-basis one), on the
+    sparse track with {!prob_bit_one}. It projects as {!project_inplace}
+    does, normalizing an amplitude of any norm, writes the outcome into
+    [bits], and clears the wire on a reset that read 1; a conditional
+    reads [bits] and jumps past its body when the guard fails.
 
     Each slot run adds 1 to [tally.(opcode)]; a conditional taken adds 1 to
     [tally.(tally_taken)], a measurement raises [tally.(tally_peak)] to

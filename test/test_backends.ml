@@ -453,28 +453,103 @@ let prop_product_track_matches_reference =
       && Counts.approx_equal rf.Sim.executed rr.Sim.executed
       && State.fidelity rf.Sim.state rr.Sim.state > 1. -. 1e-9)
 
+(* A product input whose amplitude is not of norm 1: the basis state
+   [idx] scaled by 0.6 + 0.7i. *)
+let scaled_basis idx =
+  State.of_alist ~num_qubits:6 [ (idx, { Complex.re = 0.6; im = 0.7 }) ]
+
 (* Both kinds of pass through [Sim.run_program]'s loop on [Fast] give the
-   same run: free passes that take measurements and conditionals, and
-   passes under a hook that leave them to the loop, which must report
-   every measurement. *)
+   same run, bit for bit, from a basis input and from a scaled one: free
+   passes that take measurements and conditionals, and passes under a
+   hook that stop at each of them for the loop, which must report every
+   measurement. *)
 let prop_loop_paths_agree =
   QCheck.Test.make ~name:"Fast: free and hooked agree" ~count:300
     arb_adaptive (fun (raws, idx, seed) ->
       let c = program_of_raw raws in
-      let init = State.basis ~num_qubits:6 idx in
-      let run ?on_event () =
-        Sim.run ~rng:(Random.State.make [| seed; 0xe9 |]) ?on_event
-          ~engine:Sim.Fast c ~init
+      List.for_all
+        (fun init ->
+          let run ?on_event () =
+            Sim.run ~rng:(Random.State.make [| seed; 0xe9 |]) ?on_event
+              ~engine:Sim.Fast c ~init
+          in
+          let free = run () in
+          let measured = ref 0 in
+          let hooked =
+            run ~on_event:(function Sim.Measured _ -> incr measured | _ -> ()) ()
+          in
+          hooked.Sim.bits = free.Sim.bits
+          && Counts.approx_equal hooked.Sim.executed free.Sim.executed
+          && State.to_alist hooked.Sim.state = State.to_alist free.Sim.state
+          && float_of_int !measured = free.Sim.executed.Counts.measure)
+        [ State.basis ~num_qubits:6 idx; scaled_basis idx ])
+
+(* A flat circuit (gates, measurements, conditionals over gates) laid out
+   as [Sim.compile] lays it out, for [State.run_slots]. *)
+let slots_of (circ : Circuit.t) =
+  let n = Instr.count_instrs circ.Circuit.instrs in
+  let code = Array.make n 0 and a = Array.make n 0 and b = Array.make n 0 in
+  let c = Array.make n 0 and w = Array.make (2 * n) 0. in
+  let rec emit pc = function
+    | [] -> pc
+    | Instr.Gate g :: rest ->
+        State.encode_gate g ~code ~a ~b ~c ~w pc;
+        emit (pc + 1) rest
+    | Instr.Measure { qubit; bit; reset } :: rest ->
+        code.(pc) <- State.op_measure;
+        a.(pc) <- qubit;
+        b.(pc) <- bit;
+        c.(pc) <- Bool.to_int reset;
+        emit (pc + 1) rest
+    | Instr.If_bit { bit; value; body } :: rest ->
+        let stop = emit (pc + 1) body in
+        code.(pc) <- State.op_if;
+        a.(pc) <- bit;
+        b.(pc) <- Bool.to_int value;
+        c.(pc) <- stop;
+        emit stop rest
+    | (Instr.Span _ | Instr.Call _) :: _ -> invalid_arg "slots_of: not flat"
+  in
+  ignore (emit 0 circ.Circuit.instrs);
+  (code, a, b, c, w)
+
+(* [State.run_slots] runs every slot up to the bound it is given, even
+   from a scaled product input, whose amplitude a product-track
+   measurement must normalize: a call to a random stop returns the bound,
+   or the target of a conditional before it that jumped past it, and a
+   second call runs on to the end. Together they leave the oracle's bits
+   and amplitudes. *)
+let prop_run_slots_to_stop =
+  QCheck.Test.make ~name:"run_slots returns its stop" ~count:300
+    (QCheck.pair arb_adaptive QCheck.small_nat)
+    (fun ((raws, idx, seed), pick) ->
+      let circ = program_of_raw raws in
+      let code, a, b, c, w = slots_of circ in
+      let n = Array.length code in
+      let stop = pick mod (n + 2) in
+      let bound = min stop n in
+      let s = scaled_basis idx in
+      let tally = Array.make State.tally_size 0 in
+      let bits = Array.make circ.Circuit.num_bits false in
+      let rng = Random.State.make [| seed; 0xe9 |] in
+      let j = State.run_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng 0 ~stop in
+      let jumped =
+        List.exists
+          (fun k -> code.(k) = State.op_if && c.(k) = j)
+          (List.init bound Fun.id)
       in
-      let free = run () in
-      let measured = ref 0 in
-      let hooked =
-        run ~on_event:(function Sim.Measured _ -> incr measured | _ -> ()) ()
+      let last = State.run_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng j ~stop:n in
+      let r =
+        Sim.run ~rng:(Random.State.make [| seed; 0xe9 |]) ~engine:Sim.Reference
+          circ ~init:(scaled_basis idx)
       in
-      hooked.Sim.bits = free.Sim.bits
-      && Counts.approx_equal hooked.Sim.executed free.Sim.executed
-      && State.fidelity hooked.Sim.state free.Sim.state > 1. -. 1e-9
-      && float_of_int !measured = free.Sim.executed.Counts.measure)
+      let close (k, (u : Complex.t)) (k', v) =
+        k = k' && Complex.norm (Complex.sub u v) < 1e-9
+      in
+      (j = bound || (j > bound && jumped))
+      && last = n
+      && bits = r.Sim.bits
+      && List.equal close (State.to_alist s) (State.to_alist r.Sim.state))
 
 (* Positions of the slots inside [If_bit] bodies of a flat program. *)
 let body_positions (c : Circuit.t) =
@@ -727,7 +802,7 @@ let run_kernel s gates ~stop =
   let tally = Array.make State.tally_size 0 in
   let j =
     State.run_slots s ~code ~a ~b ~c ~w ~tally ~bits:[||]
-      ~rng:(Random.State.make [| 0 |]) ~adaptive:false 0 ~stop
+      ~rng:(Random.State.make [| 0 |]) 0 ~stop
   in
   (j, tally, code)
 
@@ -1226,6 +1301,7 @@ let suite =
       Alcotest.test_case "motifs promote and demote" `Quick
         test_motifs_promote_and_demote;
       qtest prop_loop_paths_agree;
+      qtest prop_run_slots_to_stop;
       qtest prop_faults_fast_eq_sparse;
       Alcotest.test_case "mask kernel: every opcode on every product" `Quick
         test_kernel_each_opcode;

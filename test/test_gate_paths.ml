@@ -281,6 +281,41 @@ let test_hook_budget () =
     Alcotest.failf "hooked forced Gidney n=5: %.1f words per event (%d a \
                     run), budget 8" per_event per_run
 
+(* An injected Pauli is a slot of a constant program, run like a program
+   gate, so a Y fault (Z, then X) costs what an X fault does, less its
+   patch's one extra slot. CDKPM n = 5 at its first gate site: an X run
+   allocated 200 words and a Y run 229 while each injected gate built a
+   one-slot program of its own; 157 and 158 since. *)
+let test_pauli_budget () =
+  let open Mbu_simulator in
+  let spec =
+    (Option.get (Mbu_robustness.Catalogue.find "cdkpm"))
+      .Mbu_robustness.Catalogue.make ~n:5 ~p:21
+  in
+  let circuit = spec.Mbu_robustness.Engine.circuit in
+  let init = spec.Mbu_robustness.Engine.init in
+  let prog = Sim.compile circuit in
+  let site =
+    List.find
+      (function Fault.Gate_site _ -> true | _ -> false)
+      (Fault.sites circuit.Circuit.instrs)
+  in
+  let runs = 200 in
+  let words pauli =
+    let faults = [ Fault.of_site ~pauli site ] in
+    let run () =
+      for _ = 1 to runs do
+        ignore (Sim.run_program ~faults prog ~init)
+      done
+    in
+    run ();
+    snd (minor_words run) /. float_of_int runs
+  in
+  let x = words Fault.X and y = words Fault.Y in
+  if y -. x > 4. then
+    Alcotest.failf "CDKPM n=5: a Y fault run %.1f words, an X fault run %.1f; \
+                    budget 4 words apart" y x
+
 let suite =
   ( "gate-paths",
     [ QCheck_alcotest.to_alcotest prop_validate;
@@ -303,4 +338,6 @@ let suite =
       Alcotest.test_case "shot budget: Draper modadd n=8" `Quick
         test_draper_shot_budget;
       Alcotest.test_case "sparse run budget: Draper modadd n=8" `Quick
-        test_sparse_run_budget ] )
+        test_sparse_run_budget;
+      Alcotest.test_case "Pauli budget: Y fault = X fault" `Quick
+        test_pauli_budget ] )

@@ -428,6 +428,54 @@ let test_narrow_init_propagates () =
            ~plan:(Engine.Random { runs = 2; faults_per_run = 1 })
            spec))
 
+(* A Pauli fault on a wire the state lacks is a bad plan, not an
+   injection: every engine raises the [Sim.run] error naming the wire
+   before it runs a slot, wherever the fault's position lies, and the
+   campaign entry point propagates it. A wire the state has past the
+   circuit's is a wire like any other. *)
+let test_pauli_off_the_state () =
+  let spec = (Option.get (Catalogue.find "cdkpm")).Catalogue.make ~n:3 ~p:5 in
+  let c = spec.Engine.circuit in
+  let wires = c.Circuit.num_qubits in
+  let off = [ wires; 61; 62; 70; -1 ] in
+  List.iter
+    (fun qubit ->
+      List.iter
+        (fun (engine, name) ->
+          List.iter
+            (fun pos ->
+              let what = Printf.sprintf "%s: wire %d after slot %d" name qubit pos in
+              let fault = Fault.Pauli_after { pos; qubit; pauli = Fault.Y } in
+              match Sim.run ~engine ~faults:[ fault ] c ~init:spec.Engine.init with
+              | _ -> Alcotest.failf "%s: expected the Sim.run error" what
+              | exception Mbu_error.Error e ->
+                  Alcotest.(check string) (what ^ ": subsystem") "Sim.run"
+                    e.Mbu_error.subsystem;
+                  Alcotest.(check bool) (what ^ ": invalid") true
+                    (e.Mbu_error.kind = Mbu_error.Invalid);
+                  Alcotest.(check (option int)) (what ^ ": wire") (Some qubit)
+                    e.Mbu_error.qubit)
+            [ 0; 1_000_000 ])
+        [ (Sim.Fast, "Fast"); (Sim.Sparse, "Sparse");
+          (Sim.Reference, "Reference") ])
+    off;
+  (match
+     Engine.classify ~rng:(Random.State.make [| 1 |])
+       ~faults:[ Fault.Pauli_after { pos = 0; qubit = 70; pauli = Fault.X } ]
+       spec
+   with
+  | _ -> Alcotest.fail "classify: expected the Sim.run error"
+  | exception Mbu_error.Error e ->
+      Alcotest.(check (option int)) "classify: wire" (Some 70) e.Mbu_error.qubit);
+  let wide = State.basis ~num_qubits:(wires + 1) 0 in
+  let r =
+    Sim.run ~faults:[ Fault.Pauli_after { pos = 0; qubit = wires; pauli = Fault.X } ]
+      c ~init:wide
+  in
+  Alcotest.(check int) "a wire past the circuit's: injected" 1 r.Sim.injected;
+  Alcotest.(check (option bool)) "a wire past the circuit's: flipped"
+    (Some true) (State.bit_value r.Sim.state wires)
+
 let suite =
   ( "robustness",
     [ Alcotest.test_case "site enumeration consistent" `Quick
@@ -460,4 +508,6 @@ let suite =
       Alcotest.test_case "misreads: one patch per slot" `Quick
         test_misread_patches;
       Alcotest.test_case "narrow init is a harness error" `Quick
-        test_narrow_init_propagates ] )
+        test_narrow_init_propagates;
+      Alcotest.test_case "Pauli on a wire the state lacks" `Quick
+        test_pauli_off_the_state ] )
