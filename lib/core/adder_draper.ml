@@ -51,12 +51,11 @@ let c_phi_add b ~ctrl ~x ~phi_y =
   Builder.with_ancilla b (fun t ->
       for j = 0 to n - 1 do
         let xj = Register.get x j in
-        Logical_and.compute b ~c1:ctrl ~c2:xj ~target:t;
-        for i = j to n do
-          Builder.cphase b ~control:t ~target:(Register.get phi_y i)
-            (Phase.theta (i - j + 1))
-        done;
-        Logical_and.uncompute b ~c1:ctrl ~c2:xj ~target:t
+        Logical_and.within b ~c1:ctrl ~c2:xj ~target:t (fun () ->
+            for i = j to n do
+              Builder.cphase b ~control:t ~target:(Register.get phi_y i)
+                (Phase.theta (i - j + 1))
+            done)
       done)
 
 let check_add_regs name ~x ~y =

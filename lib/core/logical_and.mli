@@ -16,3 +16,11 @@ val compute : Builder.t -> c1:Gate.qubit -> c2:Gate.qubit -> target:Gate.qubit -
 val uncompute : Builder.t -> c1:Gate.qubit -> c2:Gate.qubit -> target:Gate.qubit -> unit
 (** [target] must hold [c1 AND c2] (with the same [c1], [c2] values as at
     compute time); afterwards it is |0>. *)
+
+val within :
+  Builder.t -> c1:Gate.qubit -> c2:Gate.qubit -> target:Gate.qubit ->
+  (unit -> unit) -> unit
+(** [within b ~c1 ~c2 ~target f]: {!compute} into [target], [f ()] (which
+    may use [target] as a control but must leave it holding the AND), then
+    {!uncompute}: how a doubly controlled operation runs under one
+    control. *)

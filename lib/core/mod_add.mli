@@ -10,6 +10,22 @@
 
     The [mbu] flag (default [false]) selects the MBU variant everywhere.
 
+    Three constructions underlie the adders, each written once:
+    - the VBE architecture, proposition 3.2: ADD, COMP(p), C-SUB(p) and the
+      erasing COMP'. {!modadd} (theorem 4.2 with MBU), {!modadd_controlled}
+      (theorem 4.7) and {!modadd_const} (theorem 4.10) pass their stage 1
+      (add, controlled add, add a constant) and their erasing comparator;
+      {!modadd_const_controlled} (theorem 4.12) and {!reduce} reuse its
+      stages 2 and 3;
+    - the Beauregard skeleton, proposition 3.7 (theorem 4.6 with MBU):
+      {!modadd_draper}, {!modadd_const_draper} and
+      {!modadd_const_controlled_draper} (proposition 3.19) pass stage 1,
+      the erasure's un-add/re-add pair and the sign read (a CNOT from the
+      sum's high qubit, or a Toffoli with the control);
+    - the original VBE body of table 1: {!modadd_vbe_5adder} and
+      {!modadd_vbe_4adder} pass the erasure (a subtract/read/add-back
+      pair, or a carry-chain comparator), followed by a NOT.
+
     Constants are bit strings underneath. {!modadd_big},
     {!modadd_controlled_big} and {!modadd_const_big} are the bodies of the
     three VBE-architecture adders and take {!Mbu_bitstring.Bitstring.t}

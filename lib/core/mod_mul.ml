@@ -20,22 +20,44 @@ let draper_engine ?(mbu = true) () =
 
 let engine_name e = e.name
 
+let pmod a p = ((a mod p) + p) mod p
+
 let modinv ~a ~p =
   let rec egcd a b = if b = 0 then (a, 1, 0)
     else
       let g, s, t = egcd b (a mod b) in
       (g, t, s - (a / b * t))
   in
-  let g, s, _ = egcd (((a mod p) + p) mod p) p in
+  let g, s, _ = egcd (pmod a p) p in
   if g <> 1 then invalid_arg "Mod_mul.modinv: not coprime";
-  ((s mod p) + p) mod p
+  pmod s p
 
-let check_mul name ~p ~x ~target =
-  let n = Register.length x in
-  if Register.length target <> n then
-    Mbu_error.invalid ~subsystem:name "unequal lengths";
+let check_modulus name ~p ~n =
   if n <= 0 || n >= 62 || p <= 0 || p lsr n <> 0 then
     Mbu_error.invalid ~subsystem:name "modulus out of range"
+
+let check_mul name ~p ~x ~target =
+  if Register.length target <> Register.length x then
+    Mbu_error.invalid ~subsystem:name "unequal lengths";
+  check_modulus name ~p ~n:(Register.length x)
+
+(* a^{-1} mod p for an in-place multiplier, checked at its own entry. *)
+let unit_inverse name ~a ~p =
+  match modinv ~a ~p with
+  | inv -> inv
+  | exception Invalid_argument _ ->
+      Mbu_error.invalid ~subsystem:name
+        (Printf.sprintf "%d is not invertible modulo %d" a p)
+
+(* [f i (w.2^i mod p)] for each i < n whose weight is nonzero: the repeated
+   doubling that gives every shift-and-add multiplier its constants, with
+   no overflow for p < 2^61. Once a weight is 0 it stays 0. *)
+let doubling ~p ~n w f =
+  let w = ref w in
+  for i = 0 to n - 1 do
+    if !w <> 0 then f i !w;
+    w := !w * 2 mod p
+  done
 
 (* target += ctrl.a.x mod p: one doubly controlled constant modular addition
    per bit of x, the double control held in a logical-AND ancilla that MBU
@@ -43,23 +65,14 @@ let check_mul name ~p ~x ~target =
 let cmult_add engine b ~ctrl ~a ~p ~x ~target =
   check_mul "Mod_mul.cmult_add" ~p ~x ~target;
   Builder.with_span b (Printf.sprintf "cmult[%s]" engine.name) @@ fun () ->
-  let n = Register.length x in
   Builder.with_ancilla b (fun g ->
-      (* a.2^i mod p by repeated doubling — no overflow for p < 2^61. *)
-      let ai = ref (((a mod p) + p) mod p) in
-      for i = 0 to n - 1 do
-        if !ai <> 0 then begin
-          let xi = Register.get x i in
-          Logical_and.compute b ~c1:ctrl ~c2:xi ~target:g;
-          engine.c_modadd_const b ~ctrl:g ~p ~a:!ai ~x:target;
-          Logical_and.uncompute b ~c1:ctrl ~c2:xi ~target:g
-        end;
-        ai := !ai * 2 mod p
-      done)
+      doubling ~p ~n:(Register.length x) (pmod a p) (fun i ai ->
+          Logical_and.within b ~c1:ctrl ~c2:(Register.get x i) ~target:g
+            (fun () -> engine.c_modadd_const b ~ctrl:g ~p ~a:ai ~x:target)))
 
 let cmult_sub engine b ~ctrl ~a ~p ~x ~target =
-  check_mul "Mod_mul.cmult_add" ~p ~x ~target;
-  cmult_add engine b ~ctrl ~a:((p - (a mod p)) mod p) ~p ~x ~target
+  check_mul "Mod_mul.cmult_sub" ~p ~x ~target;
+  cmult_add engine b ~ctrl ~a:(pmod (-a) p) ~p ~x ~target
 
 let controlled_swap b ~ctrl ~x ~t =
   (* Shared: modexp swaps the same register pair under a different control
@@ -73,26 +86,42 @@ let controlled_swap b ~ctrl ~x ~t =
     Builder.cnot b ~control:ti ~target:xi
   done
 
-let cmult_inplace engine b ~ctrl ~a ~p ~x =
-  Builder.with_span b (Printf.sprintf "cmult_inplace[%s]" engine.name) @@ fun () ->
+(* x <- a.x mod p in place: [mac ~a ~target] multiplies x into a fresh
+   register, [swap] exchanges it with x, and the same multiplier by
+   -a^{-1} clears it (it now holds the old x). *)
+let inplace b name ~label ~a ~p ~x ~mac ~swap =
   let n = Register.length x in
-  let a = ((a mod p) + p) mod p in
-  let a_inv = modinv ~a ~p in
+  check_modulus name ~p ~n;
+  let a_inv = unit_inverse name ~a ~p in
+  Builder.with_span b label @@ fun () ->
   Builder.with_ancilla_register b "mul" n (fun t ->
-      cmult_add engine b ~ctrl ~a ~p ~x ~target:t;
-      controlled_swap b ~ctrl ~x ~t;
-      cmult_sub engine b ~ctrl ~a:a_inv ~p ~x ~target:t)
+      mac ~a:(pmod a p) ~target:t;
+      swap t;
+      mac ~a:(pmod (-a_inv) p) ~target:t)
 
-let modexp engine b ~a ~p ~e ~x =
+(* x <- x.a^e mod p: one in-place multiplication by a^{2^j} mod p under
+   each exponent bit e_j. *)
+let ladder b name ~label ~a ~p ~e ~x ~mul =
+  check_modulus name ~p ~n:(Register.length x);
   if p >= 1 lsl 31 then
-    invalid_arg "Mod_mul.modexp: modulus too large for exact squaring";
-  Builder.with_span b (Printf.sprintf "modexp[%s]" engine.name) @@ fun () ->
-  let a = ((a mod p) + p) mod p in
-  let ak = ref a in
+    Mbu_error.invalid ~subsystem:name "modulus too large for exact squaring";
+  ignore (unit_inverse name ~a ~p);
+  Builder.with_span b label @@ fun () ->
+  let ak = ref (pmod a p) in
   for j = 0 to Register.length e - 1 do
-    cmult_inplace engine b ~ctrl:(Register.get e j) ~a:!ak ~p ~x;
+    mul ~ctrl:(Register.get e j) ~a:!ak;
     ak := !ak * !ak mod p
   done
+
+let cmult_inplace engine b ~ctrl ~a ~p ~x =
+  inplace b "Mod_mul.cmult_inplace"
+    ~label:(Printf.sprintf "cmult_inplace[%s]" engine.name) ~a ~p ~x
+    ~mac:(fun ~a ~target -> cmult_add engine b ~ctrl ~a ~p ~x ~target)
+    ~swap:(fun t -> controlled_swap b ~ctrl ~x ~t)
+
+let modexp engine b ~a ~p ~e ~x =
+  ladder b "Mod_mul.modexp" ~label:(Printf.sprintf "modexp[%s]" engine.name)
+    ~a ~p ~e ~x ~mul:(fun ~ctrl ~a -> cmult_inplace engine b ~ctrl ~a ~p ~x)
 
 let cmult_add_windowed ?(window = 2) ?(mbu = true) spec b ~ctrl ~a ~p ~x ~target =
   check_mul "Mod_mul.cmult_add_windowed" ~p ~x ~target;
@@ -103,12 +132,8 @@ let cmult_add_windowed ?(window = 2) ?(mbu = true) spec b ~ctrl ~a ~p ~x ~target
        (if mbu then "+mbu" else ""))
   @@ fun () ->
   let n = Register.length x in
-  let a = ((a mod p) + p) mod p in
-  (* a.2^i mod p by repeated doubling *)
-  let shifted = Array.make (n + 1) a in
-  for i = 1 to n do
-    shifted.(i) <- shifted.(i - 1) * 2 mod p
-  done;
+  let shifted = Array.make n 0 in
+  doubling ~p ~n (pmod a p) (fun i ai -> shifted.(i) <- ai);
   Builder.with_ancilla_register b "win" n (fun temp ->
       let i = ref 0 in
       while !i < n do
@@ -140,26 +165,17 @@ let cmult_add_windowed ?(window = 2) ?(mbu = true) spec b ~ctrl ~a ~p ~x ~target
 let mult_add engine b ~a ~p ~x ~target =
   check_mul "Mod_mul.mult_add" ~p ~x ~target;
   Builder.with_span b (Printf.sprintf "mult_add[%s]" engine.name) @@ fun () ->
-  let n = Register.length x in
-  let ai = ref (((a mod p) + p) mod p) in
-  for i = 0 to n - 1 do
-    if !ai <> 0 then
-      engine.c_modadd_const b ~ctrl:(Register.get x i) ~p ~a:!ai ~x:target;
-    ai := !ai * 2 mod p
-  done
+  doubling ~p ~n:(Register.length x) (pmod a p) (fun i ai ->
+      engine.c_modadd_const b ~ctrl:(Register.get x i) ~p ~a:ai ~x:target)
 
 let mult_inplace engine b ~a ~p ~x =
-  Builder.with_span b (Printf.sprintf "mult_inplace[%s]" engine.name) @@ fun () ->
-  let n = Register.length x in
-  let a = ((a mod p) + p) mod p in
-  let a_inv = modinv ~a ~p in
-  Builder.with_ancilla_register b "mul" n (fun t ->
-      mult_add engine b ~a ~p ~x ~target:t;
-      (* swap x and t, then clear t = x_old via the inverse multiplier *)
-      for i = 0 to n - 1 do
+  inplace b "Mod_mul.mult_inplace"
+    ~label:(Printf.sprintf "mult_inplace[%s]" engine.name) ~a ~p ~x
+    ~mac:(fun ~a ~target -> mult_add engine b ~a ~p ~x ~target)
+    ~swap:(fun t ->
+      for i = 0 to Register.length x - 1 do
         Builder.swap b (Register.get x i) (Register.get t i)
-      done;
-      mult_add engine b ~a:((p - (a_inv mod p)) mod p) ~p ~x ~target:t)
+      done)
 
 let mul_register engine b ~x ~y ~p ~target =
   check_mul "Mod_mul.mul_register" ~p ~x ~target;
@@ -168,20 +184,11 @@ let mul_register engine b ~x ~y ~p ~target =
   Builder.with_span b (Printf.sprintf "mul_register[%s]" engine.name) @@ fun () ->
   let n = Register.length x in
   Builder.with_ancilla b (fun g ->
-      let wi = ref 1 in
-      for i = 0 to n - 1 do
-        let wj = ref !wi in
-        for j = 0 to n - 1 do
-          if !wj <> 0 then begin
-            let xi = Register.get x i and yj = Register.get y j in
-            Logical_and.compute b ~c1:xi ~c2:yj ~target:g;
-            engine.c_modadd_const b ~ctrl:g ~p ~a:!wj ~x:target;
-            Logical_and.uncompute b ~c1:xi ~c2:yj ~target:g
-          end;
-          wj := !wj * 2 mod p
-        done;
-        wi := !wi * 2 mod p
-      done)
+      doubling ~p ~n (1 mod p) (fun i wi ->
+          doubling ~p ~n wi (fun j wij ->
+              let xi = Register.get x i and yj = Register.get y j in
+              Logical_and.within b ~c1:xi ~c2:yj ~target:g (fun () ->
+                  engine.c_modadd_const b ~ctrl:g ~p ~a:wij ~x:target))))
 
 (* target += x^2 mod p: pairs (i, j) with i < j contribute 2^{i+j+1} under
    the AND of both bits; the diagonal contributes 2^{2i} under x_i alone. *)
@@ -189,46 +196,31 @@ let square_register engine b ~x ~p ~target =
   check_mul "Mod_mul.square_register" ~p ~x ~target;
   Builder.with_span b (Printf.sprintf "square[%s]" engine.name) @@ fun () ->
   let n = Register.length x in
-  let pow2 k =
-    let rec go acc k = if k = 0 then acc else go (acc * 2 mod p) (k - 1) in
-    go (1 mod p) k
-  in
+  let pow2 = Array.make (2 * n) 0 in
+  doubling ~p ~n:(2 * n) (1 mod p) (fun k w -> pow2.(k) <- w);
   for i = 0 to n - 1 do
-    let d = pow2 (2 * i) in
+    let d = pow2.(2 * i) in
     if d <> 0 then
       engine.c_modadd_const b ~ctrl:(Register.get x i) ~p ~a:d ~x:target
   done;
   Builder.with_ancilla b (fun g ->
       for i = 0 to n - 1 do
         for j = i + 1 to n - 1 do
-          let d = pow2 (i + j + 1) in
+          let d = pow2.(i + j + 1) in
           if d <> 0 then begin
             let xi = Register.get x i and xj = Register.get x j in
-            Logical_and.compute b ~c1:xi ~c2:xj ~target:g;
-            engine.c_modadd_const b ~ctrl:g ~p ~a:d ~x:target;
-            Logical_and.uncompute b ~c1:xi ~c2:xj ~target:g
+            Logical_and.within b ~c1:xi ~c2:xj ~target:g (fun () ->
+                engine.c_modadd_const b ~ctrl:g ~p ~a:d ~x:target)
           end
         done
       done)
 
-let cmult_inplace_windowed ?window spec b ~ctrl ~a ~p ~x =
-  Builder.with_span b "cmult_inplace_win" @@ fun () ->
-  let n = Register.length x in
-  let a = ((a mod p) + p) mod p in
-  let a_inv = modinv ~a ~p in
-  Builder.with_ancilla_register b "mul" n (fun t ->
-      cmult_add_windowed ?window spec b ~ctrl ~a ~p ~x ~target:t;
-      controlled_swap b ~ctrl ~x ~t;
-      cmult_add_windowed ?window spec b ~ctrl ~a:((p - a_inv) mod p) ~p ~x
-        ~target:t)
-
 let modexp_windowed ?window spec b ~a ~p ~e ~x =
-  if p >= 1 lsl 31 then
-    invalid_arg "Mod_mul.modexp_windowed: modulus too large for exact squaring";
-  Builder.with_span b "modexp_win" @@ fun () ->
-  let a = ((a mod p) + p) mod p in
-  let ak = ref a in
-  for j = 0 to Register.length e - 1 do
-    cmult_inplace_windowed ?window spec b ~ctrl:(Register.get e j) ~a:!ak ~p ~x;
-    ak := !ak * !ak mod p
-  done
+  let cmult_inplace ~ctrl ~a =
+    inplace b "Mod_mul.modexp_windowed" ~label:"cmult_inplace_win" ~a ~p ~x
+      ~mac:(fun ~a ~target ->
+        cmult_add_windowed ?window spec b ~ctrl ~a ~p ~x ~target)
+      ~swap:(fun t -> controlled_swap b ~ctrl ~x ~t)
+  in
+  ladder b "Mod_mul.modexp_windowed" ~label:"modexp_win" ~a ~p ~e ~x
+    ~mul:cmult_inplace

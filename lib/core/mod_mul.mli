@@ -15,9 +15,20 @@
     Modular exponentiation applies one in-place controlled multiplication
     per exponent bit.
 
-    The multipliers raise [Mbu_error.Error] (kind [Invalid]) when [x] and
-    [target] differ in length or when [n] is outside [1, 61] or [p]
-    outside [1, 2^n). *)
+    Each of these is written once: one doubling loop gives every
+    multiplier its constants [a 2^i mod p]; one in-place multiplier
+    (multiply into a fresh register, swap it with [x], clear it with
+    [-a^{-1}]) serves {!cmult_inplace}, {!mult_inplace} and the rounds of
+    {!modexp_windowed}, which pass their multiply-accumulate and their
+    swap, controlled or plain; and one ladder serves {!modexp} and
+    {!modexp_windowed}.
+
+    Every entry checks its inputs before it emits anything and raises
+    [Mbu_error.Error] (kind [Invalid], its own name as the subsystem) when
+    [x] and [target] differ in length, when [n] is outside [1, 61] or [p]
+    outside [1, 2^n), when an in-place multiplier or a ladder is given an
+    [a] not coprime to [p], and when a ladder's [p] is not below [2^31]
+    (squaring [a] must not overflow). *)
 
 open Mbu_circuit
 

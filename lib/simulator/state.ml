@@ -1445,28 +1445,6 @@ let run_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng i ~stop =
   done;
   !k
 
-(* Never drawn from: a gate slot draws nothing. *)
-let idle_rng = Random.State.make [| 0 |]
-
-let apply_gate_inplace s g =
-  let code = [| 0 |] and a = [| 0 |] and b = [| 0 |] and c = [| 0 |] in
-  let w =
-    match g with
-    | Gate.Phase _ | Gate.Cphase _ -> [| 0.; 0. |]
-    | Gate.X _ | Gate.Z _ | Gate.H _ | Gate.Cnot _ | Gate.Cz _ | Gate.Swap _
-    | Gate.Toffoli _ ->
-        [||]
-  in
-  encode_gate g ~code ~a ~b ~c ~w 0;
-  ignore
-    (run_slots s ~code ~a ~b ~c ~w ~tally:(Array.make tally_size 0) ~bits:[||]
-       ~rng:idle_rng 0 ~stop:1)
-
-let apply_gate s g =
-  let s = copy s in
-  apply_gate_inplace s g;
-  s
-
 (* Amplitude of basis term [k] in [s], if stored. *)
 let amp_at s k =
   match s.repr with

@@ -105,11 +105,6 @@ val force_sparse : t -> unit
     to the cube, a sparse one keeps its layout. Copies inherit the
     pin. *)
 
-val apply_gate : t -> Gate.t -> t
-val apply_gate_inplace : t -> Gate.t -> unit
-(** Every gate runs as a one-slot program through {!run_slots}, on either
-    track. *)
-
 (** {1 The program kernel}
 
     A compiled program ([Sim.compile]) is three parallel int arrays [code],

@@ -405,3 +405,26 @@ let reference_profile ~mode instrs =
     cum = cum_of flat children;
     peak_ancillas = List.fold_left (fun m e -> max m e.Trace.peak_ancillas) 0 children;
     total_depth = 0.; toffoli_depth = 0.; calls = 1; children }
+
+(* Gates through the program kernel: each gate one slot of a compiled
+   program, run in place by [State.run_slots] up to [stop]. Returns the
+   stop reached, the tally and the opcodes. *)
+let run_kernel s gates ~stop =
+  let n = List.length gates in
+  let code = Array.make n 0 and a = Array.make n 0 and b = Array.make n 0 in
+  let c = Array.make n 0 and w = Array.make (2 * n) 0. in
+  List.iteri (fun i g -> State.encode_gate g ~code ~a ~b ~c ~w i) gates;
+  let tally = Array.make State.tally_size 0 in
+  let j =
+    State.run_slots s ~code ~a ~b ~c ~w ~tally ~bits:[||]
+      ~rng:(Random.State.make [| 0 |]) 0 ~stop
+  in
+  (j, tally, code)
+
+(* One gate as a one-slot program, in place or on a copy. *)
+let kernel_gate_inplace s g = ignore (run_kernel s [ g ] ~stop:1)
+
+let kernel_gate s g =
+  let s = State.copy s in
+  kernel_gate_inplace s g;
+  s

@@ -751,9 +751,9 @@ let product_input wires kinds =
   List.iteri
     (fun q kind ->
       (* 0: |0>, 1: |1>, 2: |+>, 3: |->, 4: |+> turned by 1/8 *)
-      if kind land 1 = 1 then State.apply_gate_inplace s (Gate.X q);
-      if kind >= 2 then State.apply_gate_inplace s (Gate.H q);
-      if kind = 4 then State.apply_gate_inplace s (Gate.Phase (q, Phase.theta 3)))
+      if kind land 1 = 1 then Helpers.kernel_gate_inplace s (Gate.X q);
+      if kind >= 2 then Helpers.kernel_gate_inplace s (Gate.H q);
+      if kind = 4 then Helpers.kernel_gate_inplace s (Gate.Phase (q, Phase.theta 3)))
     kinds;
   s
 
@@ -792,20 +792,6 @@ let check_gate_tally name tally ~slots ~promotions =
   Alcotest.(check int) name slots
     (Array.fold_left ( + ) 0 tally - tally.(State.tally_promotions))
 
-(* Run [gates] as a program through [run_slots] from slot 0 up to [stop]:
-   the slot it stopped at, the tally, and the opcodes. *)
-let run_kernel s gates ~stop =
-  let n = List.length gates in
-  let code = Array.make n 0 and a = Array.make n 0 and b = Array.make n 0 in
-  let c = Array.make n 0 and w = Array.make (2 * n) 0. in
-  List.iteri (fun i g -> State.encode_gate g ~code ~a ~b ~c ~w i) gates;
-  let tally = Array.make State.tally_size 0 in
-  let j =
-    State.run_slots s ~code ~a ~b ~c ~w ~tally ~bits:[||]
-      ~rng:(Random.State.make [| 0 |]) 0 ~stop
-  in
-  (j, tally, code)
-
 let test_kernel_each_opcode () =
   let all_kinds =
     List.init 125 (fun m -> [ m mod 5; m / 5 mod 5; m / 25 ])
@@ -820,7 +806,7 @@ let test_kernel_each_opcode () =
           in
           let s = product_input 3 kinds in
           let before = State.copy s in
-          let j, tally, code = run_kernel s [ g ] ~stop:1 in
+          let j, tally, code = Helpers.run_kernel s [ g ] ~stop:1 in
           Alcotest.(check int) (name ^ ": taken") 1 j;
           Alcotest.(check int) (name ^ ": tallied") 1 tally.(code.(0));
           check_gate_tally (name ^ ": tallied once") tally ~slots:1
@@ -828,12 +814,7 @@ let test_kernel_each_opcode () =
           Alcotest.(check bool) (name ^ ": amplitudes") true
             (amps_equal s (State.Reference.apply_gate before g));
           Alcotest.(check bool) (name ^ ": product track") (kernel_takes kinds g)
-            (State.on_product_track s);
-          (* [apply_gate_inplace] reaches the same amplitudes either way. *)
-          let t = State.copy before in
-          State.apply_gate_inplace t g;
-          Alcotest.(check bool) (name ^ ": apply_gate_inplace") true
-            (amps_equal t (State.Reference.apply_gate before g)))
+            (State.on_product_track s))
         kernel_gates)
     all_kinds
 
@@ -847,7 +828,7 @@ let test_kernel_passes () =
   List.iter
     (fun k ->
       let s = State.copy minus in
-      let j, tally, _ = run_kernel s (xs k) ~stop:k in
+      let j, tally, _ = Helpers.run_kernel s (xs k) ~stop:k in
       Alcotest.(check int) (Printf.sprintf "%d X: all run" k) k j;
       Alcotest.(check int) (Printf.sprintf "%d X: tally" k) k tally.(0);
       let expect = List.fold_left State.Reference.apply_gate minus (xs k) in
@@ -864,12 +845,12 @@ let test_kernel_passes () =
       (List.filteri (fun i _ -> i < k) gates)
   in
   let s = State.copy from in
-  let j, tally, _ = run_kernel s gates ~stop:2 in
+  let j, tally, _ = Helpers.run_kernel s gates ~stop:2 in
   Alcotest.(check int) "stops at stop" 2 j;
   check_gate_tally "tally to stop" tally ~slots:2 ~promotions:0;
   Alcotest.(check bool) "state to stop" true (amps_equal s (prefix 2));
   let s = State.copy from in
-  let j, tally, _ = run_kernel s gates ~stop:5 in
+  let j, tally, _ = Helpers.run_kernel s gates ~stop:5 in
   Alcotest.(check int) "runs on past an equatorial control" 5 j;
   check_gate_tally "tally past the promotion" tally ~slots:5 ~promotions:1;
   Alcotest.(check bool) "state past the promotion" true
@@ -877,7 +858,7 @@ let test_kernel_passes () =
   Alcotest.(check bool) "promoted" false (State.on_product_track s);
   let sparse = State.copy from in
   State.force_sparse sparse;
-  let j, tally, _ = run_kernel sparse gates ~stop:5 in
+  let j, tally, _ = Helpers.run_kernel sparse gates ~stop:5 in
   Alcotest.(check int) "sparse track: every slot" 5 j;
   check_gate_tally "sparse track: tally" tally ~slots:5 ~promotions:0;
   Alcotest.(check bool) "sparse track: state" true (amps_equal sparse (prefix 5));
@@ -888,7 +869,7 @@ let test_kernel_passes () =
       Gate.Cnot { control = 1; target = 2 }; Gate.H 1; Gate.X 2 ]
   in
   let s = State.copy from in
-  let j, tally, _ = run_kernel s round_trip ~stop:5 in
+  let j, tally, _ = Helpers.run_kernel s round_trip ~stop:5 in
   Alcotest.(check int) "round trip: every slot" 5 j;
   check_gate_tally "round trip: tally" tally ~slots:5 ~promotions:1;
   Alcotest.(check bool) "round trip: demoted" true (State.is_classical s);
@@ -899,7 +880,7 @@ let test_kernel_passes () =
 let test_motifs_promote_and_demote () =
   let s = State.basis ~num_qubits:2 0b10 in
   let step g =
-    State.apply_gate_inplace s g;
+    Helpers.kernel_gate_inplace s g;
     (State.is_classical s, State.support_size s)
   in
   Alcotest.(check (pair bool int)) "H: equatorial wire" (false, 2)
@@ -1018,7 +999,7 @@ let prop_table_gates_exact =
       List.for_all
         (fun g ->
           let expect = State.Reference.apply_gate s g in
-          State.apply_gate_inplace s g;
+          Helpers.kernel_gate_inplace s g;
           State.to_alist s = State.to_alist expect)
         gates)
 
@@ -1186,7 +1167,7 @@ let prop_thin_table_gates_exact =
       List.for_all
         (fun g ->
           let expect = State.Reference.apply_gate s g in
-          State.apply_gate_inplace s g;
+          Helpers.kernel_gate_inplace s g;
           State.to_alist s = State.to_alist expect)
         gates)
 
@@ -1215,13 +1196,13 @@ let prop_cube_to_table =
             controls
       in
       let s = State.basis ~num_qubits:nq idx in
-      let _, tally, _ = run_kernel (State.copy s) fan_out ~stop:9 in
+      let _, tally, _ = Helpers.run_kernel (State.copy s) fan_out ~stop:9 in
       tally.(State.tally_promotions) = 1
       && tally.(State.tally_fallbacks) = 1
       && List.for_all
            (fun g ->
              let expect = State.Reference.apply_gate s g in
-             State.apply_gate_inplace s g;
+             Helpers.kernel_gate_inplace s g;
              State.to_alist s = State.to_alist expect)
            (fan_out @ gates))
 
@@ -1241,14 +1222,14 @@ let test_thin_cube_split () =
   let from = State.basis ~num_qubits:6 0 in
   let oracle gates = List.fold_left State.Reference.apply_gate from gates in
   let s = State.copy from and n = List.length ghz in
-  let j, tally, _ = run_kernel s ghz ~stop:n in
+  let j, tally, _ = Helpers.run_kernel s ghz ~stop:n in
   Alcotest.(check int) "GHZ: every slot" n j;
   Alcotest.(check int) "GHZ: one promotion" 1 tally.(State.tally_promotions);
   Alcotest.(check int) "GHZ: still a cube" 0 tally.(State.tally_fallbacks);
   Alcotest.(check int) "GHZ: two terms" 2 (State.num_terms s);
   Alcotest.(check bool) "GHZ: state" true
     (State.to_alist s = State.to_alist (oracle ghz));
-  let _, tally, _ = run_kernel s [ Gate.H 5 ] ~stop:1 in
+  let _, tally, _ = Helpers.run_kernel s [ Gate.H 5 ] ~stop:1 in
   Alcotest.(check int) "split: to the table" 1 tally.(State.tally_fallbacks);
   Alcotest.(check bool) "split: state" true
     (State.to_alist s = State.to_alist (oracle (ghz @ [ Gate.H 5 ])))
@@ -1269,9 +1250,9 @@ let test_cube_negligible_terms () =
         State.Reference.set_bit_zero s ~qubit:1 );
       ( "clear a varying wire", State.set_bit_zero s ~qubit:0,
         State.Reference.set_bit_zero s ~qubit:0 );
-      ( "H on a varying wire", State.apply_gate s (Gate.H 0),
+      ( "H on a varying wire", Helpers.kernel_gate s (Gate.H 0),
         State.Reference.apply_gate s (Gate.H 0) );
-      ( "H on a constant wire", State.apply_gate s (Gate.H 1),
+      ( "H on a constant wire", Helpers.kernel_gate s (Gate.H 1),
         State.Reference.apply_gate s (Gate.H 1) ) ]
 
 let suite =

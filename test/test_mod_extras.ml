@@ -142,7 +142,15 @@ let test_modsub_const () =
         (((x_val - a) mod p + p) mod p)
         (value r.Sim.state x)
     done
-  done
+  done;
+  (* A zero modulus is the modulus check's structured error, raised before
+     the addend is compared with it. *)
+  let b = Builder.create () in
+  let x = Builder.fresh_register b "x" n in
+  match Mod_add.modsub_const Mod_add.spec_cdkpm b ~p:0 ~a:0 ~x with
+  | () -> Alcotest.fail "p = 0: expected Mbu_error"
+  | exception Mbu_error.Error { kind = Mbu_error.Invalid; subsystem; _ } ->
+      Alcotest.(check string) "p = 0: subsystem" "Mod_add.modsub_const" subsystem
 
 let suite =
   ( "mod-extras",

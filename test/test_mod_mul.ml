@@ -58,6 +58,42 @@ let test_cmult_add () =
       done)
     engines
 
+(* target <- (target - c.a.x) mod p on every input, x kept, ancillas
+   clean. *)
+let test_cmult_sub () =
+  let n = 3 in
+  List.iter
+    (fun (name, engine) ->
+      List.iter
+        (fun (p, a) ->
+          let b = Builder.create () in
+          let c = Builder.fresh_register b "c" 1 in
+          let x = Builder.fresh_register b "x" n in
+          let t = Builder.fresh_register b "t" n in
+          Mod_mul.cmult_sub engine b ~ctrl:(Register.get c 0) ~a ~p ~x ~target:t;
+          for ctrl_val = 0 to 1 do
+            for x_val = 0 to p - 1 do
+              for t_val = 0 to p - 1 do
+                let r =
+                  Sim.run_builder ~rng b
+                    ~inits:[ (c, ctrl_val); (x, x_val); (t, t_val) ]
+                in
+                let msg =
+                  Printf.sprintf "%s p=%d c=%d a=%d x=%d t=%d" name p ctrl_val a
+                    x_val t_val
+                in
+                Alcotest.(check int) msg
+                  ((((t_val - (ctrl_val * a * x_val)) mod p) + p) mod p)
+                  (value r.Sim.state t);
+                Alcotest.(check int) (msg ^ " x kept") x_val (value r.Sim.state x);
+                Alcotest.(check bool) (msg ^ " clean") true
+                  (Sim.wires_zero r.Sim.state ~except:[ c; x; t ])
+              done
+            done
+          done)
+        [ (5, 2); (5, 4); (7, 3); (7, 6) ])
+    engines
+
 let test_cmult_inplace () =
   let n = 3 and p = 7 in
   List.iter
@@ -258,6 +294,30 @@ let test_mul_register () =
     done
   done
 
+(* p = 1: every weight is 0 mod p, so nothing is added and every input
+   is left as it was. *)
+let test_mul_register_unit_modulus () =
+  let n = 2 and p = 1 in
+  List.iter
+    (fun (name, engine) ->
+      let b = Builder.create () in
+      let x = Builder.fresh_register b "x" n in
+      let y = Builder.fresh_register b "y" n in
+      let t = Builder.fresh_register b "t" n in
+      Mod_mul.mul_register engine b ~x ~y ~p ~target:t;
+      for x_val = 0 to (1 lsl n) - 1 do
+        for y_val = 0 to (1 lsl n) - 1 do
+          let r = Sim.run_builder ~rng b ~inits:[ (x, x_val); (y, y_val) ] in
+          let msg = Printf.sprintf "%s x=%d y=%d" name x_val y_val in
+          Alcotest.(check int) msg 0 (value r.Sim.state t);
+          Alcotest.(check int) (msg ^ " x kept") x_val (value r.Sim.state x);
+          Alcotest.(check int) (msg ^ " y kept") y_val (value r.Sim.state y);
+          Alcotest.(check bool) (msg ^ " clean") true
+            (Sim.wires_zero r.Sim.state ~except:[ x; y; t ])
+        done
+      done)
+    engines
+
 let test_mul_register_superposition () =
   (* quantum-quantum product on superposed operands stays entangled and
      phase-flat *)
@@ -292,33 +352,64 @@ let test_mul_register_superposition () =
 (* A modulus or width out of range is a structured [Invalid] error, which
    mbu-cli prints as one line, for the bitwise and windowed multipliers. *)
 let test_out_of_range () =
-  let raises what subsystem ~n ~p f =
+  let raises what subsystem ~n ~p ~a f =
     let b = Builder.create () in
     let c = Builder.fresh_register b "c" 1 in
     let x = Builder.fresh_register b "x" n in
     let t = Builder.fresh_register b "t" n in
-    match f b ~ctrl:(Register.get c 0) ~p ~x ~target:t with
+    match f b ~ctrl:(Register.get c 0) ~a ~p ~x ~target:t with
     | () -> Alcotest.failf "%s: expected Mbu_error" what
     | exception Mbu_error.Error { kind = Mbu_error.Invalid; subsystem = s; _ } ->
         Alcotest.(check string) (what ^ ": subsystem") subsystem s
   in
   let engine = Mod_mul.ripple_engine ~mbu:true Mod_add.spec_cdkpm in
-  let cmult b ~ctrl ~p ~x ~target = Mod_mul.cmult_add engine b ~ctrl ~a:3 ~p ~x ~target in
-  let windowed b ~ctrl ~p ~x ~target =
-    Mod_mul.cmult_add_windowed ~mbu:true Mod_add.spec_cdkpm b ~ctrl ~a:3 ~p ~x ~target
+  let spec = Mod_add.spec_cdkpm in
+  let exponent ctrl = Register.make ~name:"e" [| ctrl |] in
+  let in_place =
+    [ ( "cmult_inplace", "Mod_mul.cmult_inplace",
+        fun b ~ctrl ~a ~p ~x ~target:_ ->
+          Mod_mul.cmult_inplace engine b ~ctrl ~a ~p ~x );
+      ( "mult_inplace", "Mod_mul.mult_inplace",
+        fun b ~ctrl:_ ~a ~p ~x ~target:_ -> Mod_mul.mult_inplace engine b ~a ~p ~x ) ]
+  and ladders =
+    [ ( "modexp", "Mod_mul.modexp",
+        fun b ~ctrl ~a ~p ~x ~target:_ ->
+          Mod_mul.modexp engine b ~a ~p ~e:(exponent ctrl) ~x );
+      ( "modexp_windowed", "Mod_mul.modexp_windowed",
+        fun b ~ctrl ~a ~p ~x ~target:_ ->
+          Mod_mul.modexp_windowed spec b ~a ~p ~e:(exponent ctrl) ~x ) ]
   in
   List.iter
     (fun (name, subsystem, f) ->
-      raises (name ^ " n = 62") subsystem ~n:62 ~p:5 f;
-      raises (name ^ " p = 2^n") subsystem ~n:4 ~p:16 f;
-      raises (name ^ " p = 0") subsystem ~n:4 ~p:0 f)
-    [ ("cmult", "Mod_mul.cmult_add", cmult);
-      ("windowed", "Mod_mul.cmult_add_windowed", windowed) ]
+      raises (name ^ " n = 62") subsystem ~n:62 ~p:5 ~a:3 f;
+      raises (name ^ " p = 2^n") subsystem ~n:4 ~p:16 ~a:3 f;
+      raises (name ^ " p = 0") subsystem ~n:4 ~p:0 ~a:3 f)
+    ([ ( "cmult", "Mod_mul.cmult_add",
+         fun b ~ctrl ~a ~p ~x ~target ->
+           Mod_mul.cmult_add engine b ~ctrl ~a ~p ~x ~target );
+       ( "windowed", "Mod_mul.cmult_add_windowed",
+         fun b ~ctrl ~a ~p ~x ~target ->
+           Mod_mul.cmult_add_windowed ~mbu:true spec b ~ctrl ~a ~p ~x ~target );
+       ( "cmult_sub", "Mod_mul.cmult_sub",
+         fun b ~ctrl ~a ~p ~x ~target ->
+           Mod_mul.cmult_sub engine b ~ctrl ~a ~p ~x ~target ) ]
+    @ in_place @ ladders);
+  (* An in-place multiplier needs a unit a, and a ladder squares exactly
+     only below 2^31. *)
+  List.iter
+    (fun (name, subsystem, f) ->
+      raises (name ^ " a = 6, p = 9") subsystem ~n:4 ~p:9 ~a:6 f)
+    (in_place @ ladders);
+  List.iter
+    (fun (name, subsystem, f) ->
+      raises (name ^ " p = 2^31 + 1") subsystem ~n:40 ~p:((1 lsl 31) + 1) ~a:2 f)
+    ladders
 
 let suite =
   ( "mod-mul",
     [ Alcotest.test_case "modular inverse" `Quick test_modinv;
       Alcotest.test_case "controlled multiply-accumulate" `Quick test_cmult_add;
+      Alcotest.test_case "controlled multiply-subtract" `Quick test_cmult_sub;
       Alcotest.test_case "in-place controlled multiplication" `Quick
         test_cmult_inplace;
       Alcotest.test_case "modular exponentiation" `Quick test_modexp;
@@ -329,6 +420,8 @@ let suite =
       Alcotest.test_case "windowed beats bitwise" `Quick test_windowed_beats_bitwise;
       Alcotest.test_case "uncontrolled in-place multiply" `Quick test_mult_inplace;
       Alcotest.test_case "register-register multiply" `Quick test_mul_register;
+      Alcotest.test_case "register multiply, p = 1" `Quick
+        test_mul_register_unit_modulus;
       Alcotest.test_case "register multiply superposition" `Quick
         test_mul_register_superposition;
       Alcotest.test_case "out-of-range modulus is an Mbu_error" `Quick

@@ -270,23 +270,23 @@ let test_classical_track_promotion () =
   let s = State.basis ~num_qubits:3 0b001 in
   check_bool "basis is classical" true (State.is_classical s);
   let s =
-    List.fold_left State.apply_gate s
+    List.fold_left Helpers.kernel_gate s
       [ Gate.X 1; Gate.Cnot { control = 0; target = 2 };
         Gate.Toffoli { c1 = 0; c2 = 1; target = 2 }; Gate.Swap (0, 1);
         Gate.Z 1; Gate.Phase (1, Phase.theta 2) ]
   in
   check_bool "permutation/diagonal stay classical" true (State.is_classical s);
-  let s = State.apply_gate s (Gate.H 0) in
+  let s = Helpers.kernel_gate s (Gate.H 0) in
   check_bool "H|1>: not a basis vector" false (State.is_classical s);
   check_int "two terms" 2 (State.num_terms s);
   check_int "support size" 2 (State.support_size s);
   Alcotest.(check (float 0.)) "exact coin" 0.5 (State.prob_bit_one s 0);
-  let s = State.apply_gate s (Gate.H 0) in
+  let s = Helpers.kernel_gate s (Gate.H 0) in
   check_bool "HH: a basis vector again" true (State.is_classical s);
   check_int "HH|1> = |1>" 0b011 (classical_exn s);
   let pinned = State.copy s in
   State.force_sparse pinned;
-  let pinned = State.apply_gate (State.apply_gate pinned (Gate.H 0)) (Gate.H 0) in
+  let pinned = Helpers.kernel_gate (Helpers.kernel_gate pinned (Gate.H 0)) (Gate.H 0) in
   check_bool "pinned state never demotes" false (State.is_classical pinned);
   check_float "pinned state still exact" 1.0 (State.fidelity s pinned)
 
