@@ -201,21 +201,7 @@ let shared b f =
       ignore (leave b);
       raise e
 
-let with_shared b label f =
-  enter b;
-  let outer_peak = b.peak_live in
-  b.peak_live <- b.live_ancillas;
-  match f () with
-  | v ->
-      let body = leave b in
-      let peak_ancillas = b.peak_live in
-      b.peak_live <- max outer_peak peak_ancillas;
-      push b (Instr.share [ Instr.Span { label; peak_ancillas; body } ]);
-      v
-  | exception e ->
-      ignore (leave b);
-      b.peak_live <- max outer_peak b.peak_live;
-      raise e
+let with_shared b label f = shared b (fun () -> with_span b label f)
 
 let to_circuit b =
   match b.outer with

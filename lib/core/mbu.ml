@@ -15,8 +15,6 @@ let uncompute_bit b ~garbage ~ug =
       Builder.h b garbage;
       Builder.x b garbage)
 
-let uncompute_bit_direct _b ~garbage:_ ~ug = ug ()
-
 let in_range ?(mbu = true) style b ~x ~y ~z ~target =
   let n = Register.length x in
   if Register.length y <> n || Register.length z <> n then

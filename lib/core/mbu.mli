@@ -19,10 +19,6 @@ val uncompute_bit : Builder.t -> garbage:Gate.qubit -> ug:(unit -> unit) -> unit
     measurement-conditioned block, so [Counts.Expected 0.5] accounts it at
     half cost, exactly the paper's "in expectation" bookkeeping. *)
 
-val uncompute_bit_direct : Builder.t -> garbage:Gate.qubit -> ug:(unit -> unit) -> unit
-(** The non-MBU baseline: just run [ug] (deterministic uncomputation). Kept
-    so benchmarks can toggle MBU with one argument. *)
-
 val in_range :
   ?mbu:bool ->
   Adder.style ->

@@ -53,7 +53,8 @@ let check_modulus name ~p ~n =
 
 let same_length name ~x ~y =
   let n = Register.length x in
-  if Register.length y <> n then invalid_arg (name ^ ": unequal lengths");
+  if Register.length y <> n then
+    Mbu_error.invalid ~subsystem:name "unequal lengths";
   n
 
 (* The [int] edge: an [int] modulus is checked against [1, 2^n) with n in
@@ -74,7 +75,9 @@ let int_operands name ~p ~x ~y = int_modulus name ~p ~n:(same_length name ~x ~y)
 let int_constant name ~p ~a ~x =
   let n = Register.length x in
   let pb = int_modulus name ~p ~n in
-  if a < 0 || a >= p then invalid_arg (name ^ ": need 0 <= a < p");
+  if a < 0 || a >= p then
+    Mbu_error.invalid ~subsystem:name
+      (Printf.sprintf "addend %d outside [0, %d)" a p);
   (pb, Bitstring.of_int ~width:n a)
 
 let uncompute ~mbu b ~garbage ~ug =
@@ -146,7 +149,7 @@ let modadd_const_big ?(mbu = false) spec b ~p ~a ~x =
   check_modulus "Mod_add.modadd_const_big" ~p ~n:(Register.length x);
   let width = max (Bitstring.length a) (Bitstring.length p) in
   if not (Bitstring.lt (Bitstring.pad a width) (Bitstring.pad p width)) then
-    invalid_arg "Mod_add.modadd_const_big: need a < p";
+    Mbu_error.invalid ~subsystem:"Mod_add.modadd_const_big" "addend not below the modulus";
   vbe_pipeline ~mbu spec b ~label:(span_label "modadd_const" ~mbu spec) ~p ~y:x
     ~add:(fun xs -> Adder.add_const spec.q_add b ~a ~y:xs)
     ~erase:(fun t -> Adder.compare_const spec.q_comp b ~a ~x ~target:t)
@@ -340,6 +343,7 @@ let modsub_const ?mbu spec b ~p ~a ~x =
 
 (* Figure 23: the double control collapses into one logical-AND ancilla. *)
 let modadd_const_double_controlled_draper ?(mbu = false) b ~ctrl1 ~ctrl2 ~p ~a ~x =
+  ignore (int_constant "Mod_add.modadd_const_double_controlled_draper" ~p ~a ~x);
   Builder.with_span b (fixed_label "ccmodadd_const_draper" ~mbu) @@ fun () ->
   Builder.with_ancilla b (fun g ->
       Logical_and.within b ~c1:ctrl1 ~c2:ctrl2 ~target:g (fun () ->

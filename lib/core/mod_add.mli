@@ -32,10 +32,15 @@
     moduli and addends of any width; {!modadd}, {!modadd_controlled} and
     {!modadd_const} are [int] wrappers over them, capped at 61 bits, that
     emit the same circuit with the same span tree. Every other constructor
-    takes [int]s and converts them once at entry. Every [int]-modulus
-    constructor raises [Mbu_error.Error] (kind [Invalid]) when [n] is
-    outside [1, 61] or [p] outside [1, 2^n); the bodies raise it when [n]
-    is not positive or [p] is zero or does not fit [n] bits. *)
+    takes [int]s and converts them once at entry.
+
+    Every constructor checks its inputs before it emits anything and
+    raises [Mbu_error.Error] (kind [Invalid], its own name as the
+    subsystem) when its operand registers [x] and [y] differ in length,
+    and when an addend [a] is not below [p] (or, as an [int], negative).
+    Every [int]-modulus constructor raises it when [n] is outside
+    [1, 61] or [p] outside [1, 2^n); the bodies raise it when [n] is not
+    positive or [p] is zero or does not fit [n] bits. *)
 
 open Mbu_circuit
 open Mbu_bitstring
@@ -179,7 +184,7 @@ val modadd_big :
 val modadd_const_big :
   ?mbu:bool ->
   spec -> Builder.t -> p:Bitstring.t -> a:Bitstring.t -> x:Register.t -> unit
-(** {!modadd_const}'s body; raises [Invalid_argument] unless [a < p]. *)
+(** {!modadd_const}'s body. *)
 
 val modadd_controlled_big :
   ?mbu:bool ->

@@ -18,8 +18,6 @@ let draper_engine ?(mbu = true) () =
       (fun b ~ctrl ~p ~a ~x ->
         Mod_add.modadd_const_controlled_draper ~mbu b ~ctrl ~p ~a ~x) }
 
-let engine_name e = e.name
-
 let pmod a p = ((a mod p) + p) mod p
 
 let modinv ~a ~p =
@@ -180,7 +178,7 @@ let mult_inplace engine b ~a ~p ~x =
 let mul_register engine b ~x ~y ~p ~target =
   check_mul "Mod_mul.mul_register" ~p ~x ~target;
   if Register.length y <> Register.length x then
-    invalid_arg "Mod_mul.mul_register: unequal lengths";
+    Mbu_error.invalid ~subsystem:"Mod_mul.mul_register" "unequal lengths";
   Builder.with_span b (Printf.sprintf "mul_register[%s]" engine.name) @@ fun () ->
   let n = Register.length x in
   Builder.with_ancilla b (fun g ->

@@ -25,7 +25,8 @@
 
     Every entry checks its inputs before it emits anything and raises
     [Mbu_error.Error] (kind [Invalid], its own name as the subsystem) when
-    [x] and [target] differ in length, when [n] is outside [1, 61] or [p]
+    its operand registers differ in length ([x] and [target], and [y] for
+    {!mul_register}), when [n] is outside [1, 61] or [p]
     outside [1, 2^n), when an in-place multiplier or a ladder is given an
     [a] not coprime to [p], and when a ladder's [p] is not below [2^31]
     (squaring [a] must not overflow). *)
@@ -40,8 +41,6 @@ val ripple_engine : ?mbu:bool -> Mod_add.spec -> engine
 
 val draper_engine : ?mbu:bool -> unit -> engine
 (** Beauregard's QFT adder (proposition 3.19). *)
-
-val engine_name : engine -> string
 
 val modinv : a:int -> p:int -> int
 (** Modular inverse by extended Euclid. Raises [Invalid_argument] when

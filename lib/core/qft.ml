@@ -17,7 +17,6 @@ let apply b r = Builder.with_span b "qft" (fun () -> apply_raw b r)
 let apply_inverse b r =
   Builder.with_span b "iqft" (fun () ->
       Builder.emit_adjoint b (fun () -> apply_raw b r))
-let gate_counts m = Counts.qft_gates m
 
 let apply_approx b ~cutoff r =
   if cutoff < 1 then invalid_arg "Qft.apply_approx: cutoff must be >= 1";

@@ -15,10 +15,6 @@ val apply : Builder.t -> Register.t -> unit
 val apply_inverse : Builder.t -> Register.t -> unit
 (** [IQFT_m]. *)
 
-val gate_counts : int -> Counts.t
-(** Gate count of [QFT_m] in this convention: [m] Hadamards and
-    [m (m-1) / 2] controlled rotations (remark 1.1). *)
-
 val apply_approx : Builder.t -> cutoff:int -> Register.t -> unit
 (** Approximate QFT: controlled rotations by angles smaller than
     [2 pi / 2^cutoff] are dropped, reducing the rotation count from

@@ -34,7 +34,7 @@ let m_promotions =
     "mbu_sim_promotions"
 
 let m_table_fallbacks =
-  Telemetry.counter ~help:"Sparse states moved from the cube to the table"
+  Telemetry.counter ~help:"Sparse states handed from the cube to a hash map"
     "mbu_sim_table_fallbacks"
 
 type run = {
@@ -229,8 +229,8 @@ let gate_step ~reference state p i ~tally ~bits ~rng =
   end
   else begin
     ignore
-      (State.run_slots state ~code:p.code ~a:p.a ~b:p.b ~c:p.c ~w:p.w ~tally
-         ~bits ~rng i ~stop:(i + 1));
+      (State.run_slots state ~code:p.code ~a:p.a ~b:p.b ~c:p.c ~w:p.w
+         ~gates:p.gates ~tally ~bits ~rng i ~stop:(i + 1));
     state
   end
 
@@ -296,7 +296,7 @@ let run_program ?rng ?on_event ?(engine = Fast) ?(force = []) ?(faults = [])
     if stop > i then
       pc :=
         State.run_slots !state ~code ~a:prog.a ~b:prog.b ~c:prog.c ~w:prog.w
-          ~tally ~bits ~rng i ~stop
+          ~gates:prog.gates ~tally ~bits ~rng i ~stop
     else if op < op_measure then begin
       state := gate_step ~reference !state prog i ~tally ~bits ~rng;
       for k = 0 to Array.length p.paulis - 1 do

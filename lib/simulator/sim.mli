@@ -58,19 +58,23 @@ type event =
       {!State}), which runs the same program in passes of its own, and a
       sparse state that collapses to one basis vector demotes back. The
       sparse track holds a state as a dense cube over the wires that vary
-      across its terms, every gate in place, and moves it to a flat hash
-      table for good when a gate would grow the cube's arrays past 4
-      times its terms. A run adds its promotions and its moves from the cube to the
-      table to the counters [mbu_sim_promotions] and
-      [mbu_sim_table_fallbacks] (when it has any). One rule sets the
+      across its terms, every gate in place. When a gate would grow the
+      cube's arrays past 4 times its terms, or swaps a varying wire with
+      a constant one, the cube hands its terms for good to a map: the
+      [Reference] oracle's own hash table, which runs every later gate,
+      projection and reset by the oracle's algorithms (a {!program}
+      keeps each gate slot's [Gate.t] for it). A run adds its promotions
+      and its hand-offs from the cube to a map to the counters
+      [mbu_sim_promotions] and [mbu_sim_table_fallbacks] (when it has
+      any). One rule sets the
       passes on both tracks: a pass runs every slot up to the next fault
       patch (a Pauli after a gate slot, a skipped conditional, a misread
       or a pinned outcome on a measure slot) and, when [on_event] is
       given, up to the next measurement or conditional. The slot it
       stops at runs alone, to report its event or apply its patch.
     - [Sparse]: pin the state to the sparse track for the whole run, even
-      where the product track would apply: it starts as a cube, moves to
-      the table by the same rule, and runs in the same passes.
+      where the product track would apply: it starts as a cube, hands its
+      terms to a map by the same rule, and runs in the same passes.
     - [Reference]: the seed simulator's pure rebuild-per-gate algorithms —
       the oracle for equivalence tests and the benchmark baseline. *)
 type engine = Fast | Sparse | Reference

@@ -27,20 +27,17 @@ open Mbu_circuit
        gate runs in place: X, CNOT and Toffoli exchange entry pairs (or
        flip a constant wire), diagonals scale entries, H is a butterfly,
        and a projection or a cleared wire folds the cube in half.
-     - [Table] ([table] below): a flat open-addressed table, for
-       supports too thin for a cube. Diagonal gates scale it in place;
-       every other operation rebuilds it into the table's second buffer
-       and swaps the two.
+     - [Map]: the [Reference] oracle's own hash table, for supports too
+       thin for a cube, run by the oracle's rebuild-per-gate algorithms.
      A cube grows its arrays only while its 2^k cells, k the varying
      wires, stay at most 4 times its terms, so they never hold more than
      4 times the terms it had when they last grew; within them it grows
      freely. A gate that would break that, or that the cube does not
-     take, moves the state to the table, which then runs it: an H
-     splitting a constant wire into a cube that cancellation has left
-     thinner than the rule, a CNOT fanning a varying control out onto a
-     constant wire, when either would outgrow the arrays; a Swap of a
-     varying wire with a constant one. A table never turns back into a
-     cube.
+     take, hands the state to a map, which then runs it: an H splitting
+     a constant wire into a cube that cancellation has left thinner than
+     the rule, a CNOT fanning a varying control out onto a constant
+     wire, when either would outgrow the arrays; a Swap of a varying wire
+     with a constant one. A map never turns back into a cube.
 
    Any other operation on an equatorial wire (a control on it, a CZ or
    Cphase on two of them, H at any other phase, clearing it) promotes the
@@ -59,34 +56,14 @@ type product = {
   mutable amp : Complex.t;
 }
 
-(* One buffer of the sparse table: linear probing over the first [cap]
-   slots (a power of two, at least twice the terms it was sized for) of
-   [keys], a key of -1 marking an empty slot, and the amplitude of the key
-   in slot [j] unboxed in [re.(j)] and [im.(j)]. A buffer is only ever
-   filled by inserting distinct keys into a cleared one, so it needs no
-   deletion and no tombstones. [cap] may be below the arrays' length,
-   which only grow. *)
-type buf = {
-  mutable keys : int array;
-  mutable re : float array;
-  mutable im : float array;
-  mutable cap : int;
-  mutable shift : int;
-  mutable live : int;
-}
-
-(* [cur] holds the state; [spare] is where the next rebuild goes, and
-   [partner] is H's working array, a cell per slot of [cur]. *)
-type table = { mutable cur : buf; mutable spare : buf; mutable partner : int array }
-
 (* The cube: the terms |base lor sub> for [sub] a subset of [wires], the
    wires whose value varies; [base] holds the others' values and has no
    bit of [wires]. Entry [i] of [cre] and [cim] (the first [dim] = 2^k
    cells, k the wires of [wires]) is the amplitude of the [i]-th subset
    in increasing order, so bit [j] of [i] is the [j]-th lowest wire of
    [wires]. An entry of exactly zero is an absent term and [nonzero]
-   counts the others: the table's [live] for the same terms. The arrays
-   only grow. *)
+   counts the others: the size of the oracle's map for the same terms.
+   The arrays only grow. *)
 type cube = {
   mutable base : int;
   mutable wires : int;
@@ -96,7 +73,10 @@ type cube = {
   mutable nonzero : int;
 }
 
-type repr = Product of product | Cube of cube | Table of table
+(* A map: the oracle's hash table from basis index to amplitude. *)
+type amps = (int, Complex.t) Hashtbl.t
+
+type repr = Product of product | Cube of cube | Map of amps
 type t = { num_qubits : int; mutable repr : repr; mutable pinned : bool }
 
 let eps = 1e-12
@@ -130,82 +110,6 @@ let basis ~num_qubits idx =
   check_width ~subsystem num_qubits;
   check_index ~subsystem ~num_qubits idx;
   { num_qubits; repr = basis_product idx Complex.one; pinned = false }
-
-(* ------------------------------------------------------------------ *)
-(* The flat table *)
-
-let empty_buf () =
-  { keys = [||]; re = [||]; im = [||]; cap = 0; shift = 0; live = 0 }
-
-(* Fibonacci hashing: the top bits of [k * hash_mul] pick the home slot. *)
-let hash_mul = 0x2545F4914F6CDD1D
-
-(* Clear [b] to hold [terms] keys at load at most 1/2. *)
-let clear b ~terms =
-  let cap = ref 8 and log = ref 3 in
-  while !cap < 2 * terms do
-    cap := 2 * !cap;
-    incr log
-  done;
-  let cap = !cap in
-  if Array.length b.keys < cap then begin
-    b.keys <- Array.make cap (-1);
-    b.re <- Array.create_float cap;
-    b.im <- Array.create_float cap
-  end
-  else Array.fill b.keys 0 cap (-1);
-  b.cap <- cap;
-  b.shift <- Sys.int_size - !log;
-  b.live <- 0
-
-(* The first empty slot from the home of [k] among the [mask + 1] slots
-   of [keys], claimed for [k], which must be absent. *)
-let[@inline] claim_slot keys ~mask ~shift k =
-  let j = ref ((k * hash_mul) lsr shift) in
-  while Array.unsafe_get keys !j >= 0 do
-    j := (!j + 1) land mask
-  done;
-  Array.unsafe_set keys !j k;
-  !j
-
-(* Store the term [k] with amplitude [re] + i [im]; [k] must be absent. *)
-let[@inline] put b k re im =
-  b.live <- b.live + 1;
-  let j = claim_slot b.keys ~mask:(b.cap - 1) ~shift:b.shift k in
-  Array.unsafe_set b.re j re;
-  Array.unsafe_set b.im j im
-
-(* The slot of the key [k] in a cleared buffer, or -1. *)
-let find b k =
-  let mask = b.cap - 1 and keys = b.keys in
-  let j = ref ((k * hash_mul) lsr b.shift) and r = ref (-2) in
-  while !r = -2 do
-    let x = Array.unsafe_get keys !j in
-    if x = k then r := !j
-    else if x < 0 then r := -1
-    else j := (!j + 1) land mask
-  done;
-  !r
-
-let new_table ~terms =
-  let cur = empty_buf () in
-  clear cur ~terms;
-  { cur; spare = empty_buf (); partner = [||] }
-
-(* Make the spare buffer current: the end of every rebuild. *)
-let flip t =
-  let b = t.cur in
-  t.cur <- t.spare;
-  t.spare <- b
-
-let insert b k (v : Complex.t) = put b k v.re v.im
-
-let iter_table t f =
-  let b = t.cur in
-  for j = 0 to b.cap - 1 do
-    let k = b.keys.(j) in
-    if k >= 0 then f k { Complex.re = b.re.(j); im = b.im.(j) }
-  done
 
 let bit idx q = (idx lsr q) land 1 = 1
 
@@ -333,7 +237,7 @@ let insert_wire cb m =
   cb.base <- cb.base land lnot m
 
 (* The squared norm of the cube's terms, and of those with the wires of
-   [m] all 1 (as [table_norm2]). *)
+   [m] all 1. *)
 let cube_norm2 cb m =
   let consts = m land lnot cb.wires in
   let hit = cb.base land consts = consts in
@@ -347,47 +251,37 @@ let cube_norm2 cb m =
   done;
   (!all, !ones)
 
-(* The nonzero entries of a table, in a cube when they fill one densely
-   enough and none is zero. *)
-let cube_of_table t =
-  let b = t.cur in
+(* The terms of a map, in a cube when they fill one densely enough and
+   none is zero. *)
+let cube_of_map (tbl : amps) =
   let first = ref (-1) and wires = ref 0 and zero = ref false in
-  for j = 0 to b.cap - 1 do
-    let k = b.keys.(j) in
-    if k >= 0 then begin
+  Hashtbl.iter
+    (fun k (v : Complex.t) ->
       if !first < 0 then first := k;
       wires := !wires lor (k lxor !first);
-      if is_zero b.re.(j) b.im.(j) then zero := true
-    end
-  done;
+      if is_zero v.re v.im then zero := true)
+    tbl;
+  let terms = Hashtbl.length tbl in
   let dim = product_support !wires in
-  if b.live = 0 || !zero || not (dense ~dim ~terms:b.live) then None
+  if terms = 0 || !zero || not (dense ~dim ~terms) then None
   else begin
     let cb =
       { base = !first land lnot !wires; wires = !wires; dim;
-        cre = Array.make dim 0.; cim = Array.make dim 0.; nonzero = b.live }
+        cre = Array.make dim 0.; cim = Array.make dim 0.; nonzero = terms }
     in
-    for j = 0 to b.cap - 1 do
-      let k = b.keys.(j) in
-      if k >= 0 then begin
+    Hashtbl.iter
+      (fun k (v : Complex.t) ->
         let i = local_of cb.wires k in
-        cb.cre.(i) <- b.re.(j);
-        cb.cim.(i) <- b.im.(j)
-      end
-    done;
+        cb.cre.(i) <- v.re;
+        cb.cim.(i) <- v.im)
+      tbl;
     Some cb
   end
 
-let table_of_cube cb =
-  let t = new_table ~terms:cb.nonzero in
-  let b = t.cur in
-  let sub = ref 0 in
-  for i = 0 to cb.dim - 1 do
-    let re = cb.cre.(i) and im = cb.cim.(i) in
-    if not (is_zero re im) then put b (cb.base lor !sub) re im;
-    sub := (!sub - cb.wires) land cb.wires
-  done;
-  t
+let map_of_cube cb : amps =
+  let tbl = Hashtbl.create cb.nonzero in
+  iter_cube cb (Hashtbl.replace tbl);
+  tbl
 
 let maybe_demote s =
   if not s.pinned then
@@ -395,23 +289,23 @@ let maybe_demote s =
     | Product _ -> ()
     | Cube cb ->
         if cb.nonzero = 1 then iter_cube cb (fun k v -> s.repr <- basis_product k v)
-    | Table t ->
-        if t.cur.live = 1 then iter_table t (fun k v -> s.repr <- basis_product k v)
+    | Map tbl ->
+        if Hashtbl.length tbl = 1 then
+          Hashtbl.iter (fun k v -> s.repr <- basis_product k v) tbl
 
-(* Built as a table, which checks each index; a cube if the keys fill
-   one. *)
+(* A cube if the keys fill one, else a map. *)
 let of_alist ~num_qubits l =
   let subsystem = "State.of_alist" in
   check_width ~subsystem num_qubits;
-  let t = new_table ~terms:(List.length l) in
+  let tbl = Hashtbl.create (List.length l) in
   List.iter
     (fun (idx, a) ->
       check_index ~subsystem ~num_qubits idx;
-      if find t.cur idx >= 0 then
+      if Hashtbl.mem tbl idx then
         Mbu_error.invalid ~subsystem (Printf.sprintf "repeated index %d" idx);
-      insert t.cur idx a)
+      Hashtbl.replace tbl idx a)
     l;
-  let repr = match cube_of_table t with Some cb -> Cube cb | None -> Table t in
+  let repr = match cube_of_map tbl with Some cb -> Cube cb | None -> Map tbl in
   let s = { num_qubits; repr; pinned = false } in
   maybe_demote s;
   s
@@ -487,7 +381,7 @@ let iter_amps s f =
   match s.repr with
   | Product p -> iter_product p f
   | Cube cb -> iter_cube cb f
-  | Table t -> iter_table t f
+  | Map tbl -> Hashtbl.iter f tbl
 
 let to_alist s =
   let acc = ref [] in
@@ -504,12 +398,8 @@ let iter_terms s f =
         if above_eps cb.cre.(i) cb.cim.(i) then f (cb.base lor !sub);
         sub := (!sub - cb.wires) land cb.wires
       done
-  | Table t ->
-      let b = t.cur in
-      for j = 0 to b.cap - 1 do
-        let k = b.keys.(j) in
-        if k >= 0 && above_eps b.re.(j) b.im.(j) then f k
-      done
+  | Map tbl ->
+      Hashtbl.iter (fun k (v : Complex.t) -> if above_eps v.re v.im then f k) tbl
 
 let num_terms s =
   let n = ref 0 in
@@ -520,34 +410,27 @@ let support_size s =
   match s.repr with
   | Product p -> product_support p.xmask
   | Cube cb -> cb.nonzero
-  | Table t -> t.cur.live
+  | Map tbl -> Hashtbl.length tbl
 
-(* The squared norm of the table's terms, and of those with the wires of
+(* The squared norm of the map's terms, and of those with the wires of
    [m] all 1. *)
-let table_norm2 t m =
-  let b = t.cur in
+let map_norm2 (tbl : amps) m =
   let all = ref 0. and ones = ref 0. in
-  for j = 0 to b.cap - 1 do
-    let k = b.keys.(j) in
-    if k >= 0 then begin
-      let re = b.re.(j) and im = b.im.(j) in
-      let n2 = (re *. re) +. (im *. im) in
+  Hashtbl.iter
+    (fun k (v : Complex.t) ->
+      let n2 = (v.re *. v.re) +. (v.im *. v.im) in
       all := !all +. n2;
-      if k land m = m then ones := !ones +. n2
-    end
-  done;
+      if k land m = m then ones := !ones +. n2)
+    tbl;
   (!all, !ones)
 
 let norm2 s =
   match s.repr with
   | Product p -> Complex.norm2 p.amp
   | Cube cb -> fst (cube_norm2 cb 0)
-  | Table t -> fst (table_norm2 t 0)
+  | Map tbl -> fst (map_norm2 tbl 0)
 
 let norm s = sqrt (norm2 s)
-
-let copy_buf b =
-  { b with keys = Array.copy b.keys; re = Array.copy b.re; im = Array.copy b.im }
 
 let copy s =
   { s with
@@ -558,12 +441,11 @@ let copy s =
           Cube
             { cb with cre = Array.sub cb.cre 0 cb.dim;
               cim = Array.sub cb.cim 0 cb.dim }
-      | Table t ->
-          Table { cur = copy_buf t.cur; spare = empty_buf (); partner = [||] })
+      | Map tbl -> Map (Hashtbl.copy tbl))
     }
 
 let is_classical s =
-  match s.repr with Product p -> p.xmask = 0 | Cube _ | Table _ -> false
+  match s.repr with Product p -> p.xmask = 0 | Cube _ | Map _ -> false
 
 (* The 2^k terms of [p] in a cube over its equatorial wires, whose
    subsets [iter_product] visits in the cube's order: its amplitudes, bit
@@ -602,7 +484,7 @@ let promote s p =
   cb
 
 let force_sparse s =
-  (match s.repr with Product p -> ignore (promote s p) | Cube _ | Table _ -> ());
+  (match s.repr with Product p -> ignore (promote s p) | Cube _ | Map _ -> ());
   s.pinned <- true
 
 (* ------------------------------------------------------------------ *)
@@ -755,7 +637,7 @@ let turn_wire p m t =
   p.idx <- (if phi land half_turn = 0 then p.idx land lnot m else p.idx lor m)
 
 (* The gates [product_gates] leaves out, one slot on [p]: [false] when it
-   needs the sparse table (a control on an equatorial wire, a diagonal on
+   needs the sparse track (a control on an equatorial wire, a diagonal on
    two, H at a phase other than 0 or 1/2). *)
 let equatorial_gate p op ma mb th =
   let xm = p.xmask in
@@ -867,191 +749,130 @@ let product_slots p ~code ~a ~b ~c ~tally ~bits ~rng i ~limit =
   !k
 
 (* ------------------------------------------------------------------ *)
-(* Sparse-track kernel: the table *)
+(* Reference engine: the seed's pure rebuild-per-gate algorithms over a
+   hash table, kept as the oracle for the property tests comparing
+   backends, as the "before" baseline in the simulator benchmark, and as
+   the sparse track's kernel for a map. Each operation reads the state's
+   terms into a hash table (a map's own, which no operation here writes)
+   and returns its result as a new map; [pinned] is inherited, and the
+   result never demotes. *)
 
-(* X, CNOT and Toffoli (an X on [mb] where the wires of [ma] are all 1)
-   and Swap (op 6) move every key to its image: rebuilt into the spare
-   buffer. *)
-let permute t op ma mb =
-  let src = t.cur and dst = t.spare in
-  clear dst ~terms:src.live;
-  let keys = src.keys and re = src.re and im = src.im in
-  let dkeys = dst.keys and dre = dst.re and dim = dst.im in
-  let mask = dst.cap - 1 and shift = dst.shift in
-  for j = 0 to src.cap - 1 do
-    let k = Array.unsafe_get keys j in
-    if k >= 0 then begin
-      let image =
-        if op = 6 then swap_masks k ma mb
-        else k lxor (mb land ones_if_zero ((k land ma) lxor ma))
-      in
-      let d = claim_slot dkeys ~mask ~shift image in
-      Array.unsafe_set dre d (Array.unsafe_get re j);
-      Array.unsafe_set dim d (Array.unsafe_get im j)
-    end
-  done;
-  dst.live <- src.live;
-  flip t
+module Reference = struct
+  let phase_of p = Complex.polar 1.0 (Phase.to_radians p)
 
-(* Z and CZ (ops 1 and 5) negate the terms whose wires of [m] are all 1,
-   in place. Phase and Cphase multiply them by the factor [wr] + i [wi]
-   of their turn ([cos] and [sin] of its angle, which is
-   [Complex.polar 1.0 (Phase.to_radians ph)]), as [Complex.mul] rounds
-   it, read from cells [2 slot] and [2 slot + 1] of [w] (in the
-   loop's own function, so the floats are never boxed). *)
-let diagonal t op m w slot =
-  let b = t.cur in
-  let keys = b.keys and re = b.re and im = b.im in
-  if op = 1 || op = 5 then
-    for j = 0 to b.cap - 1 do
-      let k = Array.unsafe_get keys j in
-      if k >= 0 && k land m = m then begin
-        Array.unsafe_set re j (-.Array.unsafe_get re j);
-        Array.unsafe_set im j (-.Array.unsafe_get im j)
-      end
-    done
-  else
-    let wr = w.(2 * slot) and wi = w.((2 * slot) + 1) in
-    for j = 0 to b.cap - 1 do
-      let k = Array.unsafe_get keys j in
-      if k >= 0 && k land m = m then begin
-        let vr = Array.unsafe_get re j and vi = Array.unsafe_get im j in
-        Array.unsafe_set re j ((wr *. vr) -. (wi *. vi));
-        Array.unsafe_set im j ((wr *. vi) +. (wi *. vr))
-      end
-    done
+  let permute src f : amps =
+    let amps = Hashtbl.create (Hashtbl.length src) in
+    Hashtbl.iter (fun k v -> Hashtbl.replace amps (f k) v) src;
+    amps
 
-(* H on the wire [m]: each pair of keys k0, k1 = k0 lor m gives
-   (v0 + v1)/sqrt 2 at k0 and (v0 - v1)/sqrt 2 at k1, visited once, from
-   whichever of the two is stored (k0 when both are). Each term is scaled
-   as [Complex.mul] by (1/sqrt 2, 0) rounds it, a scaled term of norm at
-   most [eps] adds nothing, and a key whose two scaled terms sum to norm
-   at most [eps] is dropped: the rules of the oracle's [h_table], which
-   add at most two terms per key, so the order it adds them in cannot
-   change a bit. *)
-let hadamard t m =
-  let src = t.cur and dst = t.spare in
-  let keys = src.keys and re = src.re and im = src.im in
-  if Array.length t.partner < src.cap then
-    t.partner <- Array.make src.cap (-1)
-  else Array.fill t.partner 0 src.cap (-1);
-  let partner = t.partner in
-  (* The slot of each |0> key's partner (-1: none), and -2 at the slot of
-     each |1> key that has one. Two new terms at most per pair: as many
-     as the old terms when every key has its partner (a QFT register's
-     H), twice as many when none has. *)
-  let pairs = ref src.live in
-  for j = 0 to src.cap - 1 do
-    let k = Array.unsafe_get keys j in
-    if k >= 0 && k land m = 0 then begin
-      let p = find src (k lor m) in
-      Array.unsafe_set partner j p;
-      if p >= 0 then begin
-        Array.unsafe_set partner p (-2);
-        decr pairs
-      end
-    end
-  done;
-  clear dst ~terms:(2 * !pairs);
-  let r = inv_sqrt2 in
-  for j = 0 to src.cap - 1 do
-    let k = Array.unsafe_get keys j in
-    let p = Array.unsafe_get partner j in
-    if k >= 0 && p <> -2 then begin
-      let j0 = if k land m = 0 then j else -1 in
-      let j1 = if k land m = 0 then p else j in
-      let k0 = k land lnot m in
-      let k1 = k0 lor m in
-      let ar = if j0 >= 0 then Array.unsafe_get re j0 else 0. in
-      let ai = if j0 >= 0 then Array.unsafe_get im j0 else 0. in
-      let br = if j1 >= 0 then Array.unsafe_get re j1 else 0. in
-      let bi = if j1 >= 0 then Array.unsafe_get im j1 else 0. in
-      let sr = (r *. ar) -. (0. *. ai) and si = (r *. ai) +. (0. *. ar) in
-      let tr = (r *. br) -. (0. *. bi) and ti = (r *. bi) +. (0. *. br) in
-      let has_s = j0 >= 0 && above_eps sr si in
-      let has_t = j1 >= 0 && above_eps tr ti in
-      if has_s && has_t then begin
-        let ur = sr +. tr and ui = si +. ti in
-        if above_eps ur ui then put dst k0 ur ui;
-        let wr = sr -. tr and wi = si -. ti in
-        if above_eps wr wi then put dst k1 wr wi
-      end
-      else if has_s then begin
-        put dst k0 sr si;
-        put dst k1 sr si
-      end
-      else if has_t then begin
-        put dst k0 tr ti;
-        put dst k1 (-.tr) (-.ti)
-      end
-    end
-  done;
-  flip t
+  let map_table src f : amps =
+    let amps = Hashtbl.create (Hashtbl.length src) in
+    Hashtbl.iter
+      (fun k v ->
+        let v = f k v in
+        if Complex.norm v > eps then Hashtbl.replace amps k v)
+      src;
+    amps
 
-(* Keep the terms whose wire [m] reads [value], scaled by 1/norm as
-   [Complex.mul] by (1/norm, 0) rounds it. *)
-let project_table t m value =
-  let src = t.cur and dst = t.spare in
-  let keys = src.keys and re = src.re and im = src.im in
-  let want = if value then m else 0 in
-  let n2 = ref 0. and kept = ref 0 in
-  for j = 0 to src.cap - 1 do
-    let k = Array.unsafe_get keys j in
-    if k >= 0 && k land m = want then begin
-      let vr = Array.unsafe_get re j and vi = Array.unsafe_get im j in
-      n2 := !n2 +. ((vr *. vr) +. (vi *. vi));
-      incr kept
-    end
-  done;
-  if sqrt !n2 < eps then invalid_arg "State.project: zero-probability outcome";
-  let inv = 1. /. sqrt !n2 in
-  clear dst ~terms:!kept;
-  for j = 0 to src.cap - 1 do
-    let k = Array.unsafe_get keys j in
-    if k >= 0 && k land m = want then begin
-      let vr = Array.unsafe_get re j and vi = Array.unsafe_get im j in
-      put dst k ((inv *. vr) -. (0. *. vi)) ((inv *. vi) +. (0. *. vr))
-    end
-  done;
-  flip t
+  (* H double-buffers: the only gate that can merge or split terms. *)
+  let h_table src q : amps =
+    let r = inv_sqrt2 in
+    let amps = Hashtbl.create (2 * Hashtbl.length src) in
+    let accum k v =
+      if Complex.norm v > eps then
+        match Hashtbl.find_opt amps k with
+        | Some prev ->
+            let sum = Complex.add prev v in
+            if Complex.norm sum > eps then Hashtbl.replace amps k sum
+            else Hashtbl.remove amps k
+        | None -> Hashtbl.replace amps k v
+    in
+    Hashtbl.iter
+      (fun k v ->
+        let scaled = Complex.mul { Complex.re = r; im = 0. } v in
+        if bit k q then begin
+          accum (k lxor (1 lsl q)) scaled;
+          accum k (Complex.neg scaled)
+        end
+        else begin
+          accum k scaled;
+          accum (k lxor (1 lsl q)) scaled
+        end)
+      src;
+    amps
 
-(* Clearing a wire is NOT a permutation: when the support holds both values
-   of the wire, indices [k] and [k lxor mask] collide on the cleared index,
-   so the colliding amplitudes must be accumulated (the map is linear, not
-   bijective). A moved term lands alone when its norm is above [eps], and
-   added to the term it collides with when their sum's is; a term that
-   stays put and meets none is kept as it is. *)
-let clear_wire t m =
-  let src = t.cur and dst = t.spare in
-  clear dst ~terms:src.live;
-  let keys = src.keys and re = src.re and im = src.im in
-  for j = 0 to src.cap - 1 do
-    let k = Array.unsafe_get keys j in
-    if k >= 0 then
-      if k land m <> 0 then begin
-        let j0 = find src (k lxor m) in
-        let vr = Array.unsafe_get re j and vi = Array.unsafe_get im j in
-        let sr = if j0 >= 0 then Array.unsafe_get re j0 +. vr else vr in
-        let si = if j0 >= 0 then Array.unsafe_get im j0 +. vi else vi in
-        if above_eps sr si then put dst (k lxor m) sr si
-      end
-      else if find src (k lor m) < 0 then
-        put dst k (Array.unsafe_get re j) (Array.unsafe_get im j)
-  done;
-  flip t
+  let gate_amps src g =
+    match g with
+    | Gate.X q -> permute src (fun k -> k lxor (1 lsl q))
+    | Gate.Cnot { control; target } ->
+        permute src (fun k -> if bit k control then k lxor (1 lsl target) else k)
+    | Gate.Toffoli { c1; c2; target } ->
+        permute src (fun k ->
+            if bit k c1 && bit k c2 then k lxor (1 lsl target) else k)
+    | Gate.Swap (a, b) ->
+        permute src (fun k ->
+            if bit k a <> bit k b then k lxor (1 lsl a) lxor (1 lsl b) else k)
+    | Gate.Z q -> map_table src (fun k v -> if bit k q then Complex.neg v else v)
+    | Gate.Cz (a, b) ->
+        map_table src (fun k v ->
+            if bit k a && bit k b then Complex.neg v else v)
+    | Gate.Phase (q, p) ->
+        let w = phase_of p in
+        map_table src (fun k v -> if bit k q then Complex.mul w v else v)
+    | Gate.Cphase { control; target; phase } ->
+        let w = phase_of phase in
+        map_table src (fun k v ->
+            if bit k control && bit k target then Complex.mul w v else v)
+    | Gate.H q -> h_table src q
 
-let table_gate t op ma mb w j =
-  match op with
-  | 0 | 4 | 6 | 7 -> permute t op ma mb
-  | 1 | 3 | 5 | 8 -> diagonal t op (ma lor mb) w j
-  | _ -> hadamard t mb
+  let project_amps src ~qubit ~value =
+    let amps = Hashtbl.create (Hashtbl.length src) in
+    Hashtbl.iter
+      (fun k v -> if bit k qubit = value then Hashtbl.replace amps k v)
+      src;
+    let n = sqrt (Hashtbl.fold (fun _ v acc -> acc +. Complex.norm2 v) amps 0.) in
+    if n < eps then invalid_arg "State.project: zero-probability outcome";
+    map_table amps (fun _ v -> Complex.div v { re = n; im = 0. })
+
+  let set_bit_zero_amps src ~qubit : amps =
+    let mask = 1 lsl qubit in
+    let amps = Hashtbl.create (Hashtbl.length src) in
+    Hashtbl.iter
+      (fun k v ->
+        let k' = k land lnot mask in
+        let sum =
+          match Hashtbl.find_opt amps k' with
+          | Some prev -> Complex.add prev v
+          | None -> v
+        in
+        if Complex.norm sum > eps then Hashtbl.replace amps k' sum
+        else Hashtbl.remove amps k')
+      src;
+    amps
+
+  let sparse_of s : amps =
+    match s.repr with
+    | Map tbl -> tbl
+    | Product _ | Cube _ ->
+        let tbl = Hashtbl.create 16 in
+        iter_amps s (fun k v -> Hashtbl.replace tbl k v);
+        tbl
+
+  let wrap s tbl = { s with repr = Map tbl }
+  let apply_gate s g = wrap s (gate_amps (sparse_of s) g)
+
+  let project s ~qubit ~value =
+    wrap s (project_amps (sparse_of s) ~qubit ~value)
+
+  let set_bit_zero s ~qubit = wrap s (set_bit_zero_amps (sparse_of s) ~qubit)
+end
 
 (* ------------------------------------------------------------------ *)
 (* Sparse-track kernel: the cube
 
-   Each operation writes what the table's writes for the same terms, an
+   Each gate writes what the oracle's writes for the same terms, an
    absent key a zero entry: the same rules for dropping a term, the same
-   rounding, and [nonzero] the table's [live]. *)
+   rounding, and [nonzero] the size of the oracle's map. *)
 
 (* Exchange the entries [i] and [i lxor flip] for every [i] whose bits
    under [fixed] are [value], in place. *)
@@ -1127,8 +948,12 @@ let cube_swap cb ma mb =
       true
   | _ -> false
 
-(* Z, Phase, CZ and Cphase: as [diagonal], on the entries whose varying
-   wires of [m] are all 1, when its constant wires all are. *)
+(* Z and CZ (ops 1 and 5) negate the entries whose varying wires of [m]
+   are all 1, when its constant wires all are. Phase and Cphase multiply
+   them by the factor [wr] + i [wi] of their turn ([cos] and [sin] of its
+   angle, which is [Complex.polar 1.0 (Phase.to_radians ph)]), as
+   [Complex.mul] rounds it, read from cells [2 slot] and [2 slot + 1] of
+   [w] (in the loop's own function, so the floats are never boxed). *)
 let cube_diagonal cb op m w slot =
   let consts = m land lnot cb.wires in
   if cb.base land consts = consts then begin
@@ -1153,9 +978,14 @@ let cube_diagonal cb op m w slot =
       done
   end
 
-(* H on the wire [m]: a butterfly over the entry pairs, by [hadamard]'s
-   rules (an absent term is a zero entry, whose scaled value is never
-   above [eps]). A constant wire first joins the cube, its other half
+(* H on the wire [m]: a butterfly over the entry pairs, each pair k0,
+   k1 = k0 lor m giving (v0 + v1)/sqrt 2 at k0 and (v0 - v1)/sqrt 2 at
+   k1. Each entry is scaled as [Complex.mul] by (1/sqrt 2, 0) rounds it,
+   a scaled entry of norm at most [eps] adds nothing (an absent term is a
+   zero entry, whose scaled value never is above it), and a sum of norm
+   at most [eps] is dropped: the rules of the oracle's [h_table], which
+   adds at most two terms per key, so the order it adds them in cannot
+   change a bit. A constant wire first joins the cube, its other half
    zero: the split, each term becoming two. A wire the butterfly leaves
    constant leaves the cube. *)
 let cube_hadamard cb m =
@@ -1219,10 +1049,12 @@ let cube_hadamard cb m =
   if !seen = 1 then compact cb ~drop:lb ~ones:0
   else if !seen = 2 then compact cb ~drop:lb ~ones:lb
 
-(* As [project_table]: the half where [m] reads [value] (all of the cube
-   when [m] is constant and holds it, none when it holds the other), its
-   norm summed and the entries scaled in place; then the cube drops [m]
-   and every other wire the kept half holds constant. *)
+(* The half where [m] reads [value] (all of the cube when [m] is
+   constant and holds it, none when it holds the other), its norm summed
+   and the entries scaled in place by 1/norm, as [Complex.mul] by
+   (1/norm, 0) rounds it (the oracle divides, so the two may differ in an
+   ulp); then the cube drops [m] and every other wire the kept half holds
+   constant. *)
 let cube_project cb m value =
   let varying = cb.wires land m <> 0 in
   let lb = if varying then local_of cb.wires m else 0 in
@@ -1256,10 +1088,13 @@ let cube_project cb m value =
   cb.nonzero <- !nonzero;
   settle cb ~lb ~at:want ~any:!any ~all:!all
 
-(* As [clear_wire]: a varying wire folds the pairs into the half where it
-   reads 0 and leaves the cube with every other wire that half holds
-   constant; a constant 1 becomes 0, dropping the terms of norm at most
-   [eps]; a constant 0 leaves every term as it is. *)
+(* Clearing a wire is not a permutation: the terms k and k lor m land on
+   one index, so their amplitudes add, and a sum of norm at most [eps] is
+   dropped, as the oracle's [set_bit_zero] does. A varying wire folds the
+   pairs into the half where it reads 0 and leaves the cube with every
+   other wire that half holds constant; a constant 1 becomes 0, dropping
+   the terms of norm at most [eps]; a constant 0 leaves every term as it
+   is. *)
 let cube_clear cb m =
   let re = cb.cre and im = cb.cim and dim = cb.dim in
   if cb.wires land m <> 0 then begin
@@ -1322,12 +1157,17 @@ let cube_gate cb op ma mb w j =
         true
       end
 
-(* The cube's terms moved to a table, counted in [tally]. *)
-let fall_back s cb tally =
-  let t = table_of_cube cb in
-  s.repr <- Table t;
+(* The cube's terms handed to a map, counted in [tally]. *)
+let hand_off s cb tally =
+  let tbl = map_of_cube cb in
+  s.repr <- Map tbl;
   tally.(tally_fallbacks) <- tally.(tally_fallbacks) + 1;
-  t
+  tbl
+
+(* The oracle's gate [g] on a map, in place of it. *)
+let map_gate s tbl g =
+  s.repr <- Map (Reference.gate_amps tbl g);
+  maybe_demote s
 
 let prob_bit_one s q =
   match s.repr with
@@ -1337,8 +1177,8 @@ let prob_bit_one s q =
   | Cube cb ->
       let all, ones = cube_norm2 cb (1 lsl q) in
       ones /. all
-  | Table t ->
-      let all, ones = table_norm2 t (1 lsl q) in
+  | Map tbl ->
+      let all, ones = map_norm2 tbl (1 lsl q) in
       ones /. all
 
 let project_inplace s ~qubit ~value =
@@ -1352,8 +1192,8 @@ let project_inplace s ~qubit ~value =
   | Cube cb ->
       cube_project cb (1 lsl qubit) value;
       maybe_demote s
-  | Table t ->
-      project_table t (1 lsl qubit) value;
+  | Map tbl ->
+      s.repr <- Map (Reference.project_amps tbl ~qubit ~value);
       maybe_demote s
 
 let set_bit_zero_inplace s ~qubit =
@@ -1365,8 +1205,8 @@ let set_bit_zero_inplace s ~qubit =
   | Cube cb ->
       cube_clear cb (1 lsl qubit);
       maybe_demote s
-  | Table t ->
-      clear_wire t (1 lsl qubit);
+  | Map tbl ->
+      s.repr <- Map (Reference.set_bit_zero_amps tbl ~qubit);
       maybe_demote s
 
 let set_bit_zero s ~qubit =
@@ -1376,9 +1216,10 @@ let set_bit_zero s ~qubit =
 
 (* The sparse track's program: as [product_slots], up to [limit] or the
    first slot after which the state has demoted. A cube that declines a
-   gate moves to the table, which then takes it. A measurement runs as
-   [Sim]'s one-slot measurement does. *)
-let sparse_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng i ~limit =
+   gate hands its terms to a map, and a map runs the oracle's gate
+   [gates.(j)]. A measurement runs as [Sim]'s one-slot measurement
+   does. *)
+let sparse_slots s ~code ~a ~b ~c ~w ~gates ~tally ~bits ~rng i ~limit =
   let k = ref i and go = ref true in
   while !go && !k < limit do
     let j = !k in
@@ -1388,10 +1229,10 @@ let sparse_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng i ~limit =
       (match s.repr with
       | Cube cb ->
           if not (cube_gate cb op ma mb w j) then
-            table_gate (fall_back s cb tally) op ma mb w j
-      | Table t -> table_gate t op ma mb w j
+            map_gate s (hand_off s cb tally) gates.(j)
+          else if op = 2 then maybe_demote s
+      | Map tbl -> map_gate s tbl gates.(j)
       | Product _ -> ());
-      if op = 2 then maybe_demote s;
       tally.(op) <- tally.(op) + 1;
       k := j + 1
     end
@@ -1414,17 +1255,17 @@ let sparse_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng i ~limit =
       end
       else k := c.(j)
     end;
-    match s.repr with Cube _ | Table _ -> () | Product _ -> go := false
+    match s.repr with Cube _ | Map _ -> () | Product _ -> go := false
   done;
   !k
 
 let on_product_track s =
-  match s.repr with Product _ -> true | Cube _ | Table _ -> false
+  match s.repr with Product _ -> true | Cube _ | Map _ -> false
 
 (* Passes on whichever track the state is on. A product pass that stops
    short stops at a gate it needs the sparse track for: promote, and the
    cube takes it. A sparse pass that stops short has demoted. *)
-let run_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng i ~stop =
+let run_slots s ~code ~a ~b ~c ~w ~gates ~tally ~bits ~rng i ~stop =
   if i < 0 || Array.length tally < tally_size then
     invalid_arg "State.run_slots";
   (* Clamped to the arrays, so the passes read them unchecked. *)
@@ -1440,8 +1281,8 @@ let run_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng i ~stop =
           ignore (promote s p);
           tally.(tally_promotions) <- tally.(tally_promotions) + 1
         end
-    | Cube _ | Table _ ->
-        k := sparse_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng !k ~limit
+    | Cube _ | Map _ ->
+        k := sparse_slots s ~code ~a ~b ~c ~w ~gates ~tally ~bits ~rng !k ~limit
   done;
   !k
 
@@ -1457,10 +1298,7 @@ let amp_at s k =
         let i = local_of cb.wires k in
         let re = cb.cre.(i) and im = cb.cim.(i) in
         if is_zero re im then None else Some { Complex.re; im }
-  | Table t ->
-      let b = t.cur in
-      let j = find b k in
-      if j < 0 then None else Some { Complex.re = b.re.(j); im = b.im.(j) }
+  | Map tbl -> Hashtbl.find_opt tbl k
 
 let fidelity a b =
   if a.num_qubits <> b.num_qubits then invalid_arg "State.fidelity";
@@ -1476,7 +1314,7 @@ let classical_value s =
   match s.repr with
   | Product { idx; xmask = 0; amp; _ } ->
       if Complex.norm amp > eps then Some idx else None
-  | Product _ | Cube _ | Table _ ->
+  | Product _ | Cube _ | Map _ ->
       let terms = ref 0 and last = ref 0 in
       iter_terms s (fun k ->
           incr terms;
@@ -1487,127 +1325,11 @@ let bit_value s q =
   match s.repr with
   | Product { idx; xmask = 0; amp; _ } ->
       if Complex.norm amp > eps then Some (bit idx q) else None
-  | Product _ | Cube _ | Table _ -> (
+  | Product _ | Cube _ | Map _ -> (
       (* Bit 0 of [seen]: a term reads 0; bit 1: a term reads 1. *)
       let seen = ref 0 in
       iter_terms s (fun k -> seen := !seen lor if bit k q then 2 else 1);
       match !seen with 1 -> Some false | 2 -> Some true | _ -> None)
-
-(* ------------------------------------------------------------------ *)
-(* Reference engine: the seed's pure rebuild-per-gate algorithms over a
-   hash table, kept as the oracle for the property tests comparing
-   backends, and as the "before" baseline in the simulator benchmark. Each
-   operation reads the state through [iter_amps] and writes its result
-   back as a sparse state, one conversion per call; [pinned] is inherited
-   so it never demotes mid-circuit. *)
-
-module Reference = struct
-  let phase_of p = Complex.polar 1.0 (Phase.to_radians p)
-
-  let sparse_of s =
-    let tbl = Hashtbl.create 16 in
-    iter_amps s (fun k v -> Hashtbl.replace tbl k v);
-    tbl
-
-  let wrap s tbl =
-    let t = new_table ~terms:(Hashtbl.length tbl) in
-    Hashtbl.iter (insert t.cur) tbl;
-    { num_qubits = s.num_qubits; repr = Table t; pinned = s.pinned }
-
-  let permute s f =
-    let src = sparse_of s in
-    let amps = Hashtbl.create (Hashtbl.length src) in
-    Hashtbl.iter (fun k v -> Hashtbl.replace amps (f k) v) src;
-    wrap s amps
-
-  let map_table src f =
-    let amps = Hashtbl.create (Hashtbl.length src) in
-    Hashtbl.iter
-      (fun k v ->
-        let v = f k v in
-        if Complex.norm v > eps then Hashtbl.replace amps k v)
-      src;
-    amps
-
-  let map_amps s f = wrap s (map_table (sparse_of s) f)
-
-  (* H double-buffers: the only gate that can merge or split terms. *)
-  let h_table src q =
-    let r = inv_sqrt2 in
-    let amps = Hashtbl.create (2 * Hashtbl.length src) in
-    let accum k v =
-      if Complex.norm v > eps then
-        match Hashtbl.find_opt amps k with
-        | Some prev ->
-            let sum = Complex.add prev v in
-            if Complex.norm sum > eps then Hashtbl.replace amps k sum
-            else Hashtbl.remove amps k
-        | None -> Hashtbl.replace amps k v
-    in
-    Hashtbl.iter
-      (fun k v ->
-        let scaled = Complex.mul { Complex.re = r; im = 0. } v in
-        if bit k q then begin
-          accum (k lxor (1 lsl q)) scaled;
-          accum k (Complex.neg scaled)
-        end
-        else begin
-          accum k scaled;
-          accum (k lxor (1 lsl q)) scaled
-        end)
-      src;
-    amps
-
-  let apply_gate s g =
-    match g with
-    | Gate.X q -> permute s (fun k -> k lxor (1 lsl q))
-    | Gate.Cnot { control; target } ->
-        permute s (fun k -> if bit k control then k lxor (1 lsl target) else k)
-    | Gate.Toffoli { c1; c2; target } ->
-        permute s (fun k ->
-            if bit k c1 && bit k c2 then k lxor (1 lsl target) else k)
-    | Gate.Swap (a, b) ->
-        permute s (fun k ->
-            if bit k a <> bit k b then k lxor (1 lsl a) lxor (1 lsl b) else k)
-    | Gate.Z q -> map_amps s (fun k v -> if bit k q then Complex.neg v else v)
-    | Gate.Cz (a, b) ->
-        map_amps s (fun k v -> if bit k a && bit k b then Complex.neg v else v)
-    | Gate.Phase (q, p) ->
-        let w = phase_of p in
-        map_amps s (fun k v -> if bit k q then Complex.mul w v else v)
-    | Gate.Cphase { control; target; phase } ->
-        let w = phase_of phase in
-        map_amps s (fun k v ->
-            if bit k control && bit k target then Complex.mul w v else v)
-    | Gate.H q -> wrap s (h_table (sparse_of s) q)
-
-  let project s ~qubit ~value =
-    let src = sparse_of s in
-    let amps = Hashtbl.create (Hashtbl.length src) in
-    Hashtbl.iter
-      (fun k v -> if bit k qubit = value then Hashtbl.replace amps k v)
-      src;
-    let n = sqrt (Hashtbl.fold (fun _ v acc -> acc +. Complex.norm2 v) amps 0.) in
-    if n < eps then invalid_arg "State.project: zero-probability outcome";
-    wrap s (map_table amps (fun _ v -> Complex.div v { re = n; im = 0. }))
-
-  let set_bit_zero s ~qubit =
-    let mask = 1 lsl qubit in
-    let src = sparse_of s in
-    let amps = Hashtbl.create (Hashtbl.length src) in
-    Hashtbl.iter
-      (fun k v ->
-        let k' = k land lnot mask in
-        let sum =
-          match Hashtbl.find_opt amps k' with
-          | Some prev -> Complex.add prev v
-          | None -> v
-        in
-        if Complex.norm sum > eps then Hashtbl.replace amps k' sum
-        else Hashtbl.remove amps k')
-      src;
-    wrap s amps
-end
 
 let pp fmt s =
   let entries = to_alist s in

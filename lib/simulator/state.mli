@@ -25,35 +25,37 @@
     them, H at any other phase, clearing it — promotes the state to the
     {e sparse} track holding the 2{^k} terms it denotes.
 
-    The sparse track has two layouts, each holding amplitudes unboxed in
-    two [float array]s:
+    The sparse track has two layouts:
     - the {e cube}, for supports that fill most of the cube over their
       active wires (the wires whose value varies across the terms): one
-      entry per subset of the active wires, the other wires' values held
-      once. A promotion builds it. Every gate runs in place: X, CNOT and
-      Toffoli exchange entry pairs, Z, Phase, CZ and Cphase scale
-      entries, H is a butterfly, and a projection or a cleared wire
-      folds the cube in half and drops the wire. A gate on constant
-      wires only updates their values, or leaves the state alone;
-    - the {e table}, for thin supports: open addressing over an [int
-      array] of basis indices. Z, Phase, CZ and Cphase scale it in
-      place; X, CNOT, Toffoli, Swap, H, projection and clearing a wire
-      rebuild it into a second buffer the state keeps, and the two swap.
+      entry per subset of the active wires, unboxed in two [float
+      array]s, the other wires' values held once. A promotion builds it.
+      Every gate runs in place: X, CNOT and Toffoli exchange entry
+      pairs, Z, Phase, CZ and Cphase scale entries, H is a butterfly,
+      and a projection or a cleared wire folds the cube in half and
+      drops the wire. A gate on constant wires only updates their
+      values, or leaves the state alone. It allocates only to grow its
+      arrays;
+    - the {e map}, for thin supports: the {!Reference} oracle's own hash
+      table from basis index to amplitude, run by the oracle's
+      rebuild-per-gate algorithms (each gate, projection and reset builds
+      a new table), bit for bit.
     A cube grows (an H on a constant wire, or a CNOT or Toffoli fanning
     an active control out onto one) freely within the arrays it holds,
     and grows them only while its 2{^k} cells, k its active wires, stay
     at most 4 times its terms: they never hold more than 4 times the
     terms it had when they last grew. A gate that would break that rule,
-    or a Swap of an active wire with a constant one, moves the state to
-    the table, which then runs it. A table never turns
-    back into a cube. {!of_alist} builds a cube when its keys fill one
-    by the same rule and no amplitude is zero.
+    or a Swap of an active wire with a constant one, hands the cube's
+    terms to a map, which then runs it. A map never turns back into a
+    cube. {!of_alist} builds a cube when its keys fill one by the same
+    rule and no amplitude is zero, and a map otherwise.
 
-    Either layout allocates only to grow its buffers. A gate writes the
-    amplitudes the {!Reference} oracle computes, bit for bit, and H drops
-    the negligible terms (norm at most 1e-12) the oracle's H drops; a
-    zero cube entry is an absent term. A sparse state demotes back to the
-    product track as soon as its support collapses to one term.
+    A cube's gate writes the amplitudes the oracle computes, bit for bit,
+    and H drops the negligible terms (norm at most 1e-12) the oracle's H
+    drops; a zero cube entry is an absent term. A cube's projection
+    scales by the inverse norm where the oracle divides by it, so the two
+    may differ in an ulp. A sparse state demotes back to the product
+    track as soon as its support collapses to one term.
 
     The [*_inplace] operations mutate the state; the same-named pure
     functions copy first and are safe to use on shared states. *)
@@ -71,8 +73,10 @@ val basis : num_qubits:int -> int -> t
     an index out of range raises it with [Invalid]. *)
 
 val of_alist : num_qubits:int -> (int * Complex.t) list -> t
-(** Not normalized automatically. Raises like {!basis} on the width and on
-    each index, and with [Invalid] on a repeated index. *)
+(** Not normalized automatically. A cube when the keys fill one (see
+    above) and no amplitude is zero, else a map; one term demotes to the
+    product track. Raises like {!basis} on the width and on each index,
+    and with [Invalid] on a repeated index. *)
 
 val to_alist : t -> (int * Complex.t) list
 (** Entries with non-negligible amplitude, sorted by basis index. *)
@@ -83,9 +87,9 @@ val num_terms : t -> int
 val support_size : t -> int
 (** Number of basis terms the state holds: 2{^k} on the product track with
     k equatorial wires, the stored terms on the sparse track (the nonzero
-    entries of a cube, the keys of a table: negligible amplitudes
-    included, unlike {!num_terms}). O(1); the same number the sparse
-    table would hold for that state. *)
+    entries of a cube, the keys of a map: negligible amplitudes
+    included, unlike {!num_terms}). O(1); the same number the oracle's
+    map would hold for that state. *)
 
 val norm : t -> float
 
@@ -143,8 +147,8 @@ val tally_promotions : int
     sparse track. *)
 
 val tally_fallbacks : int
-(** The tally cell counting moves of a state from the cube to the
-    table. *)
+(** The tally cell counting hand-offs of a state from the cube to a
+    map. *)
 
 val tally_size : int
 
@@ -160,12 +164,15 @@ val on_product_track : t -> bool
 
 val run_slots :
   t -> code:int array -> a:int array -> b:int array -> c:int array ->
-  w:float array -> tally:int array -> bits:bool array ->
-  rng:Random.State.t -> int -> stop:int -> int
-(** [run_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng i ~stop] runs every
-    slot from [i] to the stop, [min stop n] for arrays of [n] slots, in
-    passes on whichever track the state is on, and returns the stop: or
-    the target of a conditional that jumped past it, or [i] if past it.
+  w:float array -> gates:Gate.t array -> tally:int array ->
+  bits:bool array -> rng:Random.State.t -> int -> stop:int -> int
+(** [run_slots s ~code ~a ~b ~c ~w ~gates ~tally ~bits ~rng i ~stop]
+    runs every slot from [i] to the stop, [min stop n] for arrays of [n]
+    slots, in passes on whichever track the state is on, and returns the
+    stop: or the target of a conditional that jumped past it, or [i] if
+    past it. [gates.(i)] is gate slot [i] as a {!Gate.t}, the program's
+    own ([Sim.program] holds it): a map runs it by the oracle's
+    {!Reference.apply_gate}.
 
     A product pass holds the state's masks in locals. A gate it cannot
     take there — a CNOT or Toffoli with a control on an equatorial wire, a
@@ -175,11 +182,12 @@ val run_slots :
     slot after which the state has demoted, and a product pass runs on
     from there. So every slot runs, on one track or the other.
 
-    Neither pass allocates per gate. The product track allocates once per
-    state: the cells for phases below a half turn, made when the first
-    such phase lands on an equatorial wire. The sparse track allocates
-    when it promotes, when its buffers grow and when a cube moves to the
-    table.
+    Neither the product pass nor a cube allocates per gate. The product
+    track allocates once per state: the cells for phases below a half
+    turn, made when the first such phase lands on an equatorial wire. A
+    cube allocates when it promotes and when its arrays grow. A map
+    builds a new hash table for every gate, projection and reset, as the
+    oracle does.
 
     A measurement draws by {!draw_outcome}: on the product track with
     [p1 = 1/2] for an equatorial wire (nothing for a Z-basis one), on the
@@ -190,13 +198,14 @@ val run_slots :
 
     Each slot run adds 1 to [tally.(opcode)]; a conditional taken adds 1 to
     [tally.(tally_taken)], a measurement raises [tally.(tally_peak)] to
-    the support it saw, and a promotion and a move from the cube to the
-    table add 1 to [tally.(tally_promotions)] and
-    [tally.(tally_fallbacks)]. On return the state holds every slot run, and
-    nothing else. Raises [Invalid_argument] when [i] is negative or
+    the support it saw, and a promotion and a hand-off from the cube to a
+    map add 1 to [tally.(tally_promotions)] and
+    [tally.(tally_fallbacks)]. On return the state holds every slot run,
+    and nothing else. Raises [Invalid_argument] when [i] is negative or
     [tally] has fewer than [tally_size] cells, when a Phase or Cphase
-    slot reaches the sparse track without its cells in [w], and as
-    {!project_inplace} when a measurement's projection does. *)
+    slot reaches a cube without its cells in [w] or a gate slot reaches a
+    map without its gate in [gates], and as {!project_inplace} when a
+    measurement's projection does. *)
 
 val prob_bit_one : t -> int -> float
 (** Probability that measuring the given wire yields 1. *)
@@ -237,9 +246,10 @@ val bit_value : t -> int -> bool option
 (** The seed simulator's pure rebuild-per-gate algorithms over a hash
     table, kept verbatim (modulo the [set_bit_zero] collision fix) as the
     oracle for the backend-equivalence property tests and the "before"
-    baseline of the simulator benchmark. Each call reads the state through
-    its terms and writes the result back once, always on the sparse
-    track. *)
+    baseline of the simulator benchmark, and the sparse track's kernel
+    for a map. Each call reads the state's terms into a hash table (a
+    map's own table, which it never writes) and returns its result as a
+    new map, on the sparse track even when one term is left. *)
 module Reference : sig
   val apply_gate : t -> Gate.t -> t
   val project : t -> qubit:int -> value:bool -> t

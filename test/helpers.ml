@@ -416,8 +416,8 @@ let run_kernel s gates ~stop =
   List.iteri (fun i g -> State.encode_gate g ~code ~a ~b ~c ~w i) gates;
   let tally = Array.make State.tally_size 0 in
   let j =
-    State.run_slots s ~code ~a ~b ~c ~w ~tally ~bits:[||]
-      ~rng:(Random.State.make [| 0 |]) 0 ~stop
+    State.run_slots s ~code ~a ~b ~c ~w ~gates:(Array.of_list gates) ~tally
+      ~bits:[||] ~rng:(Random.State.make [| 0 |]) 0 ~stop
   in
   (j, tally, code)
 

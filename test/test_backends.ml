@@ -329,7 +329,7 @@ let test_fold_gc_words () =
    6 wires: gates, measurements (with and without reset) and conditionals
    on earlier outcomes, from basis inputs. Besides single gates the
    generator emits motifs that put a wire in |+>/|-> and then use it as a
-   control or under a phase (promoting to the sparse table) before undoing
+   control or under a phase (promoting to the sparse track) before undoing
    both (demoting back), so runs cross between the tracks; that turn an
    equatorial wire by 1/2 to 1/64 of a turn and leave it there; and a
    3-wire QFT, a turn, and the inverse QFT, as in Draper's adders. *)
@@ -490,10 +490,12 @@ let slots_of (circ : Circuit.t) =
   let n = Instr.count_instrs circ.Circuit.instrs in
   let code = Array.make n 0 and a = Array.make n 0 and b = Array.make n 0 in
   let c = Array.make n 0 and w = Array.make (2 * n) 0. in
+  let gates = Array.make n (Gate.X 0) in
   let rec emit pc = function
     | [] -> pc
     | Instr.Gate g :: rest ->
         State.encode_gate g ~code ~a ~b ~c ~w pc;
+        gates.(pc) <- g;
         emit (pc + 1) rest
     | Instr.Measure { qubit; bit; reset } :: rest ->
         code.(pc) <- State.op_measure;
@@ -511,7 +513,7 @@ let slots_of (circ : Circuit.t) =
     | (Instr.Span _ | Instr.Call _) :: _ -> invalid_arg "slots_of: not flat"
   in
   ignore (emit 0 circ.Circuit.instrs);
-  (code, a, b, c, w)
+  (code, a, b, c, w, gates)
 
 (* [State.run_slots] runs every slot up to the bound it is given, even
    from a scaled product input, whose amplitude a product-track
@@ -524,7 +526,7 @@ let prop_run_slots_to_stop =
     (QCheck.pair arb_adaptive QCheck.small_nat)
     (fun ((raws, idx, seed), pick) ->
       let circ = program_of_raw raws in
-      let code, a, b, c, w = slots_of circ in
+      let code, a, b, c, w, gates = slots_of circ in
       let n = Array.length code in
       let stop = pick mod (n + 2) in
       let bound = min stop n in
@@ -532,13 +534,15 @@ let prop_run_slots_to_stop =
       let tally = Array.make State.tally_size 0 in
       let bits = Array.make circ.Circuit.num_bits false in
       let rng = Random.State.make [| seed; 0xe9 |] in
-      let j = State.run_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng 0 ~stop in
+      let j = State.run_slots s ~code ~a ~b ~c ~w ~gates ~tally ~bits ~rng 0 ~stop in
       let jumped =
         List.exists
           (fun k -> code.(k) = State.op_if && c.(k) = j)
           (List.init bound Fun.id)
       in
-      let last = State.run_slots s ~code ~a ~b ~c ~w ~tally ~bits ~rng j ~stop:n in
+      let last =
+        State.run_slots s ~code ~a ~b ~c ~w ~gates ~tally ~bits ~rng j ~stop:n
+      in
       let r =
         Sim.run ~rng:(Random.State.make [| seed; 0xe9 |]) ~engine:Sim.Reference
           circ ~init:(scaled_basis idx)
@@ -680,8 +684,7 @@ let test_draper_faults_fast_eq_sparse () =
     (draper_specs rng)
 
 (* Every gate site of the catalogue Draper adder at n = 4 under X, Y and
-   Z: the faults that leave the product track run on the cube (and
-   sometimes the table) on Fast, and must classify and end as the
+   Z: the faults that leave the product track run on the cube on Fast, and must classify and end as the
    oracle's rebuild-per-gate runs do. *)
 let test_draper_faults_fast_eq_reference () =
   let spec = (Option.get (Catalogue.find "draper")).Catalogue.make ~n:4 ~p:11 in
@@ -744,7 +747,7 @@ let prop_faults_fast_eq_sparse =
    global phase included, staying on the product track exactly for the
    slots it can take there (no control on an equatorial wire, not CZ or
    Cphase on two, no H at a phase other than 0 or 1/2) and promoting the
-   state to the sparse table for the others. *)
+   state to the sparse track for the others. *)
 
 let product_input wires kinds =
   let s = State.basis ~num_qubits:wires 0 in
@@ -784,7 +787,7 @@ let kernel_takes kinds g =
 
 (* The tally of a gate-only run: [slots] slots and [promotions]
    promotions, and no other cell written (no conditional taken, no peak,
-   no move to the table). *)
+   no hand-off to a map). *)
 let check_gate_tally name tally ~slots ~promotions =
   Alcotest.(check int) (name ^ ": promotions") promotions
     tally.(State.tally_promotions);
@@ -819,7 +822,7 @@ let test_kernel_each_opcode () =
     all_kinds
 
 (* Several slots in one call: it ends at [stop], holding every slot
-   before and nothing after, across a promotion to the table and a
+   before and nothing after, across a promotion to the cube and a
    demotion back; signs fold in once per odd count (X on |-> three times
    is -|->). *)
 let test_kernel_passes () =
@@ -862,7 +865,7 @@ let test_kernel_passes () =
   Alcotest.(check int) "sparse track: every slot" 5 j;
   check_gate_tally "sparse track: tally" tally ~slots:5 ~promotions:0;
   Alcotest.(check bool) "sparse track: state" true (amps_equal sparse (prefix 5));
-  (* H recombines the Bell pair: the table demotes, and the product track
+  (* H recombines the Bell pair: the cube demotes, and the product track
      takes the last X. *)
   let round_trip =
     [ Gate.H 1; Gate.Cnot { control = 1; target = 2 };
@@ -886,7 +889,7 @@ let test_motifs_promote_and_demote () =
   Alcotest.(check (pair bool int)) "H: equatorial wire" (false, 2)
     (step (Gate.H 0));
   Alcotest.(check (pair bool int))
-    "control on it: Bell pair on the sparse table" (false, 2)
+    "control on it: Bell pair on the sparse track" (false, 2)
     (step (Gate.Cnot { control = 0; target = 1 }));
   ignore (step (Gate.Cnot { control = 0; target = 1 }));
   Alcotest.(check (pair bool int)) "H again: one basis vector" (true, 1)
@@ -931,12 +934,14 @@ let test_montecarlo_rows_fast_eq_sparse () =
            fast))
     [ ("vbe5", 15); ("vbe4", 15); ("cdkpm", 16); ("mixed", 16); ("gidney", 14) ]
 
-(* {2 The flat sparse table}
+(* {2 The sparse track against the oracle}
 
-   The table against the oracle where its own mechanics show: growth past
-   its first buffers, keys that H cancels until the state demotes,
-   clearing a wire whose two values collide, and projections that drop
-   half the keys before more gates run. *)
+   Where its mechanics show: a cube grown past 2^11 terms, keys that H
+   cancels until the state demotes, clearing a wire whose two values
+   collide, and projections that drop half the keys before more gates
+   run. A promotion and [force_sparse] reach the cube, so these run there
+   (the "flat table:" names are from before the cube, when they ran on
+   an open-addressed table). *)
 
 (* A gate on [nq] wires: one of each kind, three distinct wires, phases
    from a half to a 64th of a turn. *)
@@ -983,8 +988,8 @@ let engines_agree c ~init ~seed =
   in
   agree rs rr && agree rf rr
 
-(* Gate by gate on a pinned sparse state (a cube, moving to the table
-   when it grows too empty), the amplitudes are the oracle's bit for bit
+(* Gate by gate on a pinned sparse state (a cube, handing its terms to a
+   map when it grows too empty), the amplitudes are the oracle's bit for bit
    (every term above 1e-12 compared with [=]), from each step's same
    input. *)
 let prop_table_gates_exact =
@@ -1005,8 +1010,7 @@ let prop_table_gates_exact =
 
 (* 2^11 terms and more: H on eleven of twelve wires, a Cphase chain so
    that the Fast engine promotes too, then random gates and two
-   measurements. The table starts at 8 slots and doubles its buffers
-   up to 8 192. *)
+   measurements. *)
 let prop_table_growth =
   QCheck.Test.make ~name:"flat table: growth past 2^11 terms = oracle"
     ~count:12
@@ -1044,7 +1048,7 @@ let inverse_gates gs =
 
 (* H on some wires, random gates, their inverse and the H again: the
    last Hs cancel every key but one, and the state demotes to the product
-   track on Fast (a pinned table keeps its one term). Random gates in the
+   track on Fast (a pinned cube keeps its one term). Random gates in the
    middle that contain H Z H and the like cancel keys on the way. *)
 let prop_table_cancels_and_demotes =
   QCheck.Test.make ~name:"flat table: H cancels keys and demotes = oracle"
@@ -1075,7 +1079,7 @@ let prop_table_cancels_and_demotes =
       && engines_agree c ~init ~seed:0)
 
 (* Clearing a wire whose two values both occur: the colliding terms add,
-   on a pinned table and from the product track (which promotes), term
+   on a pinned cube and from the product track (which promotes), term
    for term as the oracle. *)
 let prop_table_clear_collisions =
   QCheck.Test.make ~name:"flat table: set_bit_zero collisions = oracle"
@@ -1102,7 +1106,7 @@ let prop_table_clear_collisions =
 
 (* A wide superposition measured twice with gates in between: each
    projection drops about half the keys, and the gates after it run on
-   the smaller table. *)
+   the smaller cube. *)
 let prop_table_projections =
   QCheck.Test.make ~name:"flat table: projections then gates = oracle"
     ~count:100
@@ -1135,35 +1139,44 @@ let prop_table_projections =
 
 (* {2 The two layouts of the sparse track}
 
-   A promotion and [force_sparse] reach the cube, so the properties above
-   run there; these reach the table. *)
+   The properties above run on the cube; these reach the map, the
+   oracle's own hash table, which then runs every gate, projection and
+   reset by the oracle's algorithms. *)
 
-(* Up to eight keys scattered over 14 wires, two of them differing in
-   twelve: a cube over their varying wires would have 2^12 cells or more,
-   so [of_alist] builds a table, and a table never turns back into a
-   cube. Each gate's amplitudes are the oracle's bit for bit. *)
-let prop_thin_table_gates_exact =
-  let nq = 14 in
-  QCheck.Test.make ~name:"thin table: each gate = oracle, bit for bit"
+(* Up to eight keys scattered over [nq] = 14 wires, two of them differing
+   in twelve: a cube over their varying wires would have 2^12 cells or
+   more, so [of_alist] builds a map, and a map never turns back into a
+   cube. *)
+let thin_nq = 14
+
+let gen_thin_terms =
+  QCheck.Gen.(
+    pair (int_bound ((1 lsl thin_nq) - 1))
+      (list_size (int_range 0 6)
+         (triple (int_bound ((1 lsl thin_nq) - 1)) (float_range (-1.) 1.)
+            (float_range (-1.) 1.))))
+
+let thin_state (k0, terms) =
+  let amp re im = { Complex.re; im } in
+  let terms =
+    (k0, amp 0.5 0.25) :: (k0 lxor 0xfff, amp (-0.25) 0.5)
+    :: List.map (fun (k, re, im) -> (k, amp re im)) terms
+    |> List.sort_uniq (fun (a, _) (b, _) -> compare a b)
+  in
+  State.of_alist ~num_qubits:thin_nq terms
+
+(* Each gate's amplitudes on a thin state are the oracle's bit for
+   bit. *)
+let prop_thin_map_gates_exact =
+  QCheck.Test.make ~name:"thin map: each gate = oracle"
     ~count:200
     (QCheck.make
-       QCheck.Gen.(
-         triple (int_bound ((1 lsl nq) - 1))
-           (list_size (int_range 0 6)
-              (triple (int_bound ((1 lsl nq) - 1)) (float_range (-1.) 1.)
-                 (float_range (-1.) 1.)))
-           (list_size (int_range 1 20) (gen_gate nq)))
-       ~print:(fun (k0, terms, gs) ->
+       QCheck.Gen.(pair gen_thin_terms (list_size (int_range 1 20) (gen_gate thin_nq)))
+       ~print:(fun ((k0, terms), gs) ->
          Printf.sprintf "key %d, %d more terms: %s" k0 (List.length terms)
            (print_gates gs)))
-    (fun (k0, terms, gates) ->
-      let amp re im = { Complex.re; im } in
-      let terms =
-        (k0, amp 0.5 0.25) :: (k0 lxor 0xfff, amp (-0.25) 0.5)
-        :: List.map (fun (k, re, im) -> (k, amp re im)) terms
-        |> List.sort_uniq (fun (a, _) (b, _) -> compare a b)
-      in
-      let s = State.of_alist ~num_qubits:nq terms in
+    (fun (thin, gates) ->
+      let s = thin_state thin in
       List.for_all
         (fun g ->
           let expect = State.Reference.apply_gate s g in
@@ -1171,30 +1184,34 @@ let prop_thin_table_gates_exact =
           State.to_alist s = State.to_alist expect)
         gates)
 
-(* H on three wires, then CNOTs fanning them out onto six fresh wires:
-   the cube doubles twice, then declines the third fan-out (64 cells for
-   8 terms) and the state moves to the table, once. Gate by gate, before
-   and after the switch and through random gates on, the amplitudes are
-   the oracle's bit for bit. *)
-let prop_cube_to_table =
-  let nq = 9 in
-  QCheck.Test.make ~name:"cube -> table fallback = oracle" ~count:200
+(* H on three wires, then CNOTs fanning them out onto six fresh wires
+   from the [controls] (each in 0..2): on a 9-wire basis state the cube
+   doubles twice, then declines the third fan-out (64 cells for 8 terms)
+   and hands its terms to a map, once. *)
+let fan_out_nq = 9
+
+let fan_out controls =
+  List.init 3 (fun q -> Gate.H q)
+  @ List.mapi (fun i control -> Gate.Cnot { control; target = 3 + i }) controls
+
+let gen_fan_out =
+  QCheck.Gen.(pair (int_bound ((1 lsl fan_out_nq) - 1)) (list_repeat 6 (int_bound 2)))
+
+let print_fan_out (idx, controls) =
+  Printf.sprintf "idx %d, controls [%s]" idx
+    (String.concat ";" (List.map string_of_int controls))
+
+(* Gate by gate, before and after the hand-off and through random gates
+   on, the amplitudes are the oracle's bit for bit. *)
+let prop_cube_to_map =
+  let nq = fan_out_nq in
+  QCheck.Test.make ~name:"cube -> map hand-off = oracle" ~count:200
     (QCheck.make
-       QCheck.Gen.(
-         triple (int_bound ((1 lsl nq) - 1))
-           (list_repeat 6 (int_bound 2))
-           (list_size (int_range 1 20) (gen_gate nq)))
-       ~print:(fun (idx, controls, gs) ->
-         Printf.sprintf "idx %d, controls [%s]: %s" idx
-           (String.concat ";" (List.map string_of_int controls))
-           (print_gates gs)))
-    (fun (idx, controls, gates) ->
-      let fan_out =
-        List.init 3 (fun q -> Gate.H q)
-        @ List.mapi
-            (fun i control -> Gate.Cnot { control; target = 3 + i })
-            controls
-      in
+       QCheck.Gen.(pair gen_fan_out (list_size (int_range 1 20) (gen_gate nq)))
+       ~print:(fun (start, gs) ->
+         Printf.sprintf "%s: %s" (print_fan_out start) (print_gates gs)))
+    (fun ((idx, controls), gates) ->
+      let fan_out = fan_out controls in
       let s = State.basis ~num_qubits:nq idx in
       let _, tally, _ = Helpers.run_kernel (State.copy s) fan_out ~stop:9 in
       tally.(State.tally_promotions) = 1
@@ -1210,8 +1227,8 @@ let prop_cube_to_table =
    state: cancellation leaves two terms in the 32-cell cube, which stays
    a cube (no gate grows it). An H on a sixth wire would split it into
    64 cells for 4 terms, past its 32-cell arrays and past the rule, so
-   the state moves to the table, once, and the table runs the H. Step by
-   step the amplitudes are the oracle's bit for bit. *)
+   the cube hands its terms to a map, once, and the map runs the H. Step
+   by step the amplitudes are the oracle's bit for bit. *)
 let test_thin_cube_split () =
   let leaves = [ 1; 2; 3; 4 ] in
   let ghz =
@@ -1230,11 +1247,11 @@ let test_thin_cube_split () =
   Alcotest.(check bool) "GHZ: state" true
     (State.to_alist s = State.to_alist (oracle ghz));
   let _, tally, _ = Helpers.run_kernel s [ Gate.H 5 ] ~stop:1 in
-  Alcotest.(check int) "split: to the table" 1 tally.(State.tally_fallbacks);
+  Alcotest.(check int) "split: to the map" 1 tally.(State.tally_fallbacks);
   Alcotest.(check bool) "split: state" true
     (State.to_alist s = State.to_alist (oracle (ghz @ [ Gate.H 5 ])))
 
-(* A term of norm at most 1e-12 goes where the table's rules send it: a
+(* A term of norm at most 1e-12 goes where the oracle's rules send it: a
    cleared wire drops it, H drops its halves. [support_size] counts the
    stored terms, so it shows one kept that should have gone. *)
 let test_cube_negligible_terms () =
@@ -1254,6 +1271,84 @@ let test_cube_negligible_terms () =
         State.Reference.apply_gate s (Gate.H 0) );
       ( "H on a constant wire", Helpers.kernel_gate s (Gate.H 1),
         State.Reference.apply_gate s (Gate.H 1) ) ]
+
+(* One step on a thin state: a gate, a projection of a wire onto the
+   value drawn (the other one when it has probability zero; none once
+   resets have cancelled the norm below 1e-3, where neither value need
+   have a norm above 1e-12), or a reset. *)
+type step = Gate_step of Gate.t | Project of int * bool | Reset of int
+
+let gen_step nq =
+  QCheck.Gen.(
+    frequency
+      [ (4, map (fun g -> Gate_step g) (gen_gate nq));
+        (1, map2 (fun q v -> Project (q, v)) (int_bound (nq - 1)) bool);
+        (1, map (fun q -> Reset q) (int_bound (nq - 1))) ])
+
+let print_steps steps =
+  String.concat "; "
+    (List.map
+       (function
+         | Gate_step g -> Format.asprintf "%a" Gate.pp g
+         | Project (q, v) -> Printf.sprintf "project %d onto %b" q v
+         | Reset q -> Printf.sprintf "reset %d" q)
+       steps)
+
+(* The step on [s] in place (a gate through [State.run_slots]); returns
+   the oracle's result on the same input. *)
+let step_with_oracle s = function
+  | Gate_step g ->
+      let expect = State.Reference.apply_gate s g in
+      Helpers.kernel_gate_inplace s g;
+      expect
+  | Project _ when State.norm s < 1e-3 -> State.copy s
+  | Project (qubit, v) ->
+      let value =
+        if State.zero_probability (State.prob_bit_one s qubit) v then not v
+        else v
+      in
+      let expect = State.Reference.project s ~qubit ~value in
+      State.project_inplace s ~qubit ~value;
+      expect
+  | Reset qubit ->
+      let expect = State.Reference.set_bit_zero s ~qubit in
+      State.set_bit_zero_inplace s ~qubit;
+      expect
+
+(* Every step while the state is on the sparse track (it demotes at one
+   term) leaves the oracle's terms, compared with [=], and its support. *)
+let rec steps_match_oracle s = function
+  | [] -> true
+  | step :: rest ->
+      State.on_product_track s
+      ||
+      let expect = step_with_oracle s step in
+      State.to_alist s = State.to_alist expect
+      && State.support_size s = State.support_size expect
+      && steps_match_oracle s rest
+
+(* A map runs the oracle's algorithms, so each gate, projection and reset
+   on it is the oracle's, bit for bit: from a thin [of_alist] state, a
+   map from the start, and from the state a fan-out hands from the cube
+   to a map. *)
+let prop_thin_states_exact =
+  QCheck.Test.make
+    ~name:"thin states: each gate, projection and reset = oracle, bit for bit"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         quad gen_thin_terms (list_size (int_range 1 20) (gen_step thin_nq))
+           gen_fan_out (list_size (int_range 1 20) (gen_step fan_out_nq)))
+       ~print:(fun ((k0, terms), steps, start, steps') ->
+         Printf.sprintf "thin: key %d, %d more terms: %s\nfan-out %s: %s" k0
+           (List.length terms) (print_steps steps) (print_fan_out start)
+           (print_steps steps')))
+    (fun (thin, steps, (idx, controls), steps') ->
+      let handed = State.basis ~num_qubits:fan_out_nq idx in
+      let _, tally, _ = Helpers.run_kernel handed (fan_out controls) ~stop:9 in
+      steps_match_oracle (thin_state thin) steps
+      && tally.(State.tally_fallbacks) = 1
+      && steps_match_oracle handed steps')
 
 let suite =
   ( "backends",
@@ -1299,11 +1394,12 @@ let suite =
       qtest prop_table_cancels_and_demotes;
       qtest prop_table_clear_collisions;
       qtest prop_table_projections;
-      qtest prop_thin_table_gates_exact;
-      qtest prop_cube_to_table;
-      Alcotest.test_case "thin cube: a split moves it to the table" `Quick
+      qtest prop_thin_map_gates_exact;
+      qtest prop_cube_to_map;
+      Alcotest.test_case "thin cube: a split moves it to the map" `Quick
         test_thin_cube_split;
-      Alcotest.test_case "cube: negligible terms dropped as the table does"
+      Alcotest.test_case "cube: negligible terms dropped as the oracle does"
         `Quick test_cube_negligible_terms;
+      qtest prop_thin_states_exact;
       Alcotest.test_case "Draper fault plans: Fast = Reference" `Quick
         test_draper_faults_fast_eq_reference ] )

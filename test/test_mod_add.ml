@@ -377,6 +377,69 @@ let test_modulus_out_of_range () =
   raises_invalid "p = 2^n" ~n:4 ~p:16;
   raises_invalid "p > 2^n" ~n:4 ~p:40
 
+(* [f b] raises [Mbu_error] [Invalid] under [subsystem] before it
+   allocates any ancilla. *)
+let check_rejects what subsystem f =
+  let b = Builder.create () in
+  (match f b with
+  | () -> Alcotest.failf "%s: expected Mbu_error" what
+  | exception Mbu_error.Error { kind = Mbu_error.Invalid; subsystem = s; _ } ->
+      Alcotest.(check string) (what ^ ": subsystem") subsystem s);
+  Alcotest.(check int) (what ^ ": no ancilla") 0 (Builder.ancilla_qubits b)
+
+(* The doubly controlled Draper adder checks its modulus and addend first,
+   under its own name. *)
+let test_double_controlled_draper_checks () =
+  let n = 3 in
+  let build ~p ~a b =
+    let c1 = Builder.fresh_qubit b and c2 = Builder.fresh_qubit b in
+    let x = Builder.fresh_register b "x" n in
+    Mod_add.modadd_const_double_controlled_draper ~mbu:true b ~ctrl1:c1
+      ~ctrl2:c2 ~p ~a ~x
+  in
+  List.iter
+    (fun (what, p, a) ->
+      check_rejects what "Mod_add.modadd_const_double_controlled_draper"
+        (build ~p ~a))
+    [ ("p = 0", 0, 0); ("p = 2^n", 1 lsl n, 1); ("a = p", 5, 5); ("a > p", 5, 7) ]
+
+(* Operand registers of unequal lengths are an [Mbu_error] under the
+   entry's own name, and so is an addend not below the modulus. *)
+let test_unequal_lengths () =
+  let pair b = (Builder.fresh_register b "x" 4, Builder.fresh_register b "y" 3) in
+  let spec = Mod_add.spec_cdkpm and pb = Mbu_bitstring.Bitstring.of_int ~width:4 11 in
+  List.iter
+    (fun (name, f) -> check_rejects name ("Mod_add." ^ name) f)
+    [ ( "modadd",
+        fun b ->
+          let x, y = pair b in
+          Mod_add.modadd spec b ~p:11 ~x ~y );
+      ( "modadd_big",
+        fun b ->
+          let x, y = pair b in
+          Mod_add.modadd_big spec b ~p:pb ~x ~y );
+      ( "modadd_controlled_big",
+        fun b ->
+          let c = Builder.fresh_qubit b in
+          let x, y = pair b in
+          Mod_add.modadd_controlled_big spec b ~ctrl:c ~p:pb ~x ~y );
+      ( "modsub",
+        fun b ->
+          let x, y = pair b in
+          Mod_add.modsub spec b ~p:11 ~x ~y );
+      ( "modadd_draper",
+        fun b ->
+          let x, y = pair b in
+          Mod_add.modadd_draper b ~p:11 ~x ~y );
+      ( "modadd_vbe_5adder",
+        fun b ->
+          let x, y = pair b in
+          Mod_add.modadd_vbe_5adder b ~p:11 ~x ~y );
+      ( "modadd_const",
+        fun b -> Mod_add.modadd_const spec b ~p:11 ~a:11 ~x:(fst (pair b)) );
+      ( "modadd_const_big",
+        fun b -> Mod_add.modadd_const_big spec b ~p:pb ~a:pb ~x:(fst (pair b)) ) ]
+
 let suite =
   ( "mod-add",
     [ Alcotest.test_case "modadd all specs (props 3.4-3.6, thms 4.3-4.5)" `Quick
@@ -405,4 +468,8 @@ let suite =
       Alcotest.test_case "exhaustive n=4 sweep" `Quick test_modadd_exhaustive_n4;
       Alcotest.test_case "spec names" `Quick test_spec_names;
       Alcotest.test_case "out-of-range modulus is an Mbu_error" `Quick
-        test_modulus_out_of_range ] )
+        test_modulus_out_of_range;
+      Alcotest.test_case "doubly controlled Draper checks first" `Quick
+        test_double_controlled_draper_checks;
+      Alcotest.test_case "unequal lengths are an Mbu_error" `Quick
+        test_unequal_lengths ] )

@@ -403,7 +403,17 @@ let test_out_of_range () =
   List.iter
     (fun (name, subsystem, f) ->
       raises (name ^ " p = 2^31 + 1") subsystem ~n:40 ~p:((1 lsl 31) + 1) ~a:2 f)
-    ladders
+    ladders;
+  (* A multiplier register [y] of another length than [x]. *)
+  List.iter
+    (fun d ->
+      raises
+        (Printf.sprintf "mul_register |y| = n %+d" d)
+        "Mod_mul.mul_register" ~n:4 ~p:11 ~a:3
+        (fun b ~ctrl:_ ~a:_ ~p ~x ~target ->
+          let y = Builder.fresh_register b "y" (Register.length x + d) in
+          Mod_mul.mul_register engine b ~x ~y ~p ~target))
+    [ -1; 1 ]
 
 let suite =
   ( "mod-mul",

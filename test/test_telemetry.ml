@@ -386,7 +386,7 @@ let test_bench_files_reproducible () =
    are jobs-independent too. A Draper campaign's faults on QFT states
    promote runs to the cube. Shots of a fan-out (H on three wires, then
    CNOTs copying them onto six more, then a measurement) promote once
-   and move to the table once: the third fan-out would grow the cube's
+   and hand the cube to a map once: the third fan-out would grow the cube's
    arrays to 64 cells for 8 terms. *)
 let test_sparse_counters_jobs_independent () =
   let draper = Option.get (Mbu_robustness.Catalogue.find "draper") in
@@ -417,7 +417,7 @@ let test_sparse_counters_jobs_independent () =
   Alcotest.(check (float 0.)) "fan-out: one promotion a shot"
     (float_of_int shots)
     (List.assoc "mbu_sim_promotions_total" par);
-  Alcotest.(check (float 0.)) "fan-out: one move to the table a shot"
+  Alcotest.(check (float 0.)) "fan-out: one hand-off to a map a shot"
     (float_of_int shots)
     (List.assoc "mbu_sim_table_fallbacks_total" par)
 
