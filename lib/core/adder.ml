@@ -35,14 +35,11 @@ let add style b ~x ~y =
 
 let is_unitary_style = function Vbe | Cdkpm | Draper -> true | Gidney -> false
 
-let complement_register b y =
-  Array.iter (fun q -> Builder.x b q) (Register.qubits y)
-
 (* Theorem 2.22, circuit (8): y - x = NOT (NOT y + x). *)
 let sub_via_complement style b ~x ~y =
-  complement_register b y;
+  Adder_vbe.complement b y;
   add style b ~x ~y;
-  complement_register b y
+  Adder_vbe.complement b y
 
 let sub style b ~x ~y =
   spanned b "adder.sub" style @@ fun () ->
@@ -133,9 +130,9 @@ let add_controlled ?(impl = Native) style b ~ctrl ~x ~y =
    NOT (NOT y + c.x) = y - c.x, and reduces to the identity when c = 0. *)
 let sub_controlled style b ~ctrl ~x ~y =
   spanned b "adder.csub" style @@ fun () ->
-  complement_register b y;
+  Adder_vbe.complement b y;
   add_controlled style b ~ctrl ~x ~y;
-  complement_register b y
+  Adder_vbe.complement b y
 
 (* ------------------------------------------------------------------ *)
 (* Constants *)
@@ -161,9 +158,7 @@ let sub_const style b ~a ~y =
   spanned b "adder.sub_const" style @@ fun () ->
   match style with
   | Draper ->
-      Qft.apply b y;
-      Adder_draper.phi_sub_const b ~a ~phi_y:y;
-      Qft.apply_inverse b y
+      Qft.within b y (fun () -> Adder_draper.phi_sub_const b ~a ~phi_y:y)
   | Vbe | Cdkpm ->
       with_loaded b "ka" n ~load:(load_const b ~a) (fun ka -> sub style b ~x:ka ~y)
   | Gidney ->
@@ -186,9 +181,7 @@ let sub_const_controlled style b ~ctrl ~a ~y =
   spanned b "adder.csub_const" style @@ fun () ->
   match style with
   | Draper ->
-      Qft.apply b y;
-      Adder_draper.c_phi_sub_const b ~ctrl ~a ~phi_y:y;
-      Qft.apply_inverse b y
+      Qft.within b y (fun () -> Adder_draper.c_phi_sub_const b ~ctrl ~a ~phi_y:y)
   | Vbe | Cdkpm | Gidney ->
       with_loaded b "ka" n ~load:(load_const_controlled b ~ctrl ~a) (fun ka ->
           if is_unitary_style style then
@@ -211,10 +204,9 @@ let compare_generic style b ~x ~y ~target =
   if Register.length x <> Register.length y then
     invalid_arg "Adder.compare_generic: unequal lengths";
   Builder.with_ancilla b (fun sign ->
-      let ys = Register.extend y sign in
-      sub style b ~x ~y:ys;
-      Builder.cnot b ~control:sign ~target;
-      add style b ~x ~y:ys)
+      Adder_vbe.sign_read b ~target (Register.extend y sign)
+        ~sub:(fun ys -> sub style b ~x ~y:ys)
+        ~add:(fun ys -> add style b ~x ~y:ys))
 
 let compare_controlled style b ~ctrl ~x ~y ~target =
   spanned b "adder.ccompare" style @@ fun () ->
@@ -243,10 +235,9 @@ let compare_const style b ~a ~x ~target =
 (* Theorem 2.35: sign of x - a is 1[x < a]. *)
 let compare_const_via_sub style b ~a ~x ~target =
   Builder.with_ancilla b (fun sign ->
-      let xs = Register.extend x sign in
-      sub_const style b ~a ~y:xs;
-      Builder.cnot b ~control:sign ~target;
-      add_const style b ~a ~y:xs)
+      Adder_vbe.sign_read b ~target (Register.extend x sign)
+        ~sub:(fun xs -> sub_const style b ~a ~y:xs)
+        ~add:(fun xs -> add_const style b ~a ~y:xs))
 
 (* Definition 2.37 / theorem 2.38: 1[x < c.a] via a controlled load. *)
 let compare_const_controlled style b ~ctrl ~a ~x ~target =
@@ -274,9 +265,7 @@ let add_const_mod style b ~a ~y =
   spanned b "adder.add_const_mod" style @@ fun () ->
   match style with
   | Draper ->
-      Qft.apply b y;
-      Adder_draper.phi_add_const b ~a ~phi_y:y;
-      Qft.apply_inverse b y
+      Qft.within b y (fun () -> Adder_draper.phi_add_const b ~a ~phi_y:y)
   | Vbe | Cdkpm | Gidney ->
       with_loaded b "km" m ~load:(load_const b ~a) (fun ka ->
           add_mod style b ~x:ka ~y)
@@ -287,9 +276,7 @@ let add_const_mod_controlled style b ~ctrl ~a ~y =
   spanned b "adder.cadd_const_mod" style @@ fun () ->
   match style with
   | Draper ->
-      Qft.apply b y;
-      Adder_draper.c_phi_add_const b ~ctrl ~a ~phi_y:y;
-      Qft.apply_inverse b y
+      Qft.within b y (fun () -> Adder_draper.c_phi_add_const b ~ctrl ~a ~phi_y:y)
   | Vbe | Cdkpm | Gidney ->
       with_loaded b "km" m ~load:(load_const_controlled b ~ctrl ~a) (fun ka ->
           add_mod style b ~x:ka ~y)
@@ -300,11 +287,11 @@ let add_const_mod_controlled style b ~ctrl ~a ~y =
 let sub_via_twos_complement style b ~x ~y =
   Builder.with_ancilla b (fun pad ->
       let xs = Register.extend x pad in
-      complement_register b xs;
+      Adder_vbe.complement b xs;
       Increment.apply b xs;
       add_mod style b ~x:xs ~y;
       Increment.apply_decrement b xs;
-      complement_register b xs)
+      Adder_vbe.complement b xs)
 
 (* Remark 2.32: an (n+1)-bit y exceeds any n-bit x whenever its top bit is
    set, so the copy-out gains a NOT-y_top control — a controlled comparator

@@ -30,38 +30,41 @@ let c_uma b ~ctrl ~c ~y ~x =
   Builder.cnot b ~control:x ~target:c;
   Builder.cnot b ~control:x ~target:y
 
-let check_add_regs name ~x ~y =
-  let n = Register.length x in
-  if n = 0 then invalid_arg (name ^ ": empty addend");
-  if Register.length y <> n + 1 then invalid_arg (name ^ ": length y <> length x + 1")
+let maj_adjoint b ~c ~y ~x =
+  Builder.toffoli b ~c1:c ~c2:y ~target:x;
+  Builder.cnot b ~control:x ~target:c;
+  Builder.cnot b ~control:x ~target:y
 
-(* The carry into position i rides on the x_{i-1} wire; c_0 is an ancilla. *)
-let add b ~x ~y =
-  check_add_regs "Adder_cdkpm.add" ~x ~y;
-  let n = Register.length x in
+(* The one carry ladder: MAJ up positions 0 .. k-1, [middle] on the top
+   carry's wire, then [down] at each position from k-1 to 0. The carry into
+   position i rides on the x_{i-1} wire; c_0 is an ancilla. *)
+let ladder b ~x ~y k ~middle ~down =
   Builder.with_ancilla b (fun c0 ->
       let carry i = if i = 0 then c0 else Register.get x (i - 1) in
-      for i = 0 to n - 1 do
+      for i = 0 to k - 1 do
         maj b ~c:(carry i) ~y:(Register.get y i) ~x:(Register.get x i)
       done;
-      Builder.cnot b ~control:(Register.get x (n - 1)) ~target:(Register.get y n);
-      for i = n - 1 downto 0 do
-        uma b ~c:(carry i) ~y:(Register.get y i) ~x:(Register.get x i)
+      middle (carry k);
+      for i = k - 1 downto 0 do
+        down b ~c:(carry i) ~y:(Register.get y i) ~x:(Register.get x i)
       done)
+
+(* The plain ladder over all n positions, the top carry copied into y_n. *)
+let add_with name ~down b ~x ~y =
+  Adder_vbe.check_add_regs name ~x ~y;
+  let n = Register.length x in
+  ladder b ~x ~y n ~down ~middle:(fun top ->
+      Builder.cnot b ~control:top ~target:(Register.get y n))
+
+let add = add_with "Adder_cdkpm.add" ~down:uma
+let add_3cnot = add_with "Adder_cdkpm.add_3cnot" ~down:uma_3cnot
 
 let add_controlled b ~ctrl ~x ~y =
-  check_add_regs "Adder_cdkpm.add_controlled" ~x ~y;
+  Adder_vbe.check_add_regs "Adder_cdkpm.add_controlled" ~x ~y;
   let n = Register.length x in
-  Builder.with_ancilla b (fun c0 ->
-      let carry i = if i = 0 then c0 else Register.get x (i - 1) in
-      for i = 0 to n - 1 do
-        maj b ~c:(carry i) ~y:(Register.get y i) ~x:(Register.get x i)
-      done;
-      (* The copy of the top carry into y_n must itself be controlled. *)
-      Builder.toffoli b ~c1:ctrl ~c2:(Register.get x (n - 1)) ~target:(Register.get y n);
-      for i = n - 1 downto 0 do
-        c_uma b ~ctrl ~c:(carry i) ~y:(Register.get y i) ~x:(Register.get x i)
-      done)
+  (* The copy of the top carry into y_n must itself be controlled. *)
+  ladder b ~x ~y n ~down:(c_uma ~ctrl) ~middle:(fun top ->
+      Builder.toffoli b ~c1:ctrl ~c2:top ~target:(Register.get y n))
 
 (* Comparator: the top carry of x + NOT(y) equals 1[x > y]. The MAJ chain
    plays the role of "half" an (adjoint) subtractor; the UMA-free descent is
@@ -70,23 +73,12 @@ let compare_gen b ?ctrl ~x ~y ~target () =
   let n = Register.length x in
   if Register.length y <> n then invalid_arg "Adder_cdkpm.compare: unequal lengths";
   if n = 0 then invalid_arg "Adder_cdkpm.compare: empty register";
-  let complement () = Array.iter (fun q -> Builder.x b q) (Register.qubits y) in
-  Builder.with_ancilla b (fun c0 ->
-      let carry i = if i = 0 then c0 else Register.get x (i - 1) in
-      complement ();
-      let (), chain =
-        Builder.capture b (fun () ->
-            for i = 0 to n - 1 do
-              maj b ~c:(carry i) ~y:(Register.get y i) ~x:(Register.get x i)
-            done)
-      in
-      Builder.emit b chain;
-      (match ctrl with
-      | None -> Builder.cnot b ~control:(Register.get x (n - 1)) ~target
-      | Some ctrl ->
-          Builder.toffoli b ~c1:ctrl ~c2:(Register.get x (n - 1)) ~target);
-      Builder.emit b (Instr.adjoint chain);
-      complement ())
+  Adder_vbe.complement b y;
+  ladder b ~x ~y n ~down:maj_adjoint ~middle:(fun top ->
+      match ctrl with
+      | None -> Builder.cnot b ~control:top ~target
+      | Some ctrl -> Builder.toffoli b ~c1:ctrl ~c2:top ~target);
+  Adder_vbe.complement b y
 
 let compare b ~x ~y ~target = compare_gen b ~x ~y ~target ()
 
@@ -99,29 +91,9 @@ let add_mod b ~x ~y =
   let m = Register.length x in
   if Register.length y <> m then invalid_arg "Adder_cdkpm.add_mod: unequal lengths";
   if m = 0 then invalid_arg "Adder_cdkpm.add_mod: empty register";
-  if m = 1 then
-    Builder.cnot b ~control:(Register.get x 0) ~target:(Register.get y 0)
+  let yt = Register.get y (m - 1) in
+  if m = 1 then Builder.cnot b ~control:(Register.get x 0) ~target:yt
   else
-    Builder.with_ancilla b (fun c0 ->
-        let carry i = if i = 0 then c0 else Register.get x (i - 1) in
-        for i = 0 to m - 2 do
-          maj b ~c:(carry i) ~y:(Register.get y i) ~x:(Register.get x i)
-        done;
-        Builder.cnot b ~control:(carry (m - 1)) ~target:(Register.get y (m - 1));
-        Builder.cnot b ~control:(Register.get x (m - 1)) ~target:(Register.get y (m - 1));
-        for i = m - 2 downto 0 do
-          uma b ~c:(carry i) ~y:(Register.get y i) ~x:(Register.get x i)
-        done)
-
-let add_3cnot b ~x ~y =
-  check_add_regs "Adder_cdkpm.add_3cnot" ~x ~y;
-  let n = Register.length x in
-  Builder.with_ancilla b (fun c0 ->
-      let carry i = if i = 0 then c0 else Register.get x (i - 1) in
-      for i = 0 to n - 1 do
-        maj b ~c:(carry i) ~y:(Register.get y i) ~x:(Register.get x i)
-      done;
-      Builder.cnot b ~control:(Register.get x (n - 1)) ~target:(Register.get y n);
-      for i = n - 1 downto 0 do
-        uma_3cnot b ~c:(carry i) ~y:(Register.get y i) ~x:(Register.get x i)
-      done)
+    ladder b ~x ~y (m - 1) ~down:uma ~middle:(fun top ->
+        Builder.cnot b ~control:top ~target:yt;
+        Builder.cnot b ~control:(Register.get x (m - 1)) ~target:yt)

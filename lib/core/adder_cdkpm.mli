@@ -4,6 +4,17 @@
     Register conventions as in {!Adder_vbe}: [x] has [n] qubits and is
     restored; [y] has [n+1] qubits (MSB initially |0>) and receives the sum.
 
+    One carry ladder serves every entry: MAJ up the low positions (the
+    carry into position [i] rides on the [x_(i-1)] wire, [c_0] is one
+    ancilla), a middle step on the top carry, then a descent. {!add} copies
+    the top carry into [y_n] and descends by UMA; {!add_3cnot} descends by
+    {!uma_3cnot}; {!add_controlled} copies under the control (one Toffoli)
+    and descends by {!c_uma}; {!compare} and {!compare_controlled} run the
+    ladder between complements of [y], copy the top carry into the target
+    (a CNOT, or a Toffoli under the control) and descend by MAJ{^ †};
+    {!add_mod} climbs [m - 1] positions, writes the top sum bit with two
+    CNOTs and descends by UMA (at [m = 1], one CNOT and no ladder).
+
     Resources: 1 ancilla and [2n] Toffoli for the plain adder; 1 ancilla and
     [3n + 1] Toffoli for the controlled adder (theorem 2.12 quotes 3n); 1
     ancilla and [2n] Toffoli for the comparator (proposition 2.27). *)

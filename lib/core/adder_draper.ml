@@ -1,16 +1,27 @@
 open Mbu_circuit
 open Mbu_bitstring
 
-let phi_add b ~x ~phi_y =
-  let n = Register.length x in
-  if Register.length phi_y <> n + 1 then
-    invalid_arg "Adder_draper.phi_add: length phi_y <> length x + 1";
-  for i = 0 to n do
-    for j = 0 to min i (n - 1) do
+(* The one Phi ladder: x_j turns qubit i of phi_y by theta (i - j + 1) for
+   every j <= i below x's width, dropping the rotations finer than
+   2 pi / 2^cutoff. *)
+let rotations b ~cutoff ~x ~phi_y =
+  for i = 0 to Register.length phi_y - 1 do
+    for j = max 0 (i + 1 - cutoff) to min i (Register.length x - 1) do
       Builder.cphase b ~control:(Register.get x j) ~target:(Register.get phi_y i)
         (Phase.theta (i - j + 1))
     done
   done
+
+let phi_add b ~x ~phi_y =
+  if Register.length phi_y <> Register.length x + 1 then
+    invalid_arg "Adder_draper.phi_add: length phi_y <> length x + 1";
+  rotations b ~cutoff:max_int ~x ~phi_y
+
+(* Equal-length Phi addition: y and x both m qubits, mod 2^m. *)
+let phi_add_equal b ~x ~phi_y =
+  if Register.length phi_y <> Register.length x then
+    invalid_arg "Adder_draper.phi_add_equal: unequal lengths";
+  rotations b ~cutoff:max_int ~x ~phi_y
 
 (* Equation (7): qubit i turns by (a mod 2^{i+1}) / 2^{i+1} of a turn, the
    constant's low i+1 bits over 2^{i+1}, or the opposite way when [neg].
@@ -58,101 +69,53 @@ let c_phi_add b ~ctrl ~x ~phi_y =
             done)
       done)
 
-let check_add_regs name ~x ~y =
-  let n = Register.length x in
-  if n = 0 then invalid_arg (name ^ ": empty addend");
-  if Register.length y <> n + 1 then invalid_arg (name ^ ": length y <> length x + 1")
-
 let add b ~x ~y =
-  check_add_regs "Adder_draper.add" ~x ~y;
-  Qft.apply b y;
-  phi_add b ~x ~phi_y:y;
-  Qft.apply_inverse b y
+  Adder_vbe.check_add_regs "Adder_draper.add" ~x ~y;
+  Qft.within b y (fun () -> phi_add b ~x ~phi_y:y)
 
 let add_controlled b ~ctrl ~x ~y =
-  check_add_regs "Adder_draper.add_controlled" ~x ~y;
-  Qft.apply b y;
-  c_phi_add b ~ctrl ~x ~phi_y:y;
-  Qft.apply_inverse b y
+  Adder_vbe.check_add_regs "Adder_draper.add_controlled" ~x ~y;
+  Qft.within b y (fun () -> c_phi_add b ~ctrl ~x ~phi_y:y)
 
-let add_const b ~a ~y =
-  Qft.apply b y;
-  phi_add_const b ~a ~phi_y:y;
-  Qft.apply_inverse b y
+let add_const b ~a ~y = Qft.within b y (fun () -> phi_add_const b ~a ~phi_y:y)
 
 let add_const_controlled b ~ctrl ~a ~y =
-  Qft.apply b y;
-  c_phi_add_const b ~ctrl ~a ~phi_y:y;
-  Qft.apply_inverse b y
+  Qft.within b y (fun () -> c_phi_add_const b ~ctrl ~a ~phi_y:y)
+
+let add_mod b ~x ~y = Qft.within b y (fun () -> phi_add_equal b ~x ~phi_y:y)
+
+(* The sign read with its subtraction and its addition each in the Fourier
+   basis of the register read. *)
+let fourier_sign_read b ~target r ~sub ~add =
+  Adder_vbe.sign_read b ~target r
+    ~sub:(fun r -> Qft.within b r (fun () -> sub r))
+    ~add:(fun r -> Qft.within b r (fun () -> add r))
 
 (* Proposition 2.26: subtract x from (y padded with a |0> sign qubit) in the
    Fourier basis, read the sign bit, then add x back. *)
 let compare b ~x ~y ~target =
-  let n = Register.length x in
-  if Register.length y <> n then invalid_arg "Adder_draper.compare: unequal lengths";
+  if Register.length y <> Register.length x then
+    invalid_arg "Adder_draper.compare: unequal lengths";
   Builder.with_ancilla b (fun sign ->
-      let ys = Register.extend y sign in
-      Qft.apply b ys;
-      Builder.emit_adjoint b (fun () -> phi_add b ~x ~phi_y:ys);
-      Qft.apply_inverse b ys;
-      Builder.cnot b ~control:sign ~target;
-      Qft.apply b ys;
-      phi_add b ~x ~phi_y:ys;
-      Qft.apply_inverse b ys)
+      fourier_sign_read b ~target (Register.extend y sign)
+        ~sub:(fun ys -> Builder.emit_adjoint b (fun () -> phi_add b ~x ~phi_y:ys))
+        ~add:(fun ys -> phi_add b ~x ~phi_y:ys))
 
 (* Proposition 2.36: the sign bit of x - a is 1[x < a]. *)
 let compare_const b ~a ~x ~target =
   Builder.with_ancilla b (fun sign ->
-      let xs = Register.extend x sign in
-      Qft.apply b xs;
-      phi_sub_const b ~a ~phi_y:xs;
-      Qft.apply_inverse b xs;
-      Builder.cnot b ~control:sign ~target;
-      Qft.apply b xs;
-      phi_add_const b ~a ~phi_y:xs;
-      Qft.apply_inverse b xs)
-
-(* Equal-length Phi addition: y and x both m qubits, mod 2^m. *)
-let phi_add_equal b ~x ~phi_y =
-  let m = Register.length x in
-  if Register.length phi_y <> m then
-    invalid_arg "Adder_draper.phi_add_equal: unequal lengths";
-  for i = 0 to m - 1 do
-    for j = 0 to i do
-      Builder.cphase b ~control:(Register.get x j) ~target:(Register.get phi_y i)
-        (Phase.theta (i - j + 1))
-    done
-  done
-
-let add_mod b ~x ~y =
-  Qft.apply b y;
-  phi_add_equal b ~x ~phi_y:y;
-  Qft.apply_inverse b y
+      fourier_sign_read b ~target (Register.extend x sign)
+        ~sub:(fun xs -> phi_sub_const b ~a ~phi_y:xs)
+        ~add:(fun xs -> phi_add_const b ~a ~phi_y:xs))
 
 (* Comparator by constant reading the register's own sign bit. *)
 let compare_const_msb b ~a ~x ~target =
-  let m = Register.length x in
-  Qft.apply b x;
-  phi_sub_const b ~a ~phi_y:x;
-  Qft.apply_inverse b x;
-  Builder.cnot b ~control:(Register.get x (m - 1)) ~target;
-  Qft.apply b x;
-  phi_add_const b ~a ~phi_y:x;
-  Qft.apply_inverse b x
-
-let phi_add_approx b ~cutoff ~x ~phi_y =
-  let n = Register.length x in
-  if Register.length phi_y <> n + 1 then
-    invalid_arg "Adder_draper.phi_add_approx: length phi_y <> length x + 1";
-  for i = 0 to n do
-    for j = max 0 (i + 1 - cutoff) to min i (n - 1) do
-      Builder.cphase b ~control:(Register.get x j) ~target:(Register.get phi_y i)
-        (Phase.theta (i - j + 1))
-    done
-  done
+  fourier_sign_read b ~target x
+    ~sub:(fun x -> phi_sub_const b ~a ~phi_y:x)
+    ~add:(fun x -> phi_add_const b ~a ~phi_y:x)
 
 let add_approx b ~cutoff ~x ~y =
-  check_add_regs "Adder_draper.add_approx" ~x ~y;
+  Adder_vbe.check_add_regs "Adder_draper.add_approx" ~x ~y;
   Qft.apply_approx b ~cutoff y;
-  phi_add_approx b ~cutoff ~x ~phi_y:y;
+  rotations b ~cutoff ~x ~phi_y:y;
   Qft.apply_approx_inverse b ~cutoff y

@@ -4,7 +4,18 @@
     The "phi" entry points act on a register already mapped into the Fourier
     encoding by {!Qft.apply}: after [Qft.apply b phi_y], qubit [i] of [phi_y]
     holds [|0> + exp(2 i pi y / 2^{i+1}) |1>]. The full adders wrap them in
-    QFT / IQFT pairs. All phase angles are exact dyadic rationals.
+    QFT / IQFT pairs ({!Qft.within}). All phase angles are exact dyadic
+    rationals.
+
+    One rotation ladder, [x_j] turning qubit [i] of [phi_y] by
+    [2 pi / 2^(i-j+1)] for every [j <= i] below [x]'s width, serves
+    {!phi_add} ([length x + 1] targets), {!phi_add_equal} ([length x]
+    targets) and {!add_approx} (rotations finer than its cutoff dropped).
+    One sign read — subtract in the Fourier basis, CNOT the top wire into
+    the target, add back — serves {!compare} (a padded sign wire, the
+    adjoint {!phi_add} then {!phi_add}), {!compare_const} (a padded sign
+    wire, {!phi_sub_const} then {!phi_add_const}) and {!compare_const_msb}
+    (the register's own top wire, the same pair).
 
     Classical constants are {!Mbu_bitstring.Bitstring.t}s: qubit [i] turns
     by the constant's low [i+1] bits over [2^(i+1)] of a turn, so a

@@ -30,124 +30,93 @@ let erase_carry b ~c_in ~x ~y ~t =
   | None -> ());
   Logical_and.uncompute b ~c1:x ~c2:y ~target:t
 
-let check_add_regs name ~x ~y =
-  let n = Register.length x in
-  if n = 0 then invalid_arg (name ^ ": empty addend");
-  if Register.length y <> n + 1 then invalid_arg (name ^ ": length y <> length x + 1")
-
-let add b ~x ~y =
-  check_add_regs "Adder_gidney.add" ~x ~y;
-  let n = Register.length x in
+(* The one carry ladder: carries c_1 .. c_k computed up into fresh ancillas
+   (c_{i+1} in t.(i)), [middle] with the top carry c_k (None when k = 0),
+   then at each position from k-1 down to 0 the carry erased by MBU and
+   [down c_i i]. *)
+let ladder b ~x ~y k ~middle ~down =
   let xq = Register.get x and yq = Register.get y in
-  if n = 1 then begin
-    (* Degenerate: one logical-AND straight into y_1, one CNOT for s_0. *)
-    Logical_and.compute b ~c1:(xq 0) ~c2:(yq 0) ~target:(yq 1);
-    Builder.cnot b ~control:(xq 0) ~target:(yq 0)
-  end
-  else begin
-    let t = Array.init (n - 1) (fun _ -> Builder.alloc_ancilla b) in
-    let c i = if i = 0 then None else Some t.(i - 1) in
-    (* Rising pass: carries c_1 .. c_{n-1} into ancillas, c_n straight into
-       the sum's top qubit y_n. *)
-    for i = 0 to n - 2 do
-      compute_block b ~c_in:(c i) ~x:(xq i) ~y:(yq i) ~t:t.(i)
-    done;
-    compute_block b ~c_in:(c (n - 1)) ~x:(xq (n - 1)) ~y:(yq (n - 1)) ~t:(yq n);
-    (* The "two additional CNOTs": restore x_{n-1}, write s_{n-1}. *)
-    (match c (n - 1) with
-    | Some cq -> Builder.cnot b ~control:cq ~target:(xq (n - 1))
-    | None -> ());
-    Builder.cnot b ~control:(xq (n - 1)) ~target:(yq (n - 1));
-    (* Falling pass: erase each carry, restore x_i, write s_i. *)
-    for i = n - 2 downto 0 do
-      erase_carry b ~c_in:(c i) ~x:(xq i) ~y:(yq i) ~t:t.(i);
-      (match c i with
-      | Some cq -> Builder.cnot b ~control:cq ~target:(xq i)
-      | None -> ());
-      Builder.cnot b ~control:(xq i) ~target:(yq i)
-    done;
-    Array.iter (Builder.free_ancilla b) (Array.init (n - 1) (fun i -> t.(n - 2 - i)))
-  end
-
-let add_controlled b ~ctrl ~x ~y =
-  check_add_regs "Adder_gidney.add_controlled" ~x ~y;
-  let n = Register.length x in
-  let xq = Register.get x and yq = Register.get y in
-  let t = Array.init n (fun _ -> Builder.alloc_ancilla b) in
+  let t = Array.init k (fun _ -> Builder.alloc_ancilla b) in
   let c i = if i = 0 then None else Some t.(i - 1) in
-  (* Carries are computed unconditionally, including c_n into an ancilla;
-     only the copies into y are controlled (figure 15). *)
-  for i = 0 to n - 1 do
+  for i = 0 to k - 1 do
     compute_block b ~c_in:(c i) ~x:(xq i) ~y:(yq i) ~t:t.(i)
   done;
-  Builder.toffoli b ~c1:ctrl ~c2:t.(n - 1) ~target:(yq n);
-  for i = n - 1 downto 0 do
+  middle (c k);
+  for i = k - 1 downto 0 do
     erase_carry b ~c_in:(c i) ~x:(xq i) ~y:(yq i) ~t:t.(i);
-    (* wires: x_i XOR c_i, y_i XOR c_i. Conditionally fold x XOR c into y,
-       restore x, then fold c back out of y:
-       y := y XOR c XOR ctrl.(x XOR c) XOR c = ctrl ? s_i : y_i. *)
-    Builder.toffoli b ~c1:ctrl ~c2:(xq i) ~target:(yq i);
-    match c i with
-    | Some cq ->
-        Builder.cnot b ~control:cq ~target:(xq i);
-        Builder.cnot b ~control:cq ~target:(yq i)
-    | None -> ()
+    down (c i) i
   done;
-  Array.iter (Builder.free_ancilla b) (Array.init n (fun i -> t.(n - 1 - i)))
+  Array.iter (Builder.free_ancilla b) (Array.init k (fun i -> t.(k - 1 - i)))
+
+(* With x_i restored: s_i = (y_i-wire) XOR x_i. *)
+let restore_and_sum b ~x ~y c i =
+  Option.iter (fun c -> Builder.cnot b ~control:c ~target:(Register.get x i)) c;
+  Builder.cnot b ~control:(Register.get x i) ~target:(Register.get y i)
+
+let add b ~x ~y =
+  Adder_vbe.check_add_regs "Adder_gidney.add" ~x ~y;
+  let n = Register.length x in
+  (* Carries c_1 .. c_{n-1} into ancillas, c_n straight into the sum's top
+     qubit y_n, then the "two additional CNOTs": restore x_{n-1}, write
+     s_{n-1}. At n = 1 the ladder is empty: one logical-AND into y_1 and
+     one CNOT. *)
+  ladder b ~x ~y (n - 1) ~down:(restore_and_sum b ~x ~y) ~middle:(fun c ->
+      compute_block b ~c_in:c ~x:(Register.get x (n - 1)) ~y:(Register.get y (n - 1))
+        ~t:(Register.get y n);
+      restore_and_sum b ~x ~y c (n - 1))
+
+let add_controlled b ~ctrl ~x ~y =
+  Adder_vbe.check_add_regs "Adder_gidney.add_controlled" ~x ~y;
+  let n = Register.length x in
+  (* Carries are computed unconditionally, including c_n into an ancilla;
+     only the copies into y are controlled (figure 15). *)
+  ladder b ~x ~y n
+    ~middle:(fun c -> Builder.toffoli b ~c1:ctrl ~c2:(Option.get c) ~target:(Register.get y n))
+    ~down:(fun c i ->
+      (* wires: x_i XOR c_i, y_i XOR c_i. Conditionally fold x XOR c into y,
+         restore x, then fold c back out of y:
+         y := y XOR c XOR ctrl.(x XOR c) XOR c = ctrl ? s_i : y_i. *)
+      let xi = Register.get x i and yi = Register.get y i in
+      Builder.toffoli b ~c1:ctrl ~c2:xi ~target:yi;
+      Option.iter
+        (fun c ->
+          Builder.cnot b ~control:c ~target:xi;
+          Builder.cnot b ~control:c ~target:yi)
+        c)
 
 let compare_gen b ?ctrl ~x ~y ~target () =
   let n = Register.length x in
   if Register.length y <> n then invalid_arg "Adder_gidney.compare: unequal lengths";
   if n = 0 then invalid_arg "Adder_gidney.compare: empty register";
-  let xq = Register.get x and yq = Register.get y in
-  let complement () = Array.iter (fun q -> Builder.x b q) (Register.qubits y) in
   (* Top carry of x + NOT(y) equals 1[x > y]; compute the carry ladder, copy
      the top carry out, then erase every carry by MBU (no Toffoli on the way
      down). *)
-  let t = Array.init n (fun _ -> Builder.alloc_ancilla b) in
-  let c i = if i = 0 then None else Some t.(i - 1) in
-  complement ();
-  for i = 0 to n - 1 do
-    compute_block b ~c_in:(c i) ~x:(xq i) ~y:(yq i) ~t:t.(i)
-  done;
-  (match ctrl with
-  | None -> Builder.cnot b ~control:t.(n - 1) ~target
-  | Some ctrl -> Builder.toffoli b ~c1:ctrl ~c2:t.(n - 1) ~target);
-  for i = n - 1 downto 0 do
-    erase_carry b ~c_in:(c i) ~x:(xq i) ~y:(yq i) ~t:t.(i);
-    match c i with
-    | Some cq ->
-        Builder.cnot b ~control:cq ~target:(yq i);
-        Builder.cnot b ~control:cq ~target:(xq i)
-    | None -> ()
-  done;
-  complement ();
-  Array.iter (Builder.free_ancilla b) (Array.init n (fun i -> t.(n - 1 - i)))
+  Adder_vbe.complement b y;
+  ladder b ~x ~y n
+    ~middle:(fun c ->
+      let top = Option.get c in
+      match ctrl with
+      | None -> Builder.cnot b ~control:top ~target
+      | Some ctrl -> Builder.toffoli b ~c1:ctrl ~c2:top ~target)
+    ~down:(fun c i ->
+      Option.iter
+        (fun c ->
+          Builder.cnot b ~control:c ~target:(Register.get y i);
+          Builder.cnot b ~control:c ~target:(Register.get x i))
+        c);
+  Adder_vbe.complement b y
 
 let compare b ~x ~y ~target = compare_gen b ~x ~y ~target ()
 let compare_controlled b ~ctrl ~x ~y ~target = compare_gen b ~ctrl ~x ~y ~target ()
 
-(* Equal-length addition modulo 2^m (no overflow qubit). *)
+(* Equal-length addition modulo 2^m (no overflow qubit): the top carry is
+   not produced, so s_{m-1} needs two CNOTs; at m = 1 the ladder is empty
+   and only the CNOT from x_0 remains. *)
 let add_mod b ~x ~y =
   let m = Register.length x in
   if Register.length y <> m then invalid_arg "Adder_gidney.add_mod: unequal lengths";
   if m = 0 then invalid_arg "Adder_gidney.add_mod: empty register";
-  let xq = Register.get x and yq = Register.get y in
-  if m = 1 then Builder.cnot b ~control:(xq 0) ~target:(yq 0)
-  else begin
-    let t = Array.init (m - 1) (fun _ -> Builder.alloc_ancilla b) in
-    let c i = if i = 0 then None else Some t.(i - 1) in
-    for i = 0 to m - 2 do
-      compute_block b ~c_in:(c i) ~x:(xq i) ~y:(yq i) ~t:t.(i)
-    done;
-    Builder.cnot b ~control:t.(m - 2) ~target:(yq (m - 1));
-    Builder.cnot b ~control:(xq (m - 1)) ~target:(yq (m - 1));
-    for i = m - 2 downto 0 do
-      erase_carry b ~c_in:(c i) ~x:(xq i) ~y:(yq i) ~t:t.(i);
-      (match c i with
-      | Some cq -> Builder.cnot b ~control:cq ~target:(xq i)
-      | None -> ());
-      Builder.cnot b ~control:(xq i) ~target:(yq i)
-    done;
-    Array.iter (Builder.free_ancilla b) (Array.init (m - 1) (fun i -> t.(m - 2 - i)))
-  end
+  let yt = Register.get y (m - 1) in
+  ladder b ~x ~y (m - 1) ~down:(restore_and_sum b ~x ~y) ~middle:(fun c ->
+      Option.iter (fun c -> Builder.cnot b ~control:c ~target:yt) c;
+      Builder.cnot b ~control:(Register.get x (m - 1)) ~target:yt)

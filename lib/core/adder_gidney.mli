@@ -9,6 +9,19 @@
     subtraction uses the complement identity of theorem 2.22 instead
     (see {!Adder.sub}).
 
+    One carry ladder serves every entry: logical-AND compute blocks up the
+    low positions (carry [c_(i+1)] into a fresh ancilla), a middle step on
+    the top carry, then each carry erased by MBU on the way down followed
+    by a per-position step. {!add} climbs [n - 1] positions, its middle
+    step computes [c_n] straight into [y_n], and it descends by restoring
+    [x_i] and writing [s_i]; {!add_mod} climbs [m - 1], writes the top sum
+    bit with two CNOTs and descends as {!add} (at [m = 1] the ladder is
+    empty); {!add_controlled} climbs all [n] positions, copies [c_n] into
+    [y_n] under the control and descends by a controlled sum write;
+    {!compare} and {!compare_controlled} climb all [n] between complements
+    of [y], copy the top carry into the target and descend by restoring
+    [x_i] and [y_i] only.
+
     Register conventions as in {!Adder_vbe}. *)
 
 open Mbu_circuit

@@ -18,7 +18,7 @@ let uncompute_bit b ~garbage ~ug =
 let in_range ?(mbu = true) style b ~x ~y ~z ~target =
   let n = Register.length x in
   if Register.length y <> n || Register.length z <> n then
-    invalid_arg "Mbu.in_range: unequal register lengths";
+    Mbu_error.invalid ~subsystem:"Mbu.in_range" "unequal register lengths";
   Builder.with_span b
     (Printf.sprintf "mbu.in_range[%s]%s" (Adder.style_name style)
        (if mbu then "+mbu" else ""))

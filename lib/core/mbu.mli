@@ -27,4 +27,6 @@ val in_range :
 (** Theorem 4.13 (two-sided comparator):
     [target XOR= 1\[y < x AND x < z\]] with all three registers restored.
     With [mbu] (default true) the intermediate [1\[y < x\]] bit is erased by
-    MBU, saving a quarter of the comparator cost in expectation. *)
+    MBU, saving a quarter of the comparator cost in expectation. Registers
+    of unequal lengths raise [Mbu_error.Error] (kind [Invalid], subsystem
+    ["Mbu.in_range"]). *)

@@ -10,13 +10,11 @@ open Mbu_bitstring
    the move, and re-enters the window as the new top wire. *)
 let mul_const_redc style b ~a ~p ~x ~acc ~quotient =
   let n = Register.length x in
-  if p <= 0 || p land 1 = 0 || p lsr n <> 0 then
-    invalid_arg "Montgomery.mul_const_redc: need an odd modulus below 2^n";
-  if a < 0 || a >= p then invalid_arg "Montgomery.mul_const_redc: need 0 <= a < p";
-  if Register.length acc <> n + 2 then
-    invalid_arg "Montgomery.mul_const_redc: acc needs n+2 wires";
-  if Register.length quotient <> n then
-    invalid_arg "Montgomery.mul_const_redc: quotient needs n wires";
+  let invalid = Mbu_error.invalid ~subsystem:"Montgomery.mul_const_redc" in
+  if p <= 0 || p land 1 = 0 || p lsr n <> 0 then invalid "need an odd modulus below 2^n";
+  if a < 0 || a >= p then invalid "need 0 <= a < p";
+  if Register.length acc <> n + 2 then invalid "acc needs n+2 wires";
+  if Register.length quotient <> n then invalid "quotient needs n wires";
   let half = Bitstring.of_int ~width:n ((p + 1) / 2) in
   let a = Bitstring.of_int ~width:n a in
   let window = ref (Register.qubits acc) in

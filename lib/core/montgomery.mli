@@ -29,4 +29,7 @@ val mul_const_redc :
     must have [n + 2] wires at |0>, [quotient] [n] wires at |0> (it receives
     the reduction bits), [p] odd, [0 <= a < p], [x < p]. The circuit is
     unitary for the unitary adder styles, so [Builder.emit_adjoint] undoes
-    it, garbage included. *)
+    it, garbage included. A [p] that is even, not positive or not below
+    [2^n], an [a] outside [\[0, p)] and a wrong [acc] or [quotient] width
+    raise [Mbu_error.Error] (kind [Invalid], subsystem
+    ["Montgomery.mul_const_redc"]). *)

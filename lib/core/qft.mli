@@ -5,7 +5,12 @@
     [m]) to the product state in which qubit [i] holds
     [|0> + exp(2 i pi y / 2^{i+1}) |1>] — the paper's [|phi(y)>]. This is the
     textbook QFT up to qubit ordering, with no terminal swaps, which is the
-    convention under which [Phi_ADD] acts qubit-locally. *)
+    convention under which [Phi_ADD] acts qubit-locally.
+
+    One loop emits every transform: H on each qubit from the top down,
+    each followed by the rotations controlled by the qubits below it. The
+    exact transform keeps every rotation; the approximate one drops those
+    finer than its cutoff. *)
 
 open Mbu_circuit
 
@@ -14,6 +19,10 @@ val apply : Builder.t -> Register.t -> unit
 
 val apply_inverse : Builder.t -> Register.t -> unit
 (** [IQFT_m]. *)
+
+val within : Builder.t -> Register.t -> (unit -> unit) -> unit
+(** [within b r f]: {!apply} on [r], [f ()], {!apply_inverse} on [r] — the
+    Fourier sandwich around every Draper adder body. *)
 
 val apply_approx : Builder.t -> cutoff:int -> Register.t -> unit
 (** Approximate QFT: controlled rotations by angles smaller than

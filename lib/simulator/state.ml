@@ -1169,17 +1169,22 @@ let map_gate s tbl g =
   s.repr <- Map (Reference.gate_amps tbl g);
   maybe_demote s
 
+(* [ones /. all], unless every amplitude has cancelled: a zero state has
+   no outcome to draw, and the projection after it would blame the
+   outcome. *)
+let ratio_of_norms q (all, ones) =
+  if sqrt all < eps then
+    Mbu_error.invalid ~subsystem:"State.prob_bit_one" ~qubit:q
+      "the state is zero (every amplitude has cancelled)";
+  ones /. all
+
 let prob_bit_one s q =
   match s.repr with
   | Product p ->
       (* Exact: an equatorial wire is a fair coin, a Z-basis wire definite. *)
       if on_x p q then 0.5 else if bit p.idx q then 1.0 else 0.0
-  | Cube cb ->
-      let all, ones = cube_norm2 cb (1 lsl q) in
-      ones /. all
-  | Map tbl ->
-      let all, ones = map_norm2 tbl (1 lsl q) in
-      ones /. all
+  | Cube cb -> ratio_of_norms q (cube_norm2 cb (1 lsl q))
+  | Map tbl -> ratio_of_norms q (map_norm2 tbl (1 lsl q))
 
 let project_inplace s ~qubit ~value =
   match s.repr with

@@ -208,7 +208,11 @@ val run_slots :
     measurement's projection does. *)
 
 val prob_bit_one : t -> int -> float
-(** Probability that measuring the given wire yields 1. *)
+(** Probability that measuring the given wire yields 1. A sparse state
+    whose norm is below 1e-12 (every amplitude cancelled, e.g. by
+    {!set_bit_zero} on (|0> - |1>)/sqrt 2) has no such probability: it
+    raises {!Mbu_circuit.Mbu_error.Error} (kind [Invalid], subsystem
+    ["State.prob_bit_one"], the wire attached). *)
 
 val zero_probability : float -> bool -> bool
 (** [zero_probability p1 v]: reading [v] from a wire that reads 1 with

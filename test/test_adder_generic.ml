@@ -287,6 +287,99 @@ let test_compare_ge_const () =
       (value r.Sim.state t)
   done
 
+(* ------------------------------------------------------------------ *)
+(* Equal-length addition modulo 2^m, which no other test calls directly
+   and every ripple family special-cases at m = 1: every input at
+   m in {1, 2, 3}, on the Fast and the Reference engine, against integer
+   arithmetic. *)
+
+(* Build with [build] on fresh registers of the given widths, run from
+   [values] on both engines, and check every register against [expect]
+   and the ancillas clean. *)
+let check_both_engines ~what widths build values expect =
+  List.iter
+    (fun (engine_name, engine) ->
+      let b = Builder.create () in
+      let regs = List.map (fun (name, w) -> Builder.fresh_register b name w) widths in
+      build b regs;
+      let r = Sim.run_builder ~rng ~engine b ~inits:(List.combine regs values) in
+      List.iter2
+        (fun reg v ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s %s: %s" what engine_name (Register.name reg))
+            v (value r.Sim.state reg))
+        regs expect;
+      Alcotest.(check bool) (what ^ " " ^ engine_name ^ ": clean") true
+        (Sim.wires_zero r.Sim.state ~except:regs))
+    [ ("fast", Sim.Fast); ("reference", Sim.Reference) ]
+
+let test_add_mod_all_styles () =
+  List.iter
+    (fun style ->
+      for m = 1 to 3 do
+        let mask = (1 lsl m) - 1 in
+        for x = 0 to mask do
+          for y = 0 to mask do
+            let what = Printf.sprintf "%s m=%d x=%d y=%d" (name_of style "add_mod") m x y in
+            check_both_engines ~what [ ("x", m); ("y", m) ]
+              (fun b regs ->
+                match regs with
+                | [ x; y ] -> Adder.add_mod style b ~x ~y
+                | _ -> assert false)
+              [ x; y ] [ x; (x + y) land mask ]
+          done
+        done
+      done)
+    Adder.all_styles
+
+let test_add_const_mod_all_styles () =
+  List.iter
+    (fun style ->
+      for m = 1 to 3 do
+        let mask = (1 lsl m) - 1 in
+        for a = 0 to mask do
+          for y = 0 to mask do
+            let what = Printf.sprintf "%s m=%d a=%d y=%d" (name_of style "add_const_mod") m a y in
+            check_both_engines ~what [ ("y", m) ]
+              (fun b regs -> Adder.add_const_mod style b ~a:(bits m a) ~y:(List.hd regs))
+              [ y ] [ (y + a) land mask ];
+            for c = 0 to 1 do
+              check_both_engines ~what:(Printf.sprintf "%s ctrl=%d" what c)
+                [ ("c", 1); ("y", m) ]
+                (fun b regs ->
+                  match regs with
+                  | [ c; y ] ->
+                      Adder.add_const_mod_controlled style b ~ctrl:(Register.get c 0)
+                        ~a:(bits m a) ~y
+                  | _ -> assert false)
+                [ c; y ] [ c; (y + (c * a)) land mask ]
+            done
+          done
+        done
+      done)
+    Adder.all_styles
+
+(* The register's own top wire is the sign of x - a only while
+   |x - a| < 2^(m-1) (at m = 1, only x = a). *)
+let test_compare_const_msb () =
+  for m = 1 to 3 do
+    let half = 1 lsl (m - 1) in
+    for a = 0 to (1 lsl m) - 1 do
+      for x = 0 to (1 lsl m) - 1 do
+        if abs (x - a) < half then
+          check_both_engines
+            ~what:(Printf.sprintf "compare_const_msb m=%d a=%d x=%d" m a x)
+            [ ("x", m); ("t", 1) ]
+            (fun b regs ->
+              match regs with
+              | [ x; t ] ->
+                  Adder_draper.compare_const_msb b ~a:(bits m a) ~x ~target:(Register.get t 0)
+              | _ -> assert false)
+            [ x; 0 ] [ x; (if x < a then 1 else 0) ]
+      done
+    done
+  done
+
 (* Cost sanity: corollary 2.10 beats theorem 2.9 by n Toffoli. *)
 let test_controlled_impl_costs () =
   let n = 8 in
@@ -322,4 +415,10 @@ let suite =
       Alcotest.test_case "controlled compare const (thm 2.38)" `Quick
         test_compare_const_controlled;
       Alcotest.test_case "ge comparison (remark 2.39)" `Quick test_compare_ge_const;
-      Alcotest.test_case "controlled impl costs" `Quick test_controlled_impl_costs ] )
+      Alcotest.test_case "controlled impl costs" `Quick test_controlled_impl_costs;
+      Alcotest.test_case "add mod 2^m, m <= 3, fast and reference" `Quick
+        test_add_mod_all_styles;
+      Alcotest.test_case "add const mod 2^m (controlled too), m <= 3" `Quick
+        test_add_const_mod_all_styles;
+      Alcotest.test_case "draper compare const msb, valid domain" `Quick
+        test_compare_const_msb ] )

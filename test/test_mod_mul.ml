@@ -413,7 +413,29 @@ let test_out_of_range () =
         (fun b ~ctrl:_ ~a:_ ~p ~x ~target ->
           let y = Builder.fresh_register b "y" (Register.length x + d) in
           Mod_mul.mul_register engine b ~x ~y ~p ~target))
-    [ -1; 1 ]
+    [ -1; 1 ];
+  (* The two-sided comparator's registers of unequal lengths. *)
+  List.iter
+    (fun (dy, dz) ->
+      raises
+        (Printf.sprintf "in_range |y| = n %+d, |z| = n %+d" dy dz)
+        "Mbu.in_range" ~n:4 ~p:0 ~a:0
+        (fun b ~ctrl ~a:_ ~p:_ ~x ~target:_ ->
+          let y = Builder.fresh_register b "y" (4 + dy) in
+          let z = Builder.fresh_register b "z" (4 + dz) in
+          Mbu.in_range Adder.Cdkpm b ~x ~y ~z ~target:ctrl))
+    [ (1, 0); (0, -1) ];
+  (* Every argument check of the Montgomery step. *)
+  List.iter
+    (fun (what, p, a, acc_width, quotient_width) ->
+      raises ("mul_const_redc " ^ what) "Montgomery.mul_const_redc" ~n:4 ~p ~a
+        (fun b ~ctrl:_ ~a ~p ~x ~target:_ ->
+          let acc = Builder.fresh_register b "acc" acc_width in
+          let quotient = Builder.fresh_register b "q" quotient_width in
+          ignore (Montgomery.mul_const_redc Adder.Cdkpm b ~a ~p ~x ~acc ~quotient)))
+    [ ("p even", 12, 3, 6, 4); ("p = 2^n + 1", 17, 3, 6, 4); ("p = -1", -1, 0, 6, 4);
+      ("a = p", 13, 13, 6, 4); ("a < 0", 13, -1, 6, 4);
+      ("acc n + 1 wires", 13, 3, 5, 4); ("quotient n - 1 wires", 13, 3, 6, 3) ]
 
 let suite =
   ( "mod-mul",

@@ -184,6 +184,43 @@ let test_set_bit_zero_classical_track () =
   check_int "cleared" 0b001 (classical_exn cleared);
   check_bool "still classical" true (State.is_classical cleared)
 
+(* A sparse state whose amplitudes have all cancelled has no outcome to
+   draw. [prob_bit_one] names the zero state (it returned NaN, and the
+   projection after it blamed a "zero-probability outcome"), and so do
+   Sim's measurement, on every engine, and [sample_register], on both
+   sparse layouts. *)
+let test_zero_state_is_named () =
+  let amp re : Complex.t = { re; im = 0. } and r = 1.0 /. sqrt 2.0 in
+  let zeroed ~num_qubits terms =
+    State.set_bit_zero (State.of_alist ~num_qubits terms) ~qubit:0
+  in
+  List.iter
+    (fun (layout, num_qubits, terms) ->
+      let s = zeroed ~num_qubits terms in
+      let named what f =
+        match f () with
+        | () -> Alcotest.failf "%s, %s: expected Mbu_error" layout what
+        | exception Mbu_error.Error { kind = Mbu_error.Invalid; subsystem; _ } ->
+            Alcotest.(check string) (layout ^ ", " ^ what) "State.prob_bit_one" subsystem
+      in
+      let b = Builder.create () in
+      let q = Builder.fresh_register b "q" num_qubits in
+      let c = Builder.to_circuit b in
+      ignore (Builder.measure b (Register.get q 0));
+      let measured = Builder.to_circuit b in
+      named "prob_bit_one" (fun () -> ignore (State.prob_bit_one s 0));
+      List.iter
+        (fun (name, engine) ->
+          named ("Sim.run " ^ name) (fun () ->
+              ignore (Sim.run ~rng:(rng ()) ~engine measured ~init:s)))
+        [ ("fast", Sim.Fast); ("sparse", Sim.Sparse); ("reference", Sim.Reference) ];
+      named "sample_register" (fun () ->
+          ignore (Sim.sample_register ~shots:1 ~jobs:1 c ~init:s q)))
+    [ (* (|0> - |1>)/sqrt 2: its keys fill the cube over wire 0 *)
+      ("cube", 1, [ (0, amp r); (1, amp (-.r)) ]);
+      (* four keys over six active wires: too thin for a cube *)
+      ("map", 6, [ (0, amp 0.5); (1, amp (-0.5)); (62, amp 0.5); (63, amp (-0.5)) ]) ]
+
 (* Regression: Sim.run without ?rng used to draw from one shared lazy
    global, so results depended on how many unseeded runs happened before.
    Now every unseeded run gets its own freshly seeded generator. *)
@@ -325,6 +362,8 @@ let suite =
       Alcotest.test_case "qft uniform" `Quick test_qft_period;
       Alcotest.test_case "set_bit_zero accumulates collisions" `Quick
         test_set_bit_zero_accumulates;
+      Alcotest.test_case "a zero state is named, cube and map" `Quick
+        test_zero_state_is_named;
       Alcotest.test_case "set_bit_zero on classical track" `Quick
         test_set_bit_zero_classical_track;
       Alcotest.test_case "default rng isolated per run" `Quick
