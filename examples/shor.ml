@@ -61,7 +61,7 @@ let run_shor ~a ~n_val ~n_bits ~t_bits ~shots =
   let found = Hashtbl.create 8 in
   let successes = ref 0 in
   for shot = 1 to shots do
-    let r = Sim.run_program ~rng:(Random.State.make [| shot; 0x5407 |]) prog ~init in
+    let r = Sim.run_program ~rng:(Rng.make ~stream:0x5407 ~seed:0 shot) prog ~init in
     (* the library QFT is the DFT composed with a bit reversal, so the
        standard Fourier outcome is read MSB-at-wire-0 *)
     let m =

@@ -89,8 +89,8 @@ type result = {
 (* Split-RNG derivations: the fault plan and the measurement stream of run
    [i] each come from (tag, seed, i) only, so campaigns are reproducible
    and independent of the parallel fan-out. *)
-let plan_rng ~seed i = Random.State.make [| 0x6661756c; seed; i |]
-let run_rng ~seed i = Random.State.make [| 0x696e6a63; seed; i |]
+let plan_rng ~seed i = Rng.make ~stream:0x6661756c ~seed i
+let run_rng ~seed i = Rng.make ~stream:0x696e6a63 ~seed i
 
 (* [table] is the circuit's sites in program order, so site [s] of the
    draw is [table.(s)], the one [Fault.site] would find. *)
@@ -99,7 +99,7 @@ let random_plan ~faults_per_run table rng =
   let k = min faults_per_run num_sites in
   let chosen = Hashtbl.create (2 * k) in
   let rec draw () =
-    let s = Random.State.int rng num_sites in
+    let s = Rng.int rng num_sites in
     if Hashtbl.mem chosen s then draw ()
     else begin
       Hashtbl.add chosen s ();
@@ -109,7 +109,7 @@ let random_plan ~faults_per_run table rng =
   List.init k (fun _ ->
       let site = table.(draw ()) in
       let pauli =
-        match Random.State.int rng 3 with
+        match Rng.int rng 3 with
         | 0 -> Fault.X
         | 1 -> Fault.Y
         | _ -> Fault.Z

@@ -19,9 +19,11 @@
       register is wrong or superposed: the dangerous case the campaign
       exists to measure.
 
-    Campaigns are deterministic: run [i] derives its fault plan and its
-    measurement RNG from [(seed, i)] only, so results are independent of
-    [jobs] (shots fan out across domains exactly like [Sim.run_shots]). *)
+    Campaigns are deterministic: run [i] draws its fault plan and its
+    measurements from two {!Mbu_simulator.Rng.t} streams keyed by
+    [(seed, i)] only (no [Random.State.t] is made per run), so results are
+    independent of [jobs] (runs fan out across domains exactly like
+    [Sim.run_shots]'s shots). *)
 
 open Mbu_circuit
 open Mbu_simulator
@@ -51,7 +53,8 @@ val classify_run : spec -> Sim.run -> outcome
 val classify :
   ?engine:Sim.engine -> rng:Random.State.t -> faults:Fault.t list -> spec ->
   outcome
-(** One faulty run, judged by {!classify_run}. Every error the run raises
+(** One faulty run, judged by {!classify_run}. [rng] seeds the run's
+    stream with one draw, as in {!Mbu_simulator.Sim.run}. Every error the run raises
     propagates: a spec whose [init] is narrower than its circuit is broken,
     and any other exception is a simulator bug, not a detected fault. *)
 

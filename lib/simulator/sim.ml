@@ -53,14 +53,13 @@ type engine = Fast | Sparse | Reference
 (* Every [run] without [?rng] gets its own freshly seeded generator: a
    shared global would make results depend on how many unseeded runs
    happened earlier in the process (test execution order, REPL history). *)
-let default_seed = [| 0x6d62755f; 0x51432025 |]
-let fresh_rng () = Random.State.make default_seed
+let fresh_rng () = Rng.make ~stream:0x51432025 ~seed:0 0
 
 (* Deterministic per-shot split: shot [i] of a multi-shot run draws from a
-   generator derived only from the caller's seed and the shot index, so the
+   generator keyed only by the caller's seed and the shot index, so the
    outcome of shot [i] does not depend on the other shots — which is what
    makes the parallel runner's output independent of [jobs]. *)
-let shot_rng ~seed i = Random.State.make [| 0x6d62755f; 0x51432025; seed; i |]
+let shot_rng ~seed i = Rng.make ~stream:0x6d62755f ~seed i
 
 (* ------------------------------------------------------------------ *)
 (* The compiled program *)
@@ -386,8 +385,10 @@ let run_program ?rng ?on_event ?(engine = Fast) ?(force = []) ?(faults = [])
   in
   { state = !state; bits; executed; injected = !injected }
 
+(* A caller's [Random.State.t] seeds the run's stream with one draw. *)
 let run ?rng ?on_event ?engine ?force ?faults c ~init =
-  run_program ?rng ?on_event ?engine ?force ?faults (compile c) ~init
+  run_program ?rng:(Option.map Rng.of_random rng) ?on_event ?engine ?force
+    ?faults (compile c) ~init
 
 let init_registers ~num_qubits assignments =
   let idx = ref 0 in

@@ -50,9 +50,9 @@ type event =
       flip for measuring an equatorial wire; and the conditionals between
       them. So MBU circuits and Draper's QFT adders on basis inputs stay on
       the product track. A gate in a pass allocates nothing (a state's
-      first phase below a half turn allocates its fine-phase cells once);
-      a measurement of an equatorial wire allocates the few words of its
-      random draw. An operation that needs the amplitudes of an
+      first phase below a half turn allocates its fine-phase cells once),
+      and neither does a measurement's draw from the run's {!Rng.t}. An
+      operation that needs the amplitudes of an
       equatorial wire (a control on it, a CZ or Cphase on two of them, H
       at another phase) promotes the state to the sparse track (see
       {!State}), which runs the same program in passes of its own, and a
@@ -83,7 +83,10 @@ val run :
   ?rng:Random.State.t -> ?on_event:(event -> unit) -> ?engine:engine ->
   ?force:(int * bool) list -> ?faults:Fault.t list ->
   Circuit.t -> init:State.t -> run
-(** [rng] defaults to a {e freshly seeded} deterministic generator per call:
+(** [rng] seeds the run's {!Rng.t} stream with one [Random.State.bits64]
+    draw ({!Rng.of_random}), and every measurement of the run draws from
+    that stream, so consecutive runs on one [rng] draw different outcomes.
+    Without it the run gets a {e freshly seeded} deterministic stream:
     two unseeded runs of the same circuit give the same outcomes, and an
     unseeded run never perturbs later ones. [on_event] is called
     synchronously after each measurement and for each conditional block
@@ -134,11 +137,13 @@ type program
 val compile : Circuit.t -> program
 
 val run_program :
-  ?rng:Random.State.t -> ?on_event:(event -> unit) -> ?engine:engine ->
+  ?rng:Rng.t -> ?on_event:(event -> unit) -> ?engine:engine ->
   ?force:(int * bool) list -> ?faults:Fault.t list ->
   program -> init:State.t -> run
-(** [run] on a compiled circuit: [run c] is [run_program (compile c)], with
-    the same results. Raises {!Mbu_circuit.Mbu_error.Error} ([Invalid],
+(** [run] on a compiled circuit, drawing from [rng] itself: [run ~rng:r c]
+    is [run_program ~rng:(Rng.of_random r) (compile c)], with the same
+    results, and so is [run c] without [rng] on the same fresh stream.
+    Raises {!Mbu_circuit.Mbu_error.Error} ([Invalid],
     subsystem ["Sim.run"]) before it runs a slot when [init] has fewer
     wires than the program. *)
 
@@ -152,7 +157,9 @@ val init_registers : num_qubits:int -> (Register.t * int) list -> State.t
 val run_builder :
   ?rng:Random.State.t -> ?on_event:(event -> unit) -> ?engine:engine ->
   ?faults:Fault.t list -> Builder.t -> inits:(Register.t * int) list -> run
-(** Convert the builder to a circuit and run it on a basis initialization. *)
+(** Convert the builder to a circuit and {!run} it on a basis
+    initialization; [rng] seeds the run's stream with one draw, as in
+    {!run}. *)
 
 (** {1 Monte-Carlo branch statistics}
 
@@ -200,12 +207,13 @@ val parallel_backend : string
 val fold_shots :
   ?seed:int -> ?jobs:int -> ?stats:stats -> ?engine:engine ->
   shots:int -> Circuit.t -> init:State.t -> empty:(unit -> 'acc) ->
-  step:('acc -> int -> Random.State.t -> run -> 'acc) ->
+  step:('acc -> int -> Rng.t -> run -> 'acc) ->
   merge:('acc -> 'acc -> 'acc) -> 'acc
 (** The shot loop. The circuit is compiled once; shot [i] runs it from
-    [init] with a generator derived only from [seed] and [i], and
-    [step acc i rng r] folds its run [r] in, with [rng] left where the run
-    stopped drawing. The shots are a {!Parallel.fold} over [jobs] workers
+    [init] on the {!Rng.t} stream keyed only by [seed] and [i] (no
+    [Random.State.t] is made per shot), and [step acc i rng r] folds its
+    run [r] in, with [rng] that shot's stream, left where the run stopped
+    drawing. The shots are a {!Parallel.fold} over [jobs] workers
     (default {!default_jobs}), each starting from [empty ()], so a [merge]
     that is associative with unit [empty ()] gives the same answer at every
     [jobs]. When [stats] is given, each worker tallies its shots' branch

@@ -495,7 +495,7 @@ let zero_probability p1 v = if v then p1 <= 1e-12 else p1 >= 1.0 -. 1e-12
 let draw_outcome rng p1 =
   if zero_probability p1 true then false
   else if zero_probability p1 false then true
-  else Random.State.float rng 1.0 < p1
+  else Rng.below rng p1
 
 (* ------------------------------------------------------------------ *)
 (* The program kernel: opcodes, then the product track's passes *)

@@ -165,7 +165,7 @@ val on_product_track : t -> bool
 val run_slots :
   t -> code:int array -> a:int array -> b:int array -> c:int array ->
   w:float array -> gates:Gate.t array -> tally:int array ->
-  bits:bool array -> rng:Random.State.t -> int -> stop:int -> int
+  bits:bool array -> rng:Rng.t -> int -> stop:int -> int
 (** [run_slots s ~code ~a ~b ~c ~w ~gates ~tally ~bits ~rng i ~stop]
     runs every slot from [i] to the stop, [min stop n] for arrays of [n]
     slots, in passes on whichever track the state is on, and returns the
@@ -219,11 +219,11 @@ val zero_probability : float -> bool -> bool
     probability [p1] counts as impossible ([p1 <= 1e-12] for 1,
     [p1 >= 1 - 1e-12] for 0). *)
 
-val draw_outcome : Random.State.t -> float -> bool
+val draw_outcome : Rng.t -> float -> bool
 (** The outcome of measuring a wire that reads 1 with probability [p1]:
     the only possible one when the other has {!zero_probability}, drawing
-    nothing, else [Random.State.float rng 1.0 < p1]. Every measurement
-    draws by this rule: [Sim]'s and both tracks' passes. *)
+    nothing, else [Rng.below rng p1], which allocates nothing. Every
+    measurement draws by this rule: [Sim]'s and both tracks' passes. *)
 
 val project_inplace : t -> qubit:int -> value:bool -> unit
 (** Project onto the subspace where [qubit] = [value] and renormalize.

@@ -417,7 +417,7 @@ let run_kernel s gates ~stop =
   let tally = Array.make State.tally_size 0 in
   let j =
     State.run_slots s ~code ~a ~b ~c ~w ~gates:(Array.of_list gates) ~tally
-      ~bits:[||] ~rng:(Random.State.make [| 0 |]) 0 ~stop
+      ~bits:[||] ~rng:(Rng.make ~stream:0 ~seed:0 0) 0 ~stop
   in
   (j, tally, code)
 

@@ -533,7 +533,7 @@ let prop_run_slots_to_stop =
       let s = scaled_basis idx in
       let tally = Array.make State.tally_size 0 in
       let bits = Array.make circ.Circuit.num_bits false in
-      let rng = Random.State.make [| seed; 0xe9 |] in
+      let rng = Rng.of_random (Random.State.make [| seed; 0xe9 |]) in
       let j = State.run_slots s ~code ~a ~b ~c ~w ~gates ~tally ~bits ~rng 0 ~stop in
       let jumped =
         List.exists
@@ -697,7 +697,7 @@ let test_draper_faults_fast_eq_reference () =
             (fun pauli ->
               let faults = [ Fault.of_site ~pauli site ] in
               let run engine =
-                Sim.run_program ~rng:(Random.State.make [| i; 0xfc |]) ~engine
+                Sim.run_program ~rng:(Rng.make ~stream:0xfc ~seed:i 0) ~engine
                   ~faults prog ~init:spec.Engine.init
               in
               let f = run Sim.Fast and r = run Sim.Reference in

@@ -127,9 +127,8 @@ let test_profile_walk () =
 (* {2 The shot loop}
 
    Words per shot at [jobs = 1] of a catalogue modular adder with MBU,
-   with the same inputs as the Monte-Carlo workload's rows. The shot's
-   generator is left out: [Random.State.make] allocates 43 words on
-   OCaml 5 and far more on 4.14, whose generator differs. *)
+   with the same inputs as the Monte-Carlo workload's rows, the shot's
+   generator included. *)
 let shot_words row ~n =
   let open Mbu_simulator in
   let p = (1 lsl (n - 1)) lor (0x2b5 land ((1 lsl (n - 1)) - 1)) lor 1 in
@@ -152,19 +151,13 @@ let shot_words row ~n =
   in
   run ();
   let (), words = minor_words run in
-  let (), rng_words =
-    minor_words (fun () ->
-        for i = 1 to shots do
-          ignore (Random.State.make [| 0x6d62755f; 0x51432025; 3; i |])
-        done)
-  in
-  (words -. rng_words) /. float_of_int shots
+  words /. float_of_int shots
 
 let check_shot_budget row ~n budget =
   let per_shot = shot_words row ~n in
   if per_shot > budget then
-    Alcotest.failf "%s n=%d: %.1f words per shot besides the generator, \
-                    budget %.0f" row n per_shot budget
+    Alcotest.failf "%s n=%d: %.1f words per shot, budget %.0f" row n
+      per_shot budget
 
 (* CDKPM at n = 16 (a Table-1 row of the Monte-Carlo workload): 120 words
    before the product track ran in passes, 113 after, and 94 once the GC
@@ -197,7 +190,7 @@ let test_sparse_run_budget () =
   let init =
     Sim.init_registers ~num_qubits:(Builder.num_qubits b) built.inits
   in
-  let rng = Random.State.make [| 5 |] in
+  let rng = Rng.make ~stream:5 ~seed:0 0 in
   let runs = 10 in
   let run () =
     for _ = 1 to runs do
@@ -224,7 +217,7 @@ let gate_loop_budget ?on_event msg =
   let words instrs =
     let prog = Sim.compile (Circuit.make ~num_qubits:width instrs) in
     let init = State.basis ~num_qubits:width 0b10110 in
-    let rng = Random.State.make [| 1 |] in
+    let rng = Rng.make ~stream:1 ~seed:0 0 in
     let run () =
       for _ = 1 to 20 do
         ignore (Sim.run_program ~rng ?on_event prog ~init)

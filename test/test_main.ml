@@ -8,4 +8,5 @@ let () =
       Test_builder_edge.suite; Test_failure_injection.suite; Test_ft_estimate.suite; Test_mcx.suite; Test_unitary.suite; Test_divider.suite; Test_montgomery.suite; Test_coset.suite; Test_big_constants.suite; Test_trace.suite;
       Test_backends.suite; Test_dag.suite; Test_robustness.suite;
       Test_lint.suite; Test_telemetry.suite; Test_depth.suite;
-      Test_catalogue.suite; Test_gate_paths.suite; Test_cli.suite ]
+      Test_catalogue.suite; Test_gate_paths.suite; Test_cli.suite;
+      Test_rng.suite ]
